@@ -11,6 +11,7 @@ package oovec
 // full-scale tables.
 
 import (
+	"fmt"
 	"testing"
 
 	"oovec/internal/experiments"
@@ -18,6 +19,7 @@ import (
 	"oovec/internal/refsim"
 	"oovec/internal/rob"
 	"oovec/internal/tgen"
+	"oovec/internal/trace"
 )
 
 // benchInsns is the per-program trace size used by the table/figure
@@ -334,21 +336,38 @@ func BenchmarkSimulatorRefThroughput(b *testing.B) {
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minsns/s")
 }
 
+// reuseLengths are the trace lengths of the pooled-machine benchmarks: a
+// simulator whose cost is linear in trace length reports the same ns/insn
+// at every size.
+var reuseLengths = []int{10000, 20000, 40000, 80000}
+
+// benchReuse runs one sub-benchmark per trace length; run simulates the
+// hydro2d trace on a reused machine. It reports throughput and ns/insn.
+func benchReuse(b *testing.B, run func(*trace.Trace)) {
+	for _, n := range reuseLengths {
+		b.Run(fmt.Sprintf("insns=%d", n), func(b *testing.B) {
+			p, _ := tgen.PresetByName("hydro2d")
+			p.Insns = n
+			tr := tgen.Generate(p)
+			run(tr) // reach steady state before measuring
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(tr)
+			}
+			insns := float64(tr.Len()) * float64(b.N)
+			b.ReportMetric(insns/b.Elapsed().Seconds()/1e6, "Minsns/s")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/insns, "ns/insn")
+		})
+	}
+}
+
 // BenchmarkSimulatorRefReuse measures the steady-state throughput and
 // bytes/op of a reused reference Machine; compare with
 // BenchmarkSimulatorRefThroughput for the per-run construction cost.
 func BenchmarkSimulatorRefReuse(b *testing.B) {
-	p, _ := tgen.PresetByName("hydro2d")
-	p.Insns = 20000
-	tr := tgen.Generate(p)
 	m := refsim.NewMachine(refsim.DefaultConfig())
-	m.Run(tr) // reach steady state before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Run(tr)
-	}
-	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minsns/s")
+	benchReuse(b, func(tr *trace.Trace) { m.Run(tr) })
 }
 
 func BenchmarkSimulatorOOOThroughput(b *testing.B) {
@@ -368,17 +387,8 @@ func BenchmarkSimulatorOOOThroughput(b *testing.B) {
 // construction) — the pooled path the experiment drivers and sweep grids
 // run on.
 func BenchmarkSimulatorOOOReuse(b *testing.B) {
-	p, _ := tgen.PresetByName("hydro2d")
-	p.Insns = 20000
-	tr := tgen.Generate(p)
 	m := ooosim.NewMachine(ooosim.DefaultConfig())
-	m.Run(tr) // reach steady state before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Run(tr)
-	}
-	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minsns/s")
+	benchReuse(b, func(tr *trace.Trace) { m.Run(tr) })
 }
 
 func BenchmarkTraceGeneration(b *testing.B) {

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"oovec/internal/isa"
 	"oovec/internal/sched"
@@ -74,76 +73,47 @@ func (b Breakdown) MemIdleCycles() int64 {
 	return t
 }
 
-// edge is one interval endpoint in the StateBreakdown sweep.
-type edge struct {
-	t   int64
-	bit State
-	on  bool
-}
-
-// Scratch holds the reusable edge buffer of StateBreakdown. A simulator
-// machine that keeps one across runs turns the breakdown's dominant
-// allocation (two edges per busy interval — hundreds of kilobytes on a
-// full-size trace) into a one-time cost. The zero value is ready to use; a
-// Scratch is not safe for concurrent use.
-type Scratch struct {
-	edges []edge
-}
-
 // StateBreakdown sweeps the busy intervals of the three vector units and
-// returns the exact per-state cycle counts over [0, total).
+// returns the exact per-state cycle counts over [0, total). Intervals are
+// clamped to that range.
+//
+// Precondition: each list is sorted by start and disjoint, as
+// sched.Allocator.Intervals guarantees. The sweep is then a single
+// three-way merge over the lists — linear in the interval count, with no
+// sorting and no allocation.
 func StateBreakdown(fu2, fu1, mem []sched.Interval, total int64) Breakdown {
-	var sc Scratch
-	return sc.StateBreakdown(fu2, fu1, mem, total)
-}
-
-// StateBreakdown is the allocation-amortised form of the package-level
-// function: the edge buffer is kept (and grown) on the Scratch.
-func (sc *Scratch) StateBreakdown(fu2, fu1, mem []sched.Interval, total int64) Breakdown {
-	edges := sc.edges[:0]
-	add := func(ivs []sched.Interval, bit State) {
-		for _, iv := range ivs {
-			s, e := iv.Start, iv.End
-			if s < 0 {
-				s = 0
-			}
-			if e > total {
-				e = total
-			}
-			if s >= e {
-				continue
-			}
-			edges = append(edges, edge{s, bit, true}, edge{e, bit, false})
-		}
-	}
-	add(fu2, StateFU2)
-	add(fu1, StateFU1)
-	add(mem, StateMEM)
-	sc.edges = edges // keep the grown buffer for the next run
-	sort.Slice(edges, func(i, j int) bool { return edges[i].t < edges[j].t })
-
 	var b Breakdown
-	cur := State(0)
-	prev := int64(0)
-	for i := 0; i < len(edges); {
-		t := edges[i].t
-		if t > prev {
-			b[cur] += t - prev
-			prev = t
-		}
-		for i < len(edges) && edges[i].t == t {
-			if edges[i].on {
-				cur |= edges[i].bit
-			} else {
-				cur &^= edges[i].bit
-			}
-			i++
-		}
-	}
-	if total > prev {
-		b[cur] += total - prev
+	var i2, i1, im int
+	for t := int64(0); t < total; {
+		// Each unit contributes its busy bit at t and the next cycle its
+		// state changes; the machine state is constant until the earliest.
+		next := total
+		cur := unitAt(fu2, &i2, t, StateFU2, &next) |
+			unitAt(fu1, &i1, t, StateFU1, &next) |
+			unitAt(mem, &im, t, StateMEM, &next)
+		b[cur] += next - t
+		t = next
 	}
 	return b
+}
+
+// unitAt advances *i past the intervals of ivs that end at or before t and
+// returns bit if the unit is busy at t (0 otherwise), lowering *next to the
+// cycle the unit's state next changes.
+func unitAt(ivs []sched.Interval, i *int, t int64, bit State, next *int64) State {
+	for *i < len(ivs) && ivs[*i].End <= t {
+		*i++
+	}
+	if *i == len(ivs) {
+		return 0
+	}
+	iv := ivs[*i]
+	if iv.Start <= t {
+		*next = min(*next, iv.End)
+		return bit
+	}
+	*next = min(*next, iv.Start)
+	return 0
 }
 
 // StallBreakdown attributes pipeline stall cycles to the specific hardware

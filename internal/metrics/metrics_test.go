@@ -236,3 +236,73 @@ func TestPropertyIdealIsLowerBoundOnUnitWork(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPropertyBreakdownMatchesPerCycle checks every one of the eight state
+// counts against a per-cycle brute force. The inputs honour the sorted,
+// disjoint precondition: interval lists from both allocator disciplines,
+// empty lists, and intervals that start before 0 or run past total.
+func TestPropertyBreakdownMatchesPerCycle(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		mk := func() []sched.Interval {
+			var a sched.Allocator = sched.NewGap()
+			switch r.Intn(4) {
+			case 0:
+				return nil
+			case 1:
+				a = sched.NewMonotonic()
+			}
+			for i, n := 0, r.Intn(40); i < n; i++ {
+				a.Allocate(int64(r.Intn(600)), int64(1+r.Intn(30)))
+			}
+			ivs := a.Intervals()
+			if len(ivs) > 0 && r.Intn(4) == 0 {
+				ivs[0].Start -= int64(1 + r.Intn(10)) // starts before cycle 0
+			}
+			return ivs
+		}
+		fu2, fu1, mem := mk(), mk(), mk()
+		total := int64(r.Intn(800)) // often ends inside an interval
+		got := StateBreakdown(fu2, fu1, mem, total)
+
+		var want Breakdown
+		busy := func(ivs []sched.Interval, c int64) bool {
+			for _, iv := range ivs {
+				if iv.Start <= c && c < iv.End {
+					return true
+				}
+			}
+			return false
+		}
+		for c := int64(0); c < total; c++ {
+			var s State
+			if busy(fu2, c) {
+				s |= StateFU2
+			}
+			if busy(fu1, c) {
+				s |= StateFU1
+			}
+			if busy(mem, c) {
+				s |= StateMEM
+			}
+			want[s]++
+		}
+		if got != want {
+			t.Logf("seed %d total %d: got %v, want %v", seed, total, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestStateBreakdownEmpty(t *testing.T) {
+	if b := StateBreakdown(nil, nil, nil, 0); b != (Breakdown{}) {
+		t.Errorf("zero-length run breakdown = %v", b)
+	}
+	if b := StateBreakdown(nil, nil, nil, 7); b.Idle() != 7 || b.Total() != 7 {
+		t.Errorf("all-idle breakdown = %v, want 7 idle cycles", b)
+	}
+}

@@ -94,9 +94,13 @@ func (s *memScheduler) snapshot() MemSchedState {
 func (s *memScheduler) restore(st MemSchedState) {
 	s.bus.Restore(st.Bus)
 	s.pend = s.pend[:0]
-	for _, p := range st.Pend {
+	s.byReady = s.byReady[:0]
+	for i, p := range st.Pend {
 		s.pend = append(s.pend, pendStore{ready: p.Ready, occ: p.Occ, req: p.Req,
 			entry: p.Entry, placed: p.Placed, elidable: p.Elidable, canceled: p.Canceled})
+		if !p.Placed && !p.Canceled && !p.Elidable {
+			s.pushReady(i)
+		}
 	}
 	for i := range s.entries {
 		s.entries[i] = memEntry{}

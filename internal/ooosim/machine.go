@@ -246,10 +246,6 @@ type machine struct {
 	vReadBuf [4]int     //ovlint:config per-instruction scratch, dead between steps
 	portBuf  [1]int     //ovlint:config per-instruction scratch, dead between steps
 	regBuf   [4]isa.Reg //ovlint:config per-instruction scratch, dead between steps
-
-	// bdScratch is the reusable state-breakdown edge buffer; without it,
-	// finish allocates two edges per busy interval on every run.
-	bdScratch metrics.Scratch //ovlint:config per-run scratch, rebuilt from the interval lists by finish
 }
 
 // srcOp is a resolved source operand (class + physical register).
@@ -980,7 +976,7 @@ func (m *machine) finish(t *trace.Trace) *Result {
 	// of the port state, so it is not accumulated — and not checkpointed —
 	// separately).
 	st.Stalls.PortConflict = st.VRegPortConflictCycles
-	st.States = m.bdScratch.StateBreakdown(m.fu2.Intervals(), m.fu1.Intervals(),
+	st.States = metrics.StateBreakdown(m.fu2.Intervals(), m.fu1.Intervals(),
 		m.msched.bus.Intervals(), total)
 	return &Result{Stats: st, Records: m.records, Tables: m.tableMap()}
 }

@@ -22,6 +22,14 @@ type memScheduler struct {
 
 	pend []pendStore
 
+	// byReady is a binary min-heap of pend indices ordered by (ready time,
+	// index) — the ready-order, ties-by-age placement order — over the
+	// non-elidable deferred stores flush has not yet reached. Stores placed
+	// out of order (conflictConstraint) or cancelled are dropped lazily
+	// when they reach the top, so flush costs O(log n) per placement
+	// instead of a scan over every store of the run.
+	byReady []int //ovlint:config derived from pend; restore rebuilds it
+
 	entries [memScanWindow]memEntry
 	n       int
 	scanWin int //ovlint:config structural size, fixed at construction
@@ -64,15 +72,21 @@ func newMemScheduler(queueSlots int) *memScheduler {
 	return &memScheduler{bus: sched.NewGap(), scanWin: w}
 }
 
-// reserve sizes the bus interval list and the pending-store list so
-// steady-state appends never reallocate; the bounds derive from the
-// trace's memory-instruction and store counts.
+// reserve sizes the bus interval list, the pending-store list and the
+// ready heap so steady-state appends never reallocate; the bounds derive
+// from the trace's memory-instruction and store counts. Growth keeps the
+// current contents, so reserving after a restore loses nothing.
 func (s *memScheduler) reserve(busIv, stores int) {
 	s.bus.Reserve(busIv)
 	if cap(s.pend) < stores {
 		grown := make([]pendStore, len(s.pend), stores)
 		copy(grown, s.pend)
 		s.pend = grown
+	}
+	if cap(s.byReady) < stores {
+		grown := make([]int, len(s.byReady), stores)
+		copy(grown, s.byReady)
+		s.byReady = grown
 	}
 }
 
@@ -81,6 +95,7 @@ func (s *memScheduler) reserve(busIv, stores int) {
 func (s *memScheduler) reset() {
 	s.bus.Reset()
 	s.pend = s.pend[:0]
+	s.byReady = s.byReady[:0]
 	s.n = 0
 	s.requests, s.conflicts, s.lastEnd = 0, 0, 0
 }
@@ -97,22 +112,59 @@ func (s *memScheduler) note(end int64) {
 // flushed here: they wait in the store buffer for possible dead-store
 // elision and are placed only on overlap demand or at end of run.
 func (s *memScheduler) flush(threshold int64) {
-	for {
-		best := -1
-		for i := range s.pend {
-			p := &s.pend[i]
-			if p.placed || p.canceled || p.elidable || p.ready > threshold {
-				continue
-			}
-			if best < 0 || p.ready < s.pend[best].ready {
-				best = i
-			}
-		}
-		if best < 0 {
+	for len(s.byReady) > 0 {
+		i := s.byReady[0]
+		if s.pend[i].ready > threshold {
 			return
 		}
-		s.place(best)
+		s.popReady()
+		s.place(i) // no-op for a store placed out of order or cancelled
 	}
+}
+
+// readyLess orders pend indices by ready time, ties by age.
+func (s *memScheduler) readyLess(a, b int) bool {
+	ra, rb := s.pend[a].ready, s.pend[b].ready
+	return ra < rb || (ra == rb && a < b)
+}
+
+// pushReady adds pend index i to the ready heap.
+func (s *memScheduler) pushReady(i int) {
+	h := append(s.byReady, i)
+	j := len(h) - 1
+	for j > 0 {
+		parent := (j - 1) / 2
+		if !s.readyLess(h[j], h[parent]) {
+			break
+		}
+		h[j], h[parent] = h[parent], h[j]
+		j = parent
+	}
+	s.byReady = h
+}
+
+// popReady removes the top of the ready heap.
+func (s *memScheduler) popReady() {
+	h := s.byReady
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	j := 0
+	for {
+		c := 2*j + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && s.readyLess(h[r], h[c]) {
+			c = r
+		}
+		if !s.readyLess(h[c], h[j]) {
+			break
+		}
+		h[j], h[c] = h[c], h[j]
+		j = c
+	}
+	s.byReady = h
 }
 
 // place books the bus for pending store i.
@@ -198,6 +250,7 @@ func (s *memScheduler) placeLoad(ready, occ, req int64, rstart, rend uint64) (bu
 func (s *memScheduler) deferStore(ready, occ, req int64, rstart, rend uint64) {
 	entry := s.record(rstart, rend, true, 0, len(s.pend))
 	s.pend = append(s.pend, pendStore{ready: ready, occ: occ, req: req, entry: entry})
+	s.pushReady(len(s.pend) - 1)
 }
 
 // deferElidableStore records a spill store held in the store buffer for

@@ -1,0 +1,248 @@
+package ooosim
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"oovec/internal/sched"
+)
+
+// linearMemScheduler is the reference for memScheduler: the same
+// arbitration with flush as a linear scan over every pending store for the
+// oldest-ready one (ties by age). It is the definition the heap-ordered
+// scheduler must reproduce exactly, kept here as an executable spec.
+type linearMemScheduler struct {
+	bus     *sched.Gap
+	pend    []pendStore
+	entries [memScanWindow]memEntry
+	n       int
+	scanWin int
+
+	requests, conflicts, lastEnd int64
+}
+
+func newLinearMemScheduler(queueSlots int) *linearMemScheduler {
+	return &linearMemScheduler{bus: sched.NewGap(), scanWin: newMemScheduler(queueSlots).scanWin}
+}
+
+func (s *linearMemScheduler) note(end int64) {
+	if end > s.lastEnd {
+		s.lastEnd = end
+	}
+}
+
+func (s *linearMemScheduler) flush(threshold int64) {
+	for {
+		best := -1
+		for i := range s.pend {
+			p := &s.pend[i]
+			if p.placed || p.canceled || p.elidable || p.ready > threshold {
+				continue
+			}
+			if best < 0 || p.ready < s.pend[best].ready {
+				best = i
+			}
+		}
+		if best < 0 {
+			return
+		}
+		s.place(best)
+	}
+}
+
+func (s *linearMemScheduler) place(i int) {
+	p := &s.pend[i]
+	if p.placed || p.canceled {
+		return
+	}
+	start := s.bus.Allocate(p.ready, p.occ)
+	p.placed = true
+	s.requests += p.req
+	if p.entry >= s.n-memScanWindow {
+		e := &s.entries[p.entry%memScanWindow]
+		e.busEnd = start + p.occ
+		e.pendIdx = -1
+	}
+	s.note(start + p.occ)
+}
+
+func (s *linearMemScheduler) conflictConstraint(rstart, rend uint64, isStore bool) int64 {
+	var at int64
+	for i := max(s.n-s.scanWin, 0); i < s.n; i++ {
+		e := &s.entries[i%memScanWindow]
+		if !(isStore || e.isStore) || !(e.rstart <= rend && rstart <= e.rend) {
+			continue
+		}
+		if e.pendIdx >= 0 && !s.pend[e.pendIdx].placed {
+			idx := e.pendIdx
+			s.flush(s.pend[idx].ready)
+			s.place(idx)
+		}
+		at = max(at, e.busEnd)
+	}
+	if at > 0 {
+		s.conflicts++
+	}
+	return at
+}
+
+func (s *linearMemScheduler) record(rstart, rend uint64, isStore bool, busEnd int64, pendIdx int) int {
+	s.entries[s.n%memScanWindow] = memEntry{
+		rstart: rstart, rend: rend, isStore: isStore, busEnd: busEnd, pendIdx: pendIdx,
+	}
+	s.n++
+	return s.n - 1
+}
+
+func (s *linearMemScheduler) placeNow(ready, occ, req int64, rstart, rend uint64, isStore bool) int64 {
+	s.flush(ready)
+	busStart := s.bus.Allocate(ready, occ)
+	s.requests += req
+	s.record(rstart, rend, isStore, busStart+occ, -1)
+	s.note(busStart + occ)
+	return busStart
+}
+
+func (s *linearMemScheduler) deferStore(ready, occ, req int64, rstart, rend uint64, elidable bool) int {
+	entry := s.record(rstart, rend, true, 0, len(s.pend))
+	s.pend = append(s.pend, pendStore{ready: ready, occ: occ, req: req, entry: entry, elidable: elidable})
+	return len(s.pend) - 1
+}
+
+func (s *linearMemScheduler) tryCancel(pendIdx int) (int64, bool) {
+	if pendIdx < 0 || pendIdx >= len(s.pend) {
+		return 0, false
+	}
+	p := &s.pend[pendIdx]
+	if p.placed || p.canceled {
+		return 0, false
+	}
+	p.canceled = true
+	if p.entry >= s.n-memScanWindow {
+		e := &s.entries[p.entry%memScanWindow]
+		e.rstart, e.rend = 1, 0
+		e.busEnd = 0
+		e.pendIdx = -1
+	}
+	return p.req, true
+}
+
+func (s *linearMemScheduler) finishAll() int64 {
+	s.flush(int64(1) << 62)
+	for i := range s.pend {
+		s.place(i)
+	}
+	return s.lastEnd
+}
+
+// TestMemSchedulerMatchesLinearReference drives the heap-ordered scheduler
+// and the linear-scan reference with the same random call sequences —
+// loads, deferred and elidable stores, immediate stores, overlapping
+// conflict probes, cancellations, eliminated loads, storage growth and
+// snapshot/restore into a fresh scheduler at random cut points — and
+// requires identical bus bookings, counters and return values after every
+// call. Growth after a restore is the order a pooled machine's resume
+// takes, so reserve must keep the rebuilt ready heap.
+func TestMemSchedulerMatchesLinearReference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		slots := []int{4, 16, 128, 300}[r.Intn(4)]
+		heap := newMemScheduler(slots)
+		ref := newLinearMemScheduler(slots)
+		if r.Intn(2) == 0 {
+			heap.reserve(8, 4) // deliberately small: later growth must keep contents
+		}
+		var handles []int
+		clock := int64(0)
+		steps := 200 + r.Intn(600)
+		for step := 0; step < steps; step++ {
+			clock += int64(r.Intn(8))
+			ready := clock + int64(r.Intn(200)) - 40
+			if ready < 0 {
+				ready = 0
+			}
+			occ := int64(1 + r.Intn(70))
+			req := occ - 1
+			rstart := uint64(r.Intn(8192))
+			rend := rstart + uint64(r.Intn(512))
+
+			var op string
+			var got, want int64
+			switch k := r.Intn(100); {
+			case k < 25:
+				op = "placeLoad"
+				got = heap.placeLoad(ready, occ, req, rstart, rend)
+				want = ref.placeNow(ready, occ, req, rstart, rend, false)
+			case k < 45:
+				op = "deferStore"
+				heap.deferStore(ready, occ, req, rstart, rend)
+				ref.deferStore(ready, occ, req, rstart, rend, false)
+			case k < 55:
+				op = "deferElidableStore"
+				h := heap.deferElidableStore(ready, occ, req, rstart, rend)
+				hr := ref.deferStore(ready, occ, req, rstart, rend, true)
+				if h != hr {
+					t.Fatalf("seed %d step %d: elidable handle %d, reference %d", seed, step, h, hr)
+				}
+				handles = append(handles, h)
+			case k < 62:
+				op = "placeStoreNow"
+				got = heap.placeStoreNow(ready, occ, req, rstart, rend)
+				want = ref.placeNow(ready, occ, req, rstart, rend, true)
+			case k < 80:
+				op = "conflictConstraint"
+				isStore := r.Intn(2) == 0
+				got = heap.conflictConstraint(rstart, rend, isStore)
+				want = ref.conflictConstraint(rstart, rend, isStore)
+			case k < 88:
+				op = "tryCancel"
+				idx := r.Intn(len(heap.pend) + 2)
+				if len(handles) > 0 && r.Intn(3) > 0 {
+					idx = handles[r.Intn(len(handles))]
+				}
+				gr, gok := heap.tryCancel(idx)
+				wr, wok := ref.tryCancel(idx)
+				if gr != wr || gok != wok {
+					t.Fatalf("seed %d step %d: tryCancel(%d) = %d,%v; reference %d,%v",
+						seed, step, idx, gr, gok, wr, wok)
+				}
+			case k < 91:
+				op = "recordEliminated"
+				heap.recordEliminated(rstart, rend, ready)
+				ref.record(rstart, rend, false, ready, -1)
+			case k < 94:
+				op = "reserve"
+				heap.reserve(len(heap.bus.Intervals())+r.Intn(64), len(heap.pend)+1+r.Intn(64))
+			default:
+				op = "snapshot/restore"
+				st := heap.snapshot()
+				heap = newMemScheduler(slots)
+				if r.Intn(2) == 0 {
+					heap.reserve(len(st.Bus.IV)+1, len(st.Pend)+1)
+				}
+				heap.restore(st)
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: %s returned %d, reference %d", seed, step, op, got, want)
+			}
+			compareMemSchedulers(t, heap, ref, seed, step, op)
+		}
+		if got, want := heap.finishAll(), ref.finishAll(); got != want {
+			t.Fatalf("seed %d: finishAll = %d, reference %d", seed, got, want)
+		}
+		compareMemSchedulers(t, heap, ref, seed, steps, "finishAll")
+	}
+}
+
+func compareMemSchedulers(t *testing.T, s *memScheduler, ref *linearMemScheduler, seed int64, step int, op string) {
+	t.Helper()
+	if !slices.Equal(s.bus.Intervals(), ref.bus.Intervals()) {
+		t.Fatalf("seed %d step %d (%s): bus intervals diverge:\n got %v\nwant %v",
+			seed, step, op, s.bus.Intervals(), ref.bus.Intervals())
+	}
+	if s.requests != ref.requests || s.conflicts != ref.conflicts || s.lastEnd != ref.lastEnd {
+		t.Fatalf("seed %d step %d (%s): requests/conflicts/lastEnd = %d/%d/%d, reference %d/%d/%d",
+			seed, step, op, s.requests, s.conflicts, s.lastEnd, ref.requests, ref.conflicts, ref.lastEnd)
+	}
+}

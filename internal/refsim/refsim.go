@@ -151,11 +151,10 @@ type machine struct {
 
 	readX, writeX int64 //ovlint:config crossbar latencies, fixed by the ISA at construction
 
-	// Per-instruction scratch buffers and the state-breakdown edge buffer,
-	// kept on the machine so reused runs allocate nothing for them.
-	vReadsBuf [4]int          //ovlint:config per-instruction scratch, dead between steps
-	rbuf      [4]isa.Reg      //ovlint:config per-instruction scratch, dead between steps
-	bdScratch metrics.Scratch //ovlint:config per-run scratch, rebuilt from the interval lists by finish
+	// Per-instruction scratch buffers, kept on the machine so reused runs
+	// allocate nothing for them.
+	vReadsBuf [4]int     //ovlint:config per-instruction scratch, dead between steps
+	rbuf      [4]isa.Reg //ovlint:config per-instruction scratch, dead between steps
 }
 
 func newMachine(cfg Config) *machine {
@@ -445,6 +444,6 @@ func (m *machine) finish(t *trace.Trace) *metrics.RunStats {
 		Stalls:                 m.stalls,
 	}
 	st.Stalls.PortConflict = st.VRegPortConflictCycles
-	st.States = m.bdScratch.StateBreakdown(m.fu2.Intervals(), m.fu1.Intervals(), m.bus.Intervals(), total)
+	st.States = metrics.StateBreakdown(m.fu2.Intervals(), m.fu1.Intervals(), m.bus.Intervals(), total)
 	return st
 }

@@ -257,16 +257,16 @@ func (w *RingWindow) Admit(departAt int64) {
 
 // Occupied returns the number of tracked occupants still resident at the
 // given cycle: those admitted but not yet departed (leave time > now). The
-// scan is linear over at most the window capacity (16–64 in every
-// configuration), and unbounded windows report zero.
+// scan is linear over at most the window capacity and branch-free:
+// now-leave is negative exactly when the occupant is still resident, so its
+// sign bit is the count (cycle values stay far below 2^62, so the
+// subtraction cannot overflow). Unbounded windows report zero.
 //
 //ovlint:hotpath sampled once per instruction for occupancy histograms; a bounded scan with no allocation
 func (w *RingWindow) Occupied(now int64) int {
 	occ := 0
-	for i := 0; i < w.count; i++ {
-		if w.leave[i] > now {
-			occ++
-		}
+	for _, l := range w.leave[:w.count] {
+		occ += int(uint64(now-l) >> 63)
 	}
 	return occ
 }

@@ -209,3 +209,44 @@ func TestAllocatorInterfaceCompliance(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyRingWindowOccupied compares Occupied with a naive count of
+// the departure times of the last min(admitted, n) occupants, across ring
+// wrap-around, Reset, and the unbounded (n == 0) window.
+func TestPropertyRingWindowOccupied(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := []int{0, 1, 3, 16, 64, 128}[r.Intn(6)]
+		w := NewRingWindow(n)
+		var admitted []int64 // departures since the last Reset, oldest first
+		for step := 0; step < 400; step++ {
+			switch k := r.Intn(50); {
+			case k == 0:
+				w.Reset()
+				admitted = admitted[:0]
+			case k < 30:
+				d := int64(r.Intn(1000))
+				w.Admit(d)
+				admitted = append(admitted, d)
+			default:
+				now := int64(r.Intn(1100)) - 50
+				want := 0
+				if n > 0 {
+					for _, d := range admitted[max(len(admitted)-n, 0):] {
+						if d > now {
+							want++
+						}
+					}
+				}
+				if got := w.Occupied(now); got != want {
+					t.Logf("seed %d n %d step %d: Occupied(%d) = %d, want %d", seed, n, step, now, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
