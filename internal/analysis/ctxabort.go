@@ -15,11 +15,11 @@ import (
 //  1. Module-wide: a context.Context parameter that the function body never
 //     references is a dropped cancellation path.
 //
-//  2. In the run-loop packages (ooosim, refsim, sweep, engine): a loop that
-//     performs simulation work — calls a step/Run function or invokes a
-//     function value — inside a function that has a context in scope
-//     (directly or through an opts struct) must reference that context in
-//     the loop, or cancellation silently waits for the loop to finish.
+//  2. In the run-loop packages (sim, ooosim, refsim, sweep, engine): a loop
+//     that performs simulation work — calls a step/Step/Run function or
+//     invokes a function value — inside a function that has a context in
+//     scope (directly or through an opts struct) must reference that context
+//     in the loop, or cancellation silently waits for the loop to finish.
 //
 //  3. A package declaring a Machine type with a Run method must offer at
 //     least one context-threading entry point (the RunCheckpointed shape),
@@ -32,7 +32,7 @@ var Ctxabort = &Analyzer{
 }
 
 // runLoopPackages are the packages whose loops do the expensive work.
-var runLoopPackages = []string{"ooosim", "refsim", "sweep", "engine"}
+var runLoopPackages = []string{"sim", "ooosim", "refsim", "sweep", "engine"}
 
 func isRunLoopPackage(path string) bool {
 	for _, name := range runLoopPackages {
@@ -166,8 +166,9 @@ func checkLoops(pass *Pass, fd *ast.FuncDecl) {
 }
 
 // loopDoesWork reports whether the loop body performs simulation-scale work:
-// a call to a step/Run/RunCheckpointed function defined in a simulator
-// package, or a call through a function value (the engine's task fn).
+// a call to a step/Step/Run/RunCheckpointed function or method defined in a
+// run-loop package (sim.Model's Step included), or a call through a
+// function value (the engine's task fn).
 func loopDoesWork(info *types.Info, body *ast.BlockStmt) bool {
 	work := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -186,7 +187,7 @@ func loopDoesWork(info *types.Info, body *ast.BlockStmt) bool {
 		switch obj := callee(info, call).(type) {
 		case *types.Func:
 			name := obj.Name()
-			if (name == "step" || name == "Run" || name == "RunCheckpointed") &&
+			if (name == "step" || name == "Step" || name == "Run" || name == "RunCheckpointed") &&
 				obj.Pkg() != nil && isRunLoopPackage(obj.Pkg().Path()) {
 				work = true
 			}

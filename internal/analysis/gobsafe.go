@@ -14,7 +14,10 @@ import (
 //
 // The walk recurses through module-defined named types, slices, arrays,
 // maps, and pointers. Types providing their own encoding (GobEncode,
-// MarshalBinary) are trusted. Foreign (stdlib) types are skipped.
+// MarshalBinary) are trusted. Foreign (stdlib) types are skipped. A payload
+// whose static type is an interface or a type parameter — a shared
+// Encode(v any) helper — is itself a diagnostic: it hides the concrete
+// struct from the walk, so gob calls must stay typed on the value encoded.
 var Gobsafe = &Analyzer{
 	Name: "gobsafe",
 	Doc: "structs reaching gob.Encode/Decode/Register must have no unexported " +
@@ -36,6 +39,10 @@ func runGobsafe(pass *Pass) {
 			}
 			t := info.TypeOf(arg)
 			if t == nil {
+				return true
+			}
+			if hidesPayload(t) {
+				pass.Reportf(arg.Pos(), "gob payload of type %s hides the concrete type from this audit: call gob on the concrete (pointer to) struct so its fields are checked", t)
 				return true
 			}
 			w := &gobWalker{pass: pass, visited: make(map[types.Type]bool)}
@@ -69,6 +76,16 @@ func gobPayloadArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 		}
 	}
 	return nil, false
+}
+
+// hidesPayload reports whether a gob payload's static type (through
+// pointers) is an interface or a type parameter — whose underlying type is
+// its constraint interface — so no static walk can see its fields.
+func hidesPayload(t types.Type) bool {
+	for ptr, ok := t.(*types.Pointer); ok; ptr, ok = t.(*types.Pointer) {
+		t = ptr.Elem()
+	}
+	return isInterfaceType(t)
 }
 
 type gobWalker struct {

@@ -17,10 +17,12 @@ import (
 // value into an interface argument, go statements, and defer.
 //
 // Functions annotated //ovlint:coldpath are pruned from the traversal:
-// per-run setup and result assembly (reserveFor, finish, Reset) runs once
-// per trace and is amortised over millions of instructions. Calls through
-// interfaces and function values are not resolved; annotate the concrete
-// implementations (the vregfile port files) directly.
+// per-run setup and result assembly (reserveFor, Finish, Reset) runs once
+// per trace and is amortised over millions of instructions. Calls of
+// generic functions and of methods of generic types resolve to their
+// generic declaration. Calls through interfaces and function values are not
+// resolved; annotate the concrete implementations (the vregfile port files,
+// each model's Step) directly.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc: "functions marked //ovlint:hotpath, and all module code they statically " +
@@ -79,7 +81,9 @@ func runHotpath(pass *Pass) {
 }
 
 // staticCallees returns the module functions a declaration statically
-// calls. Calls through interfaces and function values resolve to nothing.
+// calls, instantiated generic functions and methods mapped back to their
+// generic declaration. Calls through interfaces and function values resolve
+// to nothing.
 func staticCallees(pkg *Package, decl *ast.FuncDecl) []*types.Func {
 	var out []*types.Func
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
@@ -88,7 +92,7 @@ func staticCallees(pkg *Package, decl *ast.FuncDecl) []*types.Func {
 			return true
 		}
 		if fn, ok := callee(pkg.Info, call).(*types.Func); ok {
-			out = append(out, fn)
+			out = append(out, fn.Origin())
 		}
 		return true
 	})

@@ -1,13 +1,18 @@
 // Package hot exercises the hotpath analyzer: allocation sites inside the
 // static call graph of a //ovlint:hotpath root are diagnostics, coldpath
-// prunes, waivers suppress, and unreachable code is ignored.
+// prunes, waivers suppress, unreachable code is ignored, and calls of
+// methods of generic types (simloop.Buf.Keep) are followed into their
+// declaration.
 package hot
+
+import simloop "td/sim"
 
 type point struct{ x, y int }
 
 type sim struct {
-	buf []int64
-	fn  func()
+	buf  []int64
+	fn   func()
+	kept simloop.Buf[int64]
 }
 
 //ovlint:hotpath per-instruction step, must be allocation-free
@@ -17,6 +22,7 @@ func (s *sim) step(v int64) {
 	s.box(v)
 	s.setup()
 	s.waived()
+	s.kept.Keep(v)
 }
 
 // record is reachable from the step root: its allocations are flagged.

@@ -11,7 +11,7 @@ import (
 // byte-identical replay. Matched by import-path suffix so the analysistest
 // trees (module "td") exercise the same policy.
 var simPackages = []string{
-	"ooosim", "refsim", "rename", "iq", "rob", "bpred",
+	"sim", "ooosim", "refsim", "rename", "iq", "rob", "bpred",
 	"vregfile", "sched", "funcsim", "mem", "metrics", "probe",
 	// span rides along inside the simulation path (simulate and grid-point
 	// spans), so the same discipline applies: its wall-clock reads are

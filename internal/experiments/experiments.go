@@ -67,9 +67,8 @@ type Suite struct {
 	opts  Opts
 	names []string
 
-	mu      sync.Mutex
-	refRuns map[refKey]*slot[*metrics.RunStats]
-	oooRuns map[oooKey]*slot[*metrics.RunStats]
+	mu   sync.Mutex
+	runs map[runKey]*slot[*metrics.RunStats]
 
 	// workers recycles Workers (and their pooled machines) for the
 	// convenience methods Suite.Ref and Suite.OOO, which run outside a
@@ -77,21 +76,15 @@ type Suite struct {
 	workers sync.Pool
 }
 
-type refKey struct {
-	name    string
-	latency int64
+// runKey identifies one simulation: the benchmark and the machine's
+// simcache config key (simcache.OOOConfigKey / RefConfigKey), which renders
+// the resolved configuration with the machine kind as its prefix.
+type runKey struct {
+	bench string
+	cfg   string
 }
 
-// oooKey identifies one OOOVA run. The configuration is keyed by its
-// rendered form: Config holds an interface field (Sink), so it cannot be a map
-// key itself, and rendering tracks future Config fields automatically.
-type oooKey struct {
-	name string
-	cfg  string
-}
-
-// slot is a once-filled cache cell shared by the trace, reference-run and
-// OOOVA-run caches.
+// slot is a once-filled run-cache cell.
 type slot[T any] struct {
 	once sync.Once
 	val  T
@@ -125,10 +118,9 @@ func NewSuite(opts Opts) *Suite {
 		names = tgen.Names()
 	}
 	return &Suite{
-		opts:    opts,
-		names:   names,
-		refRuns: make(map[refKey]*slot[*metrics.RunStats]),
-		oooRuns: make(map[oooKey]*slot[*metrics.RunStats]),
+		opts:  opts,
+		names: names,
+		runs:  make(map[runKey]*slot[*metrics.RunStats]),
 	}
 }
 
@@ -173,90 +165,69 @@ func (s *Suite) parallel(n int, fn func(w *Worker, i int)) {
 	}
 }
 
-// runRef runs the reference machine on the worker's pooled instance.
-func (w *Worker) runRef(tr *trace.Trace, cfg refsim.Config) *metrics.RunStats {
-	if w.ref == nil {
-		w.ref = refsim.NewMachine(cfg)
-	} else {
-		w.ref.Reset(cfg)
-	}
-	return w.ref.Run(tr)
-}
-
-// runOOO runs the OOOVA on the worker's pooled instance.
-func (w *Worker) runOOO(tr *trace.Trace, cfg ooosim.Config) *ooosim.Result {
-	if w.ooo == nil {
-		w.ooo = ooosim.NewMachine(cfg)
-	} else {
-		w.ooo.Reset(cfg)
-	}
-	return w.ooo.Run(tr)
-}
-
 // Trace returns (generating and caching) the trace for a benchmark.
 func (w *Worker) Trace(name string) *trace.Trace { return w.s.Trace(name) }
 
 // Ref returns (running and caching) the reference result at the given
 // memory latency, simulating on the worker's pooled machine on a miss.
 func (w *Worker) Ref(name string, latency int64) *metrics.RunStats {
-	s := w.s
-	key := refKey{name, latency}
-	s.mu.Lock()
-	sl, ok := s.refRuns[key]
-	if !ok {
-		sl = &slot[*metrics.RunStats]{}
-		s.refRuns[key] = sl
-	}
-	s.mu.Unlock()
-	return sl.runOnce(func() *metrics.RunStats {
-		cfg := refsim.DefaultConfig()
-		cfg.MemLatency = latency
-		return throughStore(s, simcache.RefConfigKey(cfg), name, func() *metrics.RunStats {
-			return w.runRef(w.Trace(name), cfg)
-		})
+	cfg := refsim.DefaultConfig()
+	cfg.MemLatency = latency
+	return w.cached(name, simcache.RefConfigKey(cfg), func() *metrics.RunStats {
+		if w.ref == nil {
+			w.ref = refsim.NewMachine(cfg)
+		}
+		w.ref.Reset(cfg)
+		return w.ref.Run(w.Trace(name))
 	})
-}
-
-// throughStore wraps one run-cache fill with the durable store: probe
-// before simulating, publish after. The slot's once already guarantees a
-// single filler per key in this process, so the store sees one writer. The
-// key is the scheme every other surface uses (simcache keys.go), which is
-// what lets ovbench, ovsweep and ovserve warm each other's stores.
-func throughStore(s *Suite, canonicalCfg, bench string, run func() *metrics.RunStats) *metrics.RunStats {
-	if s.opts.Store == nil {
-		return run()
-	}
-	key := simcache.ResultKey(canonicalCfg, simcache.PresetKey(s.preset(bench)))
-	if st, ok := s.opts.Store.Load(context.Background(), key); ok {
-		return st
-	}
-	st := run()
-	s.opts.Store.Save(context.Background(), key, st)
-	return st
 }
 
 // OOO returns (running and caching) the OOOVA result for a configuration,
 // simulating on the worker's pooled machine on a miss. Configurations
 // carrying a probe Sink are not cacheable and run directly.
 func (w *Worker) OOO(name string, cfg ooosim.Config) *metrics.RunStats {
-	s := w.s
-	if cfg.Sink != nil {
-		return w.runOOO(s.Trace(name), cfg).Stats
+	run := func() *metrics.RunStats {
+		if w.ooo == nil {
+			w.ooo = ooosim.NewMachine(cfg)
+		}
+		w.ooo.Reset(cfg)
+		return w.ooo.Run(w.Trace(name)).Stats
 	}
-	// Key on the resolved configuration so zero fields and explicit
-	// defaults share a cache entry.
-	key := oooKey{name, fmt.Sprintf("%+v", cfg.WithDefaults())}
+	if cfg.Sink != nil {
+		return run()
+	}
+	return w.cached(name, simcache.OOOConfigKey(cfg), run)
+}
+
+// cached returns the run cache's entry for (bench, cfgKey), filling it with
+// run on a miss. The config key resolves defaults, so zero fields and
+// explicit defaults share an entry. With Opts.Store set, a miss probes the
+// durable store before simulating and publishes what it simulates; the
+// slot's once guarantees a single filler per key in this process, so the
+// store sees one writer. The store key is the scheme every other surface
+// uses (simcache keys.go), which is what lets ovbench, ovsweep and ovserve
+// warm each other's stores.
+func (w *Worker) cached(bench, cfgKey string, run func() *metrics.RunStats) *metrics.RunStats {
+	s := w.s
+	key := runKey{bench, cfgKey}
 	s.mu.Lock()
-	sl, ok := s.oooRuns[key]
+	sl, ok := s.runs[key]
 	if !ok {
 		sl = &slot[*metrics.RunStats]{}
-		s.oooRuns[key] = sl
+		s.runs[key] = sl
 	}
 	s.mu.Unlock()
 	return sl.runOnce(func() *metrics.RunStats {
-		return throughStore(s, simcache.OOOConfigKey(cfg), name, func() *metrics.RunStats {
-			return w.runOOO(s.Trace(name), cfg).Stats
-		})
+		if s.opts.Store == nil {
+			return run()
+		}
+		rk := simcache.ResultKey(cfgKey, simcache.PresetKey(s.preset(bench)))
+		if st, ok := s.opts.Store.Load(context.Background(), rk); ok {
+			return st
+		}
+		st := run()
+		s.opts.Store.Save(context.Background(), rk, st)
+		return st
 	})
 }
 

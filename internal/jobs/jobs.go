@@ -16,9 +16,9 @@
 //     EndInteractive bracket it), workers start no new batch jobs, and the
 //     transition into the interactive state preempts running jobs with
 //     cause ErrPreempted. A preempted run checkpoints its machine state
-//     (see ooosim.RunCheckpointed) and is parked back in the queue; when
-//     the interactive burst passes, it resumes from the checkpoint rather
-//     than from instruction zero.
+//     (see sim.Run, the loop behind both machines' RunCheckpointed) and
+//     is parked back in the queue; when the interactive burst passes, it
+//     resumes from the checkpoint rather than from instruction zero.
 //
 // The package knows nothing about HTTP or simulators: a job is a RunFunc
 // plus bookkeeping. The run function owns interpreting cancellation causes

@@ -3,9 +3,10 @@ package ooosim
 // Mid-run checkpointing: a Checkpoint serialises the complete deterministic
 // machine state at an instruction boundary, so a preempted or killed run can
 // resume from where it stopped — in this process or another — and produce
-// output byte-identical to an uninterrupted run. RunCheckpointed adds the
-// cheap cancellation checks (every CheckEvery instructions) and periodic
-// checkpoint callbacks the ovserve job layer is built on.
+// output byte-identical to an uninterrupted run. RunCheckpointed runs the
+// machine through sim.Run, which adds the cheap cancellation checks (every
+// CheckEvery instructions) and periodic checkpoint callbacks the ovserve job
+// layer is built on.
 //
 // The simulator is trace-driven: all state is the timing/rename machinery,
 // so a checkpoint is the component snapshots (package sched, iq, rob,
@@ -17,7 +18,6 @@ package ooosim
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"fmt"
 
@@ -28,15 +28,10 @@ import (
 	"oovec/internal/rename"
 	"oovec/internal/rob"
 	"oovec/internal/sched"
+	"oovec/internal/sim"
 	"oovec/internal/trace"
 	"oovec/internal/vregfile"
 )
-
-// DefaultCheckEvery is the abort-check granularity of RunCheckpointed: the
-// context is polled once per this many instructions, bounding cancellation
-// latency to the time those instructions take (microseconds) while keeping
-// the per-instruction overhead of an uncancelled run unmeasurable.
-const DefaultCheckEvery = 2048
 
 // PendStoreState is the exported form of one pending (lazily placed) store.
 type PendStoreState struct {
@@ -166,6 +161,9 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// Position implements sim.Checkpoint.
+func (ck *Checkpoint) Position() (next, traceLen int) { return ck.NextInsn, ck.TraceLen }
+
 // DecodeCheckpoint deserialises a checkpoint produced by Encode.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	ck := new(Checkpoint)
@@ -175,8 +173,9 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// snapshot captures the full machine state at instruction boundary nextInsn.
-func (m *machine) snapshot(nextInsn, traceLen int) *Checkpoint {
+// Snapshot implements sim.Model: it captures the full machine state at
+// instruction boundary nextInsn.
+func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 	ck := &Checkpoint{
 		NextInsn: nextInsn,
 		TraceLen: traceLen,
@@ -271,11 +270,15 @@ func (m *machine) restore(ck *Checkpoint) error {
 	m.vTags.Restore(ck.VTags)
 	m.sTags.Restore(ck.STags)
 	m.aTags.Restore(ck.ATags)
+	var err error
 	switch p := m.ports.(type) {
 	case *vregfile.FlatFile:
-		p.Restore(ck.FlatPorts)
+		err = p.Restore(ck.FlatPorts)
 	case *vregfile.BankedFile:
-		p.Restore(ck.BankedPorts)
+		err = p.Restore(ck.BankedPorts)
+	}
+	if err != nil {
+		return fmt.Errorf("ooosim: checkpoint %w", err)
 	}
 	m.fu1.Restore(ck.FU1)
 	m.fu2.Restore(ck.FU2)
@@ -315,83 +318,15 @@ func (m *machine) restore(ck *Checkpoint) error {
 	return nil
 }
 
-// RunOpts configures a cancellable, checkpointable run. The zero value
-// behaves exactly like Machine.Run.
-type RunOpts struct {
-	// Ctx, when non-nil, cancels the run mid-trace: RunCheckpointed polls it
-	// every CheckEvery instructions and, on cancellation, returns a
-	// checkpoint of the current instruction boundary along with ctx's error.
-	Ctx context.Context
-	// CheckEvery is the abort-check/progress granularity in instructions
-	// (<= 0 selects DefaultCheckEvery).
-	CheckEvery int
-	// CheckpointEvery, when > 0, invokes OnCheckpoint at every multiple of
-	// this many instructions, so a killed (not just canceled) process loses
-	// at most this much progress.
-	CheckpointEvery int
-	// OnCheckpoint receives the periodic checkpoints. Called synchronously
-	// on the simulating goroutine; the checkpoint shares no state with the
-	// machine and may be retained or serialised freely.
-	OnCheckpoint func(*Checkpoint)
-	// OnProgress, when non-nil, is called with the number of instructions
-	// simulated so far, at CheckEvery granularity.
-	OnProgress func(done int)
-	// Resume, when non-nil, restores this checkpoint instead of starting
-	// from instruction zero. It must have been taken under the same
-	// configuration and trace.
-	Resume *Checkpoint
-}
+// RunOpts configures a cancellable, checkpointable run (see sim.Opts).
+// The zero value behaves exactly like Machine.Run.
+type RunOpts = sim.Opts[*Checkpoint]
 
 // RunCheckpointed simulates the trace like Run, with cooperative
-// cancellation and checkpointing. On completion it returns (result, nil,
-// nil). On cancellation it returns (nil, checkpoint, ctx error): the
-// checkpoint captures the exact boundary the run stopped at, so a later
-// RunCheckpointed with Resume set continues — on this machine or any other
-// machine reset to the same configuration — and its final result is
-// byte-identical to an uninterrupted run's.
+// cancellation and checkpointing (see sim.Run). On completion it returns
+// (result, nil, nil); on cancellation (nil, checkpoint, ctx error). A run
+// resumed from that checkpoint — on this machine or any other machine reset
+// to the same configuration — ends byte-identical to an uninterrupted run.
 func (mm *Machine) RunCheckpointed(t *trace.Trace, opts RunOpts) (*Result, *Checkpoint, error) {
-	if mm.dirty {
-		mm.Reset(mm.m.cfg)
-	}
-	mm.dirty = true
-	m := mm.m
-	start := 0
-	if opts.Resume != nil {
-		if opts.Resume.TraceLen != t.Len() {
-			return nil, nil, fmt.Errorf("ooosim: checkpoint is for a %d-instruction trace, got %d",
-				opts.Resume.TraceLen, t.Len())
-		}
-		if err := m.restore(opts.Resume); err != nil {
-			return nil, nil, err
-		}
-		start = opts.Resume.NextInsn
-	}
-	m.reserveFor(t)
-	if m.cfg.CollectRecords && cap(m.records) < t.Len() {
-		grown := make([]rename.Record, len(m.records), t.Len())
-		copy(grown, m.records)
-		m.records = grown
-	}
-	check := opts.CheckEvery
-	if check <= 0 {
-		check = DefaultCheckEvery
-	}
-	for i := start; i < t.Len(); i++ {
-		if i > start && i%check == 0 {
-			if opts.OnProgress != nil {
-				opts.OnProgress(i)
-			}
-			if opts.Ctx != nil {
-				if err := opts.Ctx.Err(); err != nil {
-					return nil, m.snapshot(i, t.Len()), err
-				}
-			}
-		}
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil &&
-			i > start && i%opts.CheckpointEvery == 0 {
-			opts.OnCheckpoint(m.snapshot(i, t.Len()))
-		}
-		m.step(i, &t.Insns[i])
-	}
-	return m.finish(t), nil, nil
+	return sim.Run[*Checkpoint, *Result](mm.m, t, opts)
 }

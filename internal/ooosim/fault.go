@@ -99,7 +99,7 @@ func RunWithFault(t *trace.Trace, cfg Config, faultIdx int) (*FaultResult, error
 				break
 			}
 		}
-		m.step(i, in)
+		m.Step(i, in)
 		last = i
 	}
 

@@ -38,8 +38,7 @@ type Result struct {
 
 // Run simulates the trace on the OOOVA and returns its measurements.
 func Run(t *trace.Trace, cfg Config) *Result {
-	m := newMachine(cfg)
-	return m.run(t)
+	return NewMachine(cfg).Run(t)
 }
 
 // Machine is a reusable OOOVA simulator instance. Unlike the one-shot Run,
@@ -52,8 +51,7 @@ func Run(t *trace.Trace, cfg Config) *Result {
 //
 // A Machine is not safe for concurrent use; give each worker its own.
 type Machine struct {
-	m     *machine
-	dirty bool
+	m *machine
 	// shapes retires machines by structural shape when Reset switches
 	// configuration, so revisiting a shape reuses its storage.
 	shapes map[machineShape]*machine
@@ -88,19 +86,15 @@ func NewMachine(cfg Config) *Machine {
 	return &Machine{m: newMachine(cfg)}
 }
 
-// Run simulates the trace, resetting the machine first if it has already
-// run. The returned Result's Tables and Records alias machine state and are
-// invalidated by the next Run or Reset; callers that retain them (the
+// Run simulates the trace from power-on state: RunCheckpointed with zero
+// options. The returned Result's Tables and Records alias machine state and
+// are invalidated by the next Run or Reset; callers that retain them (the
 // precise-trap demos) should use the package-level Run instead.
 //
 //ovlint:hotpath the reusable-machine run path is the sweep inner loop and must stay allocation-free
 func (mm *Machine) Run(t *trace.Trace) *Result {
-	if mm.dirty {
-		mm.Reset(mm.m.cfg)
-	}
-	mm.dirty = true
-	mm.m.reserveFor(t)
-	return mm.m.run(t)
+	r, _, _ := mm.RunCheckpointed(t, RunOpts{})
+	return r
 }
 
 // Reset restores the power-on state under a (possibly different)
@@ -128,18 +122,24 @@ func (mm *Machine) Reset(cfg Config) {
 			mm.m = newMachine(cfg)
 		}
 	}
-	mm.dirty = false
 }
 
-// run executes the whole trace and assembles the result.
-func (m *machine) run(t *trace.Trace) *Result {
+// Begin implements sim.Model: it restores the power-on state (or resume,
+// when set) and sizes the growable buffers from the trace.
+//
+//ovlint:coldpath once per run, amortised over the whole trace
+func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
+	m.reset(m.cfg)
+	if resume != nil {
+		if err := m.restore(resume); err != nil {
+			return err
+		}
+	}
+	m.reserveFor(t)
 	if m.cfg.CollectRecords && cap(m.records) < t.Len() {
-		m.records = make([]rename.Record, 0, t.Len()) //ovlint:allow hotpath record collection is a precise-trap debug mode, off in sweeps; growth is once per trace length
+		m.records = append(make([]rename.Record, 0, t.Len()), m.records...)
 	}
-	for i := range t.Insns {
-		m.step(i, &t.Insns[i])
-	}
-	return m.finish(t)
+	return nil
 }
 
 // reserveFor sizes the big growable buffers from the trace so a reused
@@ -147,9 +147,7 @@ func (m *machine) run(t *trace.Trace) *Result {
 // most one interval on its issue queue's port allocator, a vector
 // instruction at most one interval on each FU allocator, a memory
 // instruction one bus interval and one slot per memory-front stage, and a
-// store at most one pending-store record. Called on the Machine (reuse)
-// path only — a one-shot Run grows organically instead of paying the
-// upper bound.
+// store at most one pending-store record.
 //
 //ovlint:coldpath one reservation pass per run, amortised over the whole trace
 func (m *machine) reserveFor(t *trace.Trace) {
@@ -417,10 +415,11 @@ func (m *machine) allocDst(in *isa.Instruction) (rename.Record, int64) {
 	}, rdy
 }
 
-// step processes one dynamic instruction through the full pipeline.
+// Step implements sim.Model: it processes one dynamic instruction through
+// the full pipeline.
 //
 //ovlint:hotpath runs once per dynamic instruction; any allocation here multiplies by trace length
-func (m *machine) step(idx int, in *isa.Instruction) {
+func (m *machine) Step(idx int, in *isa.Instruction) {
 	cfg := &m.cfg
 	vl := int64(in.EffVL())
 	elim := cfg.LoadElim
@@ -947,10 +946,10 @@ func (m *machine) noteBusWait(cycles int64) {
 	}
 }
 
-// finish assembles the run statistics.
+// Finish implements sim.Model: it assembles the run statistics.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
-func (m *machine) finish(t *trace.Trace) *Result {
+func (m *machine) Finish(t *trace.Trace) *Result {
 	m.note(m.msched.finishAll())
 	total := m.lastCycle + 1
 	st := &metrics.RunStats{

@@ -7,20 +7,16 @@ package refsim
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"fmt"
 
 	"oovec/internal/isa"
 	"oovec/internal/metrics"
 	"oovec/internal/sched"
+	"oovec/internal/sim"
 	"oovec/internal/trace"
 	"oovec/internal/vregfile"
 )
-
-// DefaultCheckEvery is the abort-check granularity of RunCheckpointed (see
-// ooosim.DefaultCheckEvery).
-const DefaultCheckEvery = 2048
 
 // VRegSnapshot is the exported form of one logical vector register's hazard
 // state.
@@ -63,6 +59,9 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// Position implements sim.Checkpoint.
+func (ck *Checkpoint) Position() (next, traceLen int) { return ck.NextInsn, ck.TraceLen }
+
 // DecodeCheckpoint deserialises a checkpoint produced by Encode.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	ck := new(Checkpoint)
@@ -72,8 +71,9 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// snapshot captures the full machine state at instruction boundary nextInsn.
-func (m *machine) snapshot(nextInsn, traceLen int) *Checkpoint {
+// Snapshot implements sim.Model: it captures the full machine state at
+// instruction boundary nextInsn.
+func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 	ck := &Checkpoint{
 		NextInsn: nextInsn,
 		TraceLen: traceLen,
@@ -104,12 +104,15 @@ func (m *machine) snapshot(nextInsn, traceLen int) *Checkpoint {
 	return ck
 }
 
-// restore replaces the machine state with ck.
-func (m *machine) restore(ck *Checkpoint) {
+// restore replaces the machine state with ck. A port state sized for a
+// different register file is an error.
+func (m *machine) restore(ck *Checkpoint) error {
+	if err := m.ports.Restore(ck.Ports); err != nil {
+		return fmt.Errorf("refsim: checkpoint %w", err)
+	}
 	m.fu1.Restore(ck.FU1)
 	m.fu2.Restore(ck.FU2)
 	m.bus.Restore(ck.Bus)
-	m.ports.Restore(ck.Ports)
 	m.aReady = ck.AReady
 	m.sReady = ck.SReady
 	for i := range m.vregs {
@@ -124,72 +127,17 @@ func (m *machine) restore(ck *Checkpoint) {
 	m.lastCycle = ck.LastCycle
 	m.memRequests = ck.MemRequests
 	m.stalls = ck.Stalls
+	return nil
 }
 
-// RunOpts configures a cancellable, checkpointable run; the fields mirror
-// ooosim.RunOpts.
-type RunOpts struct {
-	// Ctx, when non-nil, cancels the run mid-trace (polled every CheckEvery
-	// instructions); on cancellation RunCheckpointed returns a checkpoint of
-	// the current instruction boundary along with ctx's error.
-	Ctx context.Context
-	// CheckEvery is the abort-check/progress granularity in instructions
-	// (<= 0 selects DefaultCheckEvery).
-	CheckEvery int
-	// CheckpointEvery, when > 0, invokes OnCheckpoint at every multiple of
-	// this many instructions.
-	CheckpointEvery int
-	// OnCheckpoint receives the periodic checkpoints (taken synchronously;
-	// the checkpoint shares no state with the machine).
-	OnCheckpoint func(*Checkpoint)
-	// OnProgress, when non-nil, receives the instructions-simulated count at
-	// CheckEvery granularity.
-	OnProgress func(done int)
-	// Resume, when non-nil, restores this checkpoint instead of starting
-	// from instruction zero.
-	Resume *Checkpoint
-}
+// RunOpts configures a cancellable, checkpointable run (see sim.Opts).
+// The zero value behaves exactly like Machine.Run.
+type RunOpts = sim.Opts[*Checkpoint]
 
 // RunCheckpointed simulates the trace like Run, with cooperative
-// cancellation and checkpointing. On completion it returns (stats, nil,
-// nil); on cancellation (nil, checkpoint, ctx error). A resumed run's final
-// stats are byte-identical to an uninterrupted run's.
+// cancellation and checkpointing (see sim.Run). On completion it returns
+// (stats, nil, nil); on cancellation (nil, checkpoint, ctx error). A resumed
+// run's final stats are byte-identical to an uninterrupted run's.
 func (mm *Machine) RunCheckpointed(t *trace.Trace, opts RunOpts) (*metrics.RunStats, *Checkpoint, error) {
-	if mm.dirty {
-		mm.Reset(mm.m.cfg)
-	}
-	mm.dirty = true
-	m := mm.m
-	start := 0
-	if opts.Resume != nil {
-		if opts.Resume.TraceLen != t.Len() {
-			return nil, nil, fmt.Errorf("refsim: checkpoint is for a %d-instruction trace, got %d",
-				opts.Resume.TraceLen, t.Len())
-		}
-		m.restore(opts.Resume)
-		start = opts.Resume.NextInsn
-	}
-	m.reserveFor(t)
-	check := opts.CheckEvery
-	if check <= 0 {
-		check = DefaultCheckEvery
-	}
-	for i := start; i < t.Len(); i++ {
-		if i > start && i%check == 0 {
-			if opts.OnProgress != nil {
-				opts.OnProgress(i)
-			}
-			if opts.Ctx != nil {
-				if err := opts.Ctx.Err(); err != nil {
-					return nil, m.snapshot(i, t.Len()), err
-				}
-			}
-		}
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil &&
-			i > start && i%opts.CheckpointEvery == 0 {
-			opts.OnCheckpoint(m.snapshot(i, t.Len()))
-		}
-		m.step(i, &t.Insns[i])
-	}
-	return m.finish(t), nil, nil
+	return sim.Run[*Checkpoint, *metrics.RunStats](mm.m, t, opts)
 }

@@ -84,7 +84,7 @@ func (c Config) withDefaults() Config {
 // Run simulates the trace on the reference machine and returns its
 // measurements.
 func Run(t *trace.Trace, cfg Config) *metrics.RunStats {
-	return newMachine(cfg).run(t)
+	return NewMachine(cfg).Run(t)
 }
 
 // Machine is a reusable reference-simulator instance, mirroring
@@ -94,8 +94,7 @@ func Run(t *trace.Trace, cfg Config) *metrics.RunStats {
 //
 // A Machine is not safe for concurrent use; give each worker its own.
 type Machine struct {
-	m     *machine
-	dirty bool
+	m *machine
 }
 
 // NewMachine builds a reusable reference machine for the configuration.
@@ -103,25 +102,18 @@ func NewMachine(cfg Config) *Machine {
 	return &Machine{m: newMachine(cfg)}
 }
 
-// Run simulates the trace, resetting the machine first if it has already
-// run.
+// Run simulates the trace from power-on state: RunCheckpointed with zero
+// options.
 //
 //ovlint:hotpath the reusable-machine run path is the sweep inner loop and must stay allocation-free
 func (mm *Machine) Run(t *trace.Trace) *metrics.RunStats {
-	if mm.dirty {
-		mm.Reset(mm.m.cfg)
-	}
-	mm.dirty = true
-	mm.m.reserveFor(t)
-	return mm.m.run(t)
+	st, _, _ := mm.RunCheckpointed(t, RunOpts{})
+	return st
 }
 
 // Reset restores the power-on state under a (possibly different)
 // configuration.
-func (mm *Machine) Reset(cfg Config) {
-	mm.m.reset(cfg)
-	mm.dirty = false
-}
+func (mm *Machine) Reset(cfg Config) { mm.m.reset(cfg) }
 
 // machine is the reference-simulator state.
 type machine struct {
@@ -192,8 +184,7 @@ func (m *machine) reset(cfg Config) {
 // reserveFor sizes the unit interval lists from the trace so a reused
 // machine's steady-state run never grows them: a vector computation books
 // at most one interval on each FU allocator and a memory instruction at
-// most one bus interval. Called on the Machine (reuse) path only — a
-// one-shot Run grows organically instead of paying the upper bound.
+// most one bus interval.
 //
 //ovlint:coldpath one reservation pass per run, amortised over the whole trace
 func (m *machine) reserveFor(t *trace.Trace) {
@@ -211,12 +202,19 @@ func (m *machine) reserveFor(t *trace.Trace) {
 	m.bus.Reserve(nMem + 1)
 }
 
-// run executes the whole trace and assembles the measurements.
-func (m *machine) run(t *trace.Trace) *metrics.RunStats {
-	for i := range t.Insns {
-		m.step(i, &t.Insns[i])
+// Begin implements sim.Model: it restores the power-on state (or resume,
+// when set) and sizes the unit interval lists from the trace.
+//
+//ovlint:coldpath once per run, amortised over the whole trace
+func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
+	m.reset(m.cfg)
+	if resume != nil {
+		if err := m.restore(resume); err != nil {
+			return err
+		}
 	}
-	return m.finish(t)
+	m.reserveFor(t)
+	return nil
 }
 
 // note tracks the latest activity for end-of-run accounting.
@@ -237,10 +235,11 @@ func (m *machine) scalarReady(r isa.Reg) int64 {
 	return 0
 }
 
-// step processes one dynamic instruction through the in-order pipeline.
+// Step implements sim.Model: it processes one dynamic instruction through
+// the in-order pipeline.
 //
 //ovlint:hotpath runs once per dynamic instruction; any allocation here multiplies by trace length
-func (m *machine) step(i int, in *isa.Instruction) {
+func (m *machine) Step(i int, in *isa.Instruction) {
 	cfg := m.cfg
 	fu1, fu2, bus, ports := m.fu1, m.fu2, m.bus, m.ports
 	aReady, sReady, vregs := &m.aReady, &m.sReady, &m.vregs
@@ -428,10 +427,10 @@ func (m *machine) step(i int, in *isa.Instruction) {
 	}
 }
 
-// finish assembles the run statistics.
+// Finish implements sim.Model: it assembles the run statistics.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
-func (m *machine) finish(t *trace.Trace) *metrics.RunStats {
+func (m *machine) Finish(t *trace.Trace) *metrics.RunStats {
 	total := m.lastCycle + 1
 	st := &metrics.RunStats{
 		Machine:                "REF",

@@ -51,6 +51,7 @@ import (
 	"oovec/internal/jobs"
 	"oovec/internal/ooosim"
 	"oovec/internal/refsim"
+	"oovec/internal/sim"
 	"oovec/internal/simcache"
 	"oovec/internal/span"
 	"oovec/internal/store"
@@ -130,8 +131,8 @@ type Server struct {
 	results *simcache.Results
 	store   *store.Store // nil = memory-only
 	tracer  *span.Tracer // nil = tracing disabled
-	oooPool ooosim.MachinePool
-	refPool refsim.MachinePool
+	oooPool sim.Pool[ooosim.Config, *ooosim.Machine]
+	refPool sim.Pool[refsim.Config, *refsim.Machine]
 
 	// The async job layer (jobs.go). jobInfos ties job ids to their result
 	// keys and parked checkpoints; jobsOnce makes shutdown idempotent.
@@ -218,6 +219,8 @@ func New(opts Opts) *Server {
 		tracer:         span.NewTracer(opts.TraceSample, opts.TraceBuffer),
 		results:        simcache.NewResults(opts.CacheEntries, disk),
 		store:          opts.Store,
+		oooPool:        sim.Pool[ooosim.Config, *ooosim.Machine]{New: ooosim.NewMachine},
+		refPool:        sim.Pool[refsim.Config, *refsim.Machine]{New: refsim.NewMachine},
 		jobs:           jobs.New(opts.JobWorkers, opts.JobQueue),
 		jobInfos:       make(map[string]*jobInfo),
 		mux:            http.NewServeMux(),

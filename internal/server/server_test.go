@@ -276,8 +276,16 @@ func TestSweepNDJSON(t *testing.T) {
 		p, _ := tgen.PresetByName(name)
 		p.Insns = testInsns
 		tr := tgen.Generate(p)
-		want = append(want, sweep.RefGrid(tr, req.Lats)...)
-		want = append(want, sweep.OOOGrid(tr, base, req.Regs, req.Lats)...)
+		ref, err := sweep.RefGridOpts(tr, req.Lats, sweep.Opts{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ooo, err := sweep.OOOGridOpts(tr, base, req.Regs, req.Lats, sweep.Opts{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ref...)
+		want = append(want, ooo...)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sweep rows differ from serial CLI grids:\ngot  %d rows %+v\nwant %d rows %+v",

@@ -12,6 +12,7 @@ import (
 	"oovec/internal/metrics"
 	"oovec/internal/ooosim"
 	"oovec/internal/refsim"
+	"oovec/internal/sim"
 	"oovec/internal/simcache"
 	"oovec/internal/span"
 	"oovec/internal/tgen"
@@ -165,9 +166,9 @@ type simPlan struct {
 // ckRunner executes a checkpointable simulation. resume, when non-empty,
 // is an encoded checkpoint to continue from (silently ignored when it does
 // not decode or belongs to a different trace — the run then starts fresh
-// rather than failing). On completion it returns (stats, nil, traceLen,
-// nil); on cancellation (nil, encoded checkpoint, next instruction, ctx
-// error).
+// rather than failing; one that decodes but does not fit the machine fails
+// the run). On completion it returns (stats, nil, traceLen, nil); on
+// cancellation (nil, encoded checkpoint, next instruction, ctx error).
 type ckRunner func(ctx context.Context, resume []byte, ckEvery int, cb ckCallbacks) (*metrics.RunStats, []byte, int, error)
 
 // ckCallbacks observe a checkpointable run: onStart reports the resume
@@ -196,139 +197,99 @@ func (s *Server) planSim(req *SimRequest) (*simPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &simPlan{
-			key: simcache.ResultKey(simcache.OOOConfigKey(cfg), traceKey),
-			run: func(ctx context.Context) *metrics.RunStats {
-				sp, _ := span.Start(ctx, "simulate")
-				sp.SetAttr("machine", "OOOVA")
-				defer sp.End()
-				m := s.oooPool.Get(cfg)
-				defer s.oooPool.Put(m)
-				st := m.Run(getTrace()).Stats
-				sp.SetInt("insns", st.Instructions)
-				sp.SetInt("cycles", st.Cycles)
-				return st
-			},
-			runCk: func(ctx context.Context, resume []byte, ckEvery int, cb ckCallbacks) (*metrics.RunStats, []byte, int, error) {
-				t := getTrace()
-				var res *ooosim.Checkpoint
-				if len(resume) > 0 {
-					if ck, err := ooosim.DecodeCheckpoint(resume); err == nil && ck.TraceLen == t.Len() {
-						res = ck
-					}
-				}
-				start := 0
-				if res != nil {
-					start = res.NextInsn
-				}
-				if cb.onStart != nil {
-					cb.onStart(start, t.Len())
-				}
-				// One span per checkpointable leg: a resumed job shows one
-				// simulate span per segment, each attributed with the resume
-				// position and the instructions it actually executed.
-				sp, ctx := span.Start(ctx, "simulate")
-				sp.SetAttr("machine", "OOOVA")
-				sp.SetInt("resume_from", int64(start))
-				defer sp.End()
-				m := s.oooPool.Get(cfg)
-				defer s.oooPool.Put(m)
-				r, stop, err := m.RunCheckpointed(t, ooosim.RunOpts{
-					Ctx:             ctx,
-					CheckpointEvery: ckEvery,
-					OnCheckpoint: func(ck *ooosim.Checkpoint) {
-						if b, err := ck.Encode(); err == nil {
-							cb.onCheckpoint(b)
-						}
-					},
-					OnProgress: cb.onProgress,
-					Resume:     res,
-				})
-				if err != nil {
-					var b []byte
-					next := start
-					if stop != nil {
-						b, _ = stop.Encode()
-						next = stop.NextInsn
-					}
-					sp.SetAttr("outcome", "parked")
-					sp.SetInt("insns", int64(next-start))
-					return nil, b, next, err
-				}
-				sp.SetInt("insns", r.Stats.Instructions)
-				sp.SetInt("cycles", r.Stats.Cycles)
-				return r.Stats, nil, t.Len(), nil
-			},
-		}, nil
+		key := simcache.ResultKey(simcache.OOOConfigKey(cfg), traceKey)
+		return newSimPlan("OOOVA", key, getTrace, &s.oooPool, cfg, ooosim.DecodeCheckpoint,
+			func(r *ooosim.Result) *metrics.RunStats { return r.Stats }), nil
 	case "ref":
 		cfg, err := req.Config.toRef()
 		if err != nil {
 			return nil, err
 		}
-		return &simPlan{
-			key: simcache.ResultKey(simcache.RefConfigKey(cfg), traceKey),
-			run: func(ctx context.Context) *metrics.RunStats {
-				sp, _ := span.Start(ctx, "simulate")
-				sp.SetAttr("machine", "REF")
-				defer sp.End()
-				m := s.refPool.Get(cfg)
-				defer s.refPool.Put(m)
-				st := m.Run(getTrace())
-				sp.SetInt("insns", st.Instructions)
-				sp.SetInt("cycles", st.Cycles)
-				return st
-			},
-			runCk: func(ctx context.Context, resume []byte, ckEvery int, cb ckCallbacks) (*metrics.RunStats, []byte, int, error) {
-				t := getTrace()
-				var res *refsim.Checkpoint
-				if len(resume) > 0 {
-					if ck, err := refsim.DecodeCheckpoint(resume); err == nil && ck.TraceLen == t.Len() {
-						res = ck
-					}
-				}
-				start := 0
-				if res != nil {
-					start = res.NextInsn
-				}
-				if cb.onStart != nil {
-					cb.onStart(start, t.Len())
-				}
-				sp, ctx := span.Start(ctx, "simulate")
-				sp.SetAttr("machine", "REF")
-				sp.SetInt("resume_from", int64(start))
-				defer sp.End()
-				m := s.refPool.Get(cfg)
-				defer s.refPool.Put(m)
-				st, stop, err := m.RunCheckpointed(t, refsim.RunOpts{
-					Ctx:             ctx,
-					CheckpointEvery: ckEvery,
-					OnCheckpoint: func(ck *refsim.Checkpoint) {
-						if b, err := ck.Encode(); err == nil {
-							cb.onCheckpoint(b)
-						}
-					},
-					OnProgress: cb.onProgress,
-					Resume:     res,
-				})
-				if err != nil {
-					var b []byte
-					next := start
-					if stop != nil {
-						b, _ = stop.Encode()
-						next = stop.NextInsn
-					}
-					sp.SetAttr("outcome", "parked")
-					sp.SetInt("insns", int64(next-start))
-					return nil, b, next, err
-				}
-				sp.SetInt("insns", st.Instructions)
-				sp.SetInt("cycles", st.Cycles)
-				return st, nil, t.Len(), nil
-			},
-		}, nil
+		key := simcache.ResultKey(simcache.RefConfigKey(cfg), traceKey)
+		return newSimPlan("REF", key, getTrace, &s.refPool, cfg, refsim.DecodeCheckpoint,
+			func(st *metrics.RunStats) *metrics.RunStats { return st }), nil
 	default:
 		return nil, fmt.Errorf("unknown machine %q (ooo | ref)", req.Machine)
 	}
+}
+
+// simMachine is what the plan body needs of a simulator's Machine: pooled
+// reset plus the checkpointable run.
+type simMachine[Cfg any, C sim.Checkpoint, R any] interface {
+	Reset(Cfg)
+	RunCheckpointed(*trace.Trace, sim.Opts[C]) (R, C, error)
+}
+
+// encodedCheckpoint is a checkpoint handle with its machine's gob encoding.
+type encodedCheckpoint interface {
+	sim.Checkpoint
+	Encode() ([]byte, error)
+}
+
+// newSimPlan builds both runners of a plan over one machine model: machine
+// names it in spans, pool supplies machines reset to cfg, decode reads a
+// resumed checkpoint and stats extracts the measurements from a result.
+func newSimPlan[Cfg any, M simMachine[Cfg, C, R], C encodedCheckpoint, R any](
+	machine, key string, getTrace func() *trace.Trace, pool *sim.Pool[Cfg, M], cfg Cfg,
+	decode func([]byte) (C, error), stats func(R) *metrics.RunStats,
+) *simPlan {
+	runCk := func(ctx context.Context, resume []byte, ckEvery int, cb ckCallbacks) (*metrics.RunStats, []byte, int, error) {
+		t := getTrace()
+		var res, none C
+		start := 0
+		if len(resume) > 0 {
+			if ck, err := decode(resume); err == nil {
+				if next, n := ck.Position(); n == t.Len() {
+					res, start = ck, next
+				}
+			}
+		}
+		if cb.onStart != nil {
+			cb.onStart(start, t.Len())
+		}
+		// One span per checkpointable leg: a resumed job shows one simulate
+		// span per segment, each attributed with the resume position and
+		// the instructions it actually executed.
+		sp, ctx := span.Start(ctx, "simulate")
+		sp.SetAttr("machine", machine)
+		sp.SetInt("resume_from", int64(start))
+		defer sp.End()
+		m := pool.Get(cfg)
+		defer pool.Put(m)
+		r, stop, err := m.RunCheckpointed(t, sim.Opts[C]{
+			Ctx:             ctx,
+			CheckpointEvery: ckEvery,
+			OnCheckpoint: func(ck C) {
+				if b, err := ck.Encode(); err == nil {
+					cb.onCheckpoint(b)
+				}
+			},
+			OnProgress: cb.onProgress,
+			Resume:     res,
+		})
+		if err != nil {
+			var b []byte
+			next := start
+			if stop != none {
+				b, _ = stop.Encode()
+				next, _ = stop.Position()
+			}
+			sp.SetAttr("outcome", "parked")
+			sp.SetInt("insns", int64(next-start))
+			return nil, b, next, err
+		}
+		st := stats(r)
+		sp.SetInt("insns", st.Instructions)
+		sp.SetInt("cycles", st.Cycles)
+		return st, nil, t.Len(), nil
+	}
+	// The plain run is a checkpointable one that nothing can cancel: the
+	// result-cache fill it serves is shared by every waiter on the key.
+	run := func(ctx context.Context) *metrics.RunStats {
+		st, _, _, _ := runCk(context.WithoutCancel(ctx), nil, 0, ckCallbacks{})
+		return st
+	}
+	return &simPlan{key: key, run: run, runCk: runCk}
 }
 
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {

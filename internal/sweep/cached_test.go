@@ -39,14 +39,14 @@ func TestGridCachedMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := RefGrid(tr, lats); !reflect.DeepEqual(gotRef, want) {
+	if want := mustGrid(RefGridOpts(tr, lats, Opts{Workers: 1})); !reflect.DeepEqual(gotRef, want) {
 		t.Errorf("cached REF grid differs from fresh:\ngot  %+v\nwant %+v", gotRef, want)
 	}
 	gotOOO, err := OOOGridOpts(tr, base, regs, lats, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := OOOGrid(tr, base, regs, lats); !reflect.DeepEqual(gotOOO, want) {
+	if want := mustGrid(OOOGridOpts(tr, base, regs, lats, Opts{Workers: 1})); !reflect.DeepEqual(gotOOO, want) {
 		t.Errorf("cached OOO grid differs from fresh:\ngot  %+v\nwant %+v", gotOOO, want)
 	}
 }

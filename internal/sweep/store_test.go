@@ -87,7 +87,7 @@ func TestInterruptedSweepWarmsNextRun(t *testing.T) {
 		t.Errorf("disk store served %d hits, want %d", hits, completed)
 	}
 	// And the warm grid is exactly what an uncached serial run produces.
-	if want := OOOGrid(tr, base, regs, lats); !reflect.DeepEqual(warm, want) {
+	if want := mustGrid(OOOGridOpts(tr, base, regs, lats, Opts{Workers: 1})); !reflect.DeepEqual(warm, want) {
 		t.Error("disk-warmed grid differs from a fresh serial grid")
 	}
 }

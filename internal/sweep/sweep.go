@@ -2,14 +2,14 @@
 // the measurements as CSV — the raw-data complement to the paper-shaped
 // tables of package experiments, intended for downstream plotting.
 //
-// Grid points are independent simulations; the *Workers variants fan them
+// Grid points are independent simulations; the grid runners fan them
 // across a worker pool (package engine) while keeping the CSV row order —
 // and therefore the output bytes — identical to a serial run. Each pool
 // worker drives all its grid points through one pooled, resettable machine
 // (ooosim.Machine / refsim.Machine), so an N-point grid constructs machine
 // state once per worker and shape instead of once per point.
 //
-// The *Opts variants add the two production concerns of a long-lived
+// Opts adds the two production concerns of a long-lived
 // design-space-exploration service: per-point result caching (every grid
 // point is content-addressed by the same simcache.ResultKey scheme the
 // /v1/sim endpoint uses, so a repeated or overlapping grid re-simulates
@@ -118,121 +118,88 @@ func endPoint(sp *span.Span, cached bool) {
 	sp.End()
 }
 
-// runRef produces one REF measurement, through the cache when configured.
-func (o Opts) runRef(m *refsim.Machine, t *trace.Trace, cfg refsim.Config) *metrics.RunStats {
+// point produces one measurement: sim runs it on the worker's pooled
+// machine, through the cache when configured (keyed by cfgKey, the
+// machine's simcache config key), inside a grid-point span.
+func (o Opts) point(machine, cfgKey string, sim func() *metrics.RunStats) *metrics.RunStats {
 	run := func() *metrics.RunStats {
 		if o.OnSim != nil {
 			o.OnSim()
 		}
-		m.Reset(cfg)
-		return m.Run(t)
+		return sim()
 	}
 	if o.Cache == nil {
-		sp := o.startPoint("REF", "")
+		sp := o.startPoint(machine, "")
 		st := run()
 		endPoint(sp, false)
 		return st
 	}
-	key := simcache.ResultKey(simcache.RefConfigKey(cfg), o.TraceKey)
-	sp := o.startPoint("REF", key)
+	key := simcache.ResultKey(cfgKey, o.TraceKey)
+	sp := o.startPoint(machine, key)
 	st, cached := o.Cache.Do(key, run)
 	endPoint(sp, cached)
 	return st
 }
 
-// runOOO produces one OOOVA measurement, through the cache when configured.
-func (o Opts) runOOO(m *ooosim.Machine, t *trace.Trace, cfg ooosim.Config) *metrics.RunStats {
-	run := func() *metrics.RunStats {
-		if o.OnSim != nil {
-			o.OnSim()
-		}
-		m.Reset(cfg)
-		return m.Run(t).Stats
-	}
-	if o.Cache == nil {
-		sp := o.startPoint("OOOVA", "")
-		st := run()
-		endPoint(sp, false)
-		return st
-	}
-	key := simcache.ResultKey(simcache.OOOConfigKey(cfg), o.TraceKey)
-	sp := o.startPoint("OOOVA", key)
-	st, cached := o.Cache.Do(key, run)
-	endPoint(sp, cached)
-	return st
-}
-
-// RefGrid runs the reference machine across memory latencies, serially.
-func RefGrid(t *trace.Trace, latencies []int64) []Point {
-	return RefGridWorkers(t, latencies, 1)
-}
-
-// RefGridWorkers is RefGrid fanned across `workers` goroutines (<= 0 picks
-// one per core), each reusing one reference machine for all its points.
-// The returned points are in the same order as RefGrid's.
-func RefGridWorkers(t *trace.Trace, latencies []int64, workers int) []Point {
-	pts, _ := RefGridOpts(t, latencies, Opts{Workers: workers})
-	return pts
-}
-
-// RefGridOpts is RefGrid under Opts: fanned across the worker pool, served
-// from the result cache where configured, cancellable between points. The
-// points come back in RefGrid's order; on cancellation it returns the
-// context's error and the points must be discarded.
-func RefGridOpts(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
+// grid fans n points across the worker pool, each worker driving its points
+// through one machine from newState, and collects them in index order.
+func grid[M any](o Opts, n int, newState func() M, point func(m M, i int) Point) ([]Point, error) {
 	o.validate()
-	pts := make([]Point, len(latencies))
-	newState := func() *refsim.Machine { return refsim.NewMachine(refsim.DefaultConfig()) }
-	err := engine.MapWithCtx(o.Ctx, o.Workers, len(latencies), newState, func(m *refsim.Machine, i int) {
-		cfg := refsim.DefaultConfig()
-		cfg.MemLatency = latencies[i]
-		st := o.runRef(m, t, cfg)
-		pts[i] = Point{
-			Program: t.Name, Machine: "REF", Latency: latencies[i],
-			Cycles: st.Cycles, MemRequests: st.MemRequests,
-			PortIdlePct: st.MemPortIdlePct(),
-		}
-	})
+	pts := make([]Point, n)
+	err := engine.MapWithCtx(o.Ctx, o.Workers, n, newState, func(m M, i int) { pts[i] = point(m, i) })
 	if err != nil {
 		return nil, err
 	}
 	return pts, nil
 }
 
-// OOOGrid runs the OOOVA over the cross product of register counts and
-// latencies, with all other parameters taken from base, serially.
-func OOOGrid(t *trace.Trace, base ooosim.Config, vregs []int, latencies []int64) []Point {
-	return OOOGridWorkers(t, base, vregs, latencies, 1)
+// RefGridOpts runs the reference machine across memory latencies under
+// Opts: fanned across the worker pool (each worker reusing one reference
+// machine for all its points), served from the result cache where
+// configured, cancellable between points. The points come back in latency
+// order for any worker count; on cancellation it returns the context's
+// error and the points must be discarded.
+func RefGridOpts(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
+	newState := func() *refsim.Machine { return refsim.NewMachine(refsim.DefaultConfig()) }
+	return grid(o, len(latencies), newState, func(m *refsim.Machine, i int) Point {
+		cfg := refsim.DefaultConfig()
+		cfg.MemLatency = latencies[i]
+		st := o.point("REF", simcache.RefConfigKey(cfg), func() *metrics.RunStats {
+			m.Reset(cfg)
+			return m.Run(t)
+		})
+		return Point{
+			Program: t.Name, Machine: "REF", Latency: latencies[i],
+			Cycles: st.Cycles, MemRequests: st.MemRequests,
+			PortIdlePct: st.MemPortIdlePct(),
+		}
+	})
 }
 
-// OOOGridWorkers is OOOGrid fanned across `workers` goroutines (<= 0 picks
-// one per core), each reusing one pooled OOOVA machine (register-count
-// changes revive the matching shape from the machine's shape cache). The
-// returned points are in the same order as OOOGrid's.
-func OOOGridWorkers(t *trace.Trace, base ooosim.Config, vregs []int, latencies []int64, workers int) []Point {
-	pts, _ := OOOGridOpts(t, base, vregs, latencies, Opts{Workers: workers})
-	return pts
-}
-
-// OOOGridOpts is OOOGrid under Opts: fanned across the worker pool, served
-// from the result cache where configured, cancellable between points. The
-// points come back in OOOGrid's order; on cancellation it returns the
-// context's error and the points must be discarded.
+// OOOGridOpts runs the OOOVA over the cross product of register counts and
+// latencies, with all other parameters taken from base, under Opts: fanned
+// across the worker pool (each worker reusing one pooled OOOVA machine;
+// register-count changes revive the matching shape from the machine's shape
+// cache), served from the result cache where configured, cancellable
+// between points. The points come back register-major for any worker
+// count; on cancellation it returns the context's error and the points must
+// be discarded.
 func OOOGridOpts(t *trace.Trace, base ooosim.Config, vregs []int, latencies []int64, o Opts) ([]Point, error) {
-	o.validate()
 	nl := len(latencies)
-	pts := make([]Point, len(vregs)*nl)
 	newState := func() *ooosim.Machine { return ooosim.NewMachine(base) }
-	err := engine.MapWithCtx(o.Ctx, o.Workers, len(pts), newState, func(m *ooosim.Machine, k int) {
+	return grid(o, len(vregs)*nl, newState, func(m *ooosim.Machine, k int) Point {
 		regs, lat := vregs[k/nl], latencies[k%nl]
 		cfg := base
 		cfg.PhysVRegs = regs
 		cfg.MemLatency = lat
-		st := o.runOOO(m, t, cfg)
+		st := o.point("OOOVA", simcache.OOOConfigKey(cfg), func() *metrics.RunStats {
+			m.Reset(cfg)
+			return m.Run(t).Stats
+		})
 		// Report the exact parameters the simulator resolved, so CSV rows
 		// cannot drift from what actually ran.
 		resolved := cfg.WithDefaults()
-		pts[k] = Point{
+		return Point{
 			Program: t.Name, Machine: "OOOVA", Latency: lat,
 			VRegs: regs, QueueSlots: resolved.QueueSlots,
 			Commit: resolved.Commit.String(), Elim: resolved.LoadElim.String(),
@@ -241,10 +208,6 @@ func OOOGridOpts(t *trace.Trace, base ooosim.Config, vregs []int, latencies []in
 			Mispredicts: st.Mispredicts, Eliminated: st.EliminatedLoads,
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return pts, nil
 }
 
 // csvHeader is the column layout of WriteCSV.

@@ -11,6 +11,15 @@ import (
 	"oovec/internal/trace"
 )
 
+// mustGrid unwraps a grid runner's result for tests that run without a
+// context, where the error is always nil.
+func mustGrid(pts []Point, err error) []Point {
+	if err != nil {
+		panic(err)
+	}
+	return pts
+}
+
 func kernel() *trace.Trace {
 	b := trace.NewBuilder("k")
 	b.SetVL(64, isa.A(0))
@@ -23,7 +32,7 @@ func kernel() *trace.Trace {
 }
 
 func TestRefGridDimensionsAndMonotonicity(t *testing.T) {
-	pts := RefGrid(kernel(), []int64{1, 50, 100})
+	pts := mustGrid(RefGridOpts(kernel(), []int64{1, 50, 100}, Opts{Workers: 1}))
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -38,7 +47,7 @@ func TestRefGridDimensionsAndMonotonicity(t *testing.T) {
 }
 
 func TestOOOGridCrossProduct(t *testing.T) {
-	pts := OOOGrid(kernel(), ooosim.DefaultConfig(), []int{9, 16}, []int64{1, 50})
+	pts := mustGrid(OOOGridOpts(kernel(), ooosim.DefaultConfig(), []int{9, 16}, []int64{1, 50}, Opts{Workers: 1}))
 	if len(pts) != 4 {
 		t.Fatalf("points = %d, want 4", len(pts))
 	}
@@ -55,7 +64,7 @@ func TestOOOGridCrossProduct(t *testing.T) {
 }
 
 func TestWriteCSVRoundTrips(t *testing.T) {
-	pts := OOOGrid(kernel(), ooosim.DefaultConfig(), []int{16}, []int64{50})
+	pts := mustGrid(OOOGridOpts(kernel(), ooosim.DefaultConfig(), []int{16}, []int64{50}, Opts{Workers: 1}))
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, pts); err != nil {
 		t.Fatal(err)
@@ -79,10 +88,10 @@ func TestWriteCSVRoundTrips(t *testing.T) {
 func TestCSVDeterministic(t *testing.T) {
 	tr := kernel()
 	var a, b strings.Builder
-	if err := WriteCSV(&a, OOOGrid(tr, ooosim.DefaultConfig(), []int{16}, []int64{50})); err != nil {
+	if err := WriteCSV(&a, mustGrid(OOOGridOpts(tr, ooosim.DefaultConfig(), []int{16}, []int64{50}, Opts{Workers: 1}))); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSV(&b, OOOGrid(tr, ooosim.DefaultConfig(), []int{16}, []int64{50})); err != nil {
+	if err := WriteCSV(&b, mustGrid(OOOGridOpts(tr, ooosim.DefaultConfig(), []int{16}, []int64{50}, Opts{Workers: 1}))); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {

@@ -1,5 +1,7 @@
 package vregfile
 
+import "fmt"
+
 // Snapshot/Restore support for mid-run checkpointing (see package sched).
 
 // BankedFileState is the serialisable state of a BankedFile.
@@ -19,17 +21,17 @@ func (f *BankedFile) Snapshot() BankedFileState {
 	}
 }
 
-// Restore replaces the banked file's port state with st.
-func (f *BankedFile) Restore(st BankedFileState) {
-	if len(f.readFree) != len(st.ReadFree) {
-		f.readFree = make([][ReadPortsPerBank]int64, len(st.ReadFree))
+// Restore replaces the banked file's port state with st. A state sized for
+// a different bank count is an error, and leaves the file unchanged.
+func (f *BankedFile) Restore(st BankedFileState) error {
+	if len(st.ReadFree) != len(f.readFree) || len(st.WriteFree) != len(f.writeFree) {
+		return fmt.Errorf("banked port state sized %d/%d, file has %d/%d banks",
+			len(st.ReadFree), len(st.WriteFree), len(f.readFree), len(f.writeFree))
 	}
 	copy(f.readFree, st.ReadFree)
-	if len(f.writeFree) != len(st.WriteFree) {
-		f.writeFree = make([]int64, len(st.WriteFree))
-	}
 	copy(f.writeFree, st.WriteFree)
 	f.conflicts = st.Conflicts
+	return nil
 }
 
 // FlatFileState is the serialisable state of a FlatFile.
@@ -48,15 +50,15 @@ func (f *FlatFile) Snapshot() FlatFileState {
 	}
 }
 
-// Restore replaces the flat file's port state with st.
-func (f *FlatFile) Restore(st FlatFileState) {
-	if len(f.readFree) != len(st.ReadFree) {
-		f.readFree = make([]int64, len(st.ReadFree))
+// Restore replaces the flat file's port state with st. A state sized for a
+// different register count is an error, and leaves the file unchanged.
+func (f *FlatFile) Restore(st FlatFileState) error {
+	if len(st.ReadFree) != len(f.readFree) || len(st.WriteFree) != len(f.writeFree) {
+		return fmt.Errorf("flat port state sized %d/%d, file has %d/%d registers",
+			len(st.ReadFree), len(st.WriteFree), len(f.readFree), len(f.writeFree))
 	}
 	copy(f.readFree, st.ReadFree)
-	if len(f.writeFree) != len(st.WriteFree) {
-		f.writeFree = make([]int64, len(st.WriteFree))
-	}
 	copy(f.writeFree, st.WriteFree)
 	f.conflicts = st.Conflicts
+	return nil
 }
