@@ -243,6 +243,12 @@ func TestEmitBench(t *testing.T) {
 // quiet machine; the gate asserts a conservative floor and records the
 // actual ratio in the log (and, via TestEmitBench, in the BENCH snapshot)
 // so the trajectory is visible without being flaky.
+//
+// A wall-clock ratio only means something when nothing else competes for
+// the cores, which plain `go test ./...` (packages testing in parallel)
+// cannot promise. The floor is therefore asserted only with
+// OOVEC_PARALLEL_GATE=1, set by the CI job that runs this test alone;
+// otherwise the test runs both suites and only logs the ratio.
 func TestParallelSuiteSpeedup(t *testing.T) {
 	cores := runtime.GOMAXPROCS(0)
 	if cores <= 1 {
@@ -254,6 +260,10 @@ func TestParallelSuiteSpeedup(t *testing.T) {
 	serial, parallel := suiteSpeedup()
 	speedup := float64(serial) / float64(parallel)
 	t.Logf("suite speedup on %d cores: serial %v, parallel %v, %.2fx", cores, serial, parallel, speedup)
+	if os.Getenv("OOVEC_PARALLEL_GATE") != "1" {
+		t.Log("OOVEC_PARALLEL_GATE unset: the 1.5x floor is not asserted")
+		return
+	}
 	if speedup < 1.5 {
 		t.Fatalf("parallel suite speedup %.2fx on %d cores, want >= 1.5x", speedup, cores)
 	}

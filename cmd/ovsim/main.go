@@ -43,8 +43,7 @@ func main() {
 
 	tr, err := loadTrace(*bench, *traceF, *insns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ovsim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	// The pipeline trace sink observes the run without changing its
@@ -54,8 +53,7 @@ func main() {
 	if *ptrace != "" {
 		kanFile, err = os.Create(*ptrace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ovsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		kan = probe.NewKanata(kanFile)
 	}
@@ -66,6 +64,9 @@ func main() {
 		cfg.MemLatency = *latency
 		if kan != nil {
 			cfg.Sink = kan
+		}
+		if err := cli.CheckRef(cfg); err != nil {
+			fatal(err)
 		}
 		st := oovec.RunReference(tr, cfg)
 		printStats(st)
@@ -81,12 +82,13 @@ func main() {
 			cfg.Sink = kan
 		}
 		if cfg.Commit, err = cli.ParseCommit(*commit); err != nil {
-			fmt.Fprintln(os.Stderr, "ovsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if cfg.LoadElim, err = cli.ParseElim(*elim); err != nil {
-			fmt.Fprintln(os.Stderr, "ovsim:", err)
-			os.Exit(1)
+			fatal(err)
+		}
+		if err := cli.CheckOOO(cfg); err != nil {
+			fatal(err)
 		}
 		// The OOOVA run and the reference comparison run are independent;
 		// fan them across the worker pool.
@@ -108,8 +110,7 @@ func main() {
 			printStalls(res.Stats)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "ovsim: unknown machine %q (ref | ooo)\n", *machine)
-		os.Exit(1)
+		fatal(fmt.Errorf("unknown machine %q (ref | ooo)", *machine))
 	}
 
 	if kan != nil {
@@ -117,11 +118,15 @@ func main() {
 			err = kanFile.Close()
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ovsim: pipetrace:", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("pipetrace: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "ovsim: pipeline trace written to %s\n", *ptrace)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "ovsim:", err)
+	os.Exit(1)
 }
 
 func loadTrace(bench, traceFile string, insns int) (*oovec.Trace, error) {

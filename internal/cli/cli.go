@@ -3,6 +3,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -11,7 +12,9 @@ import (
 	"syscall"
 
 	"oovec/internal/engine"
+	"oovec/internal/isa"
 	"oovec/internal/ooosim"
+	"oovec/internal/refsim"
 	"oovec/internal/rob"
 	"oovec/internal/store"
 )
@@ -59,6 +62,31 @@ func ParseElim(s string) (ooosim.ElimMode, error) {
 		return ooosim.ElimSLEVLE, nil
 	}
 	return ooosim.ElimNone, fmt.Errorf("unknown elimination mode %q (none | sle | sle+vle)", s)
+}
+
+// CheckOOO enforces the bounds every surface accepting an OOOVA
+// configuration — ovsim, the ovserve API — applies before a run: no
+// negative field, and more physical vector registers than architectural
+// ones, since renaming needs at least one spare (the simulator panics
+// without it). Zero fields keep the paper's defaults.
+func CheckOOO(cfg ooosim.Config) error {
+	if cfg.PhysVRegs < 0 || cfg.QueueSlots < 0 || cfg.ROBSize < 0 || cfg.CommitWidth < 0 ||
+		cfg.MemLatency < 0 || cfg.ScalarMemLatency < 0 {
+		return errors.New("config values must be non-negative")
+	}
+	if cfg.PhysVRegs > 0 && cfg.PhysVRegs <= isa.NumLogicalV {
+		return fmt.Errorf("vregs %d: the OOOVA needs more than %d physical vector registers", cfg.PhysVRegs, isa.NumLogicalV)
+	}
+	return nil
+}
+
+// CheckRef is CheckOOO for the reference machine, whose only bounded
+// fields are its latencies.
+func CheckRef(cfg refsim.Config) error {
+	if cfg.MemLatency < 0 || cfg.ScalarMemLatency < 0 {
+		return errors.New("config values must be non-negative")
+	}
+	return nil
 }
 
 // Common carries the flags every oovec command shares: the -j worker-count

@@ -17,10 +17,14 @@
 // machines (ooosim.Machine, refsim.Machine) for the lifetime of one grid,
 // so a driver's N simulations construct at most workers×shapes machines
 // instead of N.
+//
+// Drivers share results through the Suite's simcache.Results, the same
+// two-tier cache and key scheme ovserve and ovsweep use: a grid point that
+// an earlier driver (or, with Opts.Store, an earlier process) already
+// measured is looked up, not simulated again.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -49,7 +53,7 @@ type Opts struct {
 	// execution. Output is byte-identical for every value.
 	Parallelism int
 	// Store, when non-nil, is the durable result store behind the suite's
-	// run caches (ovbench -cache-dir): a run-cache miss probes the store
+	// run cache (ovbench -cache-dir): a run-cache miss probes the store
 	// before simulating and publishes what it simulates. Entries use the
 	// same simcache.ResultKey scheme as ovserve and ovsweep, so a suite
 	// run warms CLI sweeps and the daemon — and a repeated ovbench across
@@ -57,58 +61,29 @@ type Opts struct {
 	Store simcache.ResultStore
 }
 
-// Suite caches generated traces and reference runs across experiments.
-// All methods are safe for concurrent use: each cache entry is generated
-// exactly once (concurrent requesters block until it is ready) and traces
-// are immutable once built. Traces live in the process-wide simcache, so
-// every suite (and the ovserve daemon) sharing a (preset, insns) pair
-// shares one generation.
+// suiteRuns bounds the suite's run cache. A full pass of the thirteen
+// experiments resolves 280 distinct simulations; each of the cache's
+// shards alone holds more than that (suiteRuns/8), so however the keys
+// hash, a suite never evicts and never simulates one configuration twice.
+const suiteRuns = 4096
+
+// Suite caches generated traces and simulation results across experiments.
+// All methods are safe for concurrent use. Runs resolve through one
+// simcache.Results over Opts.Store, keyed by simcache.ResultKey: each
+// simulation runs exactly once per suite (concurrent requesters block until
+// it is ready), and with a store a miss is served from disk when an earlier
+// process computed it. Traces live in the process-wide simcache, so every
+// suite (and the ovserve daemon) sharing a (preset, insns) pair shares one
+// generation.
 type Suite struct {
 	opts  Opts
 	names []string
-
-	mu   sync.Mutex
-	runs map[runKey]*slot[*metrics.RunStats]
+	runs  *simcache.Results
 
 	// workers recycles Workers (and their pooled machines) for the
 	// convenience methods Suite.Ref and Suite.OOO, which run outside a
 	// grid's per-worker state.
 	workers sync.Pool
-}
-
-// runKey identifies one simulation: the benchmark and the machine's
-// simcache config key (simcache.OOOConfigKey / RefConfigKey), which renders
-// the resolved configuration with the machine kind as its prefix.
-type runKey struct {
-	bench string
-	cfg   string
-}
-
-// slot is a once-filled run-cache cell.
-type slot[T any] struct {
-	once sync.Once
-	val  T
-	// panicVal records a fill panic so every waiter re-raises the true
-	// cause instead of observing a zero value.
-	panicVal any
-}
-
-// runOnce executes fn under the slot's once, recording and re-raising any
-// panic for both the first caller and every later waiter.
-func (s *slot[T]) runOnce(fn func() T) T {
-	s.once.Do(func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s.panicVal = r
-				panic(r)
-			}
-		}()
-		s.val = fn()
-	})
-	if s.panicVal != nil {
-		panic(s.panicVal)
-	}
-	return s.val
 }
 
 // NewSuite builds a suite over the selected benchmarks.
@@ -120,7 +95,7 @@ func NewSuite(opts Opts) *Suite {
 	return &Suite{
 		opts:  opts,
 		names: names,
-		runs:  make(map[runKey]*slot[*metrics.RunStats]),
+		runs:  simcache.NewResults(suiteRuns, opts.Store),
 	}
 }
 
@@ -199,36 +174,15 @@ func (w *Worker) OOO(name string, cfg ooosim.Config) *metrics.RunStats {
 	return w.cached(name, simcache.OOOConfigKey(cfg), run)
 }
 
-// cached returns the run cache's entry for (bench, cfgKey), filling it with
+// cached returns the suite's result for (bench, cfgKey), filling it with
 // run on a miss. The config key resolves defaults, so zero fields and
-// explicit defaults share an entry. With Opts.Store set, a miss probes the
-// durable store before simulating and publishes what it simulates; the
-// slot's once guarantees a single filler per key in this process, so the
-// store sees one writer. The store key is the scheme every other surface
-// uses (simcache keys.go), which is what lets ovbench, ovsweep and ovserve
-// warm each other's stores.
+// explicit defaults share an entry; the result key is the scheme every
+// other surface uses (simcache keys.go), which is what lets ovbench,
+// ovsweep and ovserve warm each other's stores.
 func (w *Worker) cached(bench, cfgKey string, run func() *metrics.RunStats) *metrics.RunStats {
-	s := w.s
-	key := runKey{bench, cfgKey}
-	s.mu.Lock()
-	sl, ok := s.runs[key]
-	if !ok {
-		sl = &slot[*metrics.RunStats]{}
-		s.runs[key] = sl
-	}
-	s.mu.Unlock()
-	return sl.runOnce(func() *metrics.RunStats {
-		if s.opts.Store == nil {
-			return run()
-		}
-		rk := simcache.ResultKey(cfgKey, simcache.PresetKey(s.preset(bench)))
-		if st, ok := s.opts.Store.Load(context.Background(), rk); ok {
-			return st
-		}
-		st := run()
-		s.opts.Store.Save(context.Background(), rk, st)
-		return st
-	})
+	key := simcache.ResultKey(cfgKey, simcache.PresetKey(w.s.preset(bench)))
+	st, _ := w.s.runs.Do(key, run)
+	return st
 }
 
 // borrowWorker takes a pooled worker for a one-off Suite.Ref / Suite.OOO

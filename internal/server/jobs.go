@@ -127,15 +127,9 @@ func (s *Server) jobRun(plan *simPlan, info *jobInfo, ckEvery int) jobs.RunFunc 
 	return func(ctx context.Context, j *jobs.Job) error {
 		// Already computed — by a /v1/sim, a sweep, or a previous job for
 		// the same content address? Then there is nothing to run.
-		if _, ok := s.results.Get(plan.key); ok {
+		if _, ok := s.results.Lookup(ctx, plan.key); ok {
 			j.SetProgress(j.ResumedFrom())
 			return nil
-		}
-		if s.store != nil {
-			if st, ok := s.store.Load(ctx, plan.key); ok {
-				s.results.DoCtx(ctx, plan.key, func(context.Context) *metrics.RunStats { return st })
-				return nil
-			}
 		}
 
 		info.mu.Lock()
@@ -194,10 +188,9 @@ func (s *Server) jobRun(plan *simPlan, info *jobInfo, ckEvery int) jobs.RunFunc 
 
 		// Done: publish through the shared cache (counting the simulation
 		// exactly once, like /v1/sim), then retire the checkpoint.
-		s.results.DoCtx(ctx, plan.key, func(context.Context) *metrics.RunStats {
+		if s.results.Publish(ctx, plan.key, st) {
 			s.simsTotal.Add(1)
-			return st
-		})
+		}
 		info.mu.Lock()
 		info.parked = nil
 		info.mu.Unlock()
@@ -235,13 +228,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	status := JobStatus{Snapshot: snap, Key: info.key}
 	if snap.State == jobs.StateDone {
-		if st, ok := s.results.Get(info.key); ok {
-			status.Metrics = st
-		} else if s.store != nil {
-			if st, ok := s.store.Load(r.Context(), info.key); ok {
-				status.Metrics = st
-			}
-		}
+		status.Metrics, _ = s.results.Lookup(r.Context(), info.key)
 	}
 	writeJSON(w, http.StatusOK, status)
 }

@@ -382,3 +382,51 @@ func TestWarmStartPreloadsMemoryTier(t *testing.T) {
 		t.Error("request probed the disk tier despite the warm pre-load")
 	}
 }
+
+// TestJobStoreProbesOncePerFile pins how often a job reads the durable
+// store: a job whose result is already on disk reads the entry file once
+// (and promotes it, so the status poll hits memory), and a cold job probes
+// once for the result and once for a checkpoint blob — publishing its
+// result does not probe the store again.
+func TestJobStoreProbesOncePerFile(t *testing.T) {
+	dir := t.TempDir()
+	simReq := SimRequest{Bench: "trfd", Insns: testInsns, Config: SimConfig{VRegs: 12}}
+
+	st1 := openStore(t, dir)
+	s1 := New(Opts{Workers: 1, Store: st1})
+	post(t, s1, "/v1/sim", simReq)
+	st1.Close()
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	s2 := New(Opts{Workers: 1, Store: st2})
+	defer s2.JobsClose()
+
+	before := st2.Stats()
+	done := waitJob(t, s2, submitJob(t, s2, JobRequest{Sim: simReq}).ID, jobs.StateDone)
+	after := st2.Stats()
+	if done.Metrics == nil {
+		t.Fatal("disk-served job carries no metrics")
+	}
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 0 {
+		t.Errorf("job with its result on disk: +%d store hits, +%d misses; want +1, +0", hits, misses)
+	}
+	if n := s2.SimsRun(); n != 0 {
+		t.Errorf("job with its result on disk simulated %d times, want 0", n)
+	}
+
+	cold := simReq
+	cold.Config.VRegs = 20
+	before = st2.Stats()
+	done = waitJob(t, s2, submitJob(t, s2, JobRequest{Sim: cold}).ID, jobs.StateDone)
+	after = st2.Stats()
+	if done.Metrics == nil {
+		t.Fatal("cold job carries no metrics")
+	}
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 0 || misses != 2 {
+		t.Errorf("cold job: +%d store hits, +%d misses; want +0, +2 (result and blob)", hits, misses)
+	}
+	if n := s2.SimsRun(); n != 1 {
+		t.Errorf("cold job simulated %d times in total, want 1", n)
+	}
+}

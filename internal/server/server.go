@@ -401,10 +401,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	}
-	uptime := time.Since(s.start).Seconds()
-	sims := s.simsTotal.Load()
 	fmt.Fprintf(w, "ovserve_build_info{version=%q,go=%q} 1\n", s.version, runtime.Version())
-	fmt.Fprintf(w, "ovserve_uptime_seconds %.3f\n", uptime)
+	fmt.Fprintf(w, "ovserve_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
 	fmt.Fprintf(w, "ovserve_inflight %d\n", s.nInflight.Load())
 	for _, route := range routes {
 		fmt.Fprintf(w, "ovserve_requests_total{path=%q} %d\n", route, s.requests[route].Load())
@@ -425,10 +423,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ovserve_requests_rejected_total %d\n", s.rejected.Load())
 	fmt.Fprintf(w, "ovserve_requests_throttled_total %d\n", s.throttled.Load())
 	fmt.Fprintf(w, "ovserve_requests_unauthorized_total %d\n", s.unauthed.Load())
-	fmt.Fprintf(w, "ovserve_sims_total %d\n", sims)
-	if uptime > 0 {
-		fmt.Fprintf(w, "ovserve_sims_per_second %.3f\n", float64(sims)/uptime)
-	}
+	fmt.Fprintf(w, "ovserve_sims_total %d\n", s.simsTotal.Load())
 	fmt.Fprintf(w, "ovserve_sim_insns_total %d\n", s.simInsns.Load())
 	fmt.Fprintf(w, "ovserve_sweep_rows_total %d\n", s.sweepRows.Load())
 	fmt.Fprintf(w, "ovserve_sweep_errors_total %d\n", s.sweepErrors.Load())
@@ -479,7 +474,6 @@ func (s *Server) writeStoreMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(w, "ovserve_store_corrupt_total %d\n", st.Corrupt)
 	fmt.Fprintf(w, "ovserve_store_evictions_total %d\n", st.Evictions)
 	fmt.Fprintf(w, "ovserve_store_scrubbed_total %d\n", st.Scrubbed)
-	fmt.Fprintf(w, "ovserve_store_quarantined_total %d\n", st.Corrupt)
 	fmt.Fprintf(w, "ovserve_store_bytes %d\n", st.Bytes)
 	fmt.Fprintf(w, "ovserve_store_files %d\n", st.Files)
 }

@@ -385,7 +385,9 @@ func TestBadRequests(t *testing.T) {
 		{"both inputs", SimRequest{Bench: "trfd", Trace: []byte("OVTR")}},
 		{"bad machine", SimRequest{Bench: "trfd", Machine: "vliw"}},
 		{"too few vregs", SimRequest{Bench: "trfd", Config: SimConfig{VRegs: 4}}},
+		{"vregs 8", SimRequest{Bench: "trfd", Config: SimConfig{VRegs: 8}}},
 		{"negative latency", SimRequest{Bench: "trfd", Config: SimConfig{Latency: -1}}},
+		{"negative ref latency", SimRequest{Bench: "trfd", Machine: "ref", Config: SimConfig{Latency: -5}}},
 		{"bad commit", SimRequest{Bench: "trfd", Config: SimConfig{Commit: "sideways"}}},
 		{"ooo fields on ref", SimRequest{Bench: "trfd", Machine: "ref", Config: SimConfig{VRegs: 16}}},
 		{"corrupt upload", SimRequest{Trace: []byte("not an OVTR trace")}},

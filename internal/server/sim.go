@@ -8,7 +8,6 @@ import (
 	"net/http"
 
 	"oovec/internal/cli"
-	"oovec/internal/isa"
 	"oovec/internal/metrics"
 	"oovec/internal/ooosim"
 	"oovec/internal/refsim"
@@ -73,15 +72,8 @@ type SimResponse struct {
 }
 
 // toOOO resolves the config surface onto an ooosim.Config, validating the
-// same bounds the CLIs enforce.
+// same bounds the CLIs enforce (cli.CheckOOO).
 func (c SimConfig) toOOO() (ooosim.Config, error) {
-	if c.VRegs < 0 || c.Queues < 0 || c.ROB < 0 || c.CommitWidth < 0 ||
-		c.Latency < 0 || c.ScalarLatency < 0 {
-		return ooosim.Config{}, errors.New("config values must be non-negative")
-	}
-	if c.VRegs > 0 && c.VRegs <= isa.NumLogicalV {
-		return ooosim.Config{}, fmt.Errorf("vregs %d: the OOOVA needs more than %d physical vector registers", c.VRegs, isa.NumLogicalV)
-	}
 	cfg := ooosim.Config{
 		PhysVRegs:        c.VRegs,
 		QueueSlots:       c.Queues,
@@ -89,6 +81,9 @@ func (c SimConfig) toOOO() (ooosim.Config, error) {
 		CommitWidth:      c.CommitWidth,
 		MemLatency:       c.Latency,
 		ScalarMemLatency: c.ScalarLatency,
+	}
+	if err := cli.CheckOOO(cfg); err != nil {
+		return ooosim.Config{}, err
 	}
 	var err error
 	if cfg.Commit, err = cli.ParseCommit(c.Commit); err != nil {
@@ -100,22 +95,23 @@ func (c SimConfig) toOOO() (ooosim.Config, error) {
 	return cfg, nil
 }
 
-// toRef resolves the config surface onto a refsim.Config. OOOVA-only fields
-// must be absent.
+// toRef resolves the config surface onto a refsim.Config, validating the
+// same bounds the CLIs enforce (cli.CheckRef). OOOVA-only fields must be
+// absent.
 func (c SimConfig) toRef() (refsim.Config, error) {
 	if c.VRegs != 0 || c.Queues != 0 || c.ROB != 0 || c.CommitWidth != 0 ||
 		c.Commit != "" || (c.Elim != "" && c.Elim != "none") {
 		return refsim.Config{}, errors.New("vregs/queues/rob/commit_width/commit/elim do not apply to the reference machine")
 	}
-	if c.Latency < 0 || c.ScalarLatency < 0 {
-		return refsim.Config{}, errors.New("config values must be non-negative")
-	}
 	cfg := refsim.DefaultConfig()
-	if c.Latency > 0 {
+	if c.Latency != 0 {
 		cfg.MemLatency = c.Latency
 	}
-	if c.ScalarLatency > 0 {
+	if c.ScalarLatency != 0 {
 		cfg.ScalarMemLatency = c.ScalarLatency
+	}
+	if err := cli.CheckRef(cfg); err != nil {
+		return refsim.Config{}, err
 	}
 	return cfg, nil
 }

@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"context"
+	"strconv"
 	"time"
 	"unsafe"
 
@@ -98,7 +99,7 @@ func runStatsBytes(st *metrics.RunStats) int {
 
 // Do is DoCtx without request context: spans are not emitted and the
 // observer sees an untraced context. It exists for callers outside a
-// request path (CLI tools, warm-up) and to satisfy sweep.ResultCache.
+// request path: the experiments suite and sweep grids.
 func (r *Results) Do(key string, fill func() *metrics.RunStats) (*metrics.RunStats, bool) {
 	return r.DoCtx(context.Background(), key, func(context.Context) *metrics.RunStats { return fill() })
 }
@@ -128,17 +129,9 @@ func (r *Results) DoCtx(ctx context.Context, key string, fill func(context.Conte
 	}
 	diskHit := false
 	st, memHit, waited := r.mem.DoFlight(key, func() *metrics.RunStats {
-		if r.disk != nil {
-			psp, pctx := span.Start(ctx, "cache.promote")
-			st, ok := r.disk.Load(pctx, key)
-			if ok {
-				psp.SetAttr("hit", "true")
-				psp.End()
-				diskHit = true
-				return st
-			}
-			psp.SetAttr("hit", "false")
-			psp.End()
+		if st, ok := r.promote(ctx, key); ok {
+			diskHit = true
+			return st
 		}
 		st := fill(ctx)
 		if r.disk != nil {
@@ -170,9 +163,47 @@ func (r *Results) DoCtx(ctx context.Context, key string, fill func(context.Conte
 	return st, memHit || diskHit
 }
 
-// Get returns the value for key if the memory tier holds it ready, without
-// probing the store or filling.
-func (r *Results) Get(key string) (*metrics.RunStats, bool) { return r.mem.Get(key) }
+// promote probes the durable tier for key inside a "cache.promote" span
+// (attr hit). It reports a miss without a store.
+func (r *Results) promote(ctx context.Context, key string) (*metrics.RunStats, bool) {
+	if r.disk == nil {
+		return nil, false
+	}
+	sp, ctx := span.Start(ctx, "cache.promote")
+	st, ok := r.disk.Load(ctx, key)
+	sp.SetAttr("hit", strconv.FormatBool(ok))
+	sp.End()
+	return st, ok
+}
+
+// Lookup returns the result for key without ever filling: memory first,
+// then the backing store, promoting a disk hit into memory. It is the read
+// path of callers that must not simulate — the job API's status and
+// already-computed checks, and warm-start Preload.
+func (r *Results) Lookup(ctx context.Context, key string) (*metrics.RunStats, bool) {
+	if st, ok := r.mem.Get(key); ok {
+		return st, true
+	}
+	st, ok := r.promote(ctx, key)
+	if ok {
+		r.mem.Do(key, func() *metrics.RunStats { return st })
+	}
+	return st, ok
+}
+
+// Publish stores a result computed outside a fill (a checkpointed job run)
+// in both tiers, without probing the store first. It reports whether this
+// call published the value; false means the key was already resident or in
+// flight, and the resident value stands.
+func (r *Results) Publish(ctx context.Context, key string, st *metrics.RunStats) bool {
+	_, hit := r.mem.Do(key, func() *metrics.RunStats {
+		if r.disk != nil {
+			r.disk.Save(ctx, key, st)
+		}
+		return st
+	})
+	return !hit
+}
 
 // Preload pulls the given keys from the backing store into the memory tier
 // and returns how many loaded. It is the warm-start path: after a restart
@@ -182,20 +213,14 @@ func (r *Results) Get(key string) (*metrics.RunStats, bool) { return r.mem.Get(k
 // of each paying a disk probe. Keys already resident or absent from the
 // store are skipped; Preload never simulates.
 func (r *Results) Preload(keys []string) int {
-	if r.disk == nil {
-		return 0
-	}
 	loaded := 0
 	for _, key := range keys {
 		if _, ok := r.mem.Get(key); ok {
 			continue
 		}
-		st, ok := r.disk.Load(context.Background(), key)
-		if !ok {
-			continue
+		if _, ok := r.Lookup(context.Background(), key); ok {
+			loaded++
 		}
-		r.mem.Do(key, func() *metrics.RunStats { return st })
-		loaded++
 	}
 	return loaded
 }

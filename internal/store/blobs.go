@@ -1,39 +1,22 @@
 package store
 
-// Checkpoint blobs: a second entry type sharing the store's directory,
-// durability discipline (atomic temp+sync+rename, versioned header, CRC,
-// quarantine-on-corruption) and byte budget, but holding opaque payloads —
-// the serialised mid-run machine checkpoints of the preemptible job layer —
-// rather than gob-encoded RunStats. Blob files use their own suffix and
-// magic so the two kinds can never decode as each other, and blob writes
+// Checkpoint blobs: the second kind of store file, holding opaque payloads
+// — the serialised mid-run machine checkpoints of the preemptible job
+// layer — rather than gob-encoded RunStats. Blobs go through the same file
+// path as result entries (writeFile, read, remove), so they share the
+// directory, the durability discipline and the byte budget. Blob writes
 // are synchronous: a checkpoint is persisted exactly when the caller needs
 // the durability guarantee (cancellation, preemption, shutdown), so there
 // is nothing to batch behind.
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"time"
 
 	"oovec/internal/span"
 )
 
-// blobSuffix names checkpoint blob files; blobMagic identifies them.
-const (
-	blobSuffix = ".ovb"
-	blobMagic  = "OVCB"
-)
-
-// blobPath returns the blob file path for a key (same sharding as entries).
-func (s *Store) blobPath(key string) string {
-	fk := fileKey(key)
-	return filepath.Join(s.dir, fk[:2], fk+blobSuffix)
-}
+// blobPath returns the blob file path for a key.
+func (s *Store) blobPath(key string) string { return s.file(key, blobKind) }
 
 // SaveBlob persists an opaque payload under key, synchronously and
 // atomically. It returns an error (and counts a write error) when the blob
@@ -43,51 +26,10 @@ func (s *Store) blobPath(key string) string {
 func (s *Store) SaveBlob(ctx context.Context, key string, payload []byte) error {
 	sp, _ := span.Start(ctx, "store.write")
 	sp.SetAttr("key", key)
-	sp.SetAttr("kind", "blob")
+	sp.SetAttr("kind", blobKind.span)
 	sp.SetInt("bytes", int64(len(payload)))
 	defer sp.End()
-	b := encodeBlob(payload)
-	path := s.blobPath(key)
-	shardDir := filepath.Dir(path)
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: blob shard dir: %w", err)
-	}
-	f, err := os.CreateTemp(shardDir, tmpPrefix+"*")
-	if err != nil {
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: blob staging: %w", err)
-	}
-	tmp := f.Name()
-	_, werr := f.Write(b)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: blob write: %w", werr)
-	}
-	var oldSize int64
-	replaced := false
-	if info, err := os.Stat(path); err == nil {
-		oldSize, replaced = info.Size(), true
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: blob rename: %w", err)
-	}
-	s.bytes.Add(int64(len(b)) - oldSize)
-	if !replaced {
-		s.files.Add(1)
-	}
-	s.writesN.Add(1)
-	s.maybeGC()
-	return nil
+	return s.writeFile(s.blobPath(key), encodeFile(blobKind, payload))
 }
 
 // LoadBlob returns the payload stored under key, or (nil, false). Corrupt
@@ -96,80 +38,14 @@ func (s *Store) SaveBlob(ctx context.Context, key string, payload []byte) error 
 // carries the trace span of the job being restored (a "store.read" child
 // with kind=blob records the read).
 func (s *Store) LoadBlob(ctx context.Context, key string) ([]byte, bool) {
-	sp, ctx := span.Start(ctx, "store.read")
-	sp.SetAttr("key", key)
-	sp.SetAttr("kind", "blob")
-	defer sp.End()
-	path := s.blobPath(key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		sp.SetAttr("hit", "false")
-		s.misses.Add(1)
-		return nil, false
-	}
-	payload, err := decodeBlob(b)
-	if err != nil {
-		s.quarantine(ctx, path)
-		sp.SetAttr("hit", "false")
-		s.misses.Add(1)
-		return nil, false
-	}
-	sp.SetAttr("hit", "true")
-	now := time.Now()
-	os.Chtimes(path, now, now)
-	s.hits.Add(1)
-	return payload, true
+	var payload []byte
+	ok := s.read(ctx, key, blobKind, func(p []byte) error {
+		payload = p
+		return nil
+	})
+	return payload, ok
 }
 
 // DeleteBlob removes the blob stored under key, if any. Callers use it to
 // retire a checkpoint once the run it belongs to has completed.
-func (s *Store) DeleteBlob(key string) {
-	path := s.blobPath(key)
-	if info, err := os.Stat(path); err == nil {
-		if os.Remove(path) == nil {
-			s.bytes.Add(-info.Size())
-			s.files.Add(-1)
-		}
-	}
-}
-
-// encodeBlob renders a blob file: the standard header (blob magic, epoch,
-// payload length, CRC32-Castagnoli) followed by the payload verbatim.
-func encodeBlob(payload []byte) []byte {
-	b := make([]byte, headerSize+len(payload))
-	copy(b[0:4], blobMagic)
-	binary.BigEndian.PutUint32(b[4:8], FormatEpoch)
-	binary.BigEndian.PutUint32(b[8:12], uint32(len(payload)))
-	binary.BigEndian.PutUint32(b[12:16], crc32.Checksum(payload, crcTable))
-	copy(b[headerSize:], payload)
-	return b
-}
-
-// decodeBlob validates a blob file and returns its payload.
-func decodeBlob(b []byte) ([]byte, error) {
-	return validateFile(b, blobMagic)
-}
-
-// validateFile checks the common header discipline (magic, epoch, length,
-// CRC) and returns the payload bytes. It is the integrity check both entry
-// decoding and the background scrubber run.
-func validateFile(b []byte, wantMagic string) ([]byte, error) {
-	if len(b) < headerSize {
-		return nil, fmt.Errorf("store: file too short (%d bytes)", len(b))
-	}
-	if !bytes.Equal(b[0:4], []byte(wantMagic)) {
-		return nil, fmt.Errorf("store: bad magic %q, want %q", b[0:4], wantMagic)
-	}
-	if epoch := binary.BigEndian.Uint32(b[4:8]); epoch != FormatEpoch {
-		return nil, fmt.Errorf("store: format epoch %d, want %d", epoch, FormatEpoch)
-	}
-	plen := binary.BigEndian.Uint32(b[8:12])
-	if int(plen) != len(b)-headerSize {
-		return nil, fmt.Errorf("store: payload length %d, have %d bytes", plen, len(b)-headerSize)
-	}
-	p := b[headerSize:]
-	if got, want := crc32.Checksum(p, crcTable), binary.BigEndian.Uint32(b[12:16]); got != want {
-		return nil, fmt.Errorf("store: payload CRC %08x, want %08x", got, want)
-	}
-	return p, nil
-}
+func (s *Store) DeleteBlob(key string) { s.remove(s.blobPath(key)) }

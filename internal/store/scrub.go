@@ -32,20 +32,15 @@ func (s *Store) Scrub() (verified, quarantined int64) {
 		if err != nil || d.IsDir() {
 			return nil
 		}
-		var wantMagic string
-		switch {
-		case strings.HasSuffix(d.Name(), entrySuffix):
-			wantMagic = magic
-		case strings.HasSuffix(d.Name(), blobSuffix):
-			wantMagic = blobMagic
-		default:
+		k, ok := kindOf(d.Name())
+		if !ok {
 			return nil
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return nil // vanished mid-walk: eviction or replacement won the race
 		}
-		if _, err := validateFile(b, wantMagic); err != nil {
+		if _, err := validateFile(b, k); err != nil {
 			s.quarantine(context.Background(), path)
 			quarantined++
 			return nil

@@ -57,18 +57,43 @@ import (
 // its next read instead of silently decoding into the wrong shape.
 const FormatEpoch = 2
 
-// magic identifies an oovec result-store entry file.
-const magic = "OVRS"
-
 // headerSize is magic(4) + epoch(4) + payload length(4) + CRC32(4).
 const headerSize = 16
 
-// entrySuffix names completed entry files; tmpPrefix marks staging files
+// entrySuffix names result entry files; tmpPrefix marks staging files
 // that never survive an Open.
 const (
 	entrySuffix = ".ovr"
 	tmpPrefix   = ".tmp-"
 )
+
+// fileKind is one of the two kinds of file the store holds: result entries
+// (gob-encoded RunStats) and checkpoint blobs (opaque payloads, see
+// blobs.go). Each kind has its own suffix and magic, so neither can decode
+// as the other; everything else — sharding, header, atomic write,
+// validated read, quarantine and the byte budget — is shared.
+type fileKind struct {
+	suffix, magic string
+	// span is the "kind" attribute of the kind's store.read/store.write
+	// spans; empty (no attribute) for result entries.
+	span string
+}
+
+var (
+	entryKind = fileKind{suffix: entrySuffix, magic: "OVRS"}
+	blobKind  = fileKind{suffix: ".ovb", magic: "OVCB", span: "blob"}
+)
+
+// kindOf classifies a file name as an entry or a blob; staging files and
+// strays are neither.
+func kindOf(name string) (fileKind, bool) {
+	for _, k := range [...]fileKind{entryKind, blobKind} {
+		if strings.HasSuffix(name, k.suffix) {
+			return k, true
+		}
+	}
+	return fileKind{}, false
+}
 
 // maxQueue bounds the write-behind queue; beyond it Save writes
 // synchronously (backpressure, not loss).
@@ -170,11 +195,9 @@ func (s *Store) scan() error {
 		if err != nil || d.IsDir() {
 			return err
 		}
-		name := d.Name()
-		switch {
-		case strings.HasPrefix(name, tmpPrefix):
+		if strings.HasPrefix(d.Name(), tmpPrefix) {
 			os.Remove(path) // a crash mid-write; the rename never happened
-		case strings.HasSuffix(name, entrySuffix), strings.HasSuffix(name, blobSuffix):
+		} else if _, ok := kindOf(d.Name()); ok {
 			if info, err := d.Info(); err == nil {
 				s.bytes.Add(info.Size())
 				s.files.Add(1)
@@ -203,13 +226,16 @@ func fileKey(key string) string {
 	return key
 }
 
-// path returns the entry file path for a key: two-character shard directory
-// over the filename-safe key, so a large store does not pile every entry
-// into one directory.
-func (s *Store) path(key string) string {
+// file returns the path of key's file of kind k: a two-character shard
+// directory over the filename-safe key, so a large store does not pile
+// every file into one directory.
+func (s *Store) file(key string, k fileKind) string {
 	fk := fileKey(key)
-	return filepath.Join(s.dir, fk[:2], fk+entrySuffix)
+	return filepath.Join(s.dir, fk[:2], fk+k.suffix)
 }
+
+// path returns the entry file path for a key.
+func (s *Store) path(key string) string { return s.file(key, entryKind) }
 
 // Load returns the stored result for key, or (nil, false) on a miss. A
 // file that fails any validation step — size, magic, epoch, length, CRC,
@@ -219,43 +245,70 @@ func (s *Store) path(key string) string {
 // trace span (a "store.read" child records the read); it never cancels a
 // load.
 func (s *Store) Load(ctx context.Context, key string) (*metrics.RunStats, bool) {
-	sp, ctx := span.Start(ctx, "store.read")
-	sp.SetAttr("key", key)
-	defer sp.End()
-	path := s.path(key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		sp.SetAttr("hit", "false")
-		s.misses.Add(1)
+	var st metrics.RunStats
+	ok := s.read(ctx, key, entryKind, func(p []byte) error {
+		return gob.NewDecoder(bytes.NewReader(p)).Decode(&st)
+	})
+	if !ok {
 		return nil, false
 	}
-	st, err := decodeEntry(b)
+	return &st, true
+}
+
+// read is the one validated read of both kinds: it reads key's file of
+// kind k, checks the header and CRC, and hands the payload to decode. A
+// file failing either step is quarantined; both count as a miss. A hit
+// refreshes the file's mtime for the LRU GC. The read is recorded as a
+// "store.read" span (attrs key, kind, hit, bytes).
+func (s *Store) read(ctx context.Context, key string, k fileKind, decode func(payload []byte) error) bool {
+	sp, ctx := span.Start(ctx, "store.read")
+	sp.SetAttr("key", key)
+	if k.span != "" {
+		sp.SetAttr("kind", k.span)
+	}
+	defer sp.End()
+	path := s.file(key, k)
+	b, err := os.ReadFile(path)
+	if err == nil {
+		var p []byte
+		if p, err = validateFile(b, k); err == nil {
+			err = decode(p)
+		}
+		if err != nil {
+			s.quarantine(ctx, path)
+		}
+	}
 	if err != nil {
-		s.quarantine(ctx, path)
 		sp.SetAttr("hit", "false")
 		s.misses.Add(1)
-		return nil, false
+		return false
 	}
 	now := time.Now()
 	os.Chtimes(path, now, now) // best-effort LRU touch
 	s.hits.Add(1)
 	sp.SetAttr("hit", "true")
 	sp.SetInt("bytes", int64(len(b)))
-	return st, true
+	return true
 }
 
-// quarantine deletes an invalid entry file and adjusts the size accounting.
+// quarantine deletes an invalid file and counts it as corrupt.
 func (s *Store) quarantine(ctx context.Context, path string) {
 	sp, _ := span.Start(ctx, "store.quarantine")
 	sp.SetAttr("file", filepath.Base(path))
 	defer sp.End()
+	s.remove(path)
+	s.corrupt.Add(1)
+}
+
+// remove deletes a file of either kind and takes it out of the size
+// accounting.
+func (s *Store) remove(path string) {
 	if info, err := os.Stat(path); err == nil {
 		if os.Remove(path) == nil {
 			s.bytes.Add(-info.Size())
 			s.files.Add(-1)
 		}
 	}
-	s.corrupt.Add(1)
 }
 
 // Save persists a result under key, asynchronously: it enqueues for the
@@ -345,26 +398,33 @@ func (s *Store) done() {
 	s.mu.Unlock()
 }
 
-// write persists one entry: encode, stage in a temp file in the shard
-// directory, sync, rename into place, then enforce the size bound. Errors
-// are counted, never fatal — a result that fails to persist is simply not
-// durable.
+// write persists one entry. Errors are counted, never fatal — a result
+// that fails to persist is simply not durable.
 func (s *Store) write(key string, st *metrics.RunStats) {
-	b, err := encodeEntry(st)
-	if err != nil {
+	var p bytes.Buffer
+	if err := gob.NewEncoder(&p).Encode(st); err != nil {
 		s.writeErrors.Add(1)
 		return
 	}
-	path := s.path(key)
+	s.writeFile(s.path(key), encodeFile(entryKind, p.Bytes()))
+}
+
+// writeFile is the one write path of both kinds: stage b in a temp file in
+// the shard directory, sync, rename it over path, account the bytes, then
+// enforce the size bound. A failure is counted as a write error and
+// returned; whatever file was at path before stands.
+func (s *Store) writeFile(path string, b []byte) error {
+	fail := func(err error) error {
+		s.writeErrors.Add(1)
+		return fmt.Errorf("store: writing %s: %w", filepath.Base(path), err)
+	}
 	shardDir := filepath.Dir(path)
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		s.writeErrors.Add(1)
-		return
+		return fail(err)
 	}
 	f, err := os.CreateTemp(shardDir, tmpPrefix+"*")
 	if err != nil {
-		s.writeErrors.Add(1)
-		return
+		return fail(err)
 	}
 	tmp := f.Name()
 	_, werr := f.Write(b)
@@ -376,10 +436,9 @@ func (s *Store) write(key string, st *metrics.RunStats) {
 	}
 	if werr != nil {
 		os.Remove(tmp)
-		s.writeErrors.Add(1)
-		return
+		return fail(werr)
 	}
-	// Size the displaced entry (if any) before the rename so the byte
+	// Size the displaced file (if any) before the rename so the byte
 	// accounting stays truthful when a key is overwritten.
 	var oldSize int64
 	replaced := false
@@ -388,8 +447,7 @@ func (s *Store) write(key string, st *metrics.RunStats) {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		s.writeErrors.Add(1)
-		return
+		return fail(err)
 	}
 	s.bytes.Add(int64(len(b)) - oldSize)
 	if !replaced {
@@ -397,6 +455,7 @@ func (s *Store) write(key string, st *metrics.RunStats) {
 	}
 	s.writesN.Add(1)
 	s.maybeGC()
+	return nil
 }
 
 // maybeGC enforces the byte budget: when the store exceeds it, entry files
@@ -432,8 +491,10 @@ func (s *Store) maybeGC() {
 	var entries []entryFile
 	var total int64
 	filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() ||
-			(!strings.HasSuffix(d.Name(), entrySuffix) && !strings.HasSuffix(d.Name(), blobSuffix)) {
+		if err != nil || d.IsDir() {
+			return nil
+		}
+		if _, ok := kindOf(d.Name()); !ok {
 			return nil
 		}
 		info, err := d.Info()
@@ -486,34 +547,39 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// encodeEntry renders one entry file: header (magic, epoch, payload length,
-// CRC32-Castagnoli over the payload) followed by the gob-encoded RunStats.
-func encodeEntry(st *metrics.RunStats) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return nil, err
-	}
-	p := payload.Bytes()
-	b := make([]byte, headerSize+len(p))
-	copy(b[0:4], magic)
+// encodeFile renders one file of either kind: the header (the kind's
+// magic, FormatEpoch, payload length, CRC32-Castagnoli over the payload)
+// followed by the payload verbatim.
+func encodeFile(k fileKind, payload []byte) []byte {
+	b := make([]byte, headerSize+len(payload))
+	copy(b[0:4], k.magic)
 	binary.BigEndian.PutUint32(b[4:8], FormatEpoch)
-	binary.BigEndian.PutUint32(b[8:12], uint32(len(p)))
-	binary.BigEndian.PutUint32(b[12:16], crc32.Checksum(p, crcTable))
-	copy(b[headerSize:], p)
-	return b, nil
+	binary.BigEndian.PutUint32(b[8:12], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[12:16], crc32.Checksum(payload, crcTable))
+	copy(b[headerSize:], payload)
+	return b
 }
 
-// decodeEntry validates and decodes one entry file. Any deviation — short
-// file, wrong magic, wrong epoch, length mismatch, CRC mismatch, gob
-// failure — is an error the caller treats as a quarantinable miss.
-func decodeEntry(b []byte) (*metrics.RunStats, error) {
-	p, err := validateFile(b, magic)
-	if err != nil {
-		return nil, err
+// validateFile checks the header (magic, epoch, length, CRC) and returns
+// the payload bytes. It is the integrity check both the read path and the
+// background scrubber run.
+func validateFile(b []byte, k fileKind) ([]byte, error) {
+	if len(b) < headerSize {
+		return nil, fmt.Errorf("store: file too short (%d bytes)", len(b))
 	}
-	var st metrics.RunStats
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("store: decoding payload: %w", err)
+	if !bytes.Equal(b[0:4], []byte(k.magic)) {
+		return nil, fmt.Errorf("store: bad magic %q, want %q", b[0:4], k.magic)
 	}
-	return &st, nil
+	if epoch := binary.BigEndian.Uint32(b[4:8]); epoch != FormatEpoch {
+		return nil, fmt.Errorf("store: format epoch %d, want %d", epoch, FormatEpoch)
+	}
+	plen := binary.BigEndian.Uint32(b[8:12])
+	if int(plen) != len(b)-headerSize {
+		return nil, fmt.Errorf("store: payload length %d, have %d bytes", plen, len(b)-headerSize)
+	}
+	p := b[headerSize:]
+	if got, want := crc32.Checksum(p, crcTable), binary.BigEndian.Uint32(b[12:16]); got != want {
+		return nil, fmt.Errorf("store: payload CRC %08x, want %08x", got, want)
+	}
+	return p, nil
 }

@@ -28,7 +28,7 @@ func cachedTestTrace(t *testing.T) (tr *trace.Trace, key string) {
 // points of the uncached grids — caching changes cost, never values.
 func TestGridCachedMatchesFresh(t *testing.T) {
 	tr, key := cachedTestTrace(t)
-	cache := simcache.New[*metrics.RunStats](256)
+	cache := simcache.NewResults(256, nil)
 	o := Opts{Workers: 2, Cache: cache, TraceKey: key}
 
 	base := ooosim.DefaultConfig()
@@ -55,7 +55,7 @@ func TestGridCachedMatchesFresh(t *testing.T) {
 // cache must execute zero new simulations and return identical points.
 func TestGridWarmRunsZeroSims(t *testing.T) {
 	tr, key := cachedTestTrace(t)
-	cache := simcache.New[*metrics.RunStats](256)
+	cache := simcache.NewResults(256, nil)
 	var sims atomic.Int64
 	o := Opts{Workers: 2, Cache: cache, TraceKey: key, OnSim: func() { sims.Add(1) }}
 
@@ -86,7 +86,7 @@ func TestGridWarmRunsZeroSims(t *testing.T) {
 // simulates the configurations it has never seen.
 func TestGridOverlapSimulatesDelta(t *testing.T) {
 	tr, key := cachedTestTrace(t)
-	cache := simcache.New[*metrics.RunStats](256)
+	cache := simcache.NewResults(256, nil)
 	var sims atomic.Int64
 	o := Opts{Workers: 1, Cache: cache, TraceKey: key, OnSim: func() { sims.Add(1) }}
 
@@ -112,7 +112,7 @@ func TestGridOverlapSimulatesDelta(t *testing.T) {
 // lets /v1/sim warm /v1/sweep and vice versa.
 func TestGridSharesSimKeys(t *testing.T) {
 	tr, key := cachedTestTrace(t)
-	cache := simcache.New[*metrics.RunStats](256)
+	cache := simcache.NewResults(256, nil)
 	var sims atomic.Int64
 	o := Opts{Workers: 1, Cache: cache, TraceKey: key, OnSim: func() { sims.Add(1) }}
 
@@ -142,7 +142,7 @@ func TestGridSharesSimKeys(t *testing.T) {
 // and surfaces as an error.
 func TestGridCancellation(t *testing.T) {
 	tr, key := cachedTestTrace(t)
-	cache := simcache.New[*metrics.RunStats](256)
+	cache := simcache.NewResults(256, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	var sims atomic.Int64
 	o := Opts{
@@ -175,5 +175,5 @@ func TestGridCacheWithoutTraceKeyPanics(t *testing.T) {
 			t.Error("Opts.Cache without TraceKey did not panic")
 		}
 	}()
-	RefGridOpts(tr, []int64{1}, Opts{Cache: simcache.New[*metrics.RunStats](8)})
+	RefGridOpts(tr, []int64{1}, Opts{Cache: simcache.NewResults(8, nil)})
 }

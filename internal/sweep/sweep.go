@@ -51,16 +51,6 @@ type Point struct {
 	Eliminated  int64
 }
 
-// ResultCache is the cache surface a grid needs: the singleflight Do.
-// Both *simcache.Cache[*metrics.RunStats] (memory-only) and
-// *simcache.Results (the two-tier cache over a durable backing store —
-// what ovserve and ovsweep -cache-dir run) satisfy it; with the two-tier
-// form, grid points persisted by an earlier process are disk hits that run
-// no simulation.
-type ResultCache interface {
-	Do(key string, fill func() *metrics.RunStats) (*metrics.RunStats, bool)
-}
-
 // Opts configures a cached, cancellable grid run. The zero value runs the
 // grid uncached and uncancellable, fanned one worker per core (Workers 0).
 type Opts struct {
@@ -72,7 +62,9 @@ type Opts struct {
 	// Entries are keyed by simcache.ResultKey over the resolved
 	// configuration and TraceKey — the exact scheme the ovserve /v1/sim
 	// endpoint uses, so single runs and sweep grid points share entries.
-	Cache ResultCache
+	// With a backing store (ovserve, ovsweep -cache-dir), points persisted
+	// by an earlier process are disk hits that run no simulation.
+	Cache *simcache.Results
 	// TraceKey is the content key of the trace the grid runs on
 	// (simcache.PresetKey for generated benchmarks, "ovtr:"+trace.Digest
 	// for arbitrary traces). Required when Cache is set: without it,
