@@ -391,6 +391,16 @@ func BenchmarkSimulatorOOOReuse(b *testing.B) {
 	benchReuse(b, func(tr *trace.Trace) { m.Run(tr) })
 }
 
+// BenchmarkSimulatorOOO128Reuse is BenchmarkSimulatorOOOReuse for the
+// OOOVA-128 configuration (128-slot issue queues, Figure 5), where the
+// per-instruction occupancy sample covers eight times as many slots.
+func BenchmarkSimulatorOOO128Reuse(b *testing.B) {
+	cfg := ooosim.DefaultConfig()
+	cfg.QueueSlots = 128
+	m := ooosim.NewMachine(cfg)
+	benchReuse(b, func(tr *trace.Trace) { m.Run(tr) })
+}
+
 func BenchmarkTraceGeneration(b *testing.B) {
 	p, _ := tgen.PresetByName("swm256")
 	p.Insns = 20000

@@ -20,6 +20,9 @@
 //	//ovlint:config <why>       struct field is configuration or scratch,
 //	                            not machine state: exempt from snapshot
 //	                            completeness
+//	//ovlint:derived <why>      struct field is recomputed from captured
+//	                            state: exempt from snapshot completeness
+//	                            only if the type's Restore assigns it
 //	//ovlint:allow <name> <why> suppress diagnostics of analyzer <name> on
 //	                            this line or the next
 //
@@ -119,7 +122,7 @@ func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
 
 // directive is one parsed //ovlint: comment.
 type directive struct {
-	kind   string // "hotpath", "coldpath", "config", "allow"
+	kind   string // "hotpath", "coldpath", "config", "derived", "allow"
 	arg    string // analyzer name for "allow"
 	reason string
 	pos    token.Pos
@@ -146,7 +149,7 @@ func parseDirective(text string, pos token.Pos) (directive, bool) {
 			d.arg = fields[0]
 			d.reason = strings.TrimSpace(strings.TrimPrefix(tail, fields[0]))
 		}
-	case "hotpath", "coldpath", "config":
+	case "hotpath", "coldpath", "config", "derived":
 		d.reason = tail
 	default:
 		return directive{}, false

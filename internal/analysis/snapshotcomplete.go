@@ -14,13 +14,16 @@ import (
 //
 // For every type with a Snapshot/Restore method pair (exported or not),
 // every field of the struct must either be read through the receiver inside
-// the Snapshot method, or carry an //ovlint:config annotation stating that
-// it is configuration or per-call scratch rather than evolving machine
-// state.
+// the Snapshot method, carry an //ovlint:config annotation stating that it
+// is configuration or per-call scratch rather than evolving machine state,
+// or carry an //ovlint:derived annotation stating that it is recomputed
+// from the captured state. A derived field must be assigned by Restore —
+// in its body or in a method it calls on the same receiver — or a restored
+// machine would keep the derived state of whatever ran before.
 var Snapshotcomplete = &Analyzer{
 	Name: "snapshotcomplete",
 	Doc: "every field of a type with a Snapshot/Restore pair must be captured " +
-		"by Snapshot or marked //ovlint:config",
+		"by Snapshot, marked //ovlint:config, or marked //ovlint:derived and assigned by Restore",
 	Run: runSnapshotcomplete,
 }
 
@@ -29,9 +32,9 @@ func runSnapshotcomplete(pass *Pass) {
 
 	// Group method declarations by receiver type.
 	type pair struct {
-		snapshot *ast.FuncDecl
-		restore  bool
+		snapshot, restore *ast.FuncDecl
 	}
+	methods := make(map[*types.Func]*ast.FuncDecl)
 	pairs := make(map[*types.Named]*pair)
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
@@ -43,6 +46,9 @@ func runSnapshotcomplete(pass *Pass) {
 			if named == nil {
 				continue
 			}
+			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+				methods[fn] = fd
+			}
 			p := pairs[named]
 			if p == nil {
 				p = &pair{}
@@ -52,7 +58,7 @@ func runSnapshotcomplete(pass *Pass) {
 			case "snapshot":
 				p.snapshot = fd
 			case "restore":
-				p.restore = true
+				p.restore = fd
 			}
 		}
 	}
@@ -68,7 +74,7 @@ func runSnapshotcomplete(pass *Pass) {
 
 	for _, named := range order {
 		p := pairs[named]
-		if p.snapshot == nil || !p.restore || p.snapshot.Body == nil {
+		if p.snapshot == nil || p.restore == nil || p.snapshot.Body == nil {
 			continue
 		}
 		if _, ok := named.Underlying().(*types.Struct); !ok {
@@ -79,8 +85,22 @@ func runSnapshotcomplete(pass *Pass) {
 		if structAST == nil {
 			continue
 		}
+		var restored map[*types.Var]bool
 		for _, field := range structAST.Fields.List {
 			if _, waived := fieldDirective(field, "config"); waived {
+				continue
+			}
+			if d, ok := fieldDirective(field, "derived"); ok && d.reason != "" {
+				if restored == nil {
+					restored = assignedFields(info, methods, p.restore)
+				}
+				for _, name := range field.Names {
+					if obj, ok := info.Defs[name].(*types.Var); ok && !restored[obj] {
+						pass.Reportf(name.Pos(),
+							"field %s.%s is marked //ovlint:derived but (%s).%s never assigns it: a restored checkpoint keeps the derived state of the previous run; rebuild it in %s",
+							named.Obj().Name(), name.Name, named.Obj().Name(), p.restore.Name.Name, p.restore.Name.Name)
+					}
+				}
 				continue
 			}
 			for _, name := range field.Names {
@@ -89,7 +109,7 @@ func runSnapshotcomplete(pass *Pass) {
 					continue
 				}
 				pass.Reportf(name.Pos(),
-					"field %s.%s is not captured by (%s).%s: a checkpoint restored without it resumes with stale state; capture it in the State struct, or mark it //ovlint:config if it is configuration or scratch",
+					"field %s.%s is not captured by (%s).%s: a checkpoint restored without it resumes with stale state; capture it in the State struct, mark it //ovlint:config if it is configuration or scratch, or mark it //ovlint:derived if Restore recomputes it",
 					named.Obj().Name(), name.Name, named.Obj().Name(), p.snapshot.Name.Name)
 			}
 		}
@@ -114,6 +134,81 @@ func capturedFields(info *types.Info, snapshot *ast.FuncDecl) map[*types.Var]boo
 		return true
 	})
 	return captured
+}
+
+// assignedFields collects every struct field assigned through the receiver
+// in the restore method's body — as the root of an assignment or inc/dec
+// target, so w.f = x, w.f[i] = x and w.f++ all assign f — and, transitively,
+// in the bodies of the same package's methods it calls on that receiver.
+func assignedFields(info *types.Info, methods map[*types.Func]*ast.FuncDecl, restore *ast.FuncDecl) map[*types.Var]bool {
+	assigned := make(map[*types.Var]bool)
+	visited := make(map[*ast.FuncDecl]bool)
+	var visit func(fd *ast.FuncDecl)
+	visit = func(fd *ast.FuncDecl) {
+		if visited[fd] || fd.Body == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
+			return
+		}
+		visited[fd] = true
+		recv := info.Defs[fd.Recv.List[0].Names[0]]
+		target := func(e ast.Expr) {
+			if v := receiverField(info, recv, e); v != nil {
+				assigned[v] = true
+			}
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				if id, ok := sel.X.(*ast.Ident); !ok || recv == nil || info.Uses[id] != recv {
+					break
+				}
+				if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && methods[fn] != nil {
+					visit(methods[fn])
+				}
+			}
+			return true
+		})
+	}
+	visit(restore)
+	return assigned
+}
+
+// receiverField returns the field of recv at the root of an assignment
+// target (recv.f, recv.f[i], recv.f.g, (*recv.f)...), or nil.
+func receiverField(info *types.Info, recv types.Object, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if recv == nil || info.Uses[id] != recv {
+					return nil
+				}
+				if s, ok := info.Selections[x]; ok && s.Kind() == types.FieldVal {
+					v, _ := s.Obj().(*types.Var)
+					return v
+				}
+				return nil
+			}
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // structASTFor finds the struct type literal declared under the given type

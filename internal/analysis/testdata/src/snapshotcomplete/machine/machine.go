@@ -42,3 +42,30 @@ type Sampler struct {
 }
 
 func (s *Sampler) Snapshot() int64 { return s.window }
+
+// Window carries derived fields. Restore rebuilds resident through a
+// helper, so it passes; it never assigns stale, so that field is reported.
+// A derived directive with no reason does not waive anything.
+type Window struct {
+	leave    []int64
+	resident int   //ovlint:derived recomputed from leave by Restore
+	stale    int64 //ovlint:derived recomputed on demand // want `field Window.stale is marked //ovlint:derived but \(Window\).Restore never assigns it`
+	//ovlint:derived
+	bare int // want `field Window.bare is not captured`
+}
+
+func (w *Window) Snapshot() []int64 { return append([]int64(nil), w.leave...) }
+
+func (w *Window) Restore(leave []int64) {
+	w.leave = append(w.leave[:0], leave...)
+	w.rebuild()
+}
+
+func (w *Window) rebuild() {
+	w.resident = 0
+	for _, l := range w.leave {
+		if l > 0 {
+			w.resident++
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package iq
 
-import "oovec/internal/sched"
+import (
+	"fmt"
+
+	"oovec/internal/sched"
+)
 
 // Snapshot/Restore support for mid-run checkpointing (see package sched).
 
@@ -20,11 +24,17 @@ func (q *Queue) Snapshot() QueueState {
 	}
 }
 
-// Restore replaces the queue state with st.
-func (q *Queue) Restore(st QueueState) {
-	q.window.Restore(st.Window)
-	q.slots.Restore(st.Slots)
+// Restore replaces the queue state with st. A window of another capacity
+// or a malformed issue-port interval list is an error.
+func (q *Queue) Restore(st QueueState) error {
+	if err := q.window.Restore(st.Window); err != nil {
+		return fmt.Errorf("iq: %w", err)
+	}
+	if err := q.slots.Restore(st.Slots); err != nil {
+		return fmt.Errorf("iq: issue port %w", err)
+	}
 	q.issued = st.Issued
+	return nil
 }
 
 // MemEntryState is the exported form of one disambiguation record.
@@ -64,9 +74,15 @@ func (q *MemQueue) Snapshot() MemQueueState {
 }
 
 // Restore replaces the memory queue state with st. The scan window is a
-// capacity parameter, not state, and is kept.
-func (q *MemQueue) Restore(st MemQueueState) {
-	q.window.Restore(st.Window)
+// capacity parameter, not state, and is kept. A window of another capacity
+// or a negative entry count is an error.
+func (q *MemQueue) Restore(st MemQueueState) error {
+	if st.N < 0 {
+		return fmt.Errorf("iq: memory queue entry count %d is negative", st.N)
+	}
+	if err := q.window.Restore(st.Window); err != nil {
+		return fmt.Errorf("iq: memory queue %w", err)
+	}
 	q.issueRF.Restore(st.IssueRF)
 	q.rangeSt.Restore(st.RangeSt)
 	q.depSt.Restore(st.DepSt)
@@ -81,4 +97,5 @@ func (q *MemQueue) Restore(st MemQueueState) {
 	}
 	q.n = st.N
 	q.conflicts = st.Conflicts
+	return nil
 }

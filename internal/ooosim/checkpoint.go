@@ -85,9 +85,15 @@ func (s *memScheduler) snapshot() MemSchedState {
 }
 
 // restore replaces the scheduler state with st, keeping the scan-window
-// capacity (configuration, not state).
-func (s *memScheduler) restore(st MemSchedState) {
-	s.bus.Restore(st.Bus)
+// capacity (configuration, not state). A negative entry count or a
+// malformed bus interval list is an error.
+func (s *memScheduler) restore(st MemSchedState) error {
+	if st.N < 0 {
+		return fmt.Errorf("memory scheduler entry count %d is negative", st.N)
+	}
+	if err := s.bus.Restore(st.Bus); err != nil {
+		return fmt.Errorf("address bus %w", err)
+	}
 	s.pend = s.pend[:0]
 	s.byReady = s.byReady[:0]
 	for i, p := range st.Pend {
@@ -109,6 +115,7 @@ func (s *memScheduler) restore(st MemSchedState) {
 	}
 	s.n = st.N
 	s.requests, s.conflicts, s.lastEnd = st.Requests, st.Conflicts, st.LastEnd
+	return nil
 }
 
 // Checkpoint is the complete deterministic state of an OOOVA simulation at
@@ -280,14 +287,20 @@ func (m *machine) restore(ck *Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("ooosim: checkpoint %w", err)
 	}
-	m.fu1.Restore(ck.FU1)
-	m.fu2.Restore(ck.FU2)
-	m.msched.restore(ck.MSched)
-	m.aQ.Restore(ck.AQ)
-	m.sQ.Restore(ck.SQ)
-	m.vQ.Restore(ck.VQ)
-	m.mQ.Restore(ck.MQ)
-	m.rob.Restore(ck.ROB)
+	for _, err := range [...]error{
+		m.fu1.Restore(ck.FU1),
+		m.fu2.Restore(ck.FU2),
+		m.msched.restore(ck.MSched),
+		m.aQ.Restore(ck.AQ),
+		m.sQ.Restore(ck.SQ),
+		m.vQ.Restore(ck.VQ),
+		m.mQ.Restore(ck.MQ),
+		m.rob.Restore(ck.ROB),
+	} {
+		if err != nil {
+			return fmt.Errorf("ooosim: checkpoint %w", err)
+		}
+	}
 	m.pred.Restore(ck.Pred)
 
 	m.prevFetch = ck.PrevFetch

@@ -28,7 +28,7 @@ type memScheduler struct {
 	// out of order (conflictConstraint) or cancelled are dropped lazily
 	// when they reach the top, so flush costs O(log n) per placement
 	// instead of a scan over every store of the run.
-	byReady []int //ovlint:config derived from pend; restore rebuilds it
+	byReady []int //ovlint:derived a view of pend; restore rebuilds it
 
 	entries [memScanWindow]memEntry
 	n       int

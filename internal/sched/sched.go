@@ -20,8 +20,28 @@
 //
 // Both allocators record their busy intervals so the metrics package can
 // reconstruct exact per-cycle unit-state breakdowns (Figures 3 and 7)
-// without per-cycle simulation.
+// without per-cycle simulation. Gap finds a hole by galloping from where
+// the previous search ended, since successive requests on one resource ask
+// for nearly the same cycle.
+//
+// RingWindow bounds a structure's occupants (an issue queue, the reorder
+// buffer) and answers the per-instruction occupancy sample. Its occupancy
+// contract: Occupied(now) is exact for any sequence of Admit and Occupied
+// calls, and costs O(1) amortised while now does not decrease from one
+// query to the next — the simulators query at each instruction's decode
+// cycle, which strictly increases. Departures are tracked as events, not
+// recounted: a query pops the departures it has passed, and a query at an
+// earlier cycle rebuilds the events from the ring (a sort of at most
+// capacity departures). Admit files a departure in order: an append when
+// departures come in admission order (the reorder buffer) and a shift past
+// the residents departing later otherwise (an issue queue). The event state
+// is derived: Restore and Reset rebuild it and checkpoints never carry it.
 package sched
+
+import (
+	"math"
+	"slices"
+)
 
 // Interval is a half-open busy interval [Start, End).
 type Interval struct {
@@ -105,6 +125,7 @@ func (m *Monotonic) Reset() {
 type Gap struct {
 	iv   []Interval
 	busy int64
+	cur  int //ovlint:derived search hint only; Restore resets it and any value gives the same answer
 }
 
 // NewGap returns an empty gap allocator.
@@ -138,18 +159,8 @@ func (g *Gap) Peek(earliest, dur int64) int64 {
 // findHole locates the earliest hole of length dur at or after earliest and
 // returns its start plus the insertion index.
 func (g *Gap) findHole(earliest, dur int64) (int64, int) {
-	// Binary search for the first interval ending after earliest.
-	lo, hi := 0, len(g.iv)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.iv[mid].End <= earliest {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	start := earliest
-	i := lo
+	i := g.partition(earliest)
 	for i < len(g.iv) {
 		if start+dur <= g.iv[i].Start {
 			break // hole before interval i fits
@@ -160,6 +171,61 @@ func (g *Gap) findHole(earliest, dur int64) (int64, int) {
 		i++
 	}
 	return start, i
+}
+
+// partition returns the index of the first interval ending after t. The
+// interval ends are strictly increasing, so that index is unique; the search
+// gallops outward from the previous call's answer (the cursor) and then
+// bisects the bracket it found, costing O(log d) for a cursor d intervals
+// away. Successive requests on one resource ask for nearly the same cycle,
+// so d is usually zero or small.
+func (g *Gap) partition(t int64) int {
+	iv := g.iv
+	lo, hi := 0, len(iv)
+	c := min(g.cur, hi)
+	switch {
+	case c < hi && iv[c].End <= t:
+		// The answer lies above c: double the probe distance until an
+		// interval ends after t.
+		lo = c + 1
+		for step := 1; ; step <<= 1 {
+			p := c + step
+			if p >= hi {
+				break
+			}
+			if iv[p].End > t {
+				hi = p
+				break
+			}
+			lo = p + 1
+		}
+	case c > 0 && iv[c-1].End > t:
+		// The answer lies at or below c-1.
+		hi = c - 1
+		for step := 2; ; step <<= 1 {
+			p := c - step
+			if p < 0 {
+				break
+			}
+			if iv[p].End <= t {
+				lo = p + 1
+				break
+			}
+			hi = p
+		}
+	default:
+		lo, hi = c, c
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if iv[mid].End <= t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	g.cur = lo
+	return lo
 }
 
 // insert places iv at position i, merging with neighbours when adjacent.
@@ -209,25 +275,33 @@ func (g *Gap) Intervals() []Interval { return g.iv }
 // before the Reset are invalidated.
 func (g *Gap) Reset() {
 	g.iv = g.iv[:0]
-	g.busy = 0
+	g.busy, g.cur = 0, 0
 }
 
 // RingWindow tracks the departure times of the last N occupants of a
 // bounded structure (an issue queue, a reorder buffer). Entry i may only be
 // admitted once occupant i-N has departed; FreeAt returns that constraint.
+//
+// Occupancy follows the package's occupancy contract: dep[lo:hi] holds, in
+// ascending order, the departure times of the tracked occupants still
+// resident at cycle asOf.
 type RingWindow struct {
 	leave []int64
 	n     int
 	next  int
 	count int
+
+	dep    []int64 //ovlint:derived sorted resident departures, rebuilt from leave by Restore
+	lo, hi int     //ovlint:derived bounds of the resident run in dep, rebuilt by Restore
+	asOf   int64   //ovlint:derived cycle dep is current for, rebuilt by Restore
 }
 
 // NewRingWindow returns a window of capacity n (n <= 0 means unbounded).
 func NewRingWindow(n int) *RingWindow {
 	if n <= 0 {
-		return &RingWindow{}
+		return &RingWindow{asOf: math.MinInt64}
 	}
-	return &RingWindow{leave: make([]int64, n), n: n}
+	return &RingWindow{leave: make([]int64, n), n: n, dep: make([]int64, 2*n), asOf: math.MinInt64}
 }
 
 // FreeAt returns the earliest cycle a new occupant may be admitted: 0 if the
@@ -248,30 +322,88 @@ func (w *RingWindow) Admit(departAt int64) {
 	if w.n == 0 {
 		return
 	}
-	w.leave[w.next] = departAt
-	w.next = (w.next + 1) % w.n
-	if w.count < w.n {
+	if w.count == w.n {
+		if old := w.leave[w.next]; old > w.asOf {
+			w.drop(old) // evicted while still counted resident
+		}
+	} else {
 		w.count++
+	}
+	w.leave[w.next] = departAt
+	w.next++
+	if w.next == w.n {
+		w.next = 0
+	}
+	if departAt > w.asOf {
+		w.add(departAt)
 	}
 }
 
-// Occupied returns the number of tracked occupants still resident at the
-// given cycle: those admitted but not yet departed (leave time > now). The
-// scan is linear over at most the window capacity and branch-free:
-// now-leave is negative exactly when the occupant is still resident, so its
-// sign bit is the count (cycle values stay far below 2^62, so the
-// subtraction cannot overflow). Unbounded windows report zero.
-//
-//ovlint:hotpath sampled once per instruction for occupancy histograms; a bounded scan with no allocation
-func (w *RingWindow) Occupied(now int64) int {
-	occ := 0
-	for _, l := range w.leave[:w.count] {
-		occ += int(uint64(now-l) >> 63)
+// add inserts departure time v into the sorted resident run.
+func (w *RingWindow) add(v int64) {
+	if w.hi == len(w.dep) {
+		// At most n-1 residents remain besides v, so compacting to the
+		// front of the 2n buffer frees at least n+1 slots: amortised O(1).
+		w.hi = copy(w.dep, w.dep[w.lo:w.hi])
+		w.lo = 0
 	}
-	return occ
+	i := w.hi
+	for i > w.lo && w.dep[i-1] > v {
+		w.dep[i] = w.dep[i-1]
+		i--
+	}
+	w.dep[i] = v
+	w.hi++
+}
+
+// drop removes one occurrence of departure time v from the resident run by
+// shifting the residents before it up one slot. The evicted occupant is the
+// oldest, which in a buffer freed in order is also the first to depart, so
+// v is usually at the front.
+func (w *RingWindow) drop(v int64) {
+	i := w.lo
+	for w.dep[i] != v {
+		i++
+	}
+	copy(w.dep[w.lo+1:i+1], w.dep[w.lo:i])
+	w.lo++
+}
+
+// Occupied returns the number of tracked occupants still resident at the
+// given cycle: those admitted but not yet departed (leave time > now).
+// Unbounded windows report zero. It is exact for any sequence of calls and
+// O(1) amortised while now does not decrease (see the package comment).
+//
+//ovlint:hotpath sampled once per instruction for occupancy histograms; pops departures in place, no allocation
+func (w *RingWindow) Occupied(now int64) int {
+	if now < w.asOf {
+		w.rebuild(now)
+	}
+	w.asOf = now
+	for w.lo < w.hi && w.dep[w.lo] <= now {
+		w.lo++
+	}
+	return w.hi - w.lo
+}
+
+// rebuild recomputes the resident run as of cycle now from the ring.
+//
+//ovlint:coldpath runs on Restore and on a query earlier than the previous one, never in a simulator's steady state
+func (w *RingWindow) rebuild(now int64) {
+	w.asOf = now
+	w.lo, w.hi = 0, 0
+	for _, l := range w.leave[:w.count] {
+		if l > now {
+			w.dep[w.hi] = l
+			w.hi++
+		}
+	}
+	slices.Sort(w.dep[:w.hi])
 }
 
 // Reset clears the window.
 func (w *RingWindow) Reset() {
 	w.next, w.count = 0, 0
+	w.lo, w.hi = 0, 0
+	w.asOf = math.MinInt64
 }

@@ -1,5 +1,10 @@
 package sched
 
+import (
+	"fmt"
+	"math"
+)
+
 // Snapshot/Restore support for checkpointing (ooosim/refsim checkpoints
 // serialise the full allocator state mid-run and revive it, possibly in a
 // different process, so a preempted simulation resumes instead of
@@ -41,10 +46,22 @@ func (g *Gap) Snapshot() GapState {
 	return GapState{IV: append([]Interval(nil), g.iv...), Busy: g.busy}
 }
 
-// Restore replaces the allocator state with st, reusing storage when it fits.
-func (g *Gap) Restore(st GapState) {
+// Restore replaces the allocator state with st, reusing storage when it
+// fits. The intervals must be non-empty, sorted and disjoint, as Allocate
+// keeps them; anything else is an error and leaves the allocator unchanged.
+func (g *Gap) Restore(st GapState) error {
+	for i, iv := range st.IV {
+		if iv.Start >= iv.End {
+			return fmt.Errorf("gap interval %d [%d,%d) is empty", i, iv.Start, iv.End)
+		}
+		if i > 0 && iv.Start < st.IV[i-1].End {
+			return fmt.Errorf("gap interval %d [%d,%d) overlaps or precedes interval %d ending at %d",
+				i, iv.Start, iv.End, i-1, st.IV[i-1].End)
+		}
+	}
 	g.iv = append(g.iv[:0], st.IV...)
-	g.busy = st.Busy
+	g.busy, g.cur = st.Busy, 0
+	return nil
 }
 
 // RingWindowState is the serialisable state of a RingWindow.
@@ -65,13 +82,23 @@ func (w *RingWindow) Snapshot() RingWindowState {
 	}
 }
 
-// Restore replaces the window state with st. The window's capacity follows
-// the state (a checkpoint is only restored into a machine built from the
-// same configuration, so in practice the capacity never changes).
-func (w *RingWindow) Restore(st RingWindowState) {
-	if len(w.leave) != len(st.Leave) {
-		w.leave = make([]int64, len(st.Leave))
+// Restore replaces the window state with st and rebuilds the derived
+// occupancy state from it. A checkpoint is only restored into a window of
+// the same capacity, so a capacity mismatch or an out-of-range ring index
+// is an error and leaves the window unchanged.
+func (w *RingWindow) Restore(st RingWindowState) error {
+	switch {
+	case st.N != w.n:
+		return fmt.Errorf("window capacity %d, configuration wants %d", st.N, w.n)
+	case len(st.Leave) != st.N:
+		return fmt.Errorf("window holds %d departure times for capacity %d", len(st.Leave), st.N)
+	case st.Count < 0 || st.Count > st.N:
+		return fmt.Errorf("window count %d outside [0,%d]", st.Count, st.N)
+	case st.N > 0 && (st.Next < 0 || st.Next >= st.N), st.N == 0 && st.Next != 0:
+		return fmt.Errorf("window ring index %d outside [0,%d)", st.Next, st.N)
 	}
 	copy(w.leave, st.Leave)
-	w.n, w.next, w.count = st.N, st.Next, st.Count
+	w.next, w.count = st.Next, st.Count
+	w.rebuild(math.MinInt64)
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"oovec/internal/ooosim"
 	"oovec/internal/refsim"
+	"oovec/internal/sched"
 	"oovec/internal/tgen"
 	"oovec/internal/vregfile"
 )
@@ -30,6 +31,34 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 		{"negative resume point", -3, false},
 		{"resume point past the trace", tr.Len() + 1, false},
 		{"empty port state", 0, true},
+	}
+	// OOOVA-only corruptions of the bounded windows and interval lists whose
+	// derived state a restore rebuilds.
+	oooCases := []struct {
+		name string
+		edit func(*ooosim.Checkpoint)
+	}{
+		{"ROB window count past its capacity", func(ck *ooosim.Checkpoint) {
+			ck.ROB.Window.Count = ck.ROB.Window.N + 1
+		}},
+		{"issue queue ring index out of range", func(ck *ooosim.Checkpoint) {
+			ck.VQ.Window.Next = ck.VQ.Window.N
+		}},
+		{"memory queue window count negative", func(ck *ooosim.Checkpoint) {
+			ck.MQ.Window.Count = -1
+		}},
+		{"unsorted functional-unit intervals", func(ck *ooosim.Checkpoint) {
+			ck.FU1.IV = []sched.Interval{{Start: 40, End: 50}, {Start: 10, End: 20}}
+		}},
+		{"overlapping issue-port intervals", func(ck *ooosim.Checkpoint) {
+			ck.AQ.Slots.IV = []sched.Interval{{Start: 0, End: 10}, {Start: 5, End: 15}}
+		}},
+		{"empty address-bus interval", func(ck *ooosim.Checkpoint) {
+			ck.MSched.Bus.IV = []sched.Interval{{Start: 7, End: 7}}
+		}},
+		{"ROB commit ring index out of range", func(ck *ooosim.Checkpoint) {
+			ck.ROB.RI = len(ck.ROB.Recent)
+		}},
 	}
 	machines := []struct {
 		name   string
@@ -57,6 +86,20 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 			_, _, err := refsim.NewMachine(refsim.DefaultConfig()).RunCheckpointed(tr, refsim.RunOpts{Resume: ck})
 			return err
 		}},
+	}
+	for _, c := range oooCases {
+		t.Run("OOOVA/"+c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("resume panicked: %v", r)
+				}
+			}()
+			_, ck, _ := ooosim.NewMachine(ooosim.DefaultConfig()).RunCheckpointed(tr, ooosim.RunOpts{Ctx: canceled})
+			c.edit(ck)
+			if _, _, err := ooosim.NewMachine(ooosim.DefaultConfig()).RunCheckpointed(tr, ooosim.RunOpts{Resume: ck}); err == nil {
+				t.Fatal("malformed checkpoint resumed without an error")
+			}
+		})
 	}
 	for _, m := range machines {
 		for _, c := range cases {
