@@ -401,6 +401,19 @@ func BenchmarkSimulatorOOO128Reuse(b *testing.B) {
 	benchReuse(b, func(tr *trace.Trace) { m.Run(tr) })
 }
 
+// BenchmarkSimulatorOOOElimReuse is BenchmarkSimulatorOOOReuse for Figure
+// 12's configuration (late commit, SLE+VLE, 64 physical vector registers),
+// where every load probes the memory tags for an exact match and every
+// store invalidates the tags its range overlaps.
+func BenchmarkSimulatorOOOElimReuse(b *testing.B) {
+	cfg := ooosim.DefaultConfig()
+	cfg.Commit = rob.PolicyLate
+	cfg.LoadElim = ooosim.ElimSLEVLE
+	cfg.PhysVRegs = 64
+	m := ooosim.NewMachine(cfg)
+	benchReuse(b, func(tr *trace.Trace) { m.Run(tr) })
+}
+
 func BenchmarkTraceGeneration(b *testing.B) {
 	p, _ := tgen.PresetByName("swm256")
 	p.Insns = 20000

@@ -12,7 +12,10 @@
 // then may issue memory requests out of order.
 package iq
 
-import "oovec/internal/sched"
+import (
+	"oovec/internal/rangeidx"
+	"oovec/internal/sched"
+)
 
 // DefaultSlots is the paper's queue capacity ("All instruction queues are
 // set at 16 slots"); the OOOVA-128 configuration uses 128.
@@ -100,6 +103,12 @@ type MemQueue struct {
 	n       int // total entries recorded
 	scanWin int //ovlint:config structural size, fixed at construction
 
+	// ranges indexes the byte ranges of the last scanWin entries, access i
+	// in slot i%scanWin and marked if it is a store, so the Dependence
+	// check visits only the overlapping entries. It is allocated at the
+	// first Record: a queue that only books slots (Admit) has none.
+	ranges *rangeidx.Index //ovlint:derived the ranges of the live entries; Restore rebuilds it
+
 	conflicts int64
 }
 
@@ -152,22 +161,26 @@ func (q *MemQueue) Advance(enter int64) int64 {
 // of the two is a store; the younger access must then wait until the older
 // one has issued all its requests.
 //
-//ovlint:hotpath the scan runs once per memory instruction
+//ovlint:hotpath the check runs once per memory instruction
 func (q *MemQueue) ConflictConstraint(start, end uint64, isStore bool) int64 {
-	var at int64
-	lo := q.n - q.scanWin
-	if lo < 0 {
-		lo = 0
+	if q.ranges == nil {
+		return 0 // nothing recorded
 	}
-	for i := lo; i < q.n; i++ {
-		e := &q.entries[i%maxScan]
-		if !(isStore || e.isStore) {
-			continue // load-load never conflicts
+	// A load conflicts only with stores. The oldest live entry, lo, sits in
+	// slot first; slots below first hold the entries younger than slot
+	// scanWin-1's.
+	over := q.ranges.Query(start, end, !isStore)
+	lo := max(q.n-q.scanWin, 0)
+	first := lo % q.scanWin
+	var at int64
+	for slot := rangeidx.Next(over, 0); slot >= 0; slot = rangeidx.Next(over, slot+1) {
+		i := lo - first + slot
+		if slot < first {
+			i += q.scanWin
 		}
-		if e.start <= end && start <= e.end {
-			if e.busEnd > at {
-				at = e.busEnd
-			}
+		e := &q.entries[i%maxScan]
+		if (isStore || e.isStore) && e.start <= end && start <= e.end {
+			at = max(at, e.busEnd)
 		}
 	}
 	if at > 0 {
@@ -183,8 +196,28 @@ func (q *MemQueue) ConflictConstraint(start, end uint64, isStore bool) int64 {
 //ovlint:hotpath called once per memory instruction
 func (q *MemQueue) Record(start, end uint64, isStore bool, busStart, busEnd int64) {
 	q.entries[q.n%maxScan] = memEntry{start: start, end: end, isStore: isStore, busEnd: busEnd}
+	if q.ranges == nil {
+		q.rebuildRanges()
+	}
+	q.ranges.Insert(q.n%q.scanWin, start, end, isStore) // replaces entry n-scanWin
 	q.n++
 	q.window.Admit(busStart)
+}
+
+// rebuildRanges indexes the live entries, allocating the index on first
+// use.
+//
+//ovlint:coldpath once per queue, at its first Record, or per restore
+func (q *MemQueue) rebuildRanges() {
+	if q.ranges == nil {
+		q.ranges = rangeidx.New(q.scanWin)
+	} else {
+		q.ranges.Reset()
+	}
+	for i := max(q.n-q.scanWin, 0); i < q.n; i++ {
+		e := &q.entries[i%maxScan]
+		q.ranges.Insert(i%q.scanWin, e.start, e.end, e.isStore)
+	}
 }
 
 // Admit books a queue slot without a disambiguation record; callers that
@@ -204,6 +237,9 @@ func (q *MemQueue) Reset() {
 	q.issueRF.Reset()
 	q.rangeSt.Reset()
 	q.depSt.Reset()
+	if q.ranges != nil {
+		q.ranges.Reset()
+	}
 	q.n = 0
 	q.conflicts = 0
 }

@@ -97,5 +97,8 @@ func (q *MemQueue) Restore(st MemQueueState) error {
 	}
 	q.n = st.N
 	q.conflicts = st.Conflicts
+	if q.ranges != nil || q.n > 0 {
+		q.rebuildRanges()
+	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package iq
 
 import (
+	"math/rand"
 	"testing"
 
 	"oovec/internal/sched"
@@ -58,5 +59,57 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 	mst = m.Snapshot()
 	if err := NewMemQueue(8).Restore(mst); err == nil {
 		t.Error("memory queue: window of another capacity accepted")
+	}
+}
+
+// TestMemQueueMatchesLinearReference drives the range-indexed Dependence
+// check and a linear scan over the same disambiguation ring with random
+// accesses — small crowded ranges, ranges at address 0, block-straddling,
+// gather-sized and distant ranges, loads and stores — across queue sizes
+// around the scan bound, with snapshot/restore into a fresh queue at random
+// points, and requires the same constraint for every access.
+func TestMemQueueMatchesLinearReference(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		slots := []int{1, 4, 16, 64, 128, 300}[r.Intn(6)]
+		q := NewMemQueue(slots)
+		for i := 0; i < 500; i++ {
+			var start, end uint64
+			switch k := r.Intn(10); {
+			case k < 5:
+				start = uint64(r.Intn(8192))
+				end = start + uint64(r.Intn(512))
+			case k < 6:
+				end = uint64(r.Intn(4096))
+			case k < 8:
+				start = uint64(1+r.Intn(3))<<12 - uint64(1+r.Intn(128))
+				end = start + uint64(r.Intn(256))
+			case k < 9:
+				start = uint64(r.Intn(16384))
+				end = start + uint64(2*4096+r.Intn(2*128*128))
+			default:
+				start = uint64(r.Intn(512))<<16 + uint64(r.Intn(4096))
+				end = start + uint64(r.Intn(64))
+			}
+			isStore := r.Intn(3) == 0
+			var want int64
+			for j := max(q.n-q.scanWin, 0); j < q.n; j++ {
+				e := &q.entries[j%maxScan]
+				if (isStore || e.isStore) && e.start <= end && start <= e.end {
+					want = max(want, e.busEnd)
+				}
+			}
+			if got := q.ConflictConstraint(start, end, isStore); got != want {
+				t.Fatalf("seed %d access %d: ConflictConstraint = %d, linear scan %d", seed, i, got, want)
+			}
+			q.Record(start, end, isStore, int64(i), int64(i+1+r.Intn(50)))
+			if r.Intn(40) == 0 {
+				st := q.Snapshot()
+				q = NewMemQueue(slots)
+				if err := q.Restore(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 }

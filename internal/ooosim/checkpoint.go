@@ -25,6 +25,7 @@ import (
 	"oovec/internal/iq"
 	"oovec/internal/isa"
 	"oovec/internal/metrics"
+	"oovec/internal/rangeidx"
 	"oovec/internal/rename"
 	"oovec/internal/rob"
 	"oovec/internal/sched"
@@ -85,11 +86,26 @@ func (s *memScheduler) snapshot() MemSchedState {
 }
 
 // restore replaces the scheduler state with st, keeping the scan-window
-// capacity (configuration, not state). A negative entry count or a
-// malformed bus interval list is an error.
+// capacity (configuration, not state). A negative entry count, a
+// disambiguation ring of another size, a malformed bus interval list, or a
+// pending store and a recorded entry that name each other out of range are
+// errors: the index rebuild and conflictConstraint follow those names.
 func (s *memScheduler) restore(st MemSchedState) error {
 	if st.N < 0 {
 		return fmt.Errorf("memory scheduler entry count %d is negative", st.N)
+	}
+	if len(st.Entries) != memScanWindow {
+		return fmt.Errorf("memory scheduler ring holds %d entries, want %d", len(st.Entries), memScanWindow)
+	}
+	for i, p := range st.Pend {
+		if p.Entry < 0 || p.Entry >= st.N {
+			return fmt.Errorf("memory scheduler pending store %d names entry %d of %d", i, p.Entry, st.N)
+		}
+	}
+	for i := max(st.N-memScanWindow, 0); i < st.N; i++ {
+		if e := st.Entries[i%memScanWindow]; e.PendIdx < -1 || e.PendIdx >= len(st.Pend) {
+			return fmt.Errorf("memory scheduler entry %d names pending store %d of %d", i, e.PendIdx, len(st.Pend))
+		}
 	}
 	if err := s.bus.Restore(st.Bus); err != nil {
 		return fmt.Errorf("address bus %w", err)
@@ -103,17 +119,16 @@ func (s *memScheduler) restore(st MemSchedState) error {
 			s.pushReady(i)
 		}
 	}
-	for i := range s.entries {
-		s.entries[i] = memEntry{}
-	}
 	for i, e := range st.Entries {
-		if i >= memScanWindow {
-			break
-		}
 		s.entries[i] = memEntry{rstart: e.RStart, rend: e.REnd,
 			isStore: e.IsStore, busEnd: e.BusEnd, pendIdx: e.PendIdx}
 	}
 	s.n = st.N
+	s.ranges = rangeidx.New(s.scanWin) // derived: rebuilt from the live entries
+	for i := max(s.n-s.scanWin, 0); i < s.n; i++ {
+		e := &s.entries[i%memScanWindow]
+		s.ranges.Insert(i%s.scanWin, e.rstart, e.rend, e.isStore)
+	}
 	s.requests, s.conflicts, s.lastEnd = st.Requests, st.Conflicts, st.LastEnd
 	return nil
 }
@@ -274,9 +289,6 @@ func (m *machine) restore(ck *Checkpoint) error {
 	copy(m.sReady, ck.SReady)
 	copy(m.vTiming, ck.VTiming)
 	copy(m.mTiming, ck.MTiming)
-	m.vTags.Restore(ck.VTags)
-	m.sTags.Restore(ck.STags)
-	m.aTags.Restore(ck.ATags)
 	var err error
 	switch p := m.ports.(type) {
 	case *vregfile.FlatFile:
@@ -288,6 +300,9 @@ func (m *machine) restore(ck *Checkpoint) error {
 		return fmt.Errorf("ooosim: checkpoint %w", err)
 	}
 	for _, err := range [...]error{
+		m.vTags.Restore(ck.VTags),
+		m.sTags.Restore(ck.STags),
+		m.aTags.Restore(ck.ATags),
 		m.fu1.Restore(ck.FU1),
 		m.fu2.Restore(ck.FU2),
 		m.msched.restore(ck.MSched),

@@ -184,11 +184,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Name renders a short configuration label, e.g. "OOOVA-16/early".
+// Name renders a short configuration label, e.g. "OOOVA+SLE". The
+// labels of the paper's modes are constants, so a run's result does not
+// allocate one.
 func (c Config) Name() string {
-	label := "OOOVA"
-	if c.LoadElim != ElimNone {
-		label += "+" + c.LoadElim.String()
+	switch c.LoadElim {
+	case ElimNone:
+		return "OOOVA"
+	case ElimSLE:
+		return "OOOVA+SLE"
+	case ElimSLEVLE:
+		return "OOOVA+SLE+VLE"
 	}
-	return label
+	return "OOOVA+" + c.LoadElim.String()
 }

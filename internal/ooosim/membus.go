@@ -1,6 +1,7 @@
 package ooosim
 
 import (
+	"oovec/internal/rangeidx"
 	"oovec/internal/sched"
 )
 
@@ -33,6 +34,11 @@ type memScheduler struct {
 	entries [memScanWindow]memEntry
 	n       int
 	scanWin int //ovlint:config structural size, fixed at construction
+
+	// ranges indexes the byte ranges of the last scanWin entries, access i
+	// in slot i%scanWin and marked if it is a store, so conflictConstraint
+	// visits only the overlapping entries instead of the whole window.
+	ranges *rangeidx.Index //ovlint:derived the ranges of the live entries; restore rebuilds it
 
 	requests  int64
 	conflicts int64
@@ -69,7 +75,7 @@ func newMemScheduler(queueSlots int) *memScheduler {
 	if w <= 0 {
 		w = 16
 	}
-	return &memScheduler{bus: sched.NewGap(), scanWin: w}
+	return &memScheduler{bus: sched.NewGap(), scanWin: w, ranges: rangeidx.New(w)}
 }
 
 // reserve sizes the bus interval list, the pending-store list and the
@@ -96,6 +102,7 @@ func (s *memScheduler) reset() {
 	s.bus.Reset()
 	s.pend = s.pend[:0]
 	s.byReady = s.byReady[:0]
+	s.ranges.Reset()
 	s.n = 0
 	s.requests, s.conflicts, s.lastEnd = 0, 0, 0
 }
@@ -188,33 +195,21 @@ func (s *memScheduler) place(i int) {
 
 // conflictConstraint returns the earliest cycle an access over [rstart,
 // rend] may issue, given earlier overlapping accesses (at least one of the
-// pair being a store). Pending overlapping stores are forced to place.
+// pair being a store). Pending overlapping stores are forced to place, in
+// age order.
 func (s *memScheduler) conflictConstraint(rstart, rend uint64, isStore bool) int64 {
+	// A load conflicts only with stores. The oldest live entry, lo, sits in
+	// slot first; slots first.. hold lo.., and slots 0..first-1 the
+	// younger entries after them.
+	over := s.ranges.Query(rstart, rend, !isStore)
+	lo := max(s.n-s.scanWin, 0)
+	first := lo % s.scanWin
 	var at int64
-	lo := s.n - s.scanWin
-	if lo < 0 {
-		lo = 0
+	for slot := rangeidx.Next(over, first); slot >= 0; slot = rangeidx.Next(over, slot+1) {
+		at = max(at, s.conflictWith(lo+slot-first, rstart, rend, isStore))
 	}
-	for i := lo; i < s.n; i++ {
-		e := &s.entries[i%memScanWindow]
-		if !(isStore || e.isStore) {
-			continue
-		}
-		if !(e.rstart <= rend && rstart <= e.rend) {
-			continue
-		}
-		if e.pendIdx >= 0 && !s.pend[e.pendIdx].placed {
-			// The older conflicting store must issue first; place every
-			// store ready up to it, then it, preserving ready order.
-			// (Elidable stores skip the flush, so place them directly —
-			// an overlapping access proves the spilled value is live.)
-			idx := e.pendIdx
-			s.flush(s.pend[idx].ready)
-			s.place(idx)
-		}
-		if e.busEnd > at {
-			at = e.busEnd
-		}
+	for slot := rangeidx.Next(over, 0); slot >= 0 && slot < first; slot = rangeidx.Next(over, slot+1) {
+		at = max(at, s.conflictWith(lo+s.scanWin-first+slot, rstart, rend, isStore))
 	}
 	if at > 0 {
 		s.conflicts++
@@ -222,11 +217,34 @@ func (s *memScheduler) conflictConstraint(rstart, rend uint64, isStore bool) int
 	return at
 }
 
+// conflictWith checks the access over [rstart, rend] against entry i, an
+// overlapping entry the range index returned, and returns the cycle the
+// entry's bus occupancy ends if the two conflict, else 0. The check is the
+// index's own for a well-formed range; only an inverted one (rstart >
+// rend), for which the index returns every live entry, depends on it.
+func (s *memScheduler) conflictWith(i int, rstart, rend uint64, isStore bool) int64 {
+	e := &s.entries[i%memScanWindow]
+	if !(isStore || e.isStore) || !(e.rstart <= rend && rstart <= e.rend) {
+		return 0
+	}
+	if e.pendIdx >= 0 && !s.pend[e.pendIdx].placed {
+		// The older conflicting store must issue first; place every
+		// store ready up to it, then it, preserving ready order.
+		// (Elidable stores skip the flush, so place them directly —
+		// an overlapping access proves the spilled value is live.)
+		idx := e.pendIdx
+		s.flush(s.pend[idx].ready)
+		s.place(idx)
+	}
+	return e.busEnd
+}
+
 // record appends a disambiguation entry and returns its absolute index.
 func (s *memScheduler) record(rstart, rend uint64, isStore bool, busEnd int64, pendIdx int) int {
 	s.entries[s.n%memScanWindow] = memEntry{
 		rstart: rstart, rend: rend, isStore: isStore, busEnd: busEnd, pendIdx: pendIdx,
 	}
+	s.ranges.Insert(s.n%s.scanWin, rstart, rend, isStore) // replaces entry n-scanWin
 	s.n++
 	return s.n - 1
 }
@@ -281,6 +299,9 @@ func (s *memScheduler) tryCancel(pendIdx int) (int64, bool) {
 		e.rstart, e.rend = 1, 0 // empty range: overlaps nothing
 		e.busEnd = 0
 		e.pendIdx = -1
+	}
+	if p.entry >= s.n-s.scanWin {
+		s.ranges.Remove(p.entry % s.scanWin)
 	}
 	return p.req, true
 }

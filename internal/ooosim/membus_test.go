@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"oovec/internal/isa"
 	"oovec/internal/sched"
 )
 
@@ -136,14 +137,40 @@ func (s *linearMemScheduler) finishAll() int64 {
 	return s.lastEnd
 }
 
-// TestMemSchedulerMatchesLinearReference drives the heap-ordered scheduler
-// and the linear-scan reference with the same random call sequences —
-// loads, deferred and elidable stores, immediate stores, overlapping
-// conflict probes, cancellations, eliminated loads, storage growth and
-// snapshot/restore into a fresh scheduler at random cut points — and
-// requires identical bus bookings, counters and return values after every
-// call. Growth after a restore is the order a pooled machine's resume
-// takes, so reserve must keep the rebuilt ready heap.
+// randAccessRange draws the byte range of one access. Most are small and
+// crowd a few 4 KiB blocks, so they overlap often; the rest are the cases
+// the scheduler's range index treats apart: ranges at address 0, ranges
+// straddling a block boundary, gather-sized and other ranges over more
+// than two blocks, and small ranges in distant blocks, which share buckets
+// of the index without overlapping.
+func randAccessRange(r *rand.Rand) (uint64, uint64) {
+	const gather = 2 * isa.MaxVL * isa.MaxVL // the span MemRange gives a gather
+	switch k := r.Intn(20); {
+	case k < 10:
+		s := uint64(r.Intn(8192))
+		return s, s + uint64(r.Intn(512))
+	case k < 11:
+		return 0, uint64(r.Intn(4096))
+	case k < 14:
+		s := uint64(1+r.Intn(3))<<12 - uint64(1+r.Intn(128))
+		return s, s + uint64(r.Intn(256))
+	case k < 16:
+		s := uint64(r.Intn(16384))
+		return s, s + uint64(2*4096+r.Intn(gather))
+	default:
+		s := uint64(r.Intn(512))<<16 + uint64(r.Intn(4096))
+		return s, s + uint64(r.Intn(64))
+	}
+}
+
+// TestMemSchedulerMatchesLinearReference drives the heap-ordered,
+// range-indexed scheduler and the linear-scan reference with the same
+// random call sequences — loads, deferred and elidable stores, immediate
+// stores, overlapping conflict probes, cancellations, eliminated loads,
+// storage growth and snapshot/restore into a fresh scheduler at random cut
+// points — and requires identical bus bookings, counters and return values
+// after every call. Growth after a restore is the order a pooled machine's
+// resume takes, so reserve must keep the rebuilt ready heap.
 func TestMemSchedulerMatchesLinearReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -164,8 +191,7 @@ func TestMemSchedulerMatchesLinearReference(t *testing.T) {
 			}
 			occ := int64(1 + r.Intn(70))
 			req := occ - 1
-			rstart := uint64(r.Intn(8192))
-			rend := rstart + uint64(r.Intn(512))
+			rstart, rend := randAccessRange(r)
 
 			var op string
 			var got, want int64
@@ -221,7 +247,9 @@ func TestMemSchedulerMatchesLinearReference(t *testing.T) {
 				if r.Intn(2) == 0 {
 					heap.reserve(len(st.Bus.IV)+1, len(st.Pend)+1)
 				}
-				heap.restore(st)
+				if err := heap.restore(st); err != nil {
+					t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
+				}
 			}
 			if got != want {
 				t.Fatalf("seed %d step %d: %s returned %d, reference %d", seed, step, op, got, want)

@@ -1,5 +1,10 @@
 package rename
 
+import (
+	"fmt"
+	"slices"
+)
+
 // Snapshot/Restore support for mid-run checkpointing (see package sched).
 
 // FreeEntry is the exported form of one free-list entry.
@@ -60,11 +65,18 @@ func (f *TagFile) Snapshot() TagFileState {
 	}
 }
 
-// Restore replaces the tag-file state with st.
-func (f *TagFile) Restore(st TagFileState) {
-	if len(f.tags) != len(st.Tags) {
-		f.tags = make([]Tag, len(st.Tags))
+// Restore replaces the tag-file state with st. The number of tags is the
+// register file's size, configuration rather than state: a state of
+// another size is an error and leaves the file unchanged.
+func (f *TagFile) Restore(st TagFileState) error {
+	if len(st.Tags) != len(f.tags) {
+		return fmt.Errorf("rename: tag file holds %d tags, the register file has %d registers",
+			len(st.Tags), len(f.tags))
 	}
 	copy(f.tags, st.Tags)
 	f.matches, f.invalidations = st.Matches, st.Invalidations
+	if f.idx != nil || slices.ContainsFunc(f.tags, func(t Tag) bool { return t.Valid }) {
+		f.buildIndex()
+	}
+	return nil
 }

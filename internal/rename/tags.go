@@ -20,6 +20,8 @@ package rename
 //   - a later load whose tag matches an existing tag exactly is redundant:
 //     its destination is renamed to the matching physical register.
 
+import "oovec/internal/rangeidx"
+
 // Tag describes the memory image aliased by one physical register.
 type Tag struct {
 	// Start and End delimit the byte range [Start, End] touched.
@@ -47,8 +49,15 @@ func (t Tag) Overlaps(start, end uint64) bool {
 }
 
 // TagFile holds the tags of one register class's physical registers.
+//
+// The valid tags are indexed by address block (package rangeidx), so a
+// store's invalidation and a load's exact-match probe visit only the
+// registers whose ranges overlap theirs, in ascending register order. The
+// index is allocated with the first valid tag: a machine without load
+// elimination never sets one, and carries none.
 type TagFile struct {
 	tags []Tag
+	idx  *rangeidx.Index //ovlint:derived the valid tags by address block; Restore rebuilds it
 
 	matches       int64
 	invalidations int64
@@ -64,36 +73,79 @@ func (f *TagFile) Grow(n int) {
 	for len(f.tags) < n {
 		f.tags = append(f.tags, Tag{})
 	}
+	if f.idx != nil && f.idx.Len() < n {
+		f.buildIndex()
+	}
+}
+
+// buildIndex sizes the index for the file and fills it with the valid
+// tags.
+//
+//ovlint:coldpath once per tag file, at its first valid tag, or per restore
+func (f *TagFile) buildIndex() {
+	if f.idx == nil || f.idx.Len() != len(f.tags) {
+		f.idx = rangeidx.New(len(f.tags))
+	} else {
+		f.idx.Reset()
+	}
+	for p, t := range f.tags {
+		if t.Valid {
+			f.idx.Insert(p, t.Start, t.End, false)
+		}
+	}
 }
 
 // Reset invalidates every tag and clears the counters, reusing the storage.
 func (f *TagFile) Reset() {
-	for i := range f.tags {
-		f.tags[i] = Tag{}
+	clear(f.tags)
+	if f.idx != nil {
+		f.idx.Reset()
 	}
 	f.matches, f.invalidations = 0, 0
 }
 
 // Set installs a tag on phys.
-func (f *TagFile) Set(phys int, t Tag) { f.tags[phys] = t }
+func (f *TagFile) Set(phys int, t Tag) {
+	f.tags[phys] = t
+	switch {
+	case !t.Valid:
+		f.Invalidate(phys)
+	case f.idx == nil:
+		f.buildIndex()
+	default:
+		f.idx.Insert(phys, t.Start, t.End, false)
+	}
+}
 
 // Get returns the tag of phys.
 func (f *TagFile) Get(phys int) Tag { return f.tags[phys] }
 
 // Invalidate clears the tag of phys (e.g. the register was overwritten by a
 // functional-unit result, which no longer mirrors memory).
-func (f *TagFile) Invalidate(phys int) { f.tags[phys].Valid = false }
+func (f *TagFile) Invalidate(phys int) {
+	f.tags[phys].Valid = false
+	if f.idx != nil {
+		f.idx.Remove(phys)
+	}
+}
+
+// overlapping returns the registers whose valid tags overlap [start, end],
+// as a bitset to walk with rangeidx.Next; nil when no tag was ever valid.
+func (f *TagFile) overlapping(start, end uint64) []uint64 {
+	if f.idx == nil {
+		return nil
+	}
+	return f.idx.Query(start, end, false)
+}
 
 // InvalidateOverlap clears every tag overlapping [start, end], except the
 // register `except` (pass -1 for none). This is the conservative
 // invalidation a store performs.
 func (f *TagFile) InvalidateOverlap(start, end uint64, except int) {
-	for p := range f.tags {
-		if p == except {
-			continue
-		}
-		if f.tags[p].Overlaps(start, end) {
-			f.tags[p].Valid = false
+	over := f.overlapping(start, end)
+	for p := rangeidx.Next(over, 0); p >= 0; p = rangeidx.Next(over, p+1) {
+		if p != except && f.tags[p].Overlaps(start, end) {
+			f.Invalidate(p)
 			f.invalidations++
 		}
 	}
@@ -104,12 +156,10 @@ func (f *TagFile) InvalidateOverlap(start, end uint64, except int) {
 // overlapping store leaves stale tags); the simulator uses it only to
 // quantify what the §6.1 conservative policy costs.
 func (f *TagFile) InvalidateExact(start, end uint64, except int) {
-	for p := range f.tags {
-		if p == except {
-			continue
-		}
-		if f.tags[p].Valid && f.tags[p].Start == start && f.tags[p].End == end {
-			f.tags[p].Valid = false
+	over := f.overlapping(start, end)
+	for p := rangeidx.Next(over, 0); p >= 0; p = rangeidx.Next(over, p+1) {
+		if p != except && f.tags[p].Valid && f.tags[p].Start == start && f.tags[p].End == end {
+			f.Invalidate(p)
 			f.invalidations++
 		}
 	}
@@ -119,7 +169,8 @@ func (f *TagFile) InvalidateExact(start, end uint64, except int) {
 // -1. When several match (possible after aliasing), the lowest-numbered one
 // is returned, keeping the simulator deterministic.
 func (f *TagFile) FindExact(t Tag) int {
-	for p := range f.tags {
+	over := f.overlapping(t.Start, t.End)
+	for p := rangeidx.Next(over, 0); p >= 0; p = rangeidx.Next(over, p+1) {
 		if f.tags[p].Matches(t) {
 			f.matches++
 			return p

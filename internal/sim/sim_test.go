@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"oovec/internal/ooosim"
@@ -58,6 +59,25 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 		}},
 		{"ROB commit ring index out of range", func(ck *ooosim.Checkpoint) {
 			ck.ROB.RI = len(ck.ROB.Recent)
+		}},
+		{"vector tag file shorter than the register file", func(ck *ooosim.Checkpoint) {
+			ck.VTags.Tags = ck.VTags.Tags[:2]
+		}},
+		{"disambiguation entry names a pending store past the list", func(ck *ooosim.Checkpoint) {
+			ms := &ck.MSched
+			ms.N++
+			ms.Entries[(ms.N-1)%len(ms.Entries)] = ooosim.MemSchedEntryState{
+				RStart: 0, REnd: math.MaxUint64, IsStore: true, PendIdx: len(ms.Pend) + 3}
+		}},
+		{"pending store names an entry before the first", func(ck *ooosim.Checkpoint) {
+			// A scheduler three accesses into its run, whose one pending
+			// store names entry -5.
+			ms := &ck.MSched
+			ms.N = 3
+			for i := range ms.Entries[:ms.N] {
+				ms.Entries[i].PendIdx = -1
+			}
+			ms.Pend = []ooosim.PendStoreState{{Occ: 1, Entry: -5}}
 		}},
 	}
 	machines := []struct {
