@@ -200,15 +200,18 @@ func TestEmitBench(t *testing.T) {
 	// the result cache. The ratio is the headline the cache earns its keep
 	// by; the snapshot records both absolute latencies.
 	cache := simcache.NewResults(1024, nil)
+	spec := sweep.Spec{Bench: []string{p.Name}, Regs: []int{12, 16, 32}, Lats: []int64{1, 50}, Insns: p.Insns}
+	simcache.GenerateTrace(p) // keep trace generation out of the cold timing
 	grid := func() int {
-		pts, err := sweep.OOOGridOpts(tr, DefaultOOOVAConfig(),
-			[]int{12, 16, 32}, []int64{1, 50}, sweep.Opts{
-				Workers: 1, Cache: cache, TraceKey: simcache.PresetKey(p),
-			})
+		n := 0
+		err := sweep.Run(spec, sweep.Opts{Workers: 1, Cache: cache}, func(pts []sweep.Point) error {
+			n += len(pts)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(pts)
+		return n
 	}
 	start := time.Now()
 	n := grid()

@@ -28,11 +28,11 @@ func main() {
 		bench   = flag.String("bench", "swm256", "benchmark name (see ovtrace -list)")
 		traceF  = flag.String("trace", "", "run a serialised trace file instead of a benchmark")
 		machine = flag.String("machine", "ooo", "machine: ref | ooo")
-		vregs   = flag.Int("vregs", 16, "physical vector registers (OOOVA)")
-		queues  = flag.Int("queues", 16, "instruction queue slots (OOOVA)")
+		vregs   = flag.Int("vregs", 0, "physical vector registers (OOOVA; 0 = 16)")
+		queues  = flag.Int("queues", 0, "instruction queue slots (OOOVA; 0 = 16)")
 		latency = flag.Int64("latency", 50, "main-memory latency in cycles")
-		commit  = flag.String("commit", "early", "commit policy: early | late (OOOVA)")
-		elim    = flag.String("elim", "none", "load elimination: none | sle | sle+vle (OOOVA)")
+		commit  = flag.String("commit", "", "commit policy: early | late (OOOVA; empty = early)")
+		elim    = flag.String("elim", "", "load elimination: none | sle | sle+vle (OOOVA; empty = none)")
 		insns   = flag.Int("insns", 0, "override benchmark instruction budget")
 		stalls  = flag.Bool("stalls", false, "print stall-cause attribution and occupancy histograms")
 		ptrace  = flag.String("pipetrace", "", "write a Kanata/Konata pipeline trace of the run to this file")
@@ -58,15 +58,17 @@ func main() {
 		kan = probe.NewKanata(kanFile)
 	}
 
+	// The flags fill the same config surface as the /v1/sim "config"
+	// object and resolve through the same bounds and messages.
+	sc := cli.SimConfig{VRegs: *vregs, Queues: *queues, Latency: *latency, Commit: *commit, Elim: *elim}
 	switch *machine {
 	case "ref":
-		cfg := oovec.DefaultReferenceConfig()
-		cfg.MemLatency = *latency
+		cfg, err := sc.RefConfig()
+		if err != nil {
+			fatal(err)
+		}
 		if kan != nil {
 			cfg.Sink = kan
-		}
-		if err := cli.CheckRef(cfg); err != nil {
-			fatal(err)
 		}
 		st := oovec.RunReference(tr, cfg)
 		printStats(st)
@@ -74,21 +76,12 @@ func main() {
 			printStalls(st)
 		}
 	case "ooo":
-		cfg := oovec.DefaultOOOVAConfig()
-		cfg.PhysVRegs = *vregs
-		cfg.QueueSlots = *queues
-		cfg.MemLatency = *latency
+		cfg, err := sc.OOOConfig()
+		if err != nil {
+			fatal(err)
+		}
 		if kan != nil {
 			cfg.Sink = kan
-		}
-		if cfg.Commit, err = cli.ParseCommit(*commit); err != nil {
-			fatal(err)
-		}
-		if cfg.LoadElim, err = cli.ParseElim(*elim); err != nil {
-			fatal(err)
-		}
-		if err := cli.CheckOOO(cfg); err != nil {
-			fatal(err)
 		}
 		// The OOOVA run and the reference comparison run are independent;
 		// fan them across the worker pool.

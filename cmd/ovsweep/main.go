@@ -29,19 +29,16 @@ import (
 	"sync/atomic"
 
 	"oovec/internal/cli"
-	"oovec/internal/isa"
-	"oovec/internal/ooosim"
 	"oovec/internal/simcache"
 	"oovec/internal/sweep"
-	"oovec/internal/tgen"
 )
 
 func main() {
 	var (
 		bench   = flag.String("bench", "swm256", "comma-separated benchmark names")
 		machine = flag.String("machine", "ooo", "machine: ref | ooo | both")
-		regsF   = flag.String("regs", "9,12,16,32,64", "comma-separated physical vector register counts (OOOVA)")
-		latsF   = flag.String("lats", "1,50,100", "comma-separated memory latencies")
+		regsF   = flag.String("regs", "", "comma-separated physical vector register counts (OOOVA; empty = the default grid)")
+		latsF   = flag.String("lats", "", "comma-separated memory latencies (empty = the default grid)")
 		commit  = flag.String("commit", "early", "commit policy: early | late (OOOVA)")
 		elim    = flag.String("elim", "none", "load elimination: none | sle | sle+vle (OOOVA)")
 		insns   = flag.Int("insns", 0, "instruction budget override")
@@ -52,43 +49,23 @@ func main() {
 	flag.Parse()
 	common.Announce("ovsweep")
 
-	// Validate the machine selection up front: a typo used to fall through
-	// both grid `if`s and silently produce a header-only CSV with exit 0.
-	switch *machine {
-	case "ref", "ooo", "both":
-	default:
-		fatal(fmt.Errorf("unknown machine %q (ref | ooo | both)", *machine))
+	spec := sweep.Spec{Machine: *machine, Commit: *commit, Elim: *elim, Insns: *insns}
+	for _, name := range strings.Split(*bench, ",") {
+		spec.Bench = append(spec.Bench, strings.TrimSpace(name))
 	}
-
 	regs, err := parseInts(*regsF)
 	if err != nil {
 		fatal(err)
 	}
-	if *machine != "ref" { // -regs only drives the OOOVA grids
-		for _, r := range regs {
-			if r <= 0 {
-				fatal(fmt.Errorf("-regs values must be positive, got %d", r))
-			}
-			if r <= isa.NumLogicalV {
-				fatal(fmt.Errorf("-regs %d: the OOOVA needs more than %d physical vector registers (one per architectural register plus at least one for renaming)", r, isa.NumLogicalV))
-			}
-		}
-	}
-	lats64, err := parseInt64s(*latsF)
+	spec.Regs = regs
+	lats, err := parseInts(*latsF)
 	if err != nil {
 		fatal(err)
 	}
-	for _, l := range lats64 {
-		if l <= 0 {
-			fatal(fmt.Errorf("-lats values must be positive, got %d", l))
-		}
+	for _, l := range lats {
+		spec.Lats = append(spec.Lats, int64(l))
 	}
-
-	base := ooosim.DefaultConfig()
-	if base.Commit, err = cli.ParseCommit(*commit); err != nil {
-		fatal(err)
-	}
-	if base.LoadElim, err = cli.ParseElim(*elim); err != nil {
+	if err := spec.Resolve(); err != nil {
 		fatal(err)
 	}
 
@@ -105,13 +82,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// flushStore makes completed rows durable before any exit — including
-	// the SIGINT path, so an interrupted sweep still warms the next run.
-	flushStore := func() {
-		if st != nil {
-			st.Close()
-		}
-	}
 	var disk simcache.ResultStore
 	if st != nil {
 		disk = st
@@ -123,39 +93,19 @@ func main() {
 		Ctx:     ctx,
 		OnSim:   func() { sims.Add(1) },
 	}
-
 	var pts []sweep.Point
-	for _, name := range strings.Split(*bench, ",") {
-		p, ok := tgen.PresetByName(strings.TrimSpace(name))
-		if !ok {
-			flushStore()
-			fatal(fmt.Errorf("unknown benchmark %q", name))
-		}
-		if *insns > 0 {
-			p.Insns = *insns
-		}
-		// The shared trace cache means repeated runs in one process (and the
-		// ovserve daemon) generate each (preset, insns) trace once.
-		tr := simcache.GenerateTrace(p)
-		opts.TraceKey = simcache.PresetKey(p)
-		if *machine == "ref" || *machine == "both" {
-			grid, err := sweep.RefGridOpts(tr, lats64, opts)
-			if err != nil {
-				flushStore()
-				fatal(fmt.Errorf("sweep interrupted: %w", err))
-			}
-			pts = append(pts, grid...)
-		}
-		if *machine == "ooo" || *machine == "both" {
-			grid, err := sweep.OOOGridOpts(tr, base, regs, lats64, opts)
-			if err != nil {
-				flushStore()
-				fatal(fmt.Errorf("sweep interrupted: %w", err))
-			}
-			pts = append(pts, grid...)
-		}
+	err = sweep.Run(spec, opts, func(grid []sweep.Point) error {
+		pts = append(pts, grid...)
+		return nil
+	})
+	// Completed rows become durable before any exit — including the SIGINT
+	// path, so an interrupted sweep still warms the next run.
+	if st != nil {
+		st.Close()
 	}
-	flushStore()
+	if err != nil {
+		fatal(fmt.Errorf("sweep interrupted: %w", err))
+	}
 	if common.Verbose {
 		fmt.Fprintf(os.Stderr, "ovsweep: %d grid points, %d simulations run (%d served from cache)\n",
 			len(pts), sims.Load(), int64(len(pts))-sims.Load())
@@ -178,7 +128,12 @@ func main() {
 	fmt.Printf("wrote %d points to %s\n", len(pts), *out)
 }
 
+// parseInts parses a comma-separated integer list; the empty string is the
+// empty list, which the grid fills with its defaults.
 func parseInts(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
@@ -186,18 +141,6 @@ func parseInts(s string) ([]int, error) {
 			return nil, fmt.Errorf("bad integer %q", part)
 		}
 		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInt64s(s string) ([]int64, error) {
-	vs, err := parseInts(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(vs))
-	for i, v := range vs {
-		out[i] = int64(v)
 	}
 	return out, nil
 }

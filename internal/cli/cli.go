@@ -64,29 +64,82 @@ func ParseElim(s string) (ooosim.ElimMode, error) {
 	return ooosim.ElimNone, fmt.Errorf("unknown elimination mode %q (none | sle | sle+vle)", s)
 }
 
-// CheckOOO enforces the bounds every surface accepting an OOOVA
-// configuration — ovsim, the ovserve API — applies before a run: no
-// negative field, and more physical vector registers than architectural
-// ones, since renaming needs at least one spare (the simulator panics
-// without it). Zero fields keep the paper's defaults.
-func CheckOOO(cfg ooosim.Config) error {
-	if cfg.PhysVRegs < 0 || cfg.QueueSlots < 0 || cfg.ROBSize < 0 || cfg.CommitWidth < 0 ||
-		cfg.MemLatency < 0 || cfg.ScalarMemLatency < 0 {
-		return errors.New("config values must be non-negative")
-	}
-	if cfg.PhysVRegs > 0 && cfg.PhysVRegs <= isa.NumLogicalV {
-		return fmt.Errorf("vregs %d: the OOOVA needs more than %d physical vector registers", cfg.PhysVRegs, isa.NumLogicalV)
-	}
-	return nil
+// SimConfig is the machine configuration surface of a single run — the
+// ooosim.Config / refsim.Config fields a user may override — shared by the
+// ovsim flags and the ovserve /v1/sim "config" object. Zero fields keep the
+// paper's defaults. OOOConfig and RefConfig are the one resolver both
+// surfaces run it through, so the bounds and the error messages cannot
+// drift between them.
+type SimConfig struct {
+	// VRegs is the physical vector register count (OOOVA; default 16).
+	VRegs int `json:"vregs,omitempty"`
+	// Queues is the instruction queue depth (OOOVA; default 16).
+	Queues int `json:"queues,omitempty"`
+	// ROB is the reorder buffer capacity (OOOVA; default 64).
+	ROB int `json:"rob,omitempty"`
+	// CommitWidth is the maximum commits per cycle (OOOVA; default 4).
+	CommitWidth int `json:"commit_width,omitempty"`
+	// Latency is the main-memory latency in cycles (default 50).
+	Latency int64 `json:"latency,omitempty"`
+	// ScalarLatency is the scalar-reference latency (default 6).
+	ScalarLatency int64 `json:"scalar_latency,omitempty"`
+	// Commit is the commit policy: "early" (default) or "late" (OOOVA).
+	Commit string `json:"commit,omitempty"`
+	// Elim is the load-elimination mode: "none" (default), "sle" or
+	// "sle+vle" (OOOVA).
+	Elim string `json:"elim,omitempty"`
 }
 
-// CheckRef is CheckOOO for the reference machine, whose only bounded
-// fields are its latencies.
-func CheckRef(cfg refsim.Config) error {
-	if cfg.MemLatency < 0 || cfg.ScalarMemLatency < 0 {
-		return errors.New("config values must be non-negative")
+// OOOConfig resolves the surface onto an ooosim.Config: no negative field,
+// and more physical vector registers than architectural ones, since
+// renaming needs at least one spare (the simulator panics without it).
+// Zero fields stay zero, which the simulator runs as the paper's defaults.
+func (c SimConfig) OOOConfig() (ooosim.Config, error) {
+	cfg := ooosim.Config{
+		PhysVRegs:        c.VRegs,
+		QueueSlots:       c.Queues,
+		ROBSize:          c.ROB,
+		CommitWidth:      c.CommitWidth,
+		MemLatency:       c.Latency,
+		ScalarMemLatency: c.ScalarLatency,
 	}
-	return nil
+	if cfg.PhysVRegs < 0 || cfg.QueueSlots < 0 || cfg.ROBSize < 0 || cfg.CommitWidth < 0 ||
+		cfg.MemLatency < 0 || cfg.ScalarMemLatency < 0 {
+		return ooosim.Config{}, errors.New("config values must be non-negative")
+	}
+	if cfg.PhysVRegs > 0 && cfg.PhysVRegs <= isa.NumLogicalV {
+		return ooosim.Config{}, fmt.Errorf("vregs %d: the OOOVA needs more than %d physical vector registers", cfg.PhysVRegs, isa.NumLogicalV)
+	}
+	var err error
+	if cfg.Commit, err = ParseCommit(c.Commit); err != nil {
+		return ooosim.Config{}, err
+	}
+	if cfg.LoadElim, err = ParseElim(c.Elim); err != nil {
+		return ooosim.Config{}, err
+	}
+	return cfg, nil
+}
+
+// RefConfig resolves the surface onto a refsim.Config. The OOOVA-only
+// fields must be absent, so a setting the reference machine cannot honour
+// is an error rather than silently ignored; the latencies must be
+// non-negative.
+func (c SimConfig) RefConfig() (refsim.Config, error) {
+	if c.VRegs != 0 || c.Queues != 0 || c.ROB != 0 || c.CommitWidth != 0 ||
+		c.Commit != "" || (c.Elim != "" && c.Elim != "none") {
+		return refsim.Config{}, errors.New("vregs/queues/rob/commit_width/commit/elim do not apply to the reference machine")
+	}
+	if c.Latency < 0 || c.ScalarLatency < 0 {
+		return refsim.Config{}, errors.New("config values must be non-negative")
+	}
+	cfg := refsim.DefaultConfig()
+	if c.Latency != 0 {
+		cfg.MemLatency = c.Latency
+	}
+	if c.ScalarLatency != 0 {
+		cfg.ScalarMemLatency = c.ScalarLatency
+	}
+	return cfg, nil
 }
 
 // Common carries the flags every oovec command shares: the -j worker-count

@@ -1,39 +1,35 @@
 package cli
 
-import (
-	"testing"
-
-	"oovec/internal/ooosim"
-	"oovec/internal/refsim"
-)
+import "testing"
 
 // TestConfigBounds: the values ovsim used to accept while /v1/sim rejected
-// them — too few physical registers to rename, a negative latency — fail
-// with an error on every surface, and the paper's defaults pass.
+// them — too few physical registers to rename, a negative latency, an
+// OOOVA-only setting on the reference machine — fail with an error from
+// the one resolver both surfaces share, and the paper's defaults pass.
 func TestConfigBounds(t *testing.T) {
-	ooo := func(edit func(*ooosim.Config)) ooosim.Config {
-		cfg := ooosim.DefaultConfig()
-		edit(&cfg)
-		return cfg
+	ooo := func(c SimConfig) error {
+		_, err := c.OOOConfig()
+		return err
 	}
-	ref := func(lat int64) refsim.Config {
-		cfg := refsim.DefaultConfig()
-		cfg.MemLatency = lat
-		return cfg
+	ref := func(c SimConfig) error {
+		_, err := c.RefConfig()
+		return err
 	}
+	paper := SimConfig{VRegs: 16, Queues: 16, ROB: 64, CommitWidth: 4, Latency: 50, ScalarLatency: 6, Commit: "early", Elim: "none"}
 	for _, c := range []struct {
 		name string
 		err  error
 		ok   bool
 	}{
-		{"ooo default", CheckOOO(ooosim.DefaultConfig()), true},
-		{"ooo zero fields", CheckOOO(ooosim.Config{}), true},
-		{"ooo vregs 9", CheckOOO(ooo(func(c *ooosim.Config) { c.PhysVRegs = 9 })), true},
-		{"ooo vregs 8", CheckOOO(ooo(func(c *ooosim.Config) { c.PhysVRegs = 8 })), false},
-		{"ooo latency -5", CheckOOO(ooo(func(c *ooosim.Config) { c.MemLatency = -5 })), false},
-		{"ooo queues -1", CheckOOO(ooo(func(c *ooosim.Config) { c.QueueSlots = -1 })), false},
-		{"ref default", CheckRef(refsim.DefaultConfig()), true},
-		{"ref latency -5", CheckRef(ref(-5)), false},
+		{"ooo default", ooo(paper), true},
+		{"ooo zero fields", ooo(SimConfig{}), true},
+		{"ooo vregs 9", ooo(SimConfig{VRegs: 9}), true},
+		{"ooo vregs 8", ooo(SimConfig{VRegs: 8}), false},
+		{"ooo latency -5", ooo(SimConfig{Latency: -5}), false},
+		{"ooo queues -1", ooo(SimConfig{Queues: -1}), false},
+		{"ref default", ref(SimConfig{Latency: 50, ScalarLatency: 6, Elim: "none"}), true},
+		{"ref latency -5", ref(SimConfig{Latency: -5}), false},
+		{"ref rejects vregs", ref(SimConfig{VRegs: 32}), false},
 	} {
 		if (c.err == nil) != c.ok {
 			t.Errorf("%s: err = %v, want ok = %v", c.name, c.err, c.ok)

@@ -381,15 +381,6 @@ func (in *Instruction) EffVL() int {
 	return 1
 }
 
-// MemBytes returns the number of bytes moved by a memory instruction
-// (0 for non-memory ops).
-func (in *Instruction) MemBytes() int {
-	if !in.Op.IsMem() {
-		return 0
-	}
-	return in.EffVL() * ElemBytes
-}
-
 // MemRange returns the inclusive byte range [start, end] potentially touched
 // by a memory instruction, as computed by the Range stage of the paper's
 // memory pipeline: start = base, end = base + (VL-1)*VS + (ElemBytes-1).

@@ -206,6 +206,10 @@ func New(opts Opts) *Server {
 	if opts.JobQueue <= 0 {
 		opts.JobQueue = 16
 	}
+	// Resolved here because the bound also caps preset budgets (checkInsns).
+	if opts.TraceLimits.MaxInsns <= 0 {
+		opts.TraceLimits.MaxInsns = trace.DefaultLimits().MaxInsns
+	}
 	s := &Server{
 		workers:        opts.Workers,
 		maxUploadBytes: opts.MaxUploadBytes,

@@ -92,7 +92,7 @@ func TestSimGoldenJSON(t *testing.T) {
 	// and a direct library-API simulation.
 	p, _ := tgen.PresetByName("swm256")
 	p.Insns = testInsns
-	cfg, err := req.Config.toOOO()
+	cfg, err := req.Config.OOOConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +237,9 @@ func TestSimUploadedTrace(t *testing.T) {
 }
 
 // TestSweepNDJSON is the ovsweep parity test: the streamed rows must decode
-// to exactly the points the sweep grids produce serially — same values,
-// same order — which makes the NDJSON byte-convertible to the CLI's CSV.
+// to exactly the points sweep.Run produces serially for the same spec —
+// same values, same order — which makes the NDJSON byte-convertible to the
+// CLI's CSV.
 func TestSweepNDJSON(t *testing.T) {
 	s := newTestServer(t)
 	req := SweepRequest{
@@ -269,23 +270,15 @@ func TestSweepNDJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The reference: the exact grids ovsweep runs, serially.
+	// The reference: the exact grids ovsweep runs for the same spec,
+	// serially and uncached.
 	var want []sweep.Point
-	base := ooosim.DefaultConfig()
-	for _, name := range req.Bench {
-		p, _ := tgen.PresetByName(name)
-		p.Insns = testInsns
-		tr := tgen.Generate(p)
-		ref, err := sweep.RefGridOpts(tr, req.Lats, sweep.Opts{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ooo, err := sweep.OOOGridOpts(tr, base, req.Regs, req.Lats, sweep.Opts{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, ref...)
-		want = append(want, ooo...)
+	err := sweep.Run(req, sweep.Opts{Workers: 1}, func(pts []sweep.Point) error {
+		want = append(want, pts...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sweep rows differ from serial CLI grids:\ngot  %d rows %+v\nwant %d rows %+v",
@@ -406,6 +399,33 @@ func TestBadRequests(t *testing.T) {
 	// Method mismatches.
 	if rec := get(t, s, "/v1/sim"); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/sim: status %d, want 405", rec.Code)
+	}
+}
+
+// TestPresetInsnsBound: a preset instruction budget above the trace limit
+// is refused with 400 on every route that generates a trace, before any
+// generation or simulation.
+func TestPresetInsnsBound(t *testing.T) {
+	s := newTestServer(t)
+	huge := SimRequest{Bench: "swm256", Insns: 1 << 30}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/sim", huge},
+		{"/v1/jobs", JobRequest{Sim: huge}},
+		{"/v1/sweep", SweepRequest{Bench: []string{"swm256"}, Insns: 1 << 30}},
+	} {
+		rec := post(t, s, c.path, c.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", c.path, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), "max-insns") {
+			t.Errorf("%s: error %s does not name the limit", c.path, rec.Body)
+		}
+		if n := metricValue(t, s, "ovserve_sims_total"); n != 0 {
+			t.Errorf("%s: sims_total = %d, want 0", c.path, n)
+		}
 	}
 }
 

@@ -36,28 +36,9 @@ type SimRequest struct {
 	Config SimConfig `json:"config"`
 }
 
-// SimConfig is the machine configuration surface of the API — the
-// ooosim.Config / refsim.Config fields a request may override. Zero fields
-// keep the paper's defaults, exactly like the CLI flags.
-type SimConfig struct {
-	// VRegs is the physical vector register count (OOOVA; default 16).
-	VRegs int `json:"vregs,omitempty"`
-	// Queues is the instruction queue depth (OOOVA; default 16).
-	Queues int `json:"queues,omitempty"`
-	// ROB is the reorder buffer capacity (OOOVA; default 64).
-	ROB int `json:"rob,omitempty"`
-	// CommitWidth is the maximum commits per cycle (OOOVA; default 4).
-	CommitWidth int `json:"commit_width,omitempty"`
-	// Latency is the main-memory latency in cycles (default 50).
-	Latency int64 `json:"latency,omitempty"`
-	// ScalarLatency is the scalar-reference latency (default 6).
-	ScalarLatency int64 `json:"scalar_latency,omitempty"`
-	// Commit is the commit policy: "early" (default) or "late" (OOOVA).
-	Commit string `json:"commit,omitempty"`
-	// Elim is the load-elimination mode: "none" (default), "sle" or
-	// "sle+vle" (OOOVA).
-	Elim string `json:"elim,omitempty"`
-}
+// SimConfig is the machine configuration surface of the API, shared with
+// the ovsim flags: zero fields keep the paper's defaults.
+type SimConfig = cli.SimConfig
 
 // SimResponse is the body of a successful POST /v1/sim.
 type SimResponse struct {
@@ -69,51 +50,6 @@ type SimResponse struct {
 	Cached bool `json:"cached"`
 	// Metrics are the run's measurements — the same struct the CLIs print.
 	Metrics *metrics.RunStats `json:"metrics"`
-}
-
-// toOOO resolves the config surface onto an ooosim.Config, validating the
-// same bounds the CLIs enforce (cli.CheckOOO).
-func (c SimConfig) toOOO() (ooosim.Config, error) {
-	cfg := ooosim.Config{
-		PhysVRegs:        c.VRegs,
-		QueueSlots:       c.Queues,
-		ROBSize:          c.ROB,
-		CommitWidth:      c.CommitWidth,
-		MemLatency:       c.Latency,
-		ScalarMemLatency: c.ScalarLatency,
-	}
-	if err := cli.CheckOOO(cfg); err != nil {
-		return ooosim.Config{}, err
-	}
-	var err error
-	if cfg.Commit, err = cli.ParseCommit(c.Commit); err != nil {
-		return ooosim.Config{}, err
-	}
-	if cfg.LoadElim, err = cli.ParseElim(c.Elim); err != nil {
-		return ooosim.Config{}, err
-	}
-	return cfg, nil
-}
-
-// toRef resolves the config surface onto a refsim.Config, validating the
-// same bounds the CLIs enforce (cli.CheckRef). OOOVA-only fields must be
-// absent.
-func (c SimConfig) toRef() (refsim.Config, error) {
-	if c.VRegs != 0 || c.Queues != 0 || c.ROB != 0 || c.CommitWidth != 0 ||
-		c.Commit != "" || (c.Elim != "" && c.Elim != "none") {
-		return refsim.Config{}, errors.New("vregs/queues/rob/commit_width/commit/elim do not apply to the reference machine")
-	}
-	cfg := refsim.DefaultConfig()
-	if c.Latency != 0 {
-		cfg.MemLatency = c.Latency
-	}
-	if c.ScalarLatency != 0 {
-		cfg.ScalarMemLatency = c.ScalarLatency
-	}
-	if err := cli.CheckRef(cfg); err != nil {
-		return refsim.Config{}, err
-	}
-	return cfg, nil
 }
 
 // loadTrace resolves the request's input trace into a content key and a
@@ -133,6 +69,9 @@ func (s *Server) loadTrace(req *SimRequest) (func() *trace.Trace, string, error)
 		if req.Insns < 0 {
 			return nil, "", errors.New("insns must be non-negative")
 		}
+		if err := s.checkInsns(req.Insns); err != nil {
+			return nil, "", err
+		}
 		if req.Insns > 0 {
 			p.Insns = req.Insns
 		}
@@ -148,6 +87,17 @@ func (s *Server) loadTrace(req *SimRequest) (func() *trace.Trace, string, error)
 		return func() *trace.Trace { return t }, "ovtr:" + trace.Digest(t), nil
 	}
 	return nil, "", errors.New("one of bench or trace is required")
+}
+
+// checkInsns bounds a preset's instruction-budget override by the upload
+// limit (-max-insns): generation materialises every instruction before the
+// run, so an unbounded budget would let one request exhaust the daemon's
+// memory.
+func (s *Server) checkInsns(n int) error {
+	if n > s.traceLimits.MaxInsns {
+		return fmt.Errorf("insns %d exceeds the server's limit of %d (-max-insns)", n, s.traceLimits.MaxInsns)
+	}
+	return nil
 }
 
 // simPlan is a fully resolved simulation request: the content-address key
@@ -189,7 +139,7 @@ func (s *Server) planSim(req *SimRequest) (*simPlan, error) {
 	}
 	switch req.Machine {
 	case "", "ooo":
-		cfg, err := req.Config.toOOO()
+		cfg, err := req.Config.OOOConfig()
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +147,7 @@ func (s *Server) planSim(req *SimRequest) (*simPlan, error) {
 		return newSimPlan("OOOVA", key, getTrace, &s.oooPool, cfg, ooosim.DecodeCheckpoint,
 			func(r *ooosim.Result) *metrics.RunStats { return r.Stats }), nil
 	case "ref":
-		cfg, err := req.Config.toRef()
+		cfg, err := req.Config.RefConfig()
 		if err != nil {
 			return nil, err
 		}

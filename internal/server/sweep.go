@@ -7,13 +7,8 @@ import (
 	"fmt"
 	"net/http"
 
-	"oovec/internal/cli"
 	"oovec/internal/engine"
-	"oovec/internal/isa"
-	"oovec/internal/ooosim"
-	"oovec/internal/simcache"
 	"oovec/internal/sweep"
-	"oovec/internal/tgen"
 )
 
 // SweepStatusTrailer is the HTTP trailer /v1/sweep sets once the stream
@@ -43,101 +38,26 @@ type sweepErrorRecord struct {
 }
 
 // SweepRequest is the body of POST /v1/sweep: the grid surface of the
-// ovsweep CLI. Results stream back as NDJSON, one sweep.Point per line, in
-// exactly the row order ovsweep writes CSV — benchmarks in request order,
-// REF latitudes before OOOVA (machine "both"), registers outer / latencies
-// inner — regardless of how many workers the grid fans across.
-type SweepRequest struct {
-	// Bench lists benchmark preset names; every point of the grid runs on
-	// every benchmark, in this order.
-	Bench []string `json:"bench"`
-	// Machine selects the grid: "ooo" (default), "ref" or "both".
-	Machine string `json:"machine,omitempty"`
-	// Regs are the physical vector register counts of the OOOVA grid
-	// (default 9,12,16,32,64).
-	Regs []int `json:"regs,omitempty"`
-	// Lats are the memory latencies (default 1,50,100).
-	Lats []int64 `json:"lats,omitempty"`
-	// Commit and Elim fix the OOOVA commit policy and load-elimination mode
-	// for the whole grid ("early"/"late", "none"/"sle"/"sle+vle").
-	Commit string `json:"commit,omitempty"`
-	Elim   string `json:"elim,omitempty"`
-	// Insns overrides the per-benchmark instruction budget.
-	Insns int `json:"insns,omitempty"`
-}
+// ovsweep CLI, validated and run by package sweep. Results stream back as
+// NDJSON, one sweep.Point per line, in exactly the row order ovsweep writes
+// CSV, regardless of how many workers the grid fans across.
+type SweepRequest = sweep.Spec
 
-// sweepDefaults mirrors the ovsweep flag defaults.
-var (
-	sweepDefaultRegs = []int{9, 12, 16, 32, 64}
-	sweepDefaultLats = []int64{1, 50, 100}
-)
-
-// resolve validates the request and fills defaults.
-func (req *SweepRequest) resolve() (base ooosim.Config, err error) {
-	if len(req.Bench) == 0 {
-		return base, errors.New("bench is required")
-	}
-	switch req.Machine {
-	case "":
-		req.Machine = "ooo"
-	case "ref", "ooo", "both":
-	default:
-		return base, fmt.Errorf("unknown machine %q (ref | ooo | both)", req.Machine)
-	}
-	if len(req.Regs) == 0 {
-		req.Regs = sweepDefaultRegs
-	}
-	if len(req.Lats) == 0 {
-		req.Lats = sweepDefaultLats
-	}
-	if req.Machine != "ref" {
-		for _, r := range req.Regs {
-			if r <= isa.NumLogicalV {
-				return base, fmt.Errorf("regs %d: the OOOVA needs more than %d physical vector registers", r, isa.NumLogicalV)
-			}
-		}
-	}
-	for _, l := range req.Lats {
-		if l <= 0 {
-			return base, fmt.Errorf("lats values must be positive, got %d", l)
-		}
-	}
-	if req.Insns < 0 {
-		return base, errors.New("insns must be non-negative")
-	}
-	base = ooosim.DefaultConfig()
-	if base.Commit, err = cli.ParseCommit(req.Commit); err != nil {
-		return base, err
-	}
-	if base.LoadElim, err = cli.ParseElim(req.Elim); err != nil {
-		return base, err
-	}
-	return base, nil
-}
+// errClientGone stops a sweep whose client stopped reading the stream.
+var errClientGone = errors.New("client gone")
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	base, err := req.resolve()
+	err := req.Resolve()
+	if err == nil {
+		err = s.checkInsns(req.Insns)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	// Resolve every preset before streaming: an unknown benchmark must be a
-	// clean 400, not a mid-stream abort.
-	presets := make([]tgen.Preset, len(req.Bench))
-	for i, name := range req.Bench {
-		p, ok := tgen.PresetByName(name)
-		if !ok {
-			httpError(w, http.StatusBadRequest, "unknown benchmark %q (see /v1/presets)", name)
-			return
-		}
-		if req.Insns > 0 {
-			p.Insns = req.Insns
-		}
-		presets[i] = p
 	}
 
 	w.Header().Set("Trailer", SweepStatusTrailer)
@@ -147,12 +67,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	row := 0
-	clientGone := false
-	emit := func(pts []sweep.Point) {
+	emit := func(pts []sweep.Point) error {
 		for i := range pts {
 			if err := enc.Encode(&pts[i]); err != nil {
-				clientGone = true
-				return
+				return errClientGone
 			}
 			if flusher != nil {
 				flusher.Flush()
@@ -163,16 +81,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 			row++
 		}
+		return nil
 	}
 
-	// Per benchmark: generate (or share) the trace, fan the grid across the
-	// engine pool, stream the rows. Every grid point goes through the same
-	// content-addressed result cache as /v1/sim (sweep.Opts.Cache), so a
-	// repeated sweep is a streamed sequence of cache hits running zero new
-	// simulations, an overlapping sweep only simulates its delta, and only
-	// actual simulations count toward ovserve_sims_total. The request
-	// context cancels the grid between points: a dropped client or an
-	// expired Opts.Timeout deadline stops burning workers.
+	// sweep.Run streams the grids benchmark by benchmark. Every grid point
+	// goes through the same content-addressed result cache as /v1/sim
+	// (sweep.Opts.Cache), so a repeated sweep is a streamed sequence of
+	// cache hits running zero new simulations, an overlapping sweep only
+	// simulates its delta, and only actual simulations count toward
+	// ovserve_sims_total. The request context cancels the grid between
+	// points: a dropped client or an expired Opts.Timeout deadline stops
+	// burning workers.
 	opts := sweep.Opts{
 		Workers: s.workers,
 		Cache:   s.results,
@@ -184,7 +103,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		},
 	}
-	err = s.streamSweep(&req, base, presets, opts, emit, &clientGone)
+	err = runSweep(req, opts, emit)
 
 	// Streaming committed the 200 long ago, so the terminal outcome rides
 	// in the trailer — plus, when someone is still listening, a final
@@ -193,9 +112,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	rid := RequestID(r.Context())
 	w.Header().Set(SweepRequestIDTrailer, rid)
 	switch {
-	// clientGone outranks err == nil: a write failure mid-stream returns a
-	// nil grid error but the truncated stream is anything but "ok".
-	case clientGone || errors.Is(err, context.Canceled):
+	case errors.Is(err, errClientGone) || errors.Is(err, context.Canceled):
 		w.Header().Set(SweepStatusTrailer, "canceled")
 	case err == nil:
 		w.Header().Set(SweepStatusTrailer, "ok")
@@ -220,12 +137,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamSweep runs the request's grids and streams their rows, converting a
-// panicking grid point (engine.WorkerPanic from the pool, or a native panic
-// from a serial grid) into an error so the handler can report it in-stream
-// instead of tearing the connection down mid-NDJSON.
-func (s *Server) streamSweep(req *SweepRequest, base ooosim.Config, presets []tgen.Preset,
-	opts sweep.Opts, emit func([]sweep.Point), clientGone *bool) (err error) {
+// runSweep runs the request's grids, converting a panicking grid point
+// (engine.WorkerPanic from the pool, or a native panic from a serial grid)
+// into an error so the handler can report it in-stream instead of tearing
+// the connection down mid-NDJSON.
+func runSweep(req SweepRequest, opts sweep.Opts, emit func([]sweep.Point) error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if wp, ok := rec.(engine.WorkerPanic); ok {
@@ -235,27 +151,5 @@ func (s *Server) streamSweep(req *SweepRequest, base ooosim.Config, presets []tg
 			}
 		}
 	}()
-	for _, p := range presets {
-		tr := simcache.GenerateTrace(p)
-		opts.TraceKey = simcache.PresetKey(p)
-		if req.Machine == "ref" || req.Machine == "both" {
-			pts, err := sweep.RefGridOpts(tr, req.Lats, opts)
-			if err != nil {
-				return err
-			}
-			if emit(pts); *clientGone {
-				return nil
-			}
-		}
-		if req.Machine == "ooo" || req.Machine == "both" {
-			pts, err := sweep.OOOGridOpts(tr, base, req.Regs, req.Lats, opts)
-			if err != nil {
-				return err
-			}
-			if emit(pts); *clientGone {
-				return nil
-			}
-		}
-	}
-	return nil
+	return sweep.Run(req, opts, emit)
 }

@@ -35,18 +35,18 @@ func TestGridCachedMatchesFresh(t *testing.T) {
 	regs := []int{12, 16}
 	lats := []int64{1, 20}
 
-	gotRef, err := RefGridOpts(tr, lats, o)
+	gotRef, err := refGrid(tr, lats, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := mustGrid(RefGridOpts(tr, lats, Opts{Workers: 1})); !reflect.DeepEqual(gotRef, want) {
+	if want := mustGrid(refGrid(tr, lats, Opts{Workers: 1})); !reflect.DeepEqual(gotRef, want) {
 		t.Errorf("cached REF grid differs from fresh:\ngot  %+v\nwant %+v", gotRef, want)
 	}
-	gotOOO, err := OOOGridOpts(tr, base, regs, lats, o)
+	gotOOO, err := oooGrid(tr, base, regs, lats, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := mustGrid(OOOGridOpts(tr, base, regs, lats, Opts{Workers: 1})); !reflect.DeepEqual(gotOOO, want) {
+	if want := mustGrid(oooGrid(tr, base, regs, lats, Opts{Workers: 1})); !reflect.DeepEqual(gotOOO, want) {
 		t.Errorf("cached OOO grid differs from fresh:\ngot  %+v\nwant %+v", gotOOO, want)
 	}
 }
@@ -63,14 +63,14 @@ func TestGridWarmRunsZeroSims(t *testing.T) {
 	regs := []int{12, 16}
 	lats := []int64{1, 20}
 
-	cold, err := OOOGridOpts(tr, base, regs, lats, o)
+	cold, err := oooGrid(tr, base, regs, lats, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sims.Load(); got != int64(len(cold)) {
 		t.Fatalf("cold grid ran %d sims, want %d", got, len(cold))
 	}
-	warm, err := OOOGridOpts(tr, base, regs, lats, o)
+	warm, err := oooGrid(tr, base, regs, lats, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +92,14 @@ func TestGridOverlapSimulatesDelta(t *testing.T) {
 
 	base := ooosim.DefaultConfig()
 	lats := []int64{1, 20}
-	if _, err := OOOGridOpts(tr, base, []int{12}, lats, o); err != nil {
+	if _, err := oooGrid(tr, base, []int{12}, lats, o); err != nil {
 		t.Fatal(err)
 	}
 	if got := sims.Load(); got != 2 {
 		t.Fatalf("first grid ran %d sims, want 2", got)
 	}
 	// Superset: {12,16} × {1,20}; only the two 16-register points are new.
-	if _, err := OOOGridOpts(tr, base, []int{12, 16}, lats, o); err != nil {
+	if _, err := oooGrid(tr, base, []int{12, 16}, lats, o); err != nil {
 		t.Fatal(err)
 	}
 	if got := sims.Load(); got != 4 {
@@ -126,7 +126,7 @@ func TestGridSharesSimKeys(t *testing.T) {
 		return ooosim.Run(tr, cfg).Stats
 	})
 
-	pts, err := OOOGridOpts(tr, base, []int{12}, []int64{1, 20}, o)
+	pts, err := oooGrid(tr, base, []int{12}, []int64{1, 20}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestGridCancellation(t *testing.T) {
 		},
 	}
 	base := ooosim.DefaultConfig()
-	pts, err := OOOGridOpts(tr, base, []int{12, 16}, []int64{1, 20}, o)
+	pts, err := oooGrid(tr, base, []int{12, 16}, []int64{1, 20}, o)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -175,5 +175,5 @@ func TestGridCacheWithoutTraceKeyPanics(t *testing.T) {
 			t.Error("Opts.Cache without TraceKey did not panic")
 		}
 	}()
-	RefGridOpts(tr, []int64{1}, Opts{Cache: simcache.NewResults(8, nil)})
+	refGrid(tr, []int64{1}, Opts{Cache: simcache.NewResults(8, nil)})
 }

@@ -28,14 +28,14 @@ func TestGridWorkersDeterministic(t *testing.T) {
 		return b.String()
 	}
 
-	wantRef := render(mustGrid(RefGridOpts(tr, lats, Opts{Workers: 1})))
-	wantOOO := render(mustGrid(OOOGridOpts(tr, base, regs, lats, Opts{Workers: 1})))
+	wantRef := render(mustGrid(refGrid(tr, lats, Opts{Workers: 1})))
+	wantOOO := render(mustGrid(oooGrid(tr, base, regs, lats, Opts{Workers: 1})))
 	for _, workers := range []int{2, 4, 0} {
-		if got := render(mustGrid(RefGridOpts(tr, lats, Opts{Workers: workers}))); got != wantRef {
-			t.Errorf("RefGridOpts(Workers: %d) CSV differs from serial", workers)
+		if got := render(mustGrid(refGrid(tr, lats, Opts{Workers: workers}))); got != wantRef {
+			t.Errorf("refGrid(Workers: %d) CSV differs from serial", workers)
 		}
-		if got := render(mustGrid(OOOGridOpts(tr, base, regs, lats, Opts{Workers: workers}))); got != wantOOO {
-			t.Errorf("OOOGridOpts(Workers: %d) CSV differs from serial", workers)
+		if got := render(mustGrid(oooGrid(tr, base, regs, lats, Opts{Workers: workers}))); got != wantOOO {
+			t.Errorf("oooGrid(Workers: %d) CSV differs from serial", workers)
 		}
 	}
 }
@@ -93,11 +93,11 @@ func TestGridPooledMatchesFresh(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 0} {
-		if got := render(mustGrid(RefGridOpts(tr, lats, Opts{Workers: workers}))); got != render(freshRef) {
-			t.Errorf("RefGridOpts(Workers: %d): pooled CSV differs from fresh runs", workers)
+		if got := render(mustGrid(refGrid(tr, lats, Opts{Workers: workers}))); got != render(freshRef) {
+			t.Errorf("refGrid(Workers: %d): pooled CSV differs from fresh runs", workers)
 		}
-		if got := render(mustGrid(OOOGridOpts(tr, base, regs, lats, Opts{Workers: workers}))); got != render(freshOOO) {
-			t.Errorf("OOOGridOpts(Workers: %d): pooled CSV differs from fresh runs", workers)
+		if got := render(mustGrid(oooGrid(tr, base, regs, lats, Opts{Workers: workers}))); got != render(freshOOO) {
+			t.Errorf("oooGrid(Workers: %d): pooled CSV differs from fresh runs", workers)
 		}
 	}
 }
@@ -111,7 +111,7 @@ func TestOOOGridReportsResolvedConfig(t *testing.T) {
 	tr := tgen.Generate(p)
 
 	base := ooosim.Config{} // all zero: every field takes the paper default
-	pts := mustGrid(OOOGridOpts(tr, base, []int{16}, []int64{50}, Opts{Workers: 1}))
+	pts := mustGrid(oooGrid(tr, base, []int{16}, []int64{50}, Opts{Workers: 1}))
 	if len(pts) != 1 {
 		t.Fatalf("got %d points, want 1", len(pts))
 	}

@@ -49,7 +49,7 @@ func TestInterruptedSweepWarmsNextRun(t *testing.T) {
 			}
 		},
 	}
-	pts, err := OOOGridOpts(tr, base, regs, lats, o1)
+	pts, err := oooGrid(tr, base, regs, lats, o1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -74,7 +74,7 @@ func TestInterruptedSweepWarmsNextRun(t *testing.T) {
 		TraceKey: key,
 		OnSim:    func() { sims2.Add(1) },
 	}
-	warm, err := OOOGridOpts(tr, base, regs, lats, o2)
+	warm, err := oooGrid(tr, base, regs, lats, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestInterruptedSweepWarmsNextRun(t *testing.T) {
 		t.Errorf("disk store served %d hits, want %d", hits, completed)
 	}
 	// And the warm grid is exactly what an uncached serial run produces.
-	if want := mustGrid(OOOGridOpts(tr, base, regs, lats, Opts{Workers: 1})); !reflect.DeepEqual(warm, want) {
+	if want := mustGrid(oooGrid(tr, base, regs, lats, Opts{Workers: 1})); !reflect.DeepEqual(warm, want) {
 		t.Error("disk-warmed grid differs from a fresh serial grid")
 	}
 }
@@ -102,7 +102,7 @@ func TestGridDiskWarmAcrossProcesses(t *testing.T) {
 
 	st1 := openStore(t, dir)
 	var sims1 atomic.Int64
-	cold, err := RefGridOpts(tr, lats, Opts{
+	cold, err := refGrid(tr, lats, Opts{
 		Workers: 2, Cache: simcache.NewResults(256, st1), TraceKey: key,
 		OnSim: func() { sims1.Add(1) },
 	})
@@ -117,7 +117,7 @@ func TestGridDiskWarmAcrossProcesses(t *testing.T) {
 	st2 := openStore(t, dir)
 	defer st2.Close()
 	var sims2 atomic.Int64
-	warm, err := RefGridOpts(tr, lats, Opts{
+	warm, err := refGrid(tr, lats, Opts{
 		Workers: 2, Cache: simcache.NewResults(256, st2), TraceKey: key,
 		OnSim: func() { sims2.Add(1) },
 	})

@@ -145,13 +145,13 @@ func grid[M any](o Opts, n int, newState func() M, point func(m M, i int) Point)
 	return pts, nil
 }
 
-// RefGridOpts runs the reference machine across memory latencies under
-// Opts: fanned across the worker pool (each worker reusing one reference
+// refGrid runs the reference machine across memory latencies under Opts:
+// fanned across the worker pool (each worker reusing one reference
 // machine for all its points), served from the result cache where
 // configured, cancellable between points. The points come back in latency
 // order for any worker count; on cancellation it returns the context's
 // error and the points must be discarded.
-func RefGridOpts(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
+func refGrid(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
 	newState := func() *refsim.Machine { return refsim.NewMachine(refsim.DefaultConfig()) }
 	return grid(o, len(latencies), newState, func(m *refsim.Machine, i int) Point {
 		cfg := refsim.DefaultConfig()
@@ -168,7 +168,7 @@ func RefGridOpts(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
 	})
 }
 
-// OOOGridOpts runs the OOOVA over the cross product of register counts and
+// oooGrid runs the OOOVA over the cross product of register counts and
 // latencies, with all other parameters taken from base, under Opts: fanned
 // across the worker pool (each worker reusing one pooled OOOVA machine;
 // register-count changes revive the matching shape from the machine's shape
@@ -176,7 +176,7 @@ func RefGridOpts(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
 // between points. The points come back register-major for any worker
 // count; on cancellation it returns the context's error and the points must
 // be discarded.
-func OOOGridOpts(t *trace.Trace, base ooosim.Config, vregs []int, latencies []int64, o Opts) ([]Point, error) {
+func oooGrid(t *trace.Trace, base ooosim.Config, vregs []int, latencies []int64, o Opts) ([]Point, error) {
 	nl := len(latencies)
 	newState := func() *ooosim.Machine { return ooosim.NewMachine(base) }
 	return grid(o, len(vregs)*nl, newState, func(m *ooosim.Machine, k int) Point {

@@ -32,7 +32,7 @@ func kernel() *trace.Trace {
 }
 
 func TestRefGridDimensionsAndMonotonicity(t *testing.T) {
-	pts := mustGrid(RefGridOpts(kernel(), []int64{1, 50, 100}, Opts{Workers: 1}))
+	pts := mustGrid(refGrid(kernel(), []int64{1, 50, 100}, Opts{Workers: 1}))
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -47,7 +47,7 @@ func TestRefGridDimensionsAndMonotonicity(t *testing.T) {
 }
 
 func TestOOOGridCrossProduct(t *testing.T) {
-	pts := mustGrid(OOOGridOpts(kernel(), ooosim.DefaultConfig(), []int{9, 16}, []int64{1, 50}, Opts{Workers: 1}))
+	pts := mustGrid(oooGrid(kernel(), ooosim.DefaultConfig(), []int{9, 16}, []int64{1, 50}, Opts{Workers: 1}))
 	if len(pts) != 4 {
 		t.Fatalf("points = %d, want 4", len(pts))
 	}
@@ -64,7 +64,7 @@ func TestOOOGridCrossProduct(t *testing.T) {
 }
 
 func TestWriteCSVRoundTrips(t *testing.T) {
-	pts := mustGrid(OOOGridOpts(kernel(), ooosim.DefaultConfig(), []int{16}, []int64{50}, Opts{Workers: 1}))
+	pts := mustGrid(oooGrid(kernel(), ooosim.DefaultConfig(), []int{16}, []int64{50}, Opts{Workers: 1}))
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, pts); err != nil {
 		t.Fatal(err)
@@ -88,10 +88,10 @@ func TestWriteCSVRoundTrips(t *testing.T) {
 func TestCSVDeterministic(t *testing.T) {
 	tr := kernel()
 	var a, b strings.Builder
-	if err := WriteCSV(&a, mustGrid(OOOGridOpts(tr, ooosim.DefaultConfig(), []int{16}, []int64{50}, Opts{Workers: 1}))); err != nil {
+	if err := WriteCSV(&a, mustGrid(oooGrid(tr, ooosim.DefaultConfig(), []int{16}, []int64{50}, Opts{Workers: 1}))); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSV(&b, mustGrid(OOOGridOpts(tr, ooosim.DefaultConfig(), []int{16}, []int64{50}, Opts{Workers: 1}))); err != nil {
+	if err := WriteCSV(&b, mustGrid(oooGrid(tr, ooosim.DefaultConfig(), []int{16}, []int64{50}, Opts{Workers: 1}))); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
