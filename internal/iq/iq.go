@@ -10,6 +10,11 @@
 // range the instruction may touch) and Dependence (run-time memory
 // disambiguation against previous instructions in the queue) — and only
 // then may issue memory requests out of order.
+//
+// Both keep state sized by the queue, not the trace. An A/S/V queue books
+// its issue port from its occupancy window, as hardware arbitrates among
+// resident entries only (sched.RingWindow.AdmitFirstFree); each M-queue
+// front stage is one next-free cycle.
 package iq
 
 import (
@@ -24,7 +29,10 @@ const DefaultSlots = 16
 // Queue is an A/S/V-style out-of-order issue queue.
 type Queue struct {
 	window *sched.RingWindow
-	slots  *sched.Gap
+	// floor is one past the latest departure of an evicted occupant. Issue
+	// books no earlier, so the port stays one-per-cycle for callers that
+	// ignore AdmitConstraint; a caller that waits never meets it.
+	floor int64
 
 	issued int64
 }
@@ -34,10 +42,7 @@ func NewQueue(capacity int) *Queue {
 	if capacity <= 0 {
 		capacity = DefaultSlots
 	}
-	return &Queue{
-		window: sched.NewRingWindow(capacity),
-		slots:  sched.NewGap(),
-	}
+	return &Queue{window: sched.NewRingWindow(capacity)}
 }
 
 // AdmitConstraint returns the earliest cycle a new instruction can be
@@ -51,12 +56,10 @@ func (q *Queue) AdmitConstraint() int64 { return q.window.FreeAt() }
 //
 //ovlint:hotpath called once per queued instruction
 func (q *Queue) Issue(enter, ready int64) int64 {
-	at := enter
-	if ready > at {
-		at = ready
+	if q.window.Full() {
+		q.floor = max(q.floor, q.window.FreeAt()+1) // the oldest is evicted
 	}
-	t := q.slots.Allocate(at, 1)
-	q.window.Admit(t)
+	t := q.window.AdmitFirstFree(max(enter, ready, q.floor))
 	q.issued++
 	return t
 }
@@ -67,15 +70,13 @@ func (q *Queue) Issued() int64 { return q.issued }
 // Occupied returns the number of queue slots held at the given cycle.
 func (q *Queue) Occupied(now int64) int { return q.window.Occupied(now) }
 
-// Reserve sizes the issue-port interval list for n bookings so
-// steady-state appends never reallocate (each issued instruction books at
-// most one interval).
-func (q *Queue) Reserve(n int) { q.slots.Reserve(n) }
+// Reserve does nothing: the queue is sized by its capacity.
+func (q *Queue) Reserve(int) {}
 
 // Reset empties the queue for reuse, keeping its capacity.
 func (q *Queue) Reset() {
 	q.window.Reset()
-	q.slots.Reset()
+	q.floor = 0
 	q.issued = 0
 }
 
@@ -95,9 +96,9 @@ const maxScan = 256
 // and range-based disambiguation.
 type MemQueue struct {
 	window *sched.RingWindow
-	// The three in-order front stages, each processing one instruction per
-	// cycle.
-	issueRF, rangeSt, depSt *sched.Monotonic
+	// free holds the next free cycle of the in-order one-per-cycle front
+	// stages: Issue/RF, Range and Dependence.
+	free [3]int64
 
 	entries [maxScan]memEntry
 	n       int // total entries recorded
@@ -117,30 +118,15 @@ func NewMemQueue(capacity int) *MemQueue {
 	if capacity <= 0 {
 		capacity = DefaultSlots
 	}
-	scan := capacity
-	if scan > maxScan {
-		scan = maxScan
-	}
-	return &MemQueue{
-		window:  sched.NewRingWindow(capacity),
-		issueRF: sched.NewMonotonic(),
-		rangeSt: sched.NewMonotonic(),
-		depSt:   sched.NewMonotonic(),
-		scanWin: scan,
-	}
+	return &MemQueue{window: sched.NewRingWindow(capacity), scanWin: min(capacity, maxScan)}
 }
 
 // AdmitConstraint returns the earliest cycle a new memory instruction can be
 // admitted to the queue.
 func (q *MemQueue) AdmitConstraint() int64 { return q.window.FreeAt() }
 
-// Reserve sizes the three front-stage interval lists for n advancing
-// instructions (each books at most one interval per stage).
-func (q *MemQueue) Reserve(n int) {
-	q.issueRF.Reserve(n)
-	q.rangeSt.Reserve(n)
-	q.depSt.Reserve(n)
-}
+// Reserve does nothing: the queue is sized by its capacity.
+func (q *MemQueue) Reserve(int) {}
 
 // Advance pushes an instruction entering the queue at `enter` through the
 // three in-order front stages and returns the cycle it leaves the
@@ -148,10 +134,11 @@ func (q *MemQueue) Reserve(n int) {
 //
 //ovlint:hotpath called once per memory instruction
 func (q *MemQueue) Advance(enter int64) int64 {
-	s1 := q.issueRF.Allocate(enter, 1)
-	s2 := q.rangeSt.Allocate(s1+1, 1)
-	s3 := q.depSt.Allocate(s2+1, 1)
-	return s3 + 1
+	for i := range q.free {
+		enter = max(enter, q.free[i]) + 1
+		q.free[i] = enter
+	}
+	return enter
 }
 
 // ConflictConstraint performs the Dependence-stage check: it returns the
@@ -234,9 +221,7 @@ func (q *MemQueue) Conflicts() int64 { return q.conflicts }
 // Reset empties the queue and its front pipeline for reuse.
 func (q *MemQueue) Reset() {
 	q.window.Reset()
-	q.issueRF.Reset()
-	q.rangeSt.Reset()
-	q.depSt.Reset()
+	q.free = [3]int64{}
 	if q.ranges != nil {
 		q.ranges.Reset()
 	}

@@ -11,7 +11,7 @@ import (
 // QueueState is the serialisable state of an A/S/V issue queue.
 type QueueState struct {
 	Window sched.RingWindowState
-	Slots  sched.GapState
+	Floor  int64
 	Issued int64
 }
 
@@ -19,20 +19,21 @@ type QueueState struct {
 func (q *Queue) Snapshot() QueueState {
 	return QueueState{
 		Window: q.window.Snapshot(),
-		Slots:  q.slots.Snapshot(),
+		Floor:  q.floor,
 		Issued: q.issued,
 	}
 }
 
 // Restore replaces the queue state with st. A window of another capacity
-// or a malformed issue-port interval list is an error.
+// or a negative issue-port floor is an error.
 func (q *Queue) Restore(st QueueState) error {
+	if st.Floor < 0 {
+		return fmt.Errorf("iq: issue-port floor %d is negative", st.Floor)
+	}
 	if err := q.window.Restore(st.Window); err != nil {
 		return fmt.Errorf("iq: %w", err)
 	}
-	if err := q.slots.Restore(st.Slots); err != nil {
-		return fmt.Errorf("iq: issue port %w", err)
-	}
+	q.floor = st.Floor
 	q.issued = st.Issued
 	return nil
 }
@@ -44,24 +45,23 @@ type MemEntryState struct {
 	BusEnd     int64
 }
 
-// MemQueueState is the serialisable state of the memory queue. Entries
+// MemQueueState is the serialisable state of the memory queue. Free holds
+// the next free cycle of the Issue/RF, Range and Dependence stages. Entries
 // holds the full disambiguation ring: slot i%len(Entries) of instruction i,
 // exactly as the queue indexes it.
 type MemQueueState struct {
-	Window                  sched.RingWindowState
-	IssueRF, RangeSt, DepSt sched.MonotonicState
-	Entries                 []MemEntryState
-	N                       int
-	Conflicts               int64
+	Window    sched.RingWindowState
+	Free      [3]int64
+	Entries   []MemEntryState
+	N         int
+	Conflicts int64
 }
 
 // Snapshot captures the memory queue state (deep copy).
 func (q *MemQueue) Snapshot() MemQueueState {
 	st := MemQueueState{
 		Window:    q.window.Snapshot(),
-		IssueRF:   q.issueRF.Snapshot(),
-		RangeSt:   q.rangeSt.Snapshot(),
-		DepSt:     q.depSt.Snapshot(),
+		Free:      q.free,
 		Entries:   make([]MemEntryState, maxScan),
 		N:         q.n,
 		Conflicts: q.conflicts,
@@ -74,25 +74,22 @@ func (q *MemQueue) Snapshot() MemQueueState {
 }
 
 // Restore replaces the memory queue state with st. The scan window is a
-// capacity parameter, not state, and is kept. A window of another capacity
-// or a negative entry count is an error.
+// capacity parameter, not state, and is kept. A window of another capacity,
+// a negative entry count or front-stage cycles that no sequence of Advance
+// calls leaves (all zero, or 0 < Issue/RF < Range < Dependence) is an error.
 func (q *MemQueue) Restore(st MemQueueState) error {
 	if st.N < 0 {
 		return fmt.Errorf("iq: memory queue entry count %d is negative", st.N)
 	}
+	if f := st.Free; f != [3]int64{} && !(0 < f[0] && f[0] < f[1] && f[1] < f[2]) {
+		return fmt.Errorf("iq: memory queue front-stage cycles %v out of order", f)
+	}
 	if err := q.window.Restore(st.Window); err != nil {
 		return fmt.Errorf("iq: memory queue %w", err)
 	}
-	q.issueRF.Restore(st.IssueRF)
-	q.rangeSt.Restore(st.RangeSt)
-	q.depSt.Restore(st.DepSt)
-	for i := range q.entries {
-		q.entries[i] = memEntry{}
-	}
-	for i, e := range st.Entries {
-		if i >= maxScan {
-			break
-		}
+	q.free = st.Free
+	q.entries = [maxScan]memEntry{}
+	for i, e := range st.Entries[:min(len(st.Entries), maxScan)] {
 		q.entries[i] = memEntry{start: e.Start, end: e.End, isStore: e.IsStore, busEnd: e.BusEnd}
 	}
 	q.n = st.N

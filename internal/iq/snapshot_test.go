@@ -3,8 +3,6 @@ package iq
 import (
 	"math/rand"
 	"testing"
-
-	"oovec/internal/sched"
 )
 
 // TestQueueRestoreResumesOccupancy restores a mid-run queue into a fresh one
@@ -39,9 +37,9 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 		t.Error("queue: out-of-range ring index accepted")
 	}
 	st = q.Snapshot()
-	st.Slots.IV = []sched.Interval{{Start: 8, End: 9}, {Start: 2, End: 3}}
+	st.Floor = -2
 	if err := NewQueue(4).Restore(st); err == nil {
-		t.Error("queue: unsorted issue-port intervals accepted")
+		t.Error("queue: negative issue-port floor accepted")
 	}
 
 	m := NewMemQueue(4)
@@ -59,6 +57,13 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 	mst = m.Snapshot()
 	if err := NewMemQueue(8).Restore(mst); err == nil {
 		t.Error("memory queue: window of another capacity accepted")
+	}
+	for _, free := range [][3]int64{{5, 4, 6}, {0, 1, 2}, {3, 3, 4}} {
+		mst = m.Snapshot()
+		mst.Free = free
+		if err := NewMemQueue(4).Restore(mst); err == nil {
+			t.Errorf("memory queue: front-stage cycles %v accepted", free)
+		}
 	}
 }
 

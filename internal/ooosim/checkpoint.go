@@ -133,10 +133,18 @@ func (s *memScheduler) restore(st MemSchedState) error {
 	return nil
 }
 
+// checkpointLayout numbers the Checkpoint encoding. DecodeCheckpoint rejects
+// any other, as gob would decode it cleanly into wrong state. Bump it when a
+// state type changes meaning. Every blob written before the number existed
+// decodes as layout 0.
+const checkpointLayout = 1
+
 // Checkpoint is the complete deterministic state of an OOOVA simulation at
 // an instruction boundary: instructions [0, NextInsn) have been simulated.
 // It contains only exported value fields, so encoding/gob round-trips it.
 type Checkpoint struct {
+	// Layout is the encoding's layout number (checkpointLayout).
+	Layout int
 	// NextInsn is the index of the first instruction not yet simulated.
 	NextInsn int
 	// TraceLen is the length of the trace the checkpoint was taken on, as a
@@ -186,11 +194,15 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 // Position implements sim.Checkpoint.
 func (ck *Checkpoint) Position() (next, traceLen int) { return ck.NextInsn, ck.TraceLen }
 
-// DecodeCheckpoint deserialises a checkpoint produced by Encode.
+// DecodeCheckpoint deserialises a checkpoint produced by Encode. A
+// checkpoint of another layout is an error.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	ck := new(Checkpoint)
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(ck); err != nil {
 		return nil, err
+	}
+	if ck.Layout != checkpointLayout {
+		return nil, fmt.Errorf("ooosim: checkpoint layout %d, this build reads layout %d", ck.Layout, checkpointLayout)
 	}
 	return ck, nil
 }
@@ -199,6 +211,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 // instruction boundary nextInsn.
 func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 	ck := &Checkpoint{
+		Layout:   checkpointLayout,
 		NextInsn: nextInsn,
 		TraceLen: traceLen,
 

@@ -1,8 +1,12 @@
 package ooosim
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oovec/internal/rob"
@@ -196,4 +200,102 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	if _, _, err := NewMachine(DefaultConfig()).RunCheckpointed(&short, RunOpts{Resume: ck}); err == nil {
 		t.Errorf("resume on a different trace succeeded; want error")
 	}
+}
+
+// TestDecodeCheckpointRejectsOtherLayout checks that a blob of another
+// layout — a stale one written before the layout number existed decodes
+// with Layout 0 — is an error, so a job resuming from it restarts instead of
+// resuming with the wrong state.
+func TestDecodeCheckpointRejectsOtherLayout(t *testing.T) {
+	tr := checkpointTestTrace(t, "trfd", 2000)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, ck, _ := NewMachine(DefaultConfig()).RunCheckpointed(tr, RunOpts{Ctx: canceled, CheckEvery: 500})
+	for _, layout := range []int{0, checkpointLayout + 1} {
+		stale := *ck
+		stale.Layout = layout
+		b, err := stale.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpoint(b); err == nil || !strings.Contains(err.Error(), "layout") {
+			t.Errorf("layout %d: DecodeCheckpoint error = %v, want a layout error", layout, err)
+		}
+	}
+	b, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(b); err != nil {
+		t.Errorf("current layout: %v", err)
+	}
+}
+
+// TestQueueStateIndependentOfTraceLength guards the footprint of the issue
+// queues' checkpoint state: its gob encoding has the same size at
+// instruction 10,000 and at 80,000. gob writes integers in variable width,
+// so both states are first widened — every integer set to its widest
+// encoding — and the size then measures the state's shape, not how large
+// its cycle numbers have grown. A queue that kept a record per issued
+// instruction would grow by thousands of bytes.
+func TestQueueStateIndependentOfTraceLength(t *testing.T) {
+	q128 := DefaultConfig()
+	q128.QueueSlots = 128
+	q128.LoadElim = ElimSLEVLE
+	configs := map[string]Config{"default": DefaultConfig(), "q128+sle+vle": q128}
+	for _, bench := range []string{"hydro2d", "swm256"} {
+		tr := checkpointTestTrace(t, bench, 81_000)
+		for name, cfg := range configs {
+			states := map[int][]any{}
+			_, _, err := NewMachine(cfg).RunCheckpointed(tr, RunOpts{
+				CheckpointEvery: 10_000,
+				OnCheckpoint: func(ck *Checkpoint) {
+					states[ck.NextInsn] = []any{&ck.AQ, &ck.SQ, &ck.VQ, &ck.MQ}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, queue := range []string{"AQ", "SQ", "VQ", "MQ"} {
+				early, late := states[10_000][i], states[80_000][i]
+				widen(reflect.ValueOf(early).Elem())
+				widen(reflect.ValueOf(late).Elem())
+				if b10, b80 := gobSize(t, early), gobSize(t, late); b10 != b80 {
+					t.Errorf("%s/%s %s: %d bytes at 10k instructions, %d at 80k", bench, name, queue, b10, b80)
+				}
+			}
+		}
+	}
+}
+
+// widen sets every integer and boolean in v to the value gob encodes in
+// the most bytes.
+func widen(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			widen(v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		for i := range v.Len() {
+			widen(v.Index(i))
+		}
+	case reflect.Int, reflect.Int64:
+		v.SetInt(math.MinInt64)
+	case reflect.Uint64:
+		v.SetUint(math.MaxUint64)
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		panic("widen: unhandled kind " + v.Kind().String())
+	}
+}
+
+func gobSize(t *testing.T, v any) int {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Len()
 }

@@ -143,21 +143,16 @@ func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
 }
 
 // reserveFor sizes the big growable buffers from the trace so a reused
-// machine's steady-state run never grows them: an instruction books at
-// most one interval on its issue queue's port allocator, a vector
-// instruction at most one interval on each FU allocator, a memory
-// instruction one bus interval and one slot per memory-front stage, and a
-// store at most one pending-store record.
+// machine's steady-state run never grows them: a vector instruction books
+// at most one interval on each FU allocator, a memory instruction one bus
+// interval, and a store at most one pending-store record. The issue queues
+// are sized by their capacity and need nothing.
 //
 //ovlint:coldpath one reservation pass per run, amortised over the whole trace
 func (m *machine) reserveFor(t *trace.Trace) {
-	nA, nS, nV, nMem, nStores := 0, 0, 0, 0, 0
+	nV, nMem, nStores := 0, 0, 0
 	for i := range t.Insns {
 		switch op := t.Insns[i].Op; op.ExecUnit() {
-		case isa.UnitA, isa.UnitCtl:
-			nA++
-		case isa.UnitS:
-			nS++
 		case isa.UnitV:
 			nV++
 		case isa.UnitMem:
@@ -167,16 +162,6 @@ func (m *machine) reserveFor(t *trace.Trace) {
 			}
 		}
 	}
-	m.aQ.Reserve(nA + 1)
-	m.sQ.Reserve(nS + 1)
-	m.vQ.Reserve(nV + 1)
-	nFront := nMem
-	if m.cfg.LoadElim == ElimSLEVLE {
-		// §6.2: every vector-register user advances through the memory
-		// front pipeline, not just memory instructions.
-		nFront += nV
-	}
-	m.mQ.Reserve(nFront + 1)
 	m.fu1.Reserve(nV + 1)
 	m.fu2.Reserve(nV + 1)
 	m.msched.reserve(nMem+1, nStores+1)
@@ -673,14 +658,13 @@ func (m *machine) execVector(in *isa.Instruction, dec, vl int64, vleDefer bool, 
 	start := issue + m.readX
 	var fu *sched.Gap
 	for {
-		if in.Op.NeedsFU2() {
-			fu = m.fu2
-		} else if m.fu1.Peek(start, occ) <= m.fu2.Peek(start, occ) {
-			fu = m.fu1
-		} else {
-			fu = m.fu2
-		}
+		fu = m.fu2
 		s2 := fu.Peek(start, occ)
+		if !in.Op.NeedsFU2() {
+			if s1 := m.fu1.Peek(start, occ); s1 <= s2 {
+				fu, s2 = m.fu1, s1
+			}
+		}
 		if p := m.ports.Peek(vReads, vWrite, s2); p > s2 {
 			start = p
 			continue

@@ -1,11 +1,11 @@
 // Package sched provides the cycle-interval resource allocators both
 // simulators are built on.
 //
-// Every hardware resource with occupancy — a functional unit, the memory
-// address bus, an issue port — is modelled as an allocator of cycle
-// intervals. The simulators process the trace in program order and ask each
-// resource for the earliest feasible interval subject to the instruction's
-// readiness time. Two allocation disciplines exist:
+// Every hardware resource whose busy intervals a breakdown reads — a
+// functional unit, the memory address bus — is modelled as an allocator of
+// cycle intervals. The simulators process the trace in program order and
+// ask each resource for the earliest feasible interval subject to the
+// instruction's readiness time. Two allocation disciplines exist:
 //
 //   - Monotonic: reservations never start before the end of the previous
 //     reservation. This models in-order resources (the reference machine's
@@ -36,6 +36,13 @@
 // departures come in admission order (the reorder buffer) and a shift past
 // the residents departing later otherwise (an issue queue). The event state
 // is derived: Restore and Reset rebuild it and checkpoints never carry it.
+//
+// AdmitFirstFree books an issue port, which needs no history, from the same
+// run: the first cycle at or after at on which no tracked occupant departs.
+// That equals a full-history Gap booking exactly when every evicted occupant
+// departed before at. It holds for a queue whose decode waits for FreeAt and
+// whose occupants enter after decode: occupant j departs by the decode of
+// occupant j+N, so every evicted occupant departed by the current decode.
 package sched
 
 import (
@@ -80,13 +87,8 @@ func NewMonotonic() *Monotonic { return &Monotonic{} }
 //
 //ovlint:hotpath books one interval per instruction; steady-state appends stay within Reserve capacity
 func (m *Monotonic) Allocate(earliest, dur int64) int64 {
-	if dur <= 0 {
-		dur = 1
-	}
-	start := earliest
-	if m.nextFree > start {
-		start = m.nextFree
-	}
+	dur = max(dur, 1)
+	start := max(earliest, m.nextFree)
 	m.nextFree = start + dur
 	m.busy += dur
 	if n := len(m.iv); n > 0 && m.iv[n-1].End == start {
@@ -136,9 +138,7 @@ func NewGap() *Gap { return &Gap{} }
 //
 //ovlint:hotpath books one interval per instruction; steady-state appends stay within Reserve capacity
 func (g *Gap) Allocate(earliest, dur int64) int64 {
-	if dur <= 0 {
-		dur = 1
-	}
+	dur = max(dur, 1)
 	g.busy += dur
 	start, i := g.findHole(earliest, dur)
 	g.insert(i, Interval{start, start + dur})
@@ -149,9 +149,7 @@ func (g *Gap) Allocate(earliest, dur int64) int64 {
 //
 //ovlint:hotpath probed several times per memory instruction
 func (g *Gap) Peek(earliest, dur int64) int64 {
-	if dur <= 0 {
-		dur = 1
-	}
+	dur = max(dur, 1)
 	start, _ := g.findHole(earliest, dur)
 	return start
 }
@@ -165,9 +163,7 @@ func (g *Gap) findHole(earliest, dur int64) (int64, int) {
 		if start+dur <= g.iv[i].Start {
 			break // hole before interval i fits
 		}
-		if g.iv[i].End > start {
-			start = g.iv[i].End
-		}
+		start = max(start, g.iv[i].End)
 		i++
 	}
 	return start, i
@@ -304,11 +300,14 @@ func NewRingWindow(n int) *RingWindow {
 	return &RingWindow{leave: make([]int64, n), n: n, dep: make([]int64, 2*n), asOf: math.MinInt64}
 }
 
+// Full reports whether the next admission evicts the oldest occupant.
+func (w *RingWindow) Full() bool { return w.n > 0 && w.count == w.n }
+
 // FreeAt returns the earliest cycle a new occupant may be admitted: 0 if the
 // structure has spare capacity, otherwise the departure time of the oldest
 // tracked occupant.
 func (w *RingWindow) FreeAt() int64 {
-	if w.n == 0 || w.count < w.n {
+	if !w.Full() {
 		return 0
 	}
 	return w.leave[w.next]
@@ -337,6 +336,24 @@ func (w *RingWindow) Admit(departAt int64) {
 	if departAt > w.asOf {
 		w.add(departAt)
 	}
+}
+
+// AdmitFirstFree admits an occupant departing at the first cycle at or after
+// at on which no tracked occupant departs, and returns that cycle (see the
+// package comment). An unbounded window tracks nothing and returns at.
+//
+//ovlint:hotpath books the issue port once per queued instruction
+func (w *RingWindow) AdmitFirstFree(at int64) int64 {
+	if at <= w.asOf {
+		w.rebuild(at - 1) // the run must hold every departure at or after at
+	}
+	t := at
+	k, _ := slices.BinarySearch(w.dep[w.lo:w.hi], at)
+	for k += w.lo; k < w.hi && w.dep[k] <= t; k++ {
+		t = max(t, w.dep[k]+1)
+	}
+	w.Admit(t)
+	return t
 }
 
 // add inserts departure time v into the sorted resident run.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,13 +38,15 @@ func scanFindHole(iv []Interval, earliest, dur int64) (int64, int) {
 // FuzzWindowAndGap decodes the input into a sequence of RingWindow and Gap
 // operations — admissions, occupancy queries (some at an earlier cycle than
 // the previous query), hole searches and bookings at nearly monotone and at
-// far earlier cycles, Snapshot/Restore round trips and Resets — and checks
-// every occupancy count and every hole against the linear references.
+// far earlier cycles, port bookings from the window, Snapshot/Restore round
+// trips and Resets — and checks every occupancy count, every hole and every
+// port booking against the linear references.
 func FuzzWindowAndGap(f *testing.F) {
 	f.Add([]byte{1, 0, 10, 0, 20, 2, 1, 2, 3, 3, 9, 2, 0})
 	f.Add([]byte{5, 0, 63, 1, 40, 2, 2, 0, 5, 6, 0, 2, 1, 3, 60, 2, 3})
 	f.Add([]byte{7, 4, 10, 5, 3, 5, 250, 4, 2, 5, 17, 6, 0, 4, 245, 5, 1})
 	f.Add([]byte{6, 0, 9, 0, 8, 0, 7, 0, 6, 2, 0, 7, 0, 0, 50, 2, 63, 3, 63, 2, 1})
+	f.Add([]byte{4, 7, 9, 7, 9, 7, 9, 2, 3, 7, 10, 7, 9, 3, 30, 7, 1, 6, 0, 7, 9, 2, 1, 7, 13})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -92,11 +95,21 @@ func FuzzWindowAndGap(f *testing.F) {
 					t.Fatalf("op %d: gap restore: %v", k, err)
 				}
 				w, g = w2, g2
-			case 7:
+			case 7: // reset, or for arg%4 != 0 a port booking from the window
 				if arg%4 == 0 {
 					w.Reset()
 					g.Reset()
 					gnow = 0
+					break
+				}
+				at := now + arg%64 - 8
+				st := w.Snapshot()
+				want := at
+				for slices.Contains(st.Leave[:st.Count], want) {
+					want++
+				}
+				if got := w.AdmitFirstFree(at); got != want {
+					t.Fatalf("op %d: AdmitFirstFree(%d) = %d, ring scan %d", k, at, got, want)
 				}
 			}
 		}

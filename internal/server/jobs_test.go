@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"oovec/internal/jobs"
+	"oovec/internal/ooosim"
 )
 
 // del drives a DELETE through the handler stack.
@@ -230,6 +231,64 @@ func TestJobKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2.Close()
+}
+
+// TestJobRestartsFromStaleLayoutCheckpoint: a checkpoint blob of another
+// layout left in the store — here one whose layout number is 0, as every
+// blob written before checkpoints were numbered decodes — is not resumed.
+// The job restarts at instruction 0 and its result is byte-identical to
+// /v1/sim.
+func TestJobRestartsFromStaleLayoutCheckpoint(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	s := New(Opts{Workers: 1, Store: st, JobWorkers: 1})
+	defer s.JobsClose()
+	simReq := SimRequest{Bench: "bdna", Insns: 20_000}
+	plan, err := s.planSim(&simReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob []byte
+	plan.runCk(context.Background(), nil, 5_000, ckCallbacks{onCheckpoint: func(b []byte) {
+		if blob == nil {
+			blob = b
+		}
+	}})
+	ck, err := ooosim.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.NextInsn <= 0 {
+		t.Fatalf("checkpoint at instruction %d; a resume from it would be indistinguishable from a restart", ck.NextInsn)
+	}
+	ck.Layout = 0
+	stale, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveBlob(context.Background(), plan.key, stale); err != nil {
+		t.Fatal(err)
+	}
+
+	resp := submitJob(t, s, JobRequest{Sim: simReq, CheckpointInsns: 5_000})
+	if resp.Key != plan.key {
+		t.Fatalf("job key %q, planned %q", resp.Key, plan.key)
+	}
+	done := waitJob(t, s, resp.ID, jobs.StateDone)
+	if done.ResumedFrom != 0 {
+		t.Errorf("resumed_from = %d from a stale-layout checkpoint, want 0", done.ResumedFrom)
+	}
+	ref := newTestServer(t)
+	defer ref.JobsClose()
+	var want SimResponse
+	if err := json.Unmarshal(post(t, ref, "/v1/sim", simReq).Body.Bytes(), &want); err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, _ := json.Marshal(done.Metrics)
+	wantJSON, _ := json.Marshal(want.Metrics)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("restarted job's metrics differ from /v1/sim:\ngot  %s\nwant %s", gotJSON, wantJSON)
+	}
 }
 
 // TestJobPreemptedByInteractiveTraffic: an interactive /v1/sim arriving

@@ -51,8 +51,11 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 		{"unsorted functional-unit intervals", func(ck *ooosim.Checkpoint) {
 			ck.FU1.IV = []sched.Interval{{Start: 40, End: 50}, {Start: 10, End: 20}}
 		}},
-		{"overlapping issue-port intervals", func(ck *ooosim.Checkpoint) {
-			ck.AQ.Slots.IV = []sched.Interval{{Start: 0, End: 10}, {Start: 5, End: 15}}
+		{"front-stage cycles out of order", func(ck *ooosim.Checkpoint) {
+			ck.MQ.Free = [3]int64{12, 10, 11}
+		}},
+		{"negative issue-port floor", func(ck *ooosim.Checkpoint) {
+			ck.SQ.Floor = -1
 		}},
 		{"empty address-bus interval", func(ck *ooosim.Checkpoint) {
 			ck.MSched.Bus.IV = []sched.Interval{{Start: 7, End: 7}}
