@@ -262,86 +262,68 @@ func (u Unit) String() string {
 	return fmt.Sprintf("Unit(%d)", uint8(u))
 }
 
-// ExecUnit returns the machine unit that executes op.
-func (o Op) ExecUnit() Unit {
-	switch o {
-	case OpNop:
-		return UnitNone
-	case OpAAdd, OpAMul, OpAMove, OpSetVL, OpSetVS:
-		return UnitA
-	case OpSAdd, OpSMul, OpSDiv, OpSSqrt, OpSLogic, OpSShift, OpSMove:
-		return UnitS
-	case OpBranch, OpJump, OpCall, OpReturn:
-		return UnitCtl
-	case OpVAdd, OpVMul, OpVDiv, OpVSqrt, OpVLogic, OpVShift, OpVCmp,
-		OpVMerge, OpVSMul, OpVSAdd, OpVReduce:
-		return UnitV
-	case OpALoad, OpAStore, OpSLoad, OpSStore,
-		OpVLoad, OpVStore, OpVGather, OpVScatter:
-		return UnitMem
-	}
-	return UnitNone
+// opClass packs an operation's Unit (in the low bits) and property flags.
+type opClass uint8
+
+const (
+	unitBits opClass = 1<<3 - 1
+	isVector opClass = 1 << 3 // reads or writes V registers and executes under VL
+	isLoad   opClass = 1 << 4 // reads memory
+	isStore  opClass = 1 << 5 // writes memory
+	needsFU2 opClass = 1 << 6 // vector computation FU1 cannot execute
+
+	aOp, sOp, ctlOp, memOp = opClass(UnitA), opClass(UnitS), opClass(UnitCtl), opClass(UnitMem)
+	vOp                    = opClass(UnitV) | isVector
+)
+
+// opClasses defines each operation's properties once. Per the paper, FU1
+// executes all vector instructions except multiplication, division and
+// square root.
+var opClasses = [NumOps]opClass{
+	OpNop:  opClass(UnitNone),
+	OpAAdd: aOp, OpAMul: aOp, OpAMove: aOp, OpSetVL: aOp, OpSetVS: aOp,
+	OpSAdd: sOp, OpSMul: sOp, OpSDiv: sOp, OpSSqrt: sOp, OpSLogic: sOp, OpSShift: sOp, OpSMove: sOp,
+	OpBranch: ctlOp, OpJump: ctlOp, OpCall: ctlOp, OpReturn: ctlOp,
+
+	OpVAdd: vOp, OpVMul: vOp | needsFU2, OpVDiv: vOp | needsFU2, OpVSqrt: vOp | needsFU2,
+	OpVLogic: vOp, OpVShift: vOp, OpVCmp: vOp, OpVMerge: vOp,
+	OpVSMul: vOp | needsFU2, OpVSAdd: vOp, OpVReduce: vOp,
+
+	OpALoad: memOp | isLoad, OpSLoad: memOp | isLoad,
+	OpVLoad: memOp | isVector | isLoad, OpVGather: memOp | isVector | isLoad,
+	OpAStore: memOp | isStore, OpSStore: memOp | isStore,
+	OpVStore: memOp | isVector | isStore, OpVScatter: memOp | isVector | isStore,
 }
+
+// class returns op's properties; an undefined op has none (UnitNone).
+func (o Op) class() opClass {
+	if int(o) < NumOps {
+		return opClasses[o]
+	}
+	return 0
+}
+
+// ExecUnit returns the machine unit that executes op.
+func (o Op) ExecUnit() Unit { return Unit(o.class() & unitBits) }
 
 // IsVector reports whether op is a vector operation (computation or memory),
 // i.e. whether it reads or writes V registers and executes under VL.
-func (o Op) IsVector() bool {
-	switch o {
-	case OpVAdd, OpVMul, OpVDiv, OpVSqrt, OpVLogic, OpVShift, OpVCmp,
-		OpVMerge, OpVSMul, OpVSAdd, OpVReduce,
-		OpVLoad, OpVStore, OpVGather, OpVScatter:
-		return true
-	}
-	return false
-}
+func (o Op) IsVector() bool { return o.class()&isVector != 0 }
 
 // IsMem reports whether op accesses memory.
-func (o Op) IsMem() bool {
-	switch o {
-	case OpALoad, OpAStore, OpSLoad, OpSStore,
-		OpVLoad, OpVStore, OpVGather, OpVScatter:
-		return true
-	}
-	return false
-}
+func (o Op) IsMem() bool { return o.class()&(isLoad|isStore) != 0 }
 
 // IsLoad reports whether op reads memory.
-func (o Op) IsLoad() bool {
-	switch o {
-	case OpALoad, OpSLoad, OpVLoad, OpVGather:
-		return true
-	}
-	return false
-}
+func (o Op) IsLoad() bool { return o.class()&isLoad != 0 }
 
 // IsStore reports whether op writes memory.
-func (o Op) IsStore() bool {
-	switch o {
-	case OpAStore, OpSStore, OpVStore, OpVScatter:
-		return true
-	}
-	return false
-}
+func (o Op) IsStore() bool { return o.class()&isStore != 0 }
 
 // IsBranch reports whether op is a control-transfer instruction.
-func (o Op) IsBranch() bool {
-	switch o {
-	case OpBranch, OpJump, OpCall, OpReturn:
-		return true
-	}
-	return false
-}
+func (o Op) IsBranch() bool { return Unit(o.class()&unitBits) == UnitCtl }
 
 // NeedsFU2 reports whether a vector computation can only execute on FU2.
-// Per the paper, FU1 executes all vector instructions except multiplication,
-// division and square root.
-func (o Op) NeedsFU2() bool {
-	switch o {
-	case OpVMul, OpVDiv, OpVSqrt, OpVSMul:
-		return true
-	}
-	return false
-}
+func (o Op) NeedsFU2() bool { return o.class()&needsFU2 != 0 }
 
 // Instruction is one dynamic instruction from a trace. Fields that do not
 // apply to the opcode are left at their zero values.

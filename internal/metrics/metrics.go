@@ -177,21 +177,33 @@ type OccHist struct {
 	Counts [OccBuckets]int64
 }
 
-// Observe records one occupancy sample against the given capacity.
-// Allocation-free: called from the simulator hot path.
-func (h *OccHist) Observe(occ, capacity int) {
+// OccTable maps each occupancy 0..capacity of a structure to its bucket,
+// built once per structure size so a sample needs no division.
+type OccTable []uint8
+
+// NewOccTable returns bucket floor(occ*(OccBuckets-1)/capacity) for every
+// occ in 0..capacity, with no division. A capacity <= 0 has no table.
+func NewOccTable(capacity int) OccTable {
 	if capacity <= 0 {
-		return
+		return nil
 	}
-	h.Cap = int64(capacity)
-	b := occ * (OccBuckets - 1) / capacity
-	if b < 0 {
-		b = 0
+	t, b := make(OccTable, capacity+1), 0
+	for occ := range t {
+		for b < OccBuckets-1 && (b+1)*capacity <= occ*(OccBuckets-1) {
+			b++
+		}
+		t[occ] = uint8(b)
 	}
-	if b > OccBuckets-1 {
-		b = OccBuckets - 1
+	return t
+}
+
+// Observe records one occupancy sample through the structure's table,
+// clamping occ into [0, capacity]; an empty table records nothing.
+func (h *OccHist) Observe(t OccTable, occ int) {
+	if len(t) > 0 {
+		h.Cap = int64(len(t) - 1)
+		h.Counts[t[min(max(occ, 0), len(t)-1)]]++
 	}
-	h.Counts[b]++
 }
 
 // Samples returns the total number of recorded samples.

@@ -5,11 +5,12 @@ import "testing"
 func TestOccHistBucketMapping(t *testing.T) {
 	var h OccHist
 	const capacity = 64
+	tab := NewOccTable(capacity)
 	// Empty, half-full and full occupancy land in the first, middle and
 	// last buckets respectively.
-	h.Observe(0, capacity)
-	h.Observe(capacity/2, capacity)
-	h.Observe(capacity, capacity)
+	h.Observe(tab, 0)
+	h.Observe(tab, capacity/2)
+	h.Observe(tab, capacity)
 	if h.Cap != capacity {
 		t.Errorf("Cap = %d, want %d", h.Cap, capacity)
 	}
@@ -29,13 +30,14 @@ func TestOccHistBucketMapping(t *testing.T) {
 
 func TestOccHistClampsAndGuards(t *testing.T) {
 	var h OccHist
-	h.Observe(5, 0)  // zero capacity: ignored, no panic
-	h.Observe(-1, 0) // nonsense: ignored
+	h.Observe(NewOccTable(0), 5)  // zero capacity: ignored, no panic
+	h.Observe(NewOccTable(-1), 0) // nonsense: ignored
 	if h.Samples() != 0 {
 		t.Errorf("guarded observes counted: %v", h.Counts)
 	}
-	h.Observe(100, 8) // over-capacity clamps into the last bucket
-	h.Observe(-3, 8)  // negative clamps into the first
+	tab := NewOccTable(8)
+	h.Observe(tab, 100) // over-capacity clamps into the last bucket
+	h.Observe(tab, -3)  // negative clamps into the first
 	if h.Counts[OccBuckets-1] != 1 || h.Counts[0] != 1 {
 		t.Errorf("clamping broken: %v", h.Counts)
 	}
@@ -48,10 +50,11 @@ func TestOccHistClampsAndGuards(t *testing.T) {
 func TestOccHistEveryOccupancyLands(t *testing.T) {
 	const capacity = 16
 	var h OccHist
+	tab := NewOccTable(capacity)
 	prev := 0
 	for occ := 0; occ <= capacity; occ++ {
 		before := h
-		h.Observe(occ, capacity)
+		h.Observe(tab, occ)
 		// Find the bucket this observe incremented.
 		hit := -1
 		for i := range h.Counts {
@@ -70,6 +73,24 @@ func TestOccHistEveryOccupancyLands(t *testing.T) {
 	}
 	if h.Samples() != capacity+1 {
 		t.Errorf("Samples = %d, want %d", h.Samples(), capacity+1)
+	}
+}
+
+// TestOccTableMatchesDivision checks the bucket table against the clamped
+// division it replaces, for every capacity 1..1024 and every occupancy
+// 0..capacity.
+func TestOccTableMatchesDivision(t *testing.T) {
+	for capacity := 1; capacity <= 1024; capacity++ {
+		tab := NewOccTable(capacity)
+		if len(tab) != capacity+1 {
+			t.Fatalf("capacity %d: table of %d entries", capacity, len(tab))
+		}
+		for occ := 0; occ <= capacity; occ++ {
+			want := min(max(occ*(OccBuckets-1)/capacity, 0), OccBuckets-1)
+			if int(tab[occ]) != want {
+				t.Fatalf("capacity %d, occupancy %d: bucket %d, want %d", capacity, occ, tab[occ], want)
+			}
+		}
 	}
 }
 

@@ -123,7 +123,7 @@ func (s *memScheduler) restore(st MemSchedState) error {
 		s.entries[i] = memEntry{rstart: e.RStart, rend: e.REnd,
 			isStore: e.IsStore, busEnd: e.BusEnd, pendIdx: e.PendIdx}
 	}
-	s.n = st.N
+	s.n, s.slot = st.N, st.N%s.scanWin
 	s.ranges = rangeidx.New(s.scanWin) // derived: rebuilt from the live entries
 	for i := max(s.n-s.scanWin, 0); i < s.n; i++ {
 		e := &s.entries[i%memScanWindow]
@@ -136,8 +136,8 @@ func (s *memScheduler) restore(st MemSchedState) error {
 // checkpointLayout numbers the Checkpoint encoding. DecodeCheckpoint rejects
 // any other, as gob would decode it cleanly into wrong state. Bump it when a
 // state type changes meaning. Every blob written before the number existed
-// decodes as layout 0.
-const checkpointLayout = 1
+// decodes as layout 0; layout 2 gave the ROB one commit ring.
+const checkpointLayout = 2
 
 // Checkpoint is the complete deterministic state of an OOOVA simulation at
 // an instruction boundary: instructions [0, NextInsn) have been simulated.
@@ -291,12 +291,9 @@ func (m *machine) restore(ck *Checkpoint) error {
 		if tb == nil {
 			continue
 		}
-		st := ck.Tables[class]
-		if len(st.Mapping) != tb.NumLogical || len(st.Refcnt) != tb.NumPhysical {
-			return fmt.Errorf("ooosim: checkpoint rename table %v sized %d/%d, configuration wants %d/%d",
-				isa.RegClass(class), len(st.Mapping), len(st.Refcnt), tb.NumLogical, tb.NumPhysical)
+		if err := tb.Restore(ck.Tables[class]); err != nil {
+			return fmt.Errorf("ooosim: checkpoint %w", err)
 		}
-		tb.Restore(st)
 	}
 	copy(m.aReady, ck.AReady)
 	copy(m.sReady, ck.SReady)

@@ -142,26 +142,14 @@ func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
 	return nil
 }
 
-// reserveFor sizes the big growable buffers from the trace so a reused
-// machine's steady-state run never grows them: a vector instruction books
-// at most one interval on each FU allocator, a memory instruction one bus
-// interval, and a store at most one pending-store record. The issue queues
-// are sized by their capacity and need nothing.
+// reserveFor sizes the growable buffers from the trace's counts so a reused
+// machine's steady-state run never grows them: a vector computation books
+// at most one interval per FU, a memory access one bus interval, a store
+// one pending-store record. The issue queues are sized by their capacity.
 //
-//ovlint:coldpath one reservation pass per run, amortised over the whole trace
+//ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) reserveFor(t *trace.Trace) {
-	nV, nMem, nStores := 0, 0, 0
-	for i := range t.Insns {
-		switch op := t.Insns[i].Op; op.ExecUnit() {
-		case isa.UnitV:
-			nV++
-		case isa.UnitMem:
-			nMem++
-			if op.IsStore() {
-				nStores++
-			}
-		}
-	}
+	nV, nMem, nStores := t.UnitCounts()
 	m.fu1.Reserve(nV + 1)
 	m.fu2.Reserve(nV + 1)
 	m.msched.reserve(nMem+1, nStores+1)
@@ -212,8 +200,10 @@ type machine struct {
 	// per-structure occupancy histograms. Always on (cheap, deterministic,
 	// allocation-free), so a run's stats never depend on whether a probe
 	// sink was attached.
-	stalls metrics.StallBreakdown
-	occ    metrics.Occupancy
+	stalls   metrics.StallBreakdown
+	occ      metrics.Occupancy
+	robOcc   metrics.OccTable //ovlint:config occupancy bucket table of the shape's ROB size
+	queueOcc metrics.OccTable //ovlint:config occupancy bucket table of the shape's queue size
 
 	// suppressFrom, when >= 0, marks the first instruction of a squashed
 	// window (fault injection): those instructions never commit, so their
@@ -268,6 +258,9 @@ func newMachine(cfg Config) *machine {
 		pred:    bpred.New(),
 		readX:   int64(isa.ReadXbar(isa.MachineOOO)),
 		writeX:  int64(isa.WriteXbar(isa.MachineOOO)),
+
+		robOcc:   metrics.NewOccTable(cfg.ROBSize),
+		queueOcc: metrics.NewOccTable(cfg.QueueSlots),
 
 		prevFetch:    -1,
 		prevDecode:   -1,
@@ -428,9 +421,10 @@ func (m *machine) Step(idx int, in *isa.Instruction) {
 		}
 		dec = c
 	}
+	unit := in.Op.ExecUnit()
 	var qAdmit int64
 	var qFull *int64
-	switch in.Op.ExecUnit() {
+	switch unit {
 	case isa.UnitA, isa.UnitCtl:
 		qAdmit, qFull = m.aQ.AdmitConstraint(), &m.stalls.IQFullA
 	case isa.UnitS:
@@ -476,20 +470,20 @@ func (m *machine) Step(idx int, in *isa.Instruction) {
 
 	// Occupancy sampling: how full the reorder buffer and the target issue
 	// queue were at the cycle this instruction cleared decode.
-	m.occ.ROB.Observe(m.rob.Occupied(dec), cfg.ROBSize)
-	switch in.Op.ExecUnit() {
+	m.occ.ROB.Observe(m.robOcc, m.rob.Occupied(dec))
+	switch unit {
 	case isa.UnitA, isa.UnitCtl:
-		m.occ.IQA.Observe(m.aQ.Occupied(dec), cfg.QueueSlots)
+		m.occ.IQA.Observe(m.queueOcc, m.aQ.Occupied(dec))
 	case isa.UnitS:
-		m.occ.IQS.Observe(m.sQ.Occupied(dec), cfg.QueueSlots)
+		m.occ.IQS.Observe(m.queueOcc, m.sQ.Occupied(dec))
 	case isa.UnitV:
-		m.occ.IQV.Observe(m.vQ.Occupied(dec), cfg.QueueSlots)
+		m.occ.IQV.Observe(m.queueOcc, m.vQ.Occupied(dec))
 	case isa.UnitMem:
-		m.occ.IQM.Observe(m.mQ.Occupied(dec), cfg.QueueSlots)
+		m.occ.IQM.Observe(m.queueOcc, m.mQ.Occupied(dec))
 	}
 
 	var issue, execStart, complete int64
-	switch in.Op.ExecUnit() {
+	switch unit {
 	case isa.UnitA, isa.UnitS:
 		ready := dec + 1
 		for _, s := range srcs {
@@ -501,7 +495,7 @@ func (m *machine) Step(idx int, in *isa.Instruction) {
 			ready = dstReadyAt
 		}
 		q := m.aQ
-		if in.Op.ExecUnit() == isa.UnitS {
+		if unit == isa.UnitS {
 			q = m.sQ
 		}
 		issue = q.Issue(dec+1, ready)

@@ -34,6 +34,7 @@ type memScheduler struct {
 	entries [memScanWindow]memEntry
 	n       int
 	scanWin int //ovlint:config structural size, fixed at construction
+	slot    int //ovlint:derived n % scanWin, the range-index slot of the next access; restore rebuilds it
 
 	// ranges indexes the byte ranges of the last scanWin entries, access i
 	// in slot i%scanWin and marked if it is a store, so conflictConstraint
@@ -103,7 +104,7 @@ func (s *memScheduler) reset() {
 	s.pend = s.pend[:0]
 	s.byReady = s.byReady[:0]
 	s.ranges.Reset()
-	s.n = 0
+	s.n, s.slot = 0, 0
 	s.requests, s.conflicts, s.lastEnd = 0, 0, 0
 }
 
@@ -198,12 +199,11 @@ func (s *memScheduler) place(i int) {
 // pair being a store). Pending overlapping stores are forced to place, in
 // age order.
 func (s *memScheduler) conflictConstraint(rstart, rend uint64, isStore bool) int64 {
-	// A load conflicts only with stores. The oldest live entry, lo, sits in
-	// slot first; slots first.. hold lo.., and slots 0..first-1 the
-	// younger entries after them.
+	// A load conflicts only with stores. Entry lo = n-scanWin (negative, and
+	// its slots empty, before the window fills) sits in slot first; slots
+	// first.. hold lo.., and slots 0..first-1 the younger entries after them.
 	over := s.ranges.Query(rstart, rend, !isStore)
-	lo := max(s.n-s.scanWin, 0)
-	first := lo % s.scanWin
+	lo, first := s.n-s.scanWin, s.slot
 	var at int64
 	for slot := rangeidx.Next(over, first); slot >= 0; slot = rangeidx.Next(over, slot+1) {
 		at = max(at, s.conflictWith(lo+slot-first, rstart, rend, isStore))
@@ -244,7 +244,10 @@ func (s *memScheduler) record(rstart, rend uint64, isStore bool, busEnd int64, p
 	s.entries[s.n%memScanWindow] = memEntry{
 		rstart: rstart, rend: rend, isStore: isStore, busEnd: busEnd, pendIdx: pendIdx,
 	}
-	s.ranges.Insert(s.n%s.scanWin, rstart, rend, isStore) // replaces entry n-scanWin
+	s.ranges.Insert(s.slot, rstart, rend, isStore) // replaces entry n-scanWin
+	if s.slot++; s.slot == s.scanWin {
+		s.slot = 0
+	}
 	s.n++
 	return s.n - 1
 }

@@ -181,22 +181,13 @@ func (m *machine) reset(cfg Config) {
 	m.stalls = metrics.StallBreakdown{}
 }
 
-// reserveFor sizes the unit interval lists from the trace so a reused
-// machine's steady-state run never grows them: a vector computation books
-// at most one interval on each FU allocator and a memory instruction at
-// most one bus interval.
+// reserveFor sizes the unit interval lists from the trace's counts: a vector
+// computation books at most one interval per FU, a memory access one bus
+// interval, so a reused machine's steady-state run never grows them.
 //
-//ovlint:coldpath one reservation pass per run, amortised over the whole trace
+//ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) reserveFor(t *trace.Trace) {
-	nV, nMem := 0, 0
-	for i := range t.Insns {
-		switch t.Insns[i].Op.ExecUnit() {
-		case isa.UnitV:
-			nV++
-		case isa.UnitMem:
-			nMem++
-		}
-	}
+	nV, nMem, _ := t.UnitCounts()
 	m.fu1.Reserve(nV + 1)
 	m.fu2.Reserve(nV + 1)
 	m.bus.Reserve(nMem + 1)

@@ -84,9 +84,13 @@ func (t *Table) Reset() {
 	}
 }
 
-// push appends a free entry at the ring tail.
+// push appends a free entry at the ring tail, which has room for every register.
 func (t *Table) push(e freeEntry) {
-	t.free[(t.head+t.count)%len(t.free)] = e
+	i := t.head + t.count
+	if i >= len(t.free) {
+		i -= len(t.free)
+	}
+	t.free[i] = e
 	t.count++
 }
 
@@ -118,7 +122,9 @@ func (t *Table) Allocate(logical int) (newPhys, oldPhys int, readyAt int64, ok b
 		return 0, 0, 0, false
 	}
 	e := t.free[t.head]
-	t.head = (t.head + 1) % len(t.free)
+	if t.head++; t.head == len(t.free) {
+		t.head = 0
+	}
 	t.count--
 	oldPhys = t.mapping[logical]
 	t.mapping[logical] = e.Phys
@@ -188,33 +194,9 @@ func (t *Table) Undo(logical, oldPhys, newPhys int) {
 // LiveRefs returns the reference count of phys (testing/invariant checks).
 func (t *Table) LiveRefs(phys int) int { return t.refcnt[phys] }
 
-// CheckInvariants verifies structural sanity: every mapping target has a
-// positive refcount, free-list registers have zero refcount, no register is
-// both free and mapped, and reference totals are consistent.
-func (t *Table) CheckInvariants() error {
-	onFree := make(map[int]bool, t.count)
-	for i := 0; i < t.count; i++ {
-		e := t.free[(t.head+i)%len(t.free)]
-		if onFree[e.Phys] {
-			return fmt.Errorf("rename: %v physical %d on free list twice", t.Class, e.Phys)
-		}
-		onFree[e.Phys] = true
-		if t.refcnt[e.Phys] != 0 {
-			return fmt.Errorf("rename: %v physical %d free but refcount %d",
-				t.Class, e.Phys, t.refcnt[e.Phys])
-		}
-	}
-	for l, p := range t.mapping {
-		if t.refcnt[p] <= 0 {
-			return fmt.Errorf("rename: %v%d maps to %d with refcount %d",
-				t.Class, l, p, t.refcnt[p])
-		}
-		if onFree[p] {
-			return fmt.Errorf("rename: %v%d maps to free register %d", t.Class, l, p)
-		}
-	}
-	return nil
-}
+// CheckInvariants verifies structural sanity: every mapping target is
+// referenced, and no free register is listed twice or referenced.
+func (t *Table) CheckInvariants() error { return t.check(t.Snapshot()) }
 
 // Record is a reorder-buffer rename record: enough to undo one instruction's
 // rename. Note the paper's observation that "the reorder buffer only holds a

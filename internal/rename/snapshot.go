@@ -38,15 +38,48 @@ func (t *Table) Snapshot() TableState {
 }
 
 // Restore replaces the table state with st. The table's structural sizes
-// (NumLogical, NumPhysical) are configuration, not state, and must match
-// the snapshotted table's.
-func (t *Table) Restore(st TableState) {
+// (NumLogical, NumPhysical) are configuration, not state; a state that
+// fails check is an error and leaves the table unchanged.
+func (t *Table) Restore(st TableState) error {
+	if err := t.check(st); err != nil {
+		return err
+	}
 	copy(t.mapping, st.Mapping)
 	copy(t.refcnt, st.Refcnt)
 	t.head, t.count = 0, 0
 	for _, e := range st.Free {
 		t.push(freeEntry{Phys: e.Phys, ReadyAt: e.ReadyAt})
 	}
+	return nil
+}
+
+// check returns the first invariant st breaks: sizes other than the
+// table's, more free entries than registers, a free entry out of range,
+// listed twice or still referenced, or a mapping out of range or to a
+// register with no reference.
+func (t *Table) check(st TableState) error {
+	if len(st.Mapping) != t.NumLogical || len(st.Refcnt) != t.NumPhysical || len(st.Free) > t.NumPhysical {
+		return fmt.Errorf("rename: %v table state sized %d/%d with %d free, configuration wants %d/%d",
+			t.Class, len(st.Mapping), len(st.Refcnt), len(st.Free), t.NumLogical, t.NumPhysical)
+	}
+	onFree := make([]bool, t.NumPhysical)
+	for _, e := range st.Free {
+		switch {
+		case uint(e.Phys) >= uint(t.NumPhysical):
+			return fmt.Errorf("rename: %v free entry %d outside [0,%d)", t.Class, e.Phys, t.NumPhysical)
+		case onFree[e.Phys]:
+			return fmt.Errorf("rename: %v physical %d on free list twice", t.Class, e.Phys)
+		case st.Refcnt[e.Phys] != 0:
+			return fmt.Errorf("rename: %v physical %d free but refcount %d", t.Class, e.Phys, st.Refcnt[e.Phys])
+		}
+		onFree[e.Phys] = true
+	}
+	for l, p := range st.Mapping {
+		if uint(p) >= uint(t.NumPhysical) || st.Refcnt[p] <= 0 {
+			return fmt.Errorf("rename: %v%d maps to physical %d, outside [0,%d) or unreferenced", t.Class, l, p, t.NumPhysical)
+		}
+	}
+	return nil
 }
 
 // TagFileState is the serialisable mid-run state of a TagFile.

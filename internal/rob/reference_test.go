@@ -1,0 +1,120 @@
+package rob
+
+import (
+	"math/rand"
+	"testing"
+
+	"oovec/internal/sched"
+)
+
+// refROB is the buffer the commit ring replaced: a ring of the last `width`
+// commit cycles for the width check and a sched.RingWindow of the last
+// `size` for admission and occupancy.
+type refROB struct {
+	width  int
+	window *sched.RingWindow
+	recent []int64
+	ri     int
+	filled int
+	last   int64
+}
+
+func newRefROB(size, width int) *refROB {
+	return &refROB{width: width, window: sched.NewRingWindow(size), recent: make([]int64, width)}
+}
+
+func (r *refROB) AdmitConstraint() int64 { return r.window.FreeAt() }
+
+func (r *refROB) Occupied(now int64) int { return r.window.Occupied(now) }
+
+func (r *refROB) Commit(ready int64) int64 {
+	c := ready + 1
+	if c < r.last {
+		c = r.last
+	}
+	if r.filled >= r.width {
+		if min := r.recent[r.ri] + 1; c < min {
+			c = min
+		}
+	}
+	r.recent[r.ri] = c
+	r.ri = (r.ri + 1) % r.width
+	if r.filled < r.width {
+		r.filled++
+	}
+	r.last = c
+	r.window.Admit(c)
+	return c
+}
+
+// checkAgainstReference replays ops on a ROB and on the reference and fails
+// at the first commit cycle, admission constraint or occupancy that
+// differs. Each byte is one operation, selected by its low two bits:
+//
+//	0, 1  commit an instruction ready 20 cycles before to 43 after the
+//	      previous one
+//	2     sample occupancy up to 63 cycles before the last commit, so
+//	      successive samples mostly increase and sometimes decrease
+//	3     snapshot the ROB and restore it into a fresh one, or sample
+//	      occupancy up to ~500 cycles before the last commit
+func checkAgainstReference(t testing.TB, size, width int, ops []byte) {
+	t.Helper()
+	r, ref := New(size, width), newRefROB(size, width)
+	var ready int64
+	for i, b := range ops {
+		arg := int64(b >> 2)
+		switch b & 3 {
+		case 0, 1:
+			if got, want := r.AdmitConstraint(), ref.AdmitConstraint(); got != want {
+				t.Fatalf("size %d width %d op %d: AdmitConstraint %d, reference %d", size, width, i, got, want)
+			}
+			ready = max(ready+arg-20, 0)
+			if got, want := r.Commit(ready), ref.Commit(ready); got != want {
+				t.Fatalf("size %d width %d op %d: Commit(%d) = %d, reference %d", size, width, i, ready, got, want)
+			}
+			continue
+		case 2:
+		case 3:
+			if arg&1 == 0 {
+				fresh := New(size, width)
+				if err := fresh.Restore(r.Snapshot()); err != nil {
+					t.Fatalf("size %d width %d op %d: Restore: %v", size, width, i, err)
+				}
+				r = fresh
+				continue
+			}
+			arg *= 16
+		}
+		now := r.LastCommit() - arg
+		if got, want := r.Occupied(now), ref.Occupied(now); got != want {
+			t.Fatalf("size %d width %d op %d: Occupied(%d) = %d, reference %d", size, width, i, now, got, want)
+		}
+	}
+}
+
+// TestROBMatchesWindowReference drives the commit ring and the reference
+// with the same random operations over sizes and commit widths, widths
+// above the size included.
+func TestROBMatchesWindowReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]byte, 4000)
+	for _, size := range []int{1, 2, 4, 64, 128} {
+		for _, width := range []int{1, 2, 4, 8} {
+			for seed := 0; seed < 4; seed++ {
+				rng.Read(ops)
+				checkAgainstReference(t, size, width, ops)
+			}
+		}
+	}
+}
+
+// FuzzROB checks fuzzed operation sequences, sizes and widths against the
+// reference.
+func FuzzROB(f *testing.F) {
+	f.Add(uint8(63), uint8(3), []byte{0, 4, 8, 2, 6, 3, 7, 1, 1, 1, 1, 1, 2, 10, 255})
+	f.Add(uint8(0), uint8(7), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 6, 3, 11, 1, 2})
+	f.Add(uint8(127), uint8(0), []byte{80, 80, 80, 2, 250, 3, 66, 2, 7})
+	f.Fuzz(func(t *testing.T, size, width uint8, ops []byte) {
+		checkAgainstReference(t, 1+int(size)%128, 1+int(width)%8, ops)
+	})
+}

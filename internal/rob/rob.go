@@ -15,9 +15,17 @@
 //
 // The functional contents of ROB entries (the rename records used for
 // rollback) live in package rename; this package computes commit cycles.
+//
+// Commit cycles never decrease, so one ring of the last max(size, width)
+// holds them sorted: the commit `size` back is the admission constraint,
+// the commit `width` back the width limit, and the slots held at a cycle
+// are a suffix of the ring, tracked by a derived cursor.
 package rob
 
-import "oovec/internal/sched"
+import (
+	"math"
+	"sort"
+)
 
 // Paper parameters.
 const (
@@ -48,13 +56,14 @@ func (p Policy) String() string {
 
 // ROB computes commit times for an in-order, width-limited commit stage.
 type ROB struct {
-	size   int //ovlint:config structural size, fixed at construction
-	width  int //ovlint:config structural size, fixed at construction
-	window *sched.RingWindow
-	recent []int64 // ring buffer of the last `width` commit times
-	ri     int
-	filled int
-	last   int64
+	size  int     //ovlint:config structural size, fixed at construction
+	width int     //ovlint:config structural size, fixed at construction
+	ring  []int64 // the last max(size, width) commit cycles
+	count int     // commits in the ring
+	ri    int     // ring index of the next commit
+	last  int64
+	res   int   //ovlint:derived slots held at asOf, the newest of the ring; Restore recounts it
+	asOf  int64 //ovlint:derived cycle res is current for; Restore recounts it
 }
 
 // New returns a ROB with the given capacity and commit width.
@@ -65,18 +74,26 @@ func New(size, width int) *ROB {
 	if width <= 0 {
 		width = DefaultWidth
 	}
-	return &ROB{
-		size:   size,
-		width:  width,
-		window: sched.NewRingWindow(size),
-		recent: make([]int64, width),
+	return &ROB{size: size, width: width, ring: make([]int64, max(size, width)), asOf: math.MinInt64}
+}
+
+// back returns the ring index of the commit k before the next, 0 <= k <= len(ring).
+func (r *ROB) back(k int) int {
+	if k > r.ri {
+		return r.ri - k + len(r.ring)
 	}
+	return r.ri - k
 }
 
 // AdmitConstraint returns the earliest cycle a new instruction may be
 // allocated a slot: immediately if the buffer has spare capacity, otherwise
 // the commit cycle of the oldest in-flight instruction.
-func (r *ROB) AdmitConstraint() int64 { return r.window.FreeAt() }
+func (r *ROB) AdmitConstraint() int64 {
+	if r.count < r.size {
+		return 0
+	}
+	return r.ring[r.back(r.size)]
+}
 
 // Commit records the next instruction's commit given the cycle it becomes
 // ready to commit, enforcing program order and the commit width, and books
@@ -84,24 +101,21 @@ func (r *ROB) AdmitConstraint() int64 { return r.window.FreeAt() }
 //
 //ovlint:hotpath called once per dynamic instruction
 func (r *ROB) Commit(ready int64) int64 {
-	c := ready + 1 // committing takes a cycle after readiness
-	if c < r.last {
-		c = r.last // program order: never commit before an older instruction
-	}
-	if r.filled >= r.width {
+	c := max(ready+1, r.last) // a cycle after readiness, never before an older commit
+	if r.count >= r.width {
 		// At most `width` commits per cycle: the instruction `width` back
 		// must have committed strictly earlier.
-		if min := r.recent[r.ri] + 1; c < min {
-			c = min
-		}
+		c = max(c, r.ring[r.back(r.width)]+1)
 	}
-	r.recent[r.ri] = c
-	r.ri = (r.ri + 1) % r.width
-	if r.filled < r.width {
-		r.filled++
+	r.ring[r.ri] = c
+	if r.ri++; r.ri == len(r.ring) {
+		r.ri = 0
 	}
+	r.count = min(r.count+1, len(r.ring))
 	r.last = c
-	r.window.Admit(c)
+	if c > r.asOf {
+		r.res = min(r.res+1, r.size) // a full buffer evicts its oldest slot
+	}
 	return c
 }
 
@@ -113,15 +127,34 @@ func (r *ROB) LastCommit() int64 { return r.last }
 // Size returns the capacity.
 func (r *ROB) Size() int { return r.size }
 
-// Occupied returns the number of buffer slots held at the given cycle.
-func (r *ROB) Occupied(now int64) int { return r.window.Occupied(now) }
+// Occupied returns the number of buffer slots held at the given cycle: the
+// last size commits after now. It is exact for any sequence of calls and
+// O(1) amortised while now does not decrease.
+//
+//ovlint:hotpath sampled once per instruction for the occupancy histogram
+func (r *ROB) Occupied(now int64) int {
+	if now < r.asOf {
+		r.recount(now)
+	}
+	r.asOf = now
+	for r.res > 0 && r.ring[r.back(r.res)] <= now {
+		r.res--
+	}
+	return r.res
+}
+
+// recount sets the slots held at now by binary search.
+//
+//ovlint:coldpath runs on Restore and on a query earlier than the previous one, never in a simulator's steady state
+func (r *ROB) recount(now int64) {
+	n := min(r.count, r.size)
+	r.res = n - sort.Search(n, func(j int) bool { return r.ring[r.back(n-j)] > now })
+	r.asOf = now
+}
 
 // Reset empties the buffer for reuse, keeping its capacity and width.
 func (r *ROB) Reset() {
-	r.window.Reset()
-	for i := range r.recent {
-		r.recent[i] = 0
-	}
-	r.ri, r.filled = 0, 0
-	r.last = 0
+	clear(r.ring)
+	r.count, r.ri, r.last = 0, 0, 0
+	r.res, r.asOf = 0, math.MinInt64
 }

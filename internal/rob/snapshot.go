@@ -2,47 +2,45 @@ package rob
 
 import (
 	"fmt"
-
-	"oovec/internal/sched"
+	"math"
 )
 
 // State is the serialisable mid-run state of a ROB (see package sched on
-// checkpointing). Size and width are capacity parameters, not state.
+// checkpointing). Size, width and the occupancy cursor are not state.
 type State struct {
-	Window sched.RingWindowState
-	Recent []int64
-	RI     int
-	Filled int
-	Last   int64
+	Ring  []int64 // the commit ring, max(size, width) entries
+	Count int     // commits in the ring
+	RI    int     // ring index of the next commit
+	Last  int64
 }
 
 // Snapshot captures the ROB state (deep copy).
 func (r *ROB) Snapshot() State {
 	return State{
-		Window: r.window.Snapshot(),
-		Recent: append([]int64(nil), r.recent...),
-		RI:     r.ri,
-		Filled: r.filled,
-		Last:   r.last,
+		Ring:  append([]int64(nil), r.ring...),
+		Count: r.count,
+		RI:    r.ri,
+		Last:  r.last,
 	}
 }
 
-// Restore replaces the ROB state with st. A state taken from a buffer of a
-// different size or commit width, or with an out-of-range commit ring index,
-// is an error.
+// Restore replaces the ROB state with st. A ring of another length, or a
+// count or ring index no run of this buffer leaves, is an error and leaves
+// the ROB unchanged.
 func (r *ROB) Restore(st State) error {
+	n := len(r.ring)
 	switch {
-	case len(st.Recent) != r.width:
-		return fmt.Errorf("rob: %d recent commit times for commit width %d", len(st.Recent), r.width)
-	case st.RI < 0 || st.RI >= r.width:
-		return fmt.Errorf("rob: commit ring index %d outside [0,%d)", st.RI, r.width)
-	case st.Filled < 0 || st.Filled > r.width:
-		return fmt.Errorf("rob: commit ring fill %d outside [0,%d]", st.Filled, r.width)
+	case len(st.Ring) != n:
+		return fmt.Errorf("rob: commit ring of %d entries, size %d and width %d want %d", len(st.Ring), r.size, r.width, n)
+	case st.Count < 0 || st.Count > n:
+		return fmt.Errorf("rob: commit count %d outside [0,%d]", st.Count, n)
+	case st.RI < 0 || st.RI >= n:
+		return fmt.Errorf("rob: commit ring index %d outside [0,%d)", st.RI, n)
+	case st.Count < n && st.RI != st.Count:
+		return fmt.Errorf("rob: commit ring index %d with %d of %d commits", st.RI, st.Count, n)
 	}
-	if err := r.window.Restore(st.Window); err != nil {
-		return fmt.Errorf("rob: %w", err)
-	}
-	copy(r.recent, st.Recent)
-	r.ri, r.filled, r.last = st.RI, st.Filled, st.Last
+	copy(r.ring, st.Ring)
+	r.count, r.ri, r.last = st.Count, st.RI, st.Last
+	r.recount(math.MinInt64)
 	return nil
 }

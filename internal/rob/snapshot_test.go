@@ -32,16 +32,17 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 		name string
 		edit func(*State)
 	}{
-		{"commit width mismatch", func(st *State) { st.Recent = append(st.Recent, 0) }},
-		{"commit ring index past the width", func(st *State) { st.RI = 4 }},
+		{"commit ring of another length", func(st *State) { st.Ring = append(st.Ring, 0) }},
+		{"commit ring index past the ring", func(st *State) { st.RI = len(st.Ring) }},
 		{"negative commit ring index", func(st *State) { st.RI = -1 }},
-		{"commit ring over-filled", func(st *State) { st.Filled = 5 }},
-		{"window of another size", func(st *State) { st.Window.N, st.Window.Leave = 32, make([]int64, 32) }},
-		{"window count past capacity", func(st *State) { st.Window.Count = 65 }},
+		{"commit ring over-filled", func(st *State) { st.Count = len(st.Ring) + 1 }},
+		{"negative commit count", func(st *State) { st.Count = -1 }},
+		{"ring index not matching the count", func(st *State) { st.RI = st.Count + 1 }},
 	}
 	for _, c := range cases {
 		r := New(DefaultSize, DefaultWidth)
 		r.Commit(5)
+		r.Commit(9)
 		st := r.Snapshot()
 		c.edit(&st)
 		if err := New(DefaultSize, DefaultWidth).Restore(st); err == nil {

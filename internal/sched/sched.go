@@ -24,18 +24,17 @@
 // the previous search ended, since successive requests on one resource ask
 // for nearly the same cycle.
 //
-// RingWindow bounds a structure's occupants (an issue queue, the reorder
-// buffer) and answers the per-instruction occupancy sample. Its occupancy
+// RingWindow bounds an issue queue's occupants and answers the
+// per-instruction occupancy sample. Its occupancy
 // contract: Occupied(now) is exact for any sequence of Admit and Occupied
 // calls, and costs O(1) amortised while now does not decrease from one
 // query to the next — the simulators query at each instruction's decode
 // cycle, which strictly increases. Departures are tracked as events, not
 // recounted: a query pops the departures it has passed, and a query at an
 // earlier cycle rebuilds the events from the ring (a sort of at most
-// capacity departures). Admit files a departure in order: an append when
-// departures come in admission order (the reorder buffer) and a shift past
-// the residents departing later otherwise (an issue queue). The event state
-// is derived: Restore and Reset rebuild it and checkpoints never carry it.
+// capacity departures). Admit files a departure in order, shifting it past
+// the residents departing later. The event state is derived: Restore and
+// Reset rebuild it and checkpoints never carry it.
 //
 // AdmitFirstFree books an issue port, which needs no history, from the same
 // run: the first cycle at or after at on which no tracked occupant departs.
@@ -275,7 +274,7 @@ func (g *Gap) Reset() {
 }
 
 // RingWindow tracks the departure times of the last N occupants of a
-// bounded structure (an issue queue, a reorder buffer). Entry i may only be
+// bounded structure (an issue queue). Entry i may only be
 // admitted once occupant i-N has departed; FreeAt returns that constraint.
 //
 // Occupancy follows the package's occupancy contract: dep[lo:hi] holds, in

@@ -5,8 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"oovec/internal/isa"
 	"oovec/internal/ooosim"
 	"oovec/internal/refsim"
+	"oovec/internal/rename"
 	"oovec/internal/sched"
 	"oovec/internal/tgen"
 	"oovec/internal/vregfile"
@@ -40,7 +42,16 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 		edit func(*ooosim.Checkpoint)
 	}{
 		{"ROB window count past its capacity", func(ck *ooosim.Checkpoint) {
-			ck.ROB.Window.Count = ck.ROB.Window.N + 1
+			ck.ROB.Count = len(ck.ROB.Ring) + 1
+		}},
+		{"ROB commit count negative", func(ck *ooosim.Checkpoint) {
+			ck.ROB.Count = -1
+		}},
+		{"ROB ring index not matching the commit count", func(ck *ooosim.Checkpoint) {
+			ck.ROB.Count, ck.ROB.RI = 2, 5
+		}},
+		{"ROB commit ring of another length", func(ck *ooosim.Checkpoint) {
+			ck.ROB.Ring = ck.ROB.Ring[:len(ck.ROB.Ring)-1]
 		}},
 		{"issue queue ring index out of range", func(ck *ooosim.Checkpoint) {
 			ck.VQ.Window.Next = ck.VQ.Window.N
@@ -61,7 +72,18 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 			ck.MSched.Bus.IV = []sched.Interval{{Start: 7, End: 7}}
 		}},
 		{"ROB commit ring index out of range", func(ck *ooosim.Checkpoint) {
-			ck.ROB.RI = len(ck.ROB.Recent)
+			ck.ROB.RI = len(ck.ROB.Ring)
+		}},
+		{"free entry out of range", func(ck *ooosim.Checkpoint) {
+			free := &ck.Tables[isa.RegV].Free
+			*free = append(*free, rename.FreeEntry{Phys: len(ck.Tables[isa.RegV].Refcnt)})
+		}},
+		{"duplicate free entry", func(ck *ooosim.Checkpoint) {
+			free := &ck.Tables[isa.RegS].Free
+			*free = append(*free, (*free)[0])
+		}},
+		{"mapping out of range", func(ck *ooosim.Checkpoint) {
+			ck.Tables[isa.RegA].Mapping[3] = -1
 		}},
 		{"vector tag file shorter than the register file", func(ck *ooosim.Checkpoint) {
 			ck.VTags.Tags = ck.VTags.Tags[:2]

@@ -58,7 +58,7 @@ func goldenStats() *metrics.RunStats {
 	}
 	st.States[1] = 11
 	st.Stalls.ROBFull = 5
-	st.Occupancy.ROB.Observe(3, 64)
+	st.Occupancy.ROB.Observe(metrics.NewOccTable(64), 3)
 	return st
 }
 
