@@ -196,3 +196,36 @@ func TestPropertyMispredictionsNeverExceedLookups(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRestoreRejectsMalformedState checks that a return-stack top outside
+// [0, RASDepth] or a BTB counter above 3 is an error that leaves the
+// predictor unchanged, and that a real snapshot restores.
+func TestRestoreRejectsMalformedState(t *testing.T) {
+	p := New()
+	p.Call(0x100, 0x800)
+	p.ResolveBranch(0x104, true, 0x40)
+	good := p.Snapshot()
+	for name, edit := range map[string]func(*State){
+		"negative top":      func(st *State) { st.Top = -1 },
+		"top past depth":    func(st *State) { st.Top = RASDepth + 1 },
+		"counter above 3":   func(st *State) { st.BTB[7].Ctr = 4 },
+		"counter saturated": func(st *State) { st.BTB[0].Ctr = 255 },
+	} {
+		st := good
+		edit(&st)
+		q := New()
+		if err := q.Restore(st); err == nil {
+			t.Errorf("%s: Restore accepted the state", name)
+		}
+		if q.Snapshot() != New().Snapshot() {
+			t.Errorf("%s: a rejected Restore changed the predictor", name)
+		}
+	}
+	q := New()
+	if err := q.Restore(good); err != nil {
+		t.Fatalf("a snapshot restores with %v", err)
+	}
+	if q.Snapshot() != good {
+		t.Error("restored predictor snapshots differently")
+	}
+}

@@ -1,5 +1,7 @@
 package bpred
 
+import "fmt"
+
 // BTBEntryState is the exported form of one BTB entry.
 type BTBEntryState struct {
 	Valid       bool
@@ -26,12 +28,23 @@ func (p *Predictor) Snapshot() State {
 	return st
 }
 
-// Restore replaces the predictor state with st.
-func (p *Predictor) Restore(st State) {
+// Restore replaces the predictor state with st. A return-stack top outside
+// [0, RASDepth] or a BTB counter above 3 is an error and leaves the
+// predictor unchanged.
+func (p *Predictor) Restore(st State) error {
+	if st.Top < 0 || st.Top > RASDepth {
+		return fmt.Errorf("bpred: return-stack top %d outside [0, %d]", st.Top, RASDepth)
+	}
+	for i, e := range st.BTB {
+		if e.Ctr > 3 {
+			return fmt.Errorf("bpred: BTB entry %d counter %d exceeds 3", i, e.Ctr)
+		}
+	}
 	for i, e := range st.BTB {
 		p.btb[i] = btbEntry{valid: e.Valid, tag: e.Tag, target: e.Target, ctr: counter(e.Ctr)}
 	}
 	p.ras = st.RAS
 	p.top = st.Top
 	p.lookups, p.mispredict = st.Lookups, st.Mispredict
+	return nil
 }

@@ -9,7 +9,10 @@
 // through a three-stage pipeline — Issue/RF, Range (computing the address
 // range the instruction may touch) and Dependence (run-time memory
 // disambiguation against previous instructions in the queue) — and only
-// then may issue memory requests out of order.
+// then may issue memory requests out of order. The Dependence check is the
+// machine's one memory disambiguation: a store the machine places on the
+// address bus lazily stays pending in its StoreBuffer until an access
+// conflicts with it.
 //
 // Both keep state sized by the queue, not the trace. An A/S/V queue books
 // its issue port from its occupancy window, as hardware arbitrates among
@@ -85,12 +88,24 @@ type memEntry struct {
 	start, end uint64
 	isStore    bool
 	busEnd     int64
+	// pend is the store buffer's index of a store whose bus occupancy is
+	// not yet placed; -1 once the store's bus end is known.
+	pend int
 }
 
 // maxScan bounds the conflict scan. Entries further back have left the
 // queue long ago; with the address bus serialising at one request per cycle
 // their requests are necessarily far in the past.
 const maxScan = 256
+
+// StoreBuffer holds the stores a machine places on the address bus lazily,
+// in ready order (RecordPending). The Dependence check asks it to place a
+// pending store an access conflicts with; the buffer books the bus, places
+// every store ready before that one first, and reports each bus end back
+// with SetBusEnd.
+type StoreBuffer interface {
+	PlaceStore(pend int)
+}
 
 // MemQueue is the memory instruction queue with its in-order front pipeline
 // and range-based disambiguation.
@@ -101,13 +116,14 @@ type MemQueue struct {
 	free [3]int64
 
 	entries [maxScan]memEntry
-	n       int // total entries recorded
-	scanWin int //ovlint:config structural size, fixed at construction
+	n       int         // total entries recorded
+	scanWin int         //ovlint:config structural size, fixed at construction
+	slot    int         //ovlint:derived n % scanWin, the range-index slot of the next entry; Restore rebuilds it
+	sb      StoreBuffer //ovlint:config the machine's store buffer, attached once at construction
 
-	// ranges indexes the byte ranges of the last scanWin entries, access i
+	// ranges indexes the byte ranges of the last scanWin entries, entry i
 	// in slot i%scanWin and marked if it is a store, so the Dependence
-	// check visits only the overlapping entries. It is allocated at the
-	// first Record: a queue that only books slots (Admit) has none.
+	// check visits only the overlapping entries.
 	ranges *rangeidx.Index //ovlint:derived the ranges of the live entries; Restore rebuilds it
 
 	conflicts int64
@@ -118,8 +134,13 @@ func NewMemQueue(capacity int) *MemQueue {
 	if capacity <= 0 {
 		capacity = DefaultSlots
 	}
-	return &MemQueue{window: sched.NewRingWindow(capacity), scanWin: min(capacity, maxScan)}
+	w := min(capacity, maxScan)
+	return &MemQueue{window: sched.NewRingWindow(capacity), scanWin: w, ranges: rangeidx.New(w)}
 }
+
+// Attach makes sb the store buffer that places the queue's pending stores.
+// A queue without one records no pending stores.
+func (q *MemQueue) Attach(sb StoreBuffer) { q.sb = sb }
 
 // AdmitConstraint returns the earliest cycle a new memory instruction can be
 // admitted to the queue.
@@ -146,34 +167,45 @@ func (q *MemQueue) Advance(enter int64) int64 {
 // issue, given the previous memory instructions in the queue. An access
 // conflicts with an earlier one when their ranges overlap and at least one
 // of the two is a store; the younger access must then wait until the older
-// one has issued all its requests.
+// one has issued all its requests. Overlapping entries are visited oldest
+// first, so the store buffer places conflicting pending stores in age
+// order.
 //
 //ovlint:hotpath the check runs once per memory instruction
 func (q *MemQueue) ConflictConstraint(start, end uint64, isStore bool) int64 {
-	if q.ranges == nil {
-		return 0 // nothing recorded
-	}
-	// A load conflicts only with stores. The oldest live entry, lo, sits in
-	// slot first; slots below first hold the entries younger than slot
-	// scanWin-1's.
+	// A load conflicts only with stores. Entry lo = n-scanWin (negative, and
+	// its slots empty, before the window fills) sits in slot first; slots
+	// first.. hold lo.., and slots 0..first-1 the younger entries after them.
 	over := q.ranges.Query(start, end, !isStore)
-	lo := max(q.n-q.scanWin, 0)
-	first := lo % q.scanWin
+	lo, first := q.n-q.scanWin, q.slot
 	var at int64
-	for slot := rangeidx.Next(over, 0); slot >= 0; slot = rangeidx.Next(over, slot+1) {
-		i := lo - first + slot
-		if slot < first {
-			i += q.scanWin
-		}
-		e := &q.entries[i%maxScan]
-		if (isStore || e.isStore) && e.start <= end && start <= e.end {
-			at = max(at, e.busEnd)
-		}
+	for slot := rangeidx.Next(over, first); slot >= 0; slot = rangeidx.Next(over, slot+1) {
+		at = max(at, q.conflictWith(lo+slot-first, start, end, isStore))
+	}
+	for slot := rangeidx.Next(over, 0); slot >= 0 && slot < first; slot = rangeidx.Next(over, slot+1) {
+		at = max(at, q.conflictWith(lo+q.scanWin-first+slot, start, end, isStore))
 	}
 	if at > 0 {
 		q.conflicts++
 	}
 	return at
+}
+
+// conflictWith checks the access over [start, end] against entry i, an
+// overlapping entry the range index returned, and returns the cycle the
+// entry's bus occupancy ends if the two conflict, else 0. The check is the
+// index's own for a well-formed range; only an inverted one (start > end),
+// for which the index returns every live entry, depends on it.
+func (q *MemQueue) conflictWith(i int, start, end uint64, isStore bool) int64 {
+	e := &q.entries[i%maxScan]
+	if !(isStore || e.isStore) || !(e.start <= end && start <= e.end) {
+		return 0
+	}
+	if e.pend >= 0 {
+		// The older conflicting store must issue first.
+		q.sb.PlaceStore(e.pend)
+	}
+	return e.busEnd
 }
 
 // Record registers an issued memory access for later disambiguation and
@@ -182,35 +214,67 @@ func (q *MemQueue) ConflictConstraint(start, end uint64, isStore bool) int64 {
 //
 //ovlint:hotpath called once per memory instruction
 func (q *MemQueue) Record(start, end uint64, isStore bool, busStart, busEnd int64) {
-	q.entries[q.n%maxScan] = memEntry{start: start, end: end, isStore: isStore, busEnd: busEnd}
-	if q.ranges == nil {
-		q.rebuildRanges()
-	}
-	q.ranges.Insert(q.n%q.scanWin, start, end, isStore) // replaces entry n-scanWin
-	q.n++
+	q.record(start, end, isStore, busEnd, -1)
 	q.window.Admit(busStart)
 }
 
-// rebuildRanges indexes the live entries, allocating the index on first
-// use.
+// RecordPending registers a store whose bus occupancy the store buffer
+// places later, as its store number pend, books its queue slot until
+// leaveAt, and returns the store's entry number for SetBusEnd and Elide.
 //
-//ovlint:coldpath once per queue, at its first Record, or per restore
-func (q *MemQueue) rebuildRanges() {
-	if q.ranges == nil {
-		q.ranges = rangeidx.New(q.scanWin)
-	} else {
-		q.ranges.Reset()
+//ovlint:hotpath called once per deferred store
+func (q *MemQueue) RecordPending(start, end uint64, pend int, leaveAt int64) int {
+	q.record(start, end, true, 0, pend)
+	q.window.Admit(leaveAt)
+	return q.n - 1
+}
+
+// record appends an entry to the ring and the range index.
+func (q *MemQueue) record(start, end uint64, isStore bool, busEnd int64, pend int) {
+	q.entries[q.n%maxScan] = memEntry{start: start, end: end, isStore: isStore, busEnd: busEnd, pend: pend}
+	q.ranges.Insert(q.slot, start, end, isStore) // replaces entry n-scanWin
+	if q.slot++; q.slot == q.scanWin {
+		q.slot = 0
 	}
+	q.n++
+}
+
+// SetBusEnd records the bus end of the placed pending store with entry
+// number entry. An entry that has left the ring needs nothing.
+func (q *MemQueue) SetBusEnd(entry int, busEnd int64) {
+	if entry >= q.n-maxScan {
+		e := &q.entries[entry%maxScan]
+		e.busEnd, e.pend = busEnd, -1
+	}
+}
+
+// Elide neutralises the pending store with entry number entry, which the
+// store buffer dropped before it issued: a dead store orders nothing.
+func (q *MemQueue) Elide(entry int) {
+	if entry >= q.n-maxScan {
+		e := &q.entries[entry%maxScan]
+		e.start, e.end = 1, 0 // empty range: overlaps nothing
+		e.busEnd, e.pend = 0, -1
+	}
+	if back := q.n - entry; back <= q.scanWin {
+		slot := q.slot - back
+		if slot < 0 {
+			slot += q.scanWin
+		}
+		q.ranges.Remove(slot)
+	}
+}
+
+// rebuildRanges indexes the live entries in a new index.
+//
+//ovlint:coldpath once per restore
+func (q *MemQueue) rebuildRanges() {
+	q.ranges = rangeidx.New(q.scanWin)
 	for i := max(q.n-q.scanWin, 0); i < q.n; i++ {
 		e := &q.entries[i%maxScan]
 		q.ranges.Insert(i%q.scanWin, e.start, e.end, e.isStore)
 	}
 }
-
-// Admit books a queue slot without a disambiguation record; callers that
-// track disambiguation themselves use this to model slot occupancy only.
-// The slot frees when the instruction leaves the queue (issues requests).
-func (q *MemQueue) Admit(leaveAt int64) { q.window.Admit(leaveAt) }
 
 // Occupied returns the number of queue slots held at the given cycle.
 func (q *MemQueue) Occupied(now int64) int { return q.window.Occupied(now) }
@@ -222,9 +286,7 @@ func (q *MemQueue) Conflicts() int64 { return q.conflicts }
 func (q *MemQueue) Reset() {
 	q.window.Reset()
 	q.free = [3]int64{}
-	if q.ranges != nil {
-		q.ranges.Reset()
-	}
-	q.n = 0
+	q.ranges.Reset()
+	q.n, q.slot = 0, 0
 	q.conflicts = 0
 }

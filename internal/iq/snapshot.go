@@ -38,11 +38,14 @@ func (q *Queue) Restore(st QueueState) error {
 	return nil
 }
 
-// MemEntryState is the exported form of one disambiguation record.
+// MemEntryState is the exported form of one disambiguation record. Pend is
+// the store buffer's index of a pending store, -1 once its bus end is
+// known.
 type MemEntryState struct {
 	Start, End uint64
 	IsStore    bool
 	BusEnd     int64
+	Pend       int
 }
 
 // MemQueueState is the serialisable state of the memory queue. Free holds
@@ -68,18 +71,29 @@ func (q *MemQueue) Snapshot() MemQueueState {
 	}
 	for i := range q.entries {
 		e := &q.entries[i]
-		st.Entries[i] = MemEntryState{Start: e.start, End: e.end, IsStore: e.isStore, BusEnd: e.busEnd}
+		st.Entries[i] = MemEntryState{Start: e.start, End: e.end, IsStore: e.isStore, BusEnd: e.busEnd, Pend: e.pend}
 	}
 	return st
 }
 
-// Restore replaces the memory queue state with st. The scan window is a
-// capacity parameter, not state, and is kept. A window of another capacity,
-// a negative entry count or front-stage cycles that no sequence of Advance
-// calls leaves (all zero, or 0 < Issue/RF < Range < Dependence) is an error.
+// Restore replaces the memory queue state with st. The scan window and the
+// store buffer are configuration, not state, and are kept. These are
+// errors: a window of another capacity, a negative entry count, a ring of
+// another size, a live entry whose pending-store index is below -1 (or at
+// least 0 in a queue without a store buffer), and front-stage cycles that
+// no sequence of Advance calls leaves (all zero, or 0 < Issue/RF < Range <
+// Dependence). The store buffer checks that the stores named exist.
 func (q *MemQueue) Restore(st MemQueueState) error {
 	if st.N < 0 {
 		return fmt.Errorf("iq: memory queue entry count %d is negative", st.N)
+	}
+	if len(st.Entries) != maxScan {
+		return fmt.Errorf("iq: memory queue ring holds %d entries, want %d", len(st.Entries), maxScan)
+	}
+	for i := max(st.N-maxScan, 0); i < st.N; i++ {
+		if p := st.Entries[i%maxScan].Pend; p < -1 || (p >= 0 && q.sb == nil) {
+			return fmt.Errorf("iq: memory queue entry %d names pending store %d", i, p)
+		}
 	}
 	if f := st.Free; f != [3]int64{} && !(0 < f[0] && f[0] < f[1] && f[1] < f[2]) {
 		return fmt.Errorf("iq: memory queue front-stage cycles %v out of order", f)
@@ -88,14 +102,11 @@ func (q *MemQueue) Restore(st MemQueueState) error {
 		return fmt.Errorf("iq: memory queue %w", err)
 	}
 	q.free = st.Free
-	q.entries = [maxScan]memEntry{}
-	for i, e := range st.Entries[:min(len(st.Entries), maxScan)] {
-		q.entries[i] = memEntry{start: e.Start, end: e.End, isStore: e.IsStore, busEnd: e.BusEnd}
+	for i, e := range st.Entries {
+		q.entries[i] = memEntry{start: e.Start, end: e.End, isStore: e.IsStore, busEnd: e.BusEnd, pend: e.Pend}
 	}
-	q.n = st.N
+	q.n, q.slot = st.N, st.N%q.scanWin
 	q.conflicts = st.Conflicts
-	if q.ranges != nil || q.n > 0 {
-		q.rebuildRanges()
-	}
+	q.rebuildRanges()
 	return nil
 }

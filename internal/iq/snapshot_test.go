@@ -3,6 +3,8 @@ package iq
 import (
 	"math/rand"
 	"testing"
+
+	"oovec/internal/sched"
 )
 
 // TestQueueRestoreResumesOccupancy restores a mid-run queue into a fresh one
@@ -57,6 +59,22 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 	mst = m.Snapshot()
 	if err := NewMemQueue(8).Restore(mst); err == nil {
 		t.Error("memory queue: window of another capacity accepted")
+	}
+	mst = m.Snapshot()
+	mst.Entries = mst.Entries[:maxScan-1]
+	if err := NewMemQueue(4).Restore(mst); err == nil {
+		t.Error("memory queue: ring of another length accepted")
+	}
+	mst = m.Snapshot()
+	mst.Entries[0].Pend = 0
+	if err := NewMemQueue(4).Restore(mst); err == nil {
+		t.Error("memory queue: a pending store accepted without a store buffer")
+	}
+	mst.Entries[0].Pend = -2
+	withBuffer := NewMemQueue(4)
+	withBuffer.Attach(&testBuffer{q: withBuffer, bus: sched.NewGap()})
+	if err := withBuffer.Restore(mst); err == nil {
+		t.Error("memory queue: negative pending store accepted")
 	}
 	for _, free := range [][3]int64{{5, 4, 6}, {0, 1, 2}, {3, 3, 4}} {
 		mst = m.Snapshot()

@@ -133,17 +133,6 @@ func TestXbarLatenciesMatchTable1(t *testing.T) {
 	}
 }
 
-func TestOccupancyCycles(t *testing.T) {
-	vadd := &Instruction{Op: OpVAdd, Dst: V(0), Src1: V(1), Src2: V(2), VL: 64}
-	if got := OccupancyCycles(vadd); got != 64 {
-		t.Errorf("vector occupancy = %d, want 64", got)
-	}
-	sadd := &Instruction{Op: OpSAdd, Dst: S(0), Src1: S(1), Src2: S(2)}
-	if got := OccupancyCycles(sadd); got != 1 {
-		t.Errorf("scalar occupancy = %d, want 1", got)
-	}
-}
-
 func TestEffVL(t *testing.T) {
 	in := &Instruction{Op: OpVAdd, VL: 17}
 	if in.EffVL() != 17 {

@@ -65,8 +65,8 @@ func WriteXbar(m Machine) int {
 // ExecLatency returns the functional latency of op in cycles: for scalar
 // operations, the full execution latency; for vector operations, the startup
 // latency until the first element emerges (the unit then produces one element
-// per cycle). Memory operation latency is *not* included here: it is a
-// property of the memory system (mem.Config), because the paper varies it.
+// per cycle). Memory operation latency is *not* included here: it is each
+// machine's MemLatency configuration, because the paper varies it.
 func ExecLatency(op Op) int {
 	switch op {
 	case OpNop:
@@ -95,16 +95,6 @@ func ExecLatency(op Op) int {
 	case OpALoad, OpSLoad, OpVLoad, OpVGather,
 		OpAStore, OpSStore, OpVStore, OpVScatter:
 		return 0 // supplied by the memory model
-	}
-	return 1
-}
-
-// OccupancyCycles returns the number of cycles the instruction occupies its
-// execution unit's issue pipeline: 1 for scalar operations, VL for vector
-// operations (one element per cycle, fully pipelined units).
-func OccupancyCycles(in *Instruction) int {
-	if in.Op.IsVector() {
-		return in.EffVL()
 	}
 	return 1
 }

@@ -1,70 +1,8 @@
-// Package mem models the memory system of both simulated machines and
-// provides a functional (value-level) memory image.
-//
-// The paper's memory model (§2.2 "Machine Parameters"):
-//
-//   - a single address bus shared by all types of memory transactions
-//     (scalar/vector, load/store), issuing at most one request per cycle;
-//   - physically separate data busses for sending and receiving data;
-//   - vector load instructions pay an initial latency and then receive one
-//     datum from memory per cycle;
-//   - vector store instructions do not result in observed latency;
-//   - main-memory latency is a parameter (the paper uses 50 cycles as the
-//     default and varies it between 1 and 100).
+// Package mem provides a functional (value-level) memory image. The
+// simulators time memory traffic themselves (the OOOVA through its M queue
+// and address-bus scheduler, REF through its in-order bus); Memory holds
+// the values the load-elimination checks of package funcsim compare.
 package mem
-
-// DefaultLatency is the paper's default main-memory latency in cycles.
-const DefaultLatency = 50
-
-// Config carries the memory-system parameters.
-type Config struct {
-	// Latency is the main-memory access latency in cycles.
-	Latency int64
-}
-
-// DefaultConfig returns the paper's default memory configuration.
-func DefaultConfig() Config { return Config{Latency: DefaultLatency} }
-
-// AddressBus models the single shared address port. Reservations are
-// contiguous cycle intervals (one request per cycle); the bus tracks total
-// busy cycles and total requests so the simulators can report the
-// memory-port idle percentages of Figures 4 and 6 and the traffic counts of
-// Figure 13 without per-cycle bookkeeping.
-type AddressBus struct {
-	nextFree int64
-	busy     int64
-	requests int64
-}
-
-// Reserve books n consecutive request slots starting no earlier than
-// `earliest` and no earlier than the end of the previous reservation.
-// It returns the cycle of the first slot.
-func (b *AddressBus) Reserve(earliest, n int64) int64 {
-	if n <= 0 {
-		return earliest
-	}
-	start := earliest
-	if b.nextFree > start {
-		start = b.nextFree
-	}
-	b.nextFree = start + n
-	b.busy += n
-	b.requests += n
-	return start
-}
-
-// NextFree returns the first cycle at which the bus has no reservation.
-func (b *AddressBus) NextFree() int64 { return b.nextFree }
-
-// BusyCycles returns the total number of cycles the bus spent issuing
-// requests.
-func (b *AddressBus) BusyCycles() int64 { return b.busy }
-
-// Requests returns the total number of requests (element transfers) issued.
-func (b *AddressBus) Requests() int64 { return b.requests }
-
-// Reset clears the bus state.
-func (b *AddressBus) Reset() { *b = AddressBus{} }
 
 // Memory is a sparse functional memory of 64-bit words. The simulators are
 // timing simulators and do not need values, but the dynamic load elimination

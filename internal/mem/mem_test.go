@@ -6,78 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestBusSequentialReservations(t *testing.T) {
-	var b AddressBus
-	if got := b.Reserve(0, 4); got != 0 {
-		t.Errorf("first reservation start = %d, want 0", got)
-	}
-	if got := b.Reserve(0, 4); got != 4 {
-		t.Errorf("second reservation start = %d, want 4 (bus busy)", got)
-	}
-	if got := b.Reserve(100, 2); got != 100 {
-		t.Errorf("late reservation start = %d, want 100", got)
-	}
-	if b.BusyCycles() != 10 {
-		t.Errorf("busy = %d, want 10", b.BusyCycles())
-	}
-	if b.Requests() != 10 {
-		t.Errorf("requests = %d, want 10", b.Requests())
-	}
-	if b.NextFree() != 102 {
-		t.Errorf("nextFree = %d, want 102", b.NextFree())
-	}
-}
-
-func TestBusZeroLengthReservation(t *testing.T) {
-	var b AddressBus
-	if got := b.Reserve(7, 0); got != 7 {
-		t.Errorf("zero-length start = %d, want 7 (pass-through)", got)
-	}
-	if b.BusyCycles() != 0 || b.Requests() != 0 {
-		t.Error("zero-length reservation must not consume bus")
-	}
-}
-
-func TestBusReset(t *testing.T) {
-	var b AddressBus
-	b.Reserve(0, 10)
-	b.Reset()
-	if b.BusyCycles() != 0 || b.NextFree() != 0 || b.Requests() != 0 {
-		t.Error("reset did not clear state")
-	}
-}
-
-func TestPropertyBusNeverOverlapsAndNeverReordersBackwards(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var b AddressBus
-		prevEnd := int64(0)
-		var totBusy int64
-		for i := 0; i < 200; i++ {
-			earliest := prevEnd + int64(r.Intn(5)) - 2 // sometimes before prevEnd
-			if earliest < 0 {
-				earliest = 0
-			}
-			n := int64(1 + r.Intn(8))
-			start := b.Reserve(earliest, n)
-			if start < earliest {
-				t.Logf("start %d before earliest %d", start, earliest)
-				return false
-			}
-			if start < prevEnd {
-				t.Logf("overlap: start %d < prev end %d", start, prevEnd)
-				return false
-			}
-			prevEnd = start + n
-			totBusy += n
-		}
-		return b.BusyCycles() == totBusy
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMemoryReadWriteRoundTrip(t *testing.T) {
 	m := NewMemory()
 	m.WriteWord(0x1000, 0xdeadbeef)
@@ -144,11 +72,5 @@ func TestPropertyMemoryLastWriteWins(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDefaultConfig(t *testing.T) {
-	if DefaultConfig().Latency != 50 {
-		t.Errorf("default latency = %d, want the paper's 50", DefaultConfig().Latency)
 	}
 }

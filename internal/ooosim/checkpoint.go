@@ -25,7 +25,6 @@ import (
 	"oovec/internal/iq"
 	"oovec/internal/isa"
 	"oovec/internal/metrics"
-	"oovec/internal/rangeidx"
 	"oovec/internal/rename"
 	"oovec/internal/rob"
 	"oovec/internal/sched"
@@ -41,70 +40,45 @@ type PendStoreState struct {
 	Placed, Elidable, Canceled bool
 }
 
-// MemSchedEntryState is the exported form of one bus disambiguation record.
-type MemSchedEntryState struct {
-	RStart, REnd uint64
-	IsStore      bool
-	BusEnd       int64
-	PendIdx      int
-}
-
-// MemSchedState is the serialisable state of the memory/bus scheduler.
-// Entries holds the full disambiguation ring, indexed exactly as the
-// scheduler indexes it (slot i%len(Entries) of access i).
+// MemSchedState is the serialisable state of the memory/bus scheduler, the
+// M queue's store buffer. The disambiguation ring is the M queue's
+// (iq.MemQueueState).
 type MemSchedState struct {
-	Bus     sched.GapState
-	Pend    []PendStoreState
-	Entries []MemSchedEntryState
-	N       int
+	Bus  sched.GapState
+	Pend []PendStoreState
 
-	Requests, Conflicts, LastEnd int64
+	Requests, LastEnd int64
 }
 
 // snapshot captures the scheduler state (deep copy).
 func (s *memScheduler) snapshot() MemSchedState {
 	st := MemSchedState{
-		Bus:       s.bus.Snapshot(),
-		Pend:      make([]PendStoreState, len(s.pend)),
-		Entries:   make([]MemSchedEntryState, memScanWindow),
-		N:         s.n,
-		Requests:  s.requests,
-		Conflicts: s.conflicts,
-		LastEnd:   s.lastEnd,
+		Bus:      s.bus.Snapshot(),
+		Pend:     make([]PendStoreState, len(s.pend)),
+		Requests: s.requests,
+		LastEnd:  s.lastEnd,
 	}
 	for i := range s.pend {
 		p := &s.pend[i]
 		st.Pend[i] = PendStoreState{Ready: p.ready, Occ: p.occ, Req: p.req,
 			Entry: p.entry, Placed: p.placed, Elidable: p.elidable, Canceled: p.canceled}
 	}
-	for i := range s.entries {
-		e := &s.entries[i]
-		st.Entries[i] = MemSchedEntryState{RStart: e.rstart, REnd: e.rend,
-			IsStore: e.isStore, BusEnd: e.busEnd, PendIdx: e.pendIdx}
-	}
 	return st
 }
 
-// restore replaces the scheduler state with st, keeping the scan-window
-// capacity (configuration, not state). A negative entry count, a
-// disambiguation ring of another size, a malformed bus interval list, or a
-// pending store and a recorded entry that name each other out of range are
-// errors: the index rebuild and conflictConstraint follow those names.
-func (s *memScheduler) restore(st MemSchedState) error {
-	if st.N < 0 {
-		return fmt.Errorf("memory scheduler entry count %d is negative", st.N)
-	}
-	if len(st.Entries) != memScanWindow {
-		return fmt.Errorf("memory scheduler ring holds %d entries, want %d", len(st.Entries), memScanWindow)
-	}
+// restore replaces the scheduler state with st; mq is the M queue state
+// restored beside it. A malformed bus interval list, or a pending store and
+// an M-queue entry that name each other out of range, are errors: the
+// Dependence check and placement follow those names.
+func (s *memScheduler) restore(st MemSchedState, mq *iq.MemQueueState) error {
 	for i, p := range st.Pend {
-		if p.Entry < 0 || p.Entry >= st.N {
-			return fmt.Errorf("memory scheduler pending store %d names entry %d of %d", i, p.Entry, st.N)
+		if p.Entry < 0 || p.Entry >= mq.N {
+			return fmt.Errorf("memory scheduler pending store %d names entry %d of %d", i, p.Entry, mq.N)
 		}
 	}
-	for i := max(st.N-memScanWindow, 0); i < st.N; i++ {
-		if e := st.Entries[i%memScanWindow]; e.PendIdx < -1 || e.PendIdx >= len(st.Pend) {
-			return fmt.Errorf("memory scheduler entry %d names pending store %d of %d", i, e.PendIdx, len(st.Pend))
+	for i := max(mq.N-len(mq.Entries), 0); i < mq.N; i++ {
+		if e := mq.Entries[i%len(mq.Entries)]; e.Pend >= len(st.Pend) {
+			return fmt.Errorf("memory queue entry %d names pending store %d of %d", i, e.Pend, len(st.Pend))
 		}
 	}
 	if err := s.bus.Restore(st.Bus); err != nil {
@@ -119,25 +93,16 @@ func (s *memScheduler) restore(st MemSchedState) error {
 			s.pushReady(i)
 		}
 	}
-	for i, e := range st.Entries {
-		s.entries[i] = memEntry{rstart: e.RStart, rend: e.REnd,
-			isStore: e.IsStore, busEnd: e.BusEnd, pendIdx: e.PendIdx}
-	}
-	s.n, s.slot = st.N, st.N%s.scanWin
-	s.ranges = rangeidx.New(s.scanWin) // derived: rebuilt from the live entries
-	for i := max(s.n-s.scanWin, 0); i < s.n; i++ {
-		e := &s.entries[i%memScanWindow]
-		s.ranges.Insert(i%s.scanWin, e.rstart, e.rend, e.isStore)
-	}
-	s.requests, s.conflicts, s.lastEnd = st.Requests, st.Conflicts, st.LastEnd
+	s.requests, s.lastEnd = st.Requests, st.LastEnd
 	return nil
 }
 
 // checkpointLayout numbers the Checkpoint encoding. DecodeCheckpoint rejects
 // any other, as gob would decode it cleanly into wrong state. Bump it when a
 // state type changes meaning. Every blob written before the number existed
-// decodes as layout 0; layout 2 gave the ROB one commit ring.
-const checkpointLayout = 2
+// decodes as layout 0; layout 2 gave the ROB one commit ring; layout 3 moved
+// the memory scheduler's disambiguation ring into the M queue's.
+const checkpointLayout = 3
 
 // Checkpoint is the complete deterministic state of an OOOVA simulation at
 // an instruction boundary: instructions [0, NextInsn) have been simulated.
@@ -315,7 +280,6 @@ func (m *machine) restore(ck *Checkpoint) error {
 		m.aTags.Restore(ck.ATags),
 		m.fu1.Restore(ck.FU1),
 		m.fu2.Restore(ck.FU2),
-		m.msched.restore(ck.MSched),
 		m.aQ.Restore(ck.AQ),
 		m.sQ.Restore(ck.SQ),
 		m.vQ.Restore(ck.VQ),
@@ -326,7 +290,14 @@ func (m *machine) restore(ck *Checkpoint) error {
 			return fmt.Errorf("ooosim: checkpoint %w", err)
 		}
 	}
-	m.pred.Restore(ck.Pred)
+	// The store buffer's names are checked against an M queue restored
+	// without error.
+	if err := m.msched.restore(ck.MSched, &ck.MQ); err != nil {
+		return fmt.Errorf("ooosim: checkpoint %w", err)
+	}
+	if err := m.pred.Restore(ck.Pred); err != nil {
+		return fmt.Errorf("ooosim: checkpoint %w", err)
+	}
 
 	m.prevFetch = ck.PrevFetch
 	m.nextFetchMin = ck.NextFetchMin

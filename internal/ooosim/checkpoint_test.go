@@ -204,15 +204,16 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 
 // TestDecodeCheckpointRejectsOtherLayout checks that a blob of another
 // layout — a stale one written before the layout number existed decodes
-// with Layout 0, and layout 1 carries the ROB state layout 2 replaced — is
-// an error, so a job resuming from it restarts instead of resuming with the
+// with Layout 0, layout 1 carries the ROB state layout 2 replaced, and
+// layout 2 the memory scheduler's disambiguation ring layout 3 moved into
+// the M queue — is an error, so a job resuming from it restarts instead of resuming with the
 // wrong state.
 func TestDecodeCheckpointRejectsOtherLayout(t *testing.T) {
 	tr := checkpointTestTrace(t, "trfd", 2000)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, ck, _ := NewMachine(DefaultConfig()).RunCheckpointed(tr, RunOpts{Ctx: canceled, CheckEvery: 500})
-	for _, layout := range []int{0, 1, checkpointLayout + 1} {
+	for _, layout := range []int{0, 1, 2, checkpointLayout + 1} {
 		stale := *ck
 		stale.Layout = layout
 		b, err := stale.Encode()

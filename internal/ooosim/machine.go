@@ -237,6 +237,7 @@ func newPortFile(cfg Config) portFile {
 
 func newMachine(cfg Config) *machine {
 	cfg = cfg.WithDefaults()
+	mQ := iq.NewMemQueue(cfg.QueueSlots)
 	m := &machine{
 		cfg:     cfg,
 		aReady:  make([]int64, cfg.PhysARegs),
@@ -249,11 +250,11 @@ func newMachine(cfg Config) *machine {
 		ports:   newPortFile(cfg),
 		fu1:     sched.NewGap(),
 		fu2:     sched.NewGap(),
-		msched:  newMemScheduler(cfg.QueueSlots),
+		msched:  newMemScheduler(mQ),
 		aQ:      iq.NewQueue(cfg.QueueSlots),
 		sQ:      iq.NewQueue(cfg.QueueSlots),
 		vQ:      iq.NewQueue(cfg.QueueSlots),
-		mQ:      iq.NewMemQueue(cfg.QueueSlots),
+		mQ:      mQ,
 		rob:     rob.New(cfg.ROBSize, cfg.CommitWidth),
 		pred:    bpred.New(),
 		readX:   int64(isa.ReadXbar(isa.MachineOOO)),
@@ -720,8 +721,7 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 			m.eliminatedLoads++
 			m.eliminatedRequests += vl
 			// The load completes in "the time it takes to do the rename".
-			m.msched.recordEliminated(rstart, rend, depT)
-			m.mQ.Admit(depT)
+			m.mQ.Record(rstart, rend, false, depT, depT)
 			return depT, depT, depT + 1
 		}
 	}
@@ -748,8 +748,7 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 			}
 			m.eliminatedLoads++
 			m.eliminatedRequests++
-			m.msched.recordEliminated(rstart, rend, depT)
-			m.mQ.Admit(depT)
+			m.mQ.Record(rstart, rend, false, depT, depT)
 			return depT, depT, done
 		}
 	}
@@ -804,7 +803,7 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 		}
 	}
 	// Dynamic memory disambiguation (Dependence stage outcome).
-	if c := m.msched.conflictConstraint(rstart, rend, isStore); c > ready {
+	if c := m.mQ.ConflictConstraint(rstart, rend, isStore); c > ready {
 		ready = c
 	}
 	// §5: with late commit, stores execute only at the head of the reorder
@@ -816,9 +815,9 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 	}
 
 	if in.Op.IsLoad() {
-		busStart := m.msched.placeLoad(ready, occ, vl, rstart, rend)
+		busStart := m.msched.placeNow(ready, occ, vl)
 		m.noteBusWait(busStart - ready)
-		m.mQ.Admit(busStart)
+		m.mQ.Record(rstart, rend, false, busStart, busStart+occ)
 		if isVector {
 			dataAt := busStart + int64(isa.VectorStartup) + cfg.MemLatency
 			wStart := m.ports.Acquire(nil, rec.NewPhys, dataAt, vl)
@@ -860,22 +859,23 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 	// the real bus occupancy).
 	var busStart, storeDone int64
 	if cfg.Commit == rob.PolicyLate {
-		busStart = m.msched.placeStoreNow(ready, occ, vl, rstart, rend)
+		busStart = m.msched.placeNow(ready, occ, vl)
 		m.noteBusWait(busStart - ready)
+		m.mQ.Record(rstart, rend, true, busStart, busStart+occ)
 		storeDone = ready
-	} else if elide {
-		// Hold the spill in the store buffer; if a later spill overwrites
-		// exactly this slot first, the buffered store dies without ever
-		// issuing requests.
-		m.spillPend[[2]uint64{rstart, rend}] = m.msched.deferElidableStore(ready, occ, vl, rstart, rend)
-		busStart = ready
-		storeDone = ready + occ
 	} else {
-		m.msched.deferStore(ready, occ, vl, rstart, rend)
+		// The store leaves the queue for the store buffer at once. A spill
+		// is held there for elision: if a later spill overwrites exactly
+		// this slot first, the buffered store dies without ever issuing
+		// requests.
 		busStart = ready
 		storeDone = ready + occ
+		entry := m.mQ.RecordPending(rstart, rend, len(m.msched.pend), busStart)
+		i := m.msched.deferStore(ready, occ, vl, entry, elide)
+		if elide {
+			m.spillPend[[2]uint64{rstart, rend}] = i
+		}
 	}
-	m.mQ.Admit(busStart)
 	if elim != ElimNone {
 		// Tag the stored register (it mirrors the stored-to memory) and
 		// conservatively invalidate every overlapping tag elsewhere.

@@ -5,26 +5,40 @@ import (
 	"slices"
 	"testing"
 
+	"oovec/internal/iq"
 	"oovec/internal/isa"
 	"oovec/internal/sched"
 )
 
-// linearMemScheduler is the reference for memScheduler: the same
-// arbitration with flush as a linear scan over every pending store for the
-// oldest-ready one (ties by age). It is the definition the heap-ordered
-// scheduler must reproduce exactly, kept here as an executable spec.
+// linearMemScheduler is the reference for the M queue (iq.MemQueue) and
+// its store buffer (memScheduler): the same arbitration with flush as a
+// linear scan over every pending store for the oldest-ready one (ties by
+// age), and the Dependence check as a linear scan over its own copy of the
+// disambiguation ring. It is the definition the heap-ordered, range-indexed
+// pair must reproduce exactly, kept here as an executable spec.
 type linearMemScheduler struct {
 	bus     *sched.Gap
 	pend    []pendStore
-	entries [memScanWindow]memEntry
+	entries [linearRing]linearEntry
 	n       int
 	scanWin int
 
 	requests, conflicts, lastEnd int64
 }
 
+// linearEntry is the reference's disambiguation record of one access.
+type linearEntry struct {
+	rstart, rend uint64
+	isStore      bool
+	busEnd       int64
+	pendIdx      int // >= 0 while the store is still pending
+}
+
+// linearRing is the length of the M queue's disambiguation ring.
+const linearRing = 256
+
 func newLinearMemScheduler(queueSlots int) *linearMemScheduler {
-	return &linearMemScheduler{bus: sched.NewGap(), scanWin: newMemScheduler(queueSlots).scanWin}
+	return &linearMemScheduler{bus: sched.NewGap(), scanWin: min(queueSlots, linearRing)}
 }
 
 func (s *linearMemScheduler) note(end int64) {
@@ -60,8 +74,8 @@ func (s *linearMemScheduler) place(i int) {
 	start := s.bus.Allocate(p.ready, p.occ)
 	p.placed = true
 	s.requests += p.req
-	if p.entry >= s.n-memScanWindow {
-		e := &s.entries[p.entry%memScanWindow]
+	if p.entry >= s.n-linearRing {
+		e := &s.entries[p.entry%linearRing]
 		e.busEnd = start + p.occ
 		e.pendIdx = -1
 	}
@@ -71,7 +85,7 @@ func (s *linearMemScheduler) place(i int) {
 func (s *linearMemScheduler) conflictConstraint(rstart, rend uint64, isStore bool) int64 {
 	var at int64
 	for i := max(s.n-s.scanWin, 0); i < s.n; i++ {
-		e := &s.entries[i%memScanWindow]
+		e := &s.entries[i%linearRing]
 		if !(isStore || e.isStore) || !(e.rstart <= rend && rstart <= e.rend) {
 			continue
 		}
@@ -89,7 +103,7 @@ func (s *linearMemScheduler) conflictConstraint(rstart, rend uint64, isStore boo
 }
 
 func (s *linearMemScheduler) record(rstart, rend uint64, isStore bool, busEnd int64, pendIdx int) int {
-	s.entries[s.n%memScanWindow] = memEntry{
+	s.entries[s.n%linearRing] = linearEntry{
 		rstart: rstart, rend: rend, isStore: isStore, busEnd: busEnd, pendIdx: pendIdx,
 	}
 	s.n++
@@ -120,8 +134,8 @@ func (s *linearMemScheduler) tryCancel(pendIdx int) (int64, bool) {
 		return 0, false
 	}
 	p.canceled = true
-	if p.entry >= s.n-memScanWindow {
-		e := &s.entries[p.entry%memScanWindow]
+	if p.entry >= s.n-linearRing {
+		e := &s.entries[p.entry%linearRing]
 		e.rstart, e.rend = 1, 0
 		e.busEnd = 0
 		e.pendIdx = -1
@@ -163,22 +177,46 @@ func randAccessRange(r *rand.Rand) (uint64, uint64) {
 	}
 }
 
-// TestMemSchedulerMatchesLinearReference drives the heap-ordered,
-// range-indexed scheduler and the linear-scan reference with the same
-// random call sequences — loads, deferred and elidable stores, immediate
-// stores, overlapping conflict probes, cancellations, eliminated loads,
-// storage growth and snapshot/restore into a fresh scheduler at random cut
-// points — and requires identical bus bookings, counters and return values
-// after every call. Growth after a restore is the order a pooled machine's
-// resume takes, so reserve must keep the rebuilt ready heap.
+// memPair is the machine's M queue and its store buffer, driven as
+// execMem drives them.
+type memPair struct {
+	q *iq.MemQueue
+	s *memScheduler
+}
+
+func newMemPair(slots int) memPair {
+	q := iq.NewMemQueue(slots)
+	return memPair{q: q, s: newMemScheduler(q)}
+}
+
+func (m memPair) placeNow(ready, occ, req int64, rstart, rend uint64, isStore bool) int64 {
+	busStart := m.s.placeNow(ready, occ, req)
+	m.q.Record(rstart, rend, isStore, busStart, busStart+occ)
+	return busStart
+}
+
+func (m memPair) deferStore(ready, occ, req int64, rstart, rend uint64, elidable bool) int {
+	entry := m.q.RecordPending(rstart, rend, len(m.s.pend), ready)
+	return m.s.deferStore(ready, occ, req, entry, elidable)
+}
+
+// TestMemSchedulerMatchesLinearReference drives the M queue with its
+// heap-ordered store buffer and the linear-scan reference with the same
+// random call sequences — loads, deferred stores (some with data so late
+// that they are placed after their M-queue entry has left the ring) and
+// elidable stores, immediate stores, overlapping conflict probes, cancellations, eliminated loads,
+// storage growth and snapshot/restore of both into a fresh pair at random
+// cut points — and requires identical bus bookings, counters and return
+// values after every call. Growth after a restore is the order a pooled
+// machine's resume takes, so reserve must keep the rebuilt ready heap.
 func TestMemSchedulerMatchesLinearReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		slots := []int{4, 16, 128, 300}[r.Intn(4)]
-		heap := newMemScheduler(slots)
+		heap := newMemPair(slots)
 		ref := newLinearMemScheduler(slots)
 		if r.Intn(2) == 0 {
-			heap.reserve(8, 4) // deliberately small: later growth must keep contents
+			heap.s.reserve(8, 4) // deliberately small: later growth must keep contents
 		}
 		var handles []int
 		clock := int64(0)
@@ -197,58 +235,66 @@ func TestMemSchedulerMatchesLinearReference(t *testing.T) {
 			var got, want int64
 			switch k := r.Intn(100); {
 			case k < 25:
-				op = "placeLoad"
-				got = heap.placeLoad(ready, occ, req, rstart, rend)
+				op = "load"
+				got = heap.placeNow(ready, occ, req, rstart, rend, false)
 				want = ref.placeNow(ready, occ, req, rstart, rend, false)
 			case k < 45:
 				op = "deferStore"
-				heap.deferStore(ready, occ, req, rstart, rend)
+				if r.Intn(40) == 0 {
+					// Data this late keeps the store pending until its
+					// M-queue entry has left the ring.
+					ready += 1500
+				}
+				heap.deferStore(ready, occ, req, rstart, rend, false)
 				ref.deferStore(ready, occ, req, rstart, rend, false)
 			case k < 55:
 				op = "deferElidableStore"
-				h := heap.deferElidableStore(ready, occ, req, rstart, rend)
+				h := heap.deferStore(ready, occ, req, rstart, rend, true)
 				hr := ref.deferStore(ready, occ, req, rstart, rend, true)
 				if h != hr {
 					t.Fatalf("seed %d step %d: elidable handle %d, reference %d", seed, step, h, hr)
 				}
 				handles = append(handles, h)
 			case k < 62:
-				op = "placeStoreNow"
-				got = heap.placeStoreNow(ready, occ, req, rstart, rend)
+				op = "late store"
+				got = heap.placeNow(ready, occ, req, rstart, rend, true)
 				want = ref.placeNow(ready, occ, req, rstart, rend, true)
 			case k < 80:
-				op = "conflictConstraint"
+				op = "ConflictConstraint"
 				isStore := r.Intn(2) == 0
-				got = heap.conflictConstraint(rstart, rend, isStore)
+				got = heap.q.ConflictConstraint(rstart, rend, isStore)
 				want = ref.conflictConstraint(rstart, rend, isStore)
 			case k < 88:
 				op = "tryCancel"
-				idx := r.Intn(len(heap.pend) + 2)
+				idx := r.Intn(len(heap.s.pend) + 2)
 				if len(handles) > 0 && r.Intn(3) > 0 {
 					idx = handles[r.Intn(len(handles))]
 				}
-				gr, gok := heap.tryCancel(idx)
+				gr, gok := heap.s.tryCancel(idx)
 				wr, wok := ref.tryCancel(idx)
 				if gr != wr || gok != wok {
 					t.Fatalf("seed %d step %d: tryCancel(%d) = %d,%v; reference %d,%v",
 						seed, step, idx, gr, gok, wr, wok)
 				}
 			case k < 91:
-				op = "recordEliminated"
-				heap.recordEliminated(rstart, rend, ready)
+				op = "eliminated load"
+				heap.q.Record(rstart, rend, false, ready, ready)
 				ref.record(rstart, rend, false, ready, -1)
 			case k < 94:
 				op = "reserve"
-				heap.reserve(len(heap.bus.Intervals())+r.Intn(64), len(heap.pend)+1+r.Intn(64))
+				heap.s.reserve(len(heap.s.bus.Intervals())+r.Intn(64), len(heap.s.pend)+1+r.Intn(64))
 			default:
 				op = "snapshot/restore"
-				st := heap.snapshot()
-				heap = newMemScheduler(slots)
+				mst, st := heap.q.Snapshot(), heap.s.snapshot()
+				heap = newMemPair(slots)
 				if r.Intn(2) == 0 {
-					heap.reserve(len(st.Bus.IV)+1, len(st.Pend)+1)
+					heap.s.reserve(len(st.Bus.IV)+1, len(st.Pend)+1)
 				}
-				if err := heap.restore(st); err != nil {
-					t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
+				if err := heap.q.Restore(mst); err != nil {
+					t.Fatalf("seed %d step %d: M queue restore: %v", seed, step, err)
+				}
+				if err := heap.s.restore(st, &mst); err != nil {
+					t.Fatalf("seed %d step %d: store buffer restore: %v", seed, step, err)
 				}
 			}
 			if got != want {
@@ -256,21 +302,22 @@ func TestMemSchedulerMatchesLinearReference(t *testing.T) {
 			}
 			compareMemSchedulers(t, heap, ref, seed, step, op)
 		}
-		if got, want := heap.finishAll(), ref.finishAll(); got != want {
+		if got, want := heap.s.finishAll(), ref.finishAll(); got != want {
 			t.Fatalf("seed %d: finishAll = %d, reference %d", seed, got, want)
 		}
 		compareMemSchedulers(t, heap, ref, seed, steps, "finishAll")
 	}
 }
 
-func compareMemSchedulers(t *testing.T, s *memScheduler, ref *linearMemScheduler, seed int64, step int, op string) {
+func compareMemSchedulers(t *testing.T, m memPair, ref *linearMemScheduler, seed int64, step int, op string) {
 	t.Helper()
+	s := m.s
 	if !slices.Equal(s.bus.Intervals(), ref.bus.Intervals()) {
 		t.Fatalf("seed %d step %d (%s): bus intervals diverge:\n got %v\nwant %v",
 			seed, step, op, s.bus.Intervals(), ref.bus.Intervals())
 	}
-	if s.requests != ref.requests || s.conflicts != ref.conflicts || s.lastEnd != ref.lastEnd {
+	if s.requests != ref.requests || m.q.Conflicts() != ref.conflicts || s.lastEnd != ref.lastEnd {
 		t.Fatalf("seed %d step %d (%s): requests/conflicts/lastEnd = %d/%d/%d, reference %d/%d/%d",
-			seed, step, op, s.requests, s.conflicts, s.lastEnd, ref.requests, ref.conflicts, ref.lastEnd)
+			seed, step, op, s.requests, m.q.Conflicts(), s.lastEnd, ref.requests, ref.conflicts, ref.lastEnd)
 	}
 }

@@ -110,9 +110,15 @@ func (m *machine) restore(ck *Checkpoint) error {
 	if err := m.ports.Restore(ck.Ports); err != nil {
 		return fmt.Errorf("refsim: checkpoint %w", err)
 	}
-	m.fu1.Restore(ck.FU1)
-	m.fu2.Restore(ck.FU2)
-	m.bus.Restore(ck.Bus)
+	for _, err := range [...]error{
+		m.fu1.Restore(ck.FU1),
+		m.fu2.Restore(ck.FU2),
+		m.bus.Restore(ck.Bus),
+	} {
+		if err != nil {
+			return fmt.Errorf("refsim: checkpoint %w", err)
+		}
+	}
 	m.aReady = ck.AReady
 	m.sReady = ck.SReady
 	for i := range m.vregs {

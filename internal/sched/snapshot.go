@@ -29,10 +29,24 @@ func (m *Monotonic) Snapshot() MonotonicState {
 	}
 }
 
-// Restore replaces the allocator state with st, reusing storage when it fits.
-func (m *Monotonic) Restore(st MonotonicState) {
+// Restore replaces the allocator state with st, reusing storage when it
+// fits. The intervals must be non-empty, sorted and disjoint, and NextFree
+// the end of the last one (0 when there is none), as Allocate keeps them;
+// anything else is an error and leaves the allocator unchanged.
+func (m *Monotonic) Restore(st MonotonicState) error {
+	if err := checkIntervals(st.IV); err != nil {
+		return fmt.Errorf("monotonic %w", err)
+	}
+	var end int64
+	if n := len(st.IV); n > 0 {
+		end = st.IV[n-1].End
+	}
+	if st.NextFree != end {
+		return fmt.Errorf("monotonic next free cycle %d, last interval ends at %d", st.NextFree, end)
+	}
 	m.nextFree, m.busy = st.NextFree, st.Busy
 	m.iv = append(m.iv[:0], st.IV...)
+	return nil
 }
 
 // GapState is the serialisable state of a Gap allocator.
@@ -50,17 +64,26 @@ func (g *Gap) Snapshot() GapState {
 // fits. The intervals must be non-empty, sorted and disjoint, as Allocate
 // keeps them; anything else is an error and leaves the allocator unchanged.
 func (g *Gap) Restore(st GapState) error {
-	for i, iv := range st.IV {
-		if iv.Start >= iv.End {
-			return fmt.Errorf("gap interval %d [%d,%d) is empty", i, iv.Start, iv.End)
-		}
-		if i > 0 && iv.Start < st.IV[i-1].End {
-			return fmt.Errorf("gap interval %d [%d,%d) overlaps or precedes interval %d ending at %d",
-				i, iv.Start, iv.End, i-1, st.IV[i-1].End)
-		}
+	if err := checkIntervals(st.IV); err != nil {
+		return fmt.Errorf("gap %w", err)
 	}
 	g.iv = append(g.iv[:0], st.IV...)
 	g.busy, g.cur = st.Busy, 0
+	return nil
+}
+
+// checkIntervals reports the first interval of iv that is empty or does not
+// start at or after the end of the one before it.
+func checkIntervals(iv []Interval) error {
+	for i, v := range iv {
+		if v.Start >= v.End {
+			return fmt.Errorf("interval %d [%d,%d) is empty", i, v.Start, v.End)
+		}
+		if i > 0 && v.Start < iv[i-1].End {
+			return fmt.Errorf("interval %d [%d,%d) overlaps or precedes interval %d ending at %d",
+				i, v.Start, v.End, i-1, iv[i-1].End)
+		}
+	}
 	return nil
 }
 

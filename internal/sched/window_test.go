@@ -167,4 +167,30 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 			t.Errorf("gap %s: Allocate after a rejected Restore = %d, want 0", c.name, got)
 		}
 	}
+
+	monotonics := []struct {
+		name string
+		st   MonotonicState
+	}{
+		{"empty interval", MonotonicState{NextFree: 5, IV: []Interval{{5, 5}}}},
+		{"unsorted intervals", MonotonicState{NextFree: 5, IV: []Interval{{10, 20}, {0, 5}}}},
+		{"next free before the last interval's end", MonotonicState{NextFree: 15, IV: []Interval{{0, 5}, {10, 20}}}},
+		{"next free past the last interval's end", MonotonicState{NextFree: 21, IV: []Interval{{0, 5}, {10, 20}}}},
+		{"next free without intervals", MonotonicState{NextFree: 3}},
+	}
+	for _, c := range monotonics {
+		m := NewMonotonic()
+		if err := m.Restore(c.st); err == nil {
+			t.Errorf("monotonic %s: Restore accepted %+v", c.name, c.st)
+		}
+		if got := m.Allocate(0, 2); got != 0 {
+			t.Errorf("monotonic %s: Allocate after a rejected Restore = %d, want 0", c.name, got)
+		}
+	}
+	m := NewMonotonic()
+	m.Allocate(3, 4)
+	m.Allocate(20, 1)
+	if err := NewMonotonic().Restore(m.Snapshot()); err != nil {
+		t.Errorf("monotonic: a snapshot restores with %v", err)
+	}
 }

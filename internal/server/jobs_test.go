@@ -234,9 +234,9 @@ func TestJobKillAndResume(t *testing.T) {
 }
 
 // TestJobRestartsFromStaleLayoutCheckpoint: a checkpoint blob of another
-// layout left in the store — here layout 1, whose ROB state the current
-// layout replaced — is not resumed. The job restarts at instruction 0 and
-// its result is byte-identical to /v1/sim.
+// layout left in the store — here layout 2, whose disambiguation ring the
+// current layout moved into the M queue — is not resumed. The job restarts
+// at instruction 0 and its result is byte-identical to /v1/sim.
 func TestJobRestartsFromStaleLayoutCheckpoint(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	defer st.Close()
@@ -260,7 +260,7 @@ func TestJobRestartsFromStaleLayoutCheckpoint(t *testing.T) {
 	if ck.NextInsn <= 0 {
 		t.Fatalf("checkpoint at instruction %d; a resume from it would be indistinguishable from a restart", ck.NextInsn)
 	}
-	ck.Layout = 1
+	ck.Layout = 2
 	stale, err := ck.Encode()
 	if err != nil {
 		t.Fatal(err)

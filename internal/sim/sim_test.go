@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"oovec/internal/bpred"
+	"oovec/internal/iq"
 	"oovec/internal/isa"
 	"oovec/internal/ooosim"
 	"oovec/internal/refsim"
@@ -89,20 +91,55 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 			ck.VTags.Tags = ck.VTags.Tags[:2]
 		}},
 		{"disambiguation entry names a pending store past the list", func(ck *ooosim.Checkpoint) {
-			ms := &ck.MSched
-			ms.N++
-			ms.Entries[(ms.N-1)%len(ms.Entries)] = ooosim.MemSchedEntryState{
-				RStart: 0, REnd: math.MaxUint64, IsStore: true, PendIdx: len(ms.Pend) + 3}
+			mq := &ck.MQ
+			mq.N++
+			mq.Entries[(mq.N-1)%len(mq.Entries)] = iq.MemEntryState{
+				Start: 0, End: math.MaxUint64, IsStore: true, Pend: len(ck.MSched.Pend) + 3}
 		}},
 		{"pending store names an entry before the first", func(ck *ooosim.Checkpoint) {
-			// A scheduler three accesses into its run, whose one pending
-			// store names entry -5.
-			ms := &ck.MSched
-			ms.N = 3
-			for i := range ms.Entries[:ms.N] {
-				ms.Entries[i].PendIdx = -1
+			// An M queue three accesses into its run, whose store buffer's
+			// one pending store names entry -5.
+			mq := &ck.MQ
+			mq.N = 3
+			for i := range mq.Entries[:mq.N] {
+				mq.Entries[i].Pend = -1
 			}
-			ms.Pend = []ooosim.PendStoreState{{Occ: 1, Entry: -5}}
+			ck.MSched.Pend = []ooosim.PendStoreState{{Occ: 1, Entry: -5}}
+		}},
+		{"disambiguation entry names a negative pending store", func(ck *ooosim.Checkpoint) {
+			mq := &ck.MQ
+			mq.N++
+			mq.Entries[(mq.N-1)%len(mq.Entries)].Pend = -2
+		}},
+		{"disambiguation ring of another length", func(ck *ooosim.Checkpoint) {
+			ck.MQ.Entries = ck.MQ.Entries[:len(ck.MQ.Entries)-1]
+		}},
+		{"return-stack top negative", func(ck *ooosim.Checkpoint) {
+			ck.Pred.Top = -1
+		}},
+		{"return-stack top past its depth", func(ck *ooosim.Checkpoint) {
+			ck.Pred.Top = bpred.RASDepth + 1
+		}},
+		{"BTB counter past 3", func(ck *ooosim.Checkpoint) {
+			ck.Pred.BTB[5].Ctr = 4
+		}},
+	}
+	// REF-only corruptions of its three in-order allocators.
+	refCases := []struct {
+		name string
+		edit func(*refsim.Checkpoint)
+	}{
+		{"unsorted functional-unit intervals", func(ck *refsim.Checkpoint) {
+			ck.FU2.IV = []sched.Interval{{Start: 40, End: 50}, {Start: 10, End: 20}}
+			ck.FU2.NextFree = 20
+		}},
+		{"empty address-bus interval", func(ck *refsim.Checkpoint) {
+			ck.Bus.IV = []sched.Interval{{Start: 7, End: 7}}
+			ck.Bus.NextFree = 7
+		}},
+		{"next free cycle not the last interval's end", func(ck *refsim.Checkpoint) {
+			ck.FU1.IV = []sched.Interval{{Start: 4, End: 9}}
+			ck.FU1.NextFree = 12
 		}},
 	}
 	machines := []struct {
@@ -142,6 +179,20 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 			_, ck, _ := ooosim.NewMachine(ooosim.DefaultConfig()).RunCheckpointed(tr, ooosim.RunOpts{Ctx: canceled})
 			c.edit(ck)
 			if _, _, err := ooosim.NewMachine(ooosim.DefaultConfig()).RunCheckpointed(tr, ooosim.RunOpts{Resume: ck}); err == nil {
+				t.Fatal("malformed checkpoint resumed without an error")
+			}
+		})
+	}
+	for _, c := range refCases {
+		t.Run("REF/"+c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("resume panicked: %v", r)
+				}
+			}()
+			_, ck, _ := refsim.NewMachine(refsim.DefaultConfig()).RunCheckpointed(tr, refsim.RunOpts{Ctx: canceled})
+			c.edit(ck)
+			if _, _, err := refsim.NewMachine(refsim.DefaultConfig()).RunCheckpointed(tr, refsim.RunOpts{Resume: ck}); err == nil {
 				t.Fatal("malformed checkpoint resumed without an error")
 			}
 		})
