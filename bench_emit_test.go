@@ -27,6 +27,8 @@ import (
 
 	"oovec/internal/experiments"
 	"oovec/internal/load"
+	"oovec/internal/ooosim"
+	"oovec/internal/refsim"
 	"oovec/internal/server"
 	"oovec/internal/simcache"
 	"oovec/internal/sweep"
@@ -178,8 +180,8 @@ func TestEmitBench(t *testing.T) {
 	snap := benchSnapshot{Insns: benchInsns}
 
 	// Steady-state simulator throughput: a reusable machine, reset per run,
-	// the way sweep workers and the server machine pools drive it.
-	oooM := NewOOOVAMachine(DefaultOOOVAConfig())
+	// the way a machine checked out of its model's pool is driven.
+	oooM := ooosim.NewMachine(ooosim.DefaultConfig())
 	snap.Benchmarks = append(snap.Benchmarks, record("ooova/swm256",
 		testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -187,7 +189,7 @@ func TestEmitBench(t *testing.T) {
 				oooM.Run(tr)
 			}
 		})))
-	refM := NewReferenceMachine(DefaultReferenceConfig())
+	refM := refsim.NewMachine(refsim.DefaultConfig())
 	snap.Benchmarks = append(snap.Benchmarks, record("ref/swm256",
 		testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()

@@ -8,16 +8,15 @@ import (
 	"testing"
 )
 
-func TestMapWithCtxSerialCancelBetweenTasks(t *testing.T) {
+func TestMapCtxSerialCancelBetweenTasks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
-	err := MapWithCtx(ctx, 1, 10, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) {
-			ran++
-			if ran == 3 {
-				cancel()
-			}
-		})
+	err := MapCtx(ctx, 1, 10, func(i int) {
+		ran++
+		if ran == 3 {
+			cancel()
+		}
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -28,16 +27,15 @@ func TestMapWithCtxSerialCancelBetweenTasks(t *testing.T) {
 	}
 }
 
-func TestMapWithCtxParallelCancelStopsDispatch(t *testing.T) {
+func TestMapCtxParallelCancelStopsDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 1000
 	var ran atomic.Int64
 	var once sync.Once
-	err := MapWithCtx(ctx, 4, n, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) {
-			ran.Add(1)
-			once.Do(cancel)
-		})
+	err := MapCtx(ctx, 4, n, func(i int) {
+		ran.Add(1)
+		once.Do(cancel)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -48,27 +46,25 @@ func TestMapWithCtxParallelCancelStopsDispatch(t *testing.T) {
 	}
 }
 
-func TestMapWithCtxPreCancelled(t *testing.T) {
+func TestMapCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	err := MapWithCtx(ctx, 4, 100, func() struct{} { called = true; return struct{}{} },
-		func(_ struct{}, i int) { called = true })
+	err := MapCtx(ctx, 4, 100, func(i int) { called = true })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	if called {
-		t.Error("newState/fn ran on a pre-cancelled context")
+		t.Error("fn ran on a pre-cancelled context")
 	}
 }
 
-func TestMapWithCtxCompletedGridReportsNil(t *testing.T) {
+func TestMapCtxCompletedGridReportsNil(t *testing.T) {
 	// A ctx that fires only after the last task finished changed nothing and
 	// must not surface as an error.
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := MapWithCtx(ctx, 3, 50, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) { ran.Add(1) })
+	err := MapCtx(ctx, 3, 50, func(i int) { ran.Add(1) })
 	cancel()
 	if err != nil {
 		t.Errorf("err = %v, want nil for a grid that completed before cancel", err)
@@ -78,10 +74,9 @@ func TestMapWithCtxCompletedGridReportsNil(t *testing.T) {
 	}
 }
 
-func TestMapWithCtxNilContext(t *testing.T) {
+func TestMapCtxNilContext(t *testing.T) {
 	var ran atomic.Int64
-	if err := MapWithCtx(nil, 2, 10, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) { ran.Add(1) }); err != nil {
+	if err := MapCtx(nil, 2, 10, func(i int) { ran.Add(1) }); err != nil {
 		t.Errorf("err = %v, want nil", err)
 	}
 	if ran.Load() != 10 {

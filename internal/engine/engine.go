@@ -14,13 +14,12 @@
 // caches shared between tasks (the experiment Suite's trace and
 // reference-run caches) serialise internally.
 //
-// MapWith extends Map with per-worker state: each worker goroutine builds
-// one state value (typically pooled, resettable simulator machines) and
-// passes it to every task it claims, so expensive per-run construction is
-// amortised across the whole grid without any synchronisation on the state.
-// MapWithCtx adds cooperative cancellation between tasks, which is what lets
-// a server abandon a grid whose client has disconnected instead of burning
-// workers on results nobody will read.
+// Tasks carry no per-worker state: a task that needs a simulator machine
+// checks one out of its model's process-wide pool (ooosim.Machines,
+// refsim.Machines) for the one run and puts it back. MapCtx adds
+// cooperative cancellation between tasks, which is what lets a server
+// abandon a grid whose client has disconnected instead of burning workers
+// on results nobody will read.
 package engine
 
 import (
@@ -42,7 +41,7 @@ func Workers(n int) int {
 	return n
 }
 
-// WorkerPanic is the value Map and MapWith re-raise on the caller's
+// WorkerPanic is the value Map and MapCtx re-raise on the caller's
 // goroutine when a task panicked on a worker goroutine. Re-raising a
 // recovered value loses the goroutine it was recovered on, so the original
 // worker stack is captured at recover time and carried along — without it,
@@ -54,8 +53,7 @@ func Workers(n int) int {
 type WorkerPanic struct {
 	// Value is the original panic value.
 	Value any
-	// Index is the task index whose fn panicked, or -1 when a MapWith
-	// newState call panicked before any task ran.
+	// Index is the task index whose fn panicked.
 	Index int
 	// Stack is the worker goroutine's stack (debug.Stack) at recover time,
 	// including the frames that led to the panic.
@@ -76,38 +74,26 @@ func (p WorkerPanic) Unwrap() any { return p.Value }
 // a shared counter, so long and short tasks balance automatically. Map
 // returns when every call has finished.
 //
-// A panic inside fn stops the dispatch of further indices and is re-raised
-// on the caller's goroutine once in-flight tasks have drained, wrapped in a
-// WorkerPanic that preserves the original worker stack.
+// With one worker (serial execution) fn runs on the caller's goroutine and
+// panics propagate natively. With more, a panic inside fn stops the
+// dispatch of further indices and is re-raised on the caller's goroutine
+// once in-flight tasks have drained, wrapped in a WorkerPanic that
+// preserves the original worker stack.
 func Map(workers, n int, fn func(i int)) {
-	MapWith(workers, n, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) { fn(i) })
+	MapCtx(context.Background(), workers, n, fn)
 }
 
-// MapWith is Map with per-worker state: every worker goroutine calls
-// newState exactly once, before claiming its first index, and passes the
-// resulting value to each fn call it executes. No two goroutines ever share
-// a state value, so S needs no internal synchronisation — the intended use
-// is a pooled, resettable simulator machine living for the whole grid.
-//
-// With one worker (serial execution) newState and fn run on the caller's
-// goroutine and panics propagate natively; with more, a panicking fn is
-// re-raised on the caller as a WorkerPanic.
-func MapWith[S any](workers, n int, newState func() S, fn func(s S, i int)) {
-	MapWithCtx(context.Background(), workers, n, newState, fn)
-}
-
-// MapWithCtx is MapWith with cooperative cancellation: once ctx is done, no
-// further index is dispatched and MapWithCtx returns ctx's error after
-// in-flight fn calls finish. Tasks already running are never interrupted —
-// cancellation is checked between tasks, the natural grain when each task is
-// one whole simulation — so some slots of the caller's result slice may be
-// filled and others not; a non-nil return means the results are incomplete
-// and must be discarded.
+// MapCtx is Map with cooperative cancellation: once ctx is done, no further
+// index is dispatched and MapCtx returns ctx's error after in-flight fn
+// calls finish. Tasks already running are never interrupted — cancellation
+// is checked between tasks, the natural grain when each task is one whole
+// simulation — so some slots of the caller's result slice may be filled and
+// others not; a non-nil return means the results are incomplete and must be
+// discarded.
 //
 // A nil ctx is accepted and means "never cancelled". Panics propagate as in
-// MapWith, taking precedence over a concurrent cancellation.
-func MapWithCtx[S any](ctx context.Context, workers, n int, newState func() S, fn func(s S, i int)) error {
+// Map, taking precedence over a concurrent cancellation.
+func MapCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -122,12 +108,11 @@ func MapWithCtx[S any](ctx context.Context, workers, n int, newState func() S, f
 		workers = n
 	}
 	if workers == 1 {
-		s := newState()
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(s, i)
+			fn(i)
 		}
 		return nil
 	}
@@ -141,23 +126,6 @@ func MapWithCtx[S any](ctx context.Context, workers, n int, newState func() S, f
 	)
 	worker := func() {
 		defer wg.Done()
-		// A panicking newState must not kill the process (an unrecovered
-		// panic on a worker goroutine would); report it like a task panic.
-		var s S
-		ok := func() (ok bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if panicked.CompareAndSwap(false, true) {
-						panicVal = WorkerPanic{Value: r, Index: -1, Stack: debug.Stack()}
-					}
-				}
-			}()
-			s = newState()
-			return true
-		}()
-		if !ok {
-			return
-		}
 		for {
 			i := next.Add(1) - 1
 			if i >= int64(n) || panicked.Load() || ctx.Err() != nil {
@@ -171,7 +139,7 @@ func MapWithCtx[S any](ctx context.Context, workers, n int, newState func() S, f
 						}
 					}
 				}()
-				fn(s, int(i))
+				fn(int(i))
 				completed.Add(1)
 			}()
 		}

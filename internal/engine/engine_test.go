@@ -3,7 +3,6 @@ package engine
 import (
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -118,71 +117,4 @@ func TestMapPanicPropagates(t *testing.T) {
 		})
 		t.Error("workers=4: Map returned without panicking")
 	}()
-}
-
-func TestMapWithStatePerWorker(t *testing.T) {
-	// Each worker must receive its own state value, created exactly once,
-	// and no state may be observed by two goroutines (checked under -race
-	// by the unsynchronised counter increments).
-	type state struct{ count int }
-	for _, workers := range []int{1, 2, 8, 0} {
-		const n = 500
-		var created atomic.Int32
-		var mu sync.Mutex
-		states := map[*state]bool{}
-		MapWith(workers, n, func() *state {
-			created.Add(1)
-			s := &state{}
-			mu.Lock()
-			states[s] = true
-			mu.Unlock()
-			return s
-		}, func(s *state, i int) {
-			s.count++ // worker-private: needs no synchronisation
-		})
-		if int(created.Load()) > Workers(workers) {
-			t.Errorf("workers=%d: %d states created, want <= %d",
-				workers, created.Load(), Workers(workers))
-		}
-		total := 0
-		for s := range states {
-			total += s.count
-		}
-		if total != n {
-			t.Errorf("workers=%d: state counts sum to %d, want %d", workers, total, n)
-		}
-	}
-}
-
-func TestMapWithRunsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 0} {
-		const n = 777
-		counts := make([]int32, n)
-		MapWith(workers, n, func() int { return 0 }, func(_ int, i int) {
-			atomic.AddInt32(&counts[i], 1)
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestMapWithNewStatePanic(t *testing.T) {
-	defer func() {
-		r := recover()
-		wp, ok := r.(WorkerPanic)
-		if !ok {
-			t.Fatalf("recovered %T (%v), want WorkerPanic", r, r)
-		}
-		if wp.Value != "no state" {
-			t.Errorf("WorkerPanic.Value = %v, want \"no state\"", wp.Value)
-		}
-		if wp.Index != -1 {
-			t.Errorf("WorkerPanic.Index = %d, want -1 for a newState panic", wp.Index)
-		}
-	}()
-	MapWith(4, 100, func() int { panic("no state") }, func(int, int) {})
-	t.Error("MapWith returned without panicking")
 }

@@ -12,10 +12,10 @@ import (
 
 // TestPooledSuiteBytesBudget guards the bytes/op of a pooled suite run:
 // the Fig5 grid drives 100 OOOVA and 10 REF simulations (10 benchmarks ×
-// 5 register counts × 2 queue depths) through per-worker pooled machines.
-// Before pooling, every simulation constructed a fresh ~2 MB machine; the
-// pooled path builds machines once per (worker, shape) and reuses them, so
-// the per-simulation average must stay far below one construction.
+// 5 register counts × 2 queue depths) through machines checked out of the
+// process-wide pools (ooosim.Machines, refsim.Machines). Those machines
+// outlive the suite, so a suite after the first builds none, and the
+// per-simulation average is mostly the runs' own results (~13 KB).
 func TestPooledSuiteBytesBudget(t *testing.T) {
 	const insns = 2000
 	const sims = 110 // OOOVA grid points + REF baselines in Fig5
@@ -39,10 +39,11 @@ func TestPooledSuiteBytesBudget(t *testing.T) {
 	perSuite := (after.TotalAlloc - before.TotalAlloc) / runs
 	perSim := perSuite / sims
 
-	// Each suite builds one machine per shape and shares its traces through
-	// the process-wide cache, so the budget is dominated by those one-time
-	// costs spread over the grid; a fresh-machine-per-simulation regression
-	// (~2 MB each) blows straight through it.
+	// The budget is loose: at 2000 instructions a fresh machine per
+	// simulation costs 55-141 KB (construction plus buffer growth), which
+	// stays under it. It catches per-simulation state an order of magnitude
+	// larger; TestSecondGridReusesMachines (package sweep) is the guard
+	// that machines are reused at all.
 	const budget = 256 << 10 // 256 KiB per simulation
 	if perSim > budget {
 		t.Errorf("pooled suite run allocated %d B per simulation (%d B per suite), want <= %d",

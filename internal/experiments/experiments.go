@@ -13,10 +13,9 @@
 // serially, so rendered output is byte-identical to a serial run for any
 // worker count.
 //
-// Each pool worker owns a Worker carrying pooled, resettable simulator
-// machines (ooosim.Machine, refsim.Machine) for the lifetime of one grid,
-// so a driver's N simulations construct at most workers×shapes machines
-// instead of N.
+// Each simulation checks a machine out of its model's process-wide pool
+// (ooosim.Machines, refsim.Machines) for the one run, so a driver's N
+// simulations construct a machine only when the pool is empty, not N times.
 //
 // Drivers share results through the Suite's simcache.Results, the same
 // two-tier cache and key scheme ovserve and ovsweep use: a grid point that
@@ -28,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"oovec/internal/engine"
 	"oovec/internal/isa"
@@ -79,11 +77,6 @@ type Suite struct {
 	opts  Opts
 	names []string
 	runs  *simcache.Results
-
-	// workers recycles Workers (and their pooled machines) for the
-	// convenience methods Suite.Ref and Suite.OOO, which run outside a
-	// grid's per-worker state.
-	workers sync.Pool
 }
 
 // NewSuite builds a suite over the selected benchmarks.
@@ -105,96 +98,10 @@ func (s *Suite) Names() []string { return s.names }
 // Workers returns the resolved worker count the suite fans out across.
 func (s *Suite) Workers() int { return engine.Workers(s.opts.Parallelism) }
 
-// Worker carries the pooled simulator machines one pool worker drives a
-// grid's simulations with. Machines are built lazily on first use and reset
-// between runs, so an N-point grid constructs machines once per (worker,
-// shape) instead of once per point. A Worker is not safe for concurrent
-// use; the engine gives each goroutine its own.
-type Worker struct {
-	s   *Suite
-	ooo *ooosim.Machine
-	ref *refsim.Machine
+// parallel runs fn(i) for i in [0, n) across the suite's workers.
+func (s *Suite) parallel(n int, fn func(i int)) {
+	engine.Map(s.opts.Parallelism, n, fn)
 }
-
-// NewWorker returns a worker bound to the suite's caches.
-func (s *Suite) NewWorker() *Worker { return &Worker{s: s} }
-
-// parallel runs fn(w, i) for i in [0, n) across the suite's workers, each
-// owning pooled machines for the lifetime of the call. Workers come from
-// the suite's recycling pool and return to it once the grid has drained,
-// so consecutive drivers (a full ovbench run calls twelve) reuse machines
-// instead of rebuilding them per grid.
-func (s *Suite) parallel(n int, fn func(w *Worker, i int)) {
-	var mu sync.Mutex
-	var borrowed []*Worker
-	engine.MapWith(s.opts.Parallelism, n, func() *Worker {
-		w := s.borrowWorker()
-		mu.Lock()
-		borrowed = append(borrowed, w)
-		mu.Unlock()
-		return w
-	}, fn)
-	// MapWith has returned: no goroutine holds a worker any more.
-	for _, w := range borrowed {
-		s.returnWorker(w)
-	}
-}
-
-// Trace returns (generating and caching) the trace for a benchmark.
-func (w *Worker) Trace(name string) *trace.Trace { return w.s.Trace(name) }
-
-// Ref returns (running and caching) the reference result at the given
-// memory latency, simulating on the worker's pooled machine on a miss.
-func (w *Worker) Ref(name string, latency int64) *metrics.RunStats {
-	cfg := refsim.DefaultConfig()
-	cfg.MemLatency = latency
-	return w.cached(name, simcache.RefConfigKey(cfg), func() *metrics.RunStats {
-		if w.ref == nil {
-			w.ref = refsim.NewMachine(cfg)
-		}
-		w.ref.Reset(cfg)
-		return w.ref.Run(w.Trace(name))
-	})
-}
-
-// OOO returns (running and caching) the OOOVA result for a configuration,
-// simulating on the worker's pooled machine on a miss. Configurations
-// carrying a probe Sink are not cacheable and run directly.
-func (w *Worker) OOO(name string, cfg ooosim.Config) *metrics.RunStats {
-	run := func() *metrics.RunStats {
-		if w.ooo == nil {
-			w.ooo = ooosim.NewMachine(cfg)
-		}
-		w.ooo.Reset(cfg)
-		return w.ooo.Run(w.Trace(name)).Stats
-	}
-	if cfg.Sink != nil {
-		return run()
-	}
-	return w.cached(name, simcache.OOOConfigKey(cfg), run)
-}
-
-// cached returns the suite's result for (bench, cfgKey), filling it with
-// run on a miss. The config key resolves defaults, so zero fields and
-// explicit defaults share an entry; the result key is the scheme every
-// other surface uses (simcache keys.go), which is what lets ovbench,
-// ovsweep and ovserve warm each other's stores.
-func (w *Worker) cached(bench, cfgKey string, run func() *metrics.RunStats) *metrics.RunStats {
-	key := simcache.ResultKey(cfgKey, simcache.PresetKey(w.s.preset(bench)))
-	st, _ := w.s.runs.Do(key, run)
-	return st
-}
-
-// borrowWorker takes a pooled worker for a one-off Suite.Ref / Suite.OOO
-// call; returnWorker recycles it (and its machines).
-func (s *Suite) borrowWorker() *Worker {
-	if w, ok := s.workers.Get().(*Worker); ok {
-		return w
-	}
-	return s.NewWorker()
-}
-
-func (s *Suite) returnWorker(w *Worker) { s.workers.Put(w) }
 
 // Trace returns (generating and caching) the trace for a benchmark. The
 // cache is the process-wide simcache trace cache: suites with the same
@@ -219,23 +126,48 @@ func (s *Suite) preset(name string) tgen.Preset {
 }
 
 // Ref returns (running and caching) the reference machine result at the
-// given memory latency, on a pooled worker borrowed for the call. Drivers
-// inside a grid use Worker.Ref instead, keeping one worker per goroutine.
+// given memory latency, simulating on a pooled machine on a miss.
 func (s *Suite) Ref(name string, latency int64) *metrics.RunStats {
-	w := s.borrowWorker()
-	defer s.returnWorker(w)
-	return w.Ref(name, latency)
+	cfg := refsim.DefaultConfig()
+	cfg.MemLatency = latency
+	return s.cached(name, simcache.RefConfigKey(cfg), func() *metrics.RunStats {
+		t := s.Trace(name)
+		m := refsim.Machines.Get(cfg)
+		st := m.Run(t)
+		refsim.Machines.Put(m)
+		return st
+	})
 }
 
 // OOO returns (running and caching) the OOOVA result for a configuration,
-// on a pooled worker borrowed for the call. Several drivers revisit the
+// simulating on a pooled machine on a miss. Several drivers revisit the
 // same grid point — Fig5 and Fig9 share the early-commit register sweep,
 // Fig11/Fig12 share their late-commit baselines — so identical simulations
-// run exactly once per suite.
+// run exactly once per suite. Configurations carrying a probe Sink are not
+// cacheable and run directly.
 func (s *Suite) OOO(name string, cfg ooosim.Config) *metrics.RunStats {
-	w := s.borrowWorker()
-	defer s.returnWorker(w)
-	return w.OOO(name, cfg)
+	run := func() *metrics.RunStats {
+		t := s.Trace(name)
+		m := ooosim.Machines.Get(cfg)
+		st := m.Run(t).Stats
+		ooosim.Machines.Put(m)
+		return st
+	}
+	if cfg.Sink != nil {
+		return run()
+	}
+	return s.cached(name, simcache.OOOConfigKey(cfg), run)
+}
+
+// cached returns the suite's result for (bench, cfgKey), filling it with
+// run on a miss. The config key resolves defaults, so zero fields and
+// explicit defaults share an entry; the result key is the scheme every
+// other surface uses (simcache keys.go), which is what lets ovbench,
+// ovsweep and ovserve warm each other's stores.
+func (s *Suite) cached(bench, cfgKey string, run func() *metrics.RunStats) *metrics.RunStats {
+	key := simcache.ResultKey(cfgKey, simcache.PresetKey(s.preset(bench)))
+	st, _ := s.runs.Do(key, run)
+	return st
 }
 
 // baseOOO returns the paper's headline OOOVA config at the given register
@@ -298,10 +230,10 @@ type Table2Result struct{ Rows []Table2Row }
 // Table2 computes operation counts for every benchmark.
 func Table2(s *Suite) *Table2Result {
 	rows := make([]Table2Row, len(s.names))
-	s.parallel(len(s.names), func(w *Worker, i int) {
-		name := w.s.names[i]
+	s.parallel(len(s.names), func(i int) {
+		name := s.names[i]
 		p, _ := tgen.PresetByName(name)
-		st := w.Trace(name).ComputeStats()
+		st := s.Trace(name).ComputeStats()
 		rows[i] = Table2Row{
 			Name: name, Suite: p.Suite,
 			ScalarInsns: st.ScalarInsns, VectorInsns: st.VectorInsns,
@@ -344,10 +276,10 @@ type Table3Result struct{ Rows []Table3Row }
 // Table3 computes vector memory spill operations.
 func Table3(s *Suite) *Table3Result {
 	rows := make([]Table3Row, len(s.names))
-	s.parallel(len(s.names), func(w *Worker, i int) {
-		name := w.s.names[i]
+	s.parallel(len(s.names), func(i int) {
+		name := s.names[i]
 		p, _ := tgen.PresetByName(name)
-		st := w.Trace(name).ComputeStats()
+		st := s.Trace(name).ComputeStats()
 		rows[i] = Table3Row{
 			Name:    name,
 			LoadOps: st.LoadOps, SpillLoadOps: st.SpillLoadOps,
@@ -396,9 +328,9 @@ func Fig3(s *Suite) *Fig3Result {
 	}
 	nl := len(Fig3Latencies)
 	cells := make([]metrics.Breakdown, len(s.names)*nl)
-	s.parallel(len(cells), func(w *Worker, k int) {
-		name, lat := w.s.names[k/nl], Fig3Latencies[k%nl]
-		cells[k] = w.Ref(name, lat).States
+	s.parallel(len(cells), func(k int) {
+		name, lat := s.names[k/nl], Fig3Latencies[k%nl]
+		cells[k] = s.Ref(name, lat).States
 	})
 	for ni, name := range s.names {
 		res.Breakdown[name] = map[int64]metrics.Breakdown{}
@@ -454,9 +386,9 @@ func Fig4(s *Suite) *Fig4Result {
 	}
 	nl := len(Fig3Latencies)
 	cells := make([]float64, len(s.names)*nl)
-	s.parallel(len(cells), func(w *Worker, k int) {
-		name, lat := w.s.names[k/nl], Fig3Latencies[k%nl]
-		cells[k] = w.Ref(name, lat).MemPortIdlePct()
+	s.parallel(len(cells), func(k int) {
+		name, lat := s.names[k/nl], Fig3Latencies[k%nl]
+		cells[k] = s.Ref(name, lat).MemPortIdlePct()
 	})
 	for ni, name := range s.names {
 		res.IdlePct[name] = map[int64]float64{}
@@ -515,13 +447,13 @@ func Fig5(s *Suite) *Fig5Result {
 	nr := len(Fig5Regs)
 	type cell struct{ s16, s128 float64 }
 	cells := make([]cell, len(s.names)*nr)
-	s.parallel(len(cells), func(w *Worker, k int) {
-		name, regs := w.s.names[k/nr], Fig5Regs[k%nr]
-		ref := w.Ref(name, 50)
+	s.parallel(len(cells), func(k int) {
+		name, regs := s.names[k/nr], Fig5Regs[k%nr]
+		ref := s.Ref(name, 50)
 		cfg := baseOOO(regs, 50)
-		s16 := metrics.Speedup(ref, w.OOO(name, cfg))
+		s16 := metrics.Speedup(ref, s.OOO(name, cfg))
 		cfg.QueueSlots = 128
-		s128 := metrics.Speedup(ref, w.OOO(name, cfg))
+		s128 := metrics.Speedup(ref, s.OOO(name, cfg))
 		cells[k] = cell{s16, s128}
 	})
 	for ni, name := range s.names {
@@ -575,11 +507,11 @@ func Fig6(s *Suite) *Fig6Result {
 		RefIdle: map[string]float64{}, OOOIdle: map[string]float64{}}
 	type cell struct{ ref, ooo float64 }
 	cells := make([]cell, len(s.names))
-	s.parallel(len(cells), func(w *Worker, i int) {
-		name := w.s.names[i]
+	s.parallel(len(cells), func(i int) {
+		name := s.names[i]
 		cells[i] = cell{
-			w.Ref(name, 50).MemPortIdlePct(),
-			w.OOO(name, baseOOO(16, 50)).MemPortIdlePct(),
+			s.Ref(name, 50).MemPortIdlePct(),
+			s.OOO(name, baseOOO(16, 50)).MemPortIdlePct(),
 		}
 	})
 	for i, name := range s.names {
@@ -615,11 +547,11 @@ func Fig7(s *Suite) *Fig7Result {
 		Ref: map[string]metrics.Breakdown{}, OOO: map[string]metrics.Breakdown{}}
 	type cell struct{ ref, ooo metrics.Breakdown }
 	cells := make([]cell, len(s.names))
-	s.parallel(len(cells), func(w *Worker, i int) {
-		name := w.s.names[i]
+	s.parallel(len(cells), func(i int) {
+		name := s.names[i]
 		cells[i] = cell{
-			w.Ref(name, 50).States,
-			w.OOO(name, baseOOO(16, 50)).States,
+			s.Ref(name, 50).States,
+			s.OOO(name, baseOOO(16, 50)).States,
 		}
 	})
 	for i, name := range s.names {
@@ -671,11 +603,11 @@ func Fig8(s *Suite) *Fig8Result {
 	nl := len(Fig8Latencies)
 	type cell struct{ ref, ooo int64 }
 	cells := make([]cell, len(s.names)*nl)
-	s.parallel(len(cells), func(w *Worker, k int) {
-		name, lat := w.s.names[k/nl], Fig8Latencies[k%nl]
+	s.parallel(len(cells), func(k int) {
+		name, lat := s.names[k/nl], Fig8Latencies[k%nl]
 		cells[k] = cell{
-			w.Ref(name, lat).Cycles,
-			w.OOO(name, baseOOO(16, lat)).Cycles,
+			s.Ref(name, lat).Cycles,
+			s.OOO(name, baseOOO(16, lat)).Cycles,
 		}
 	})
 	for ni, name := range s.names {
@@ -748,13 +680,13 @@ func Fig9(s *Suite) *Fig9Result {
 	nr := len(Fig5Regs)
 	type cell struct{ early, late float64 }
 	cells := make([]cell, len(s.names)*nr)
-	s.parallel(len(cells), func(w *Worker, k int) {
-		name, regs := w.s.names[k/nr], Fig5Regs[k%nr]
-		ref := w.Ref(name, 50)
+	s.parallel(len(cells), func(k int) {
+		name, regs := s.names[k/nr], Fig5Regs[k%nr]
+		ref := s.Ref(name, 50)
 		cfg := baseOOO(regs, 50)
-		early := metrics.Speedup(ref, w.OOO(name, cfg))
+		early := metrics.Speedup(ref, s.OOO(name, cfg))
 		cfg.Commit = rob.PolicyLate
-		late := metrics.Speedup(ref, w.OOO(name, cfg))
+		late := metrics.Speedup(ref, s.OOO(name, cfg))
 		cells[k] = cell{early, late}
 	})
 	for ni, name := range s.names {
@@ -836,14 +768,14 @@ func elim(s *Suite, mode ooosim.ElimMode) *ElimResult {
 		elim    int64
 	}
 	cells := make([]cell, len(s.names)*nr)
-	s.parallel(len(cells), func(w *Worker, k int) {
-		name, regs := w.s.names[k/nr], ElimRegs[k%nr]
+	s.parallel(len(cells), func(k int) {
+		name, regs := s.names[k/nr], ElimRegs[k%nr]
 		base := baseOOO(regs, 50)
 		base.Commit = rob.PolicyLate
-		baseRun := w.OOO(name, base)
+		baseRun := s.OOO(name, base)
 		cfg := base
 		cfg.LoadElim = mode
-		run := w.OOO(name, cfg)
+		run := s.OOO(name, cfg)
 		cells[k] = cell{metrics.Speedup(baseRun, run), run.EliminatedLoads}
 	})
 	for ni, name := range s.names {
@@ -903,16 +835,16 @@ func Fig13(s *Suite) *Fig13Result {
 		SLE: map[string]float64{}, SLEVLE: map[string]float64{}}
 	type cell struct{ sle, slevle float64 }
 	cells := make([]cell, len(s.names))
-	s.parallel(len(cells), func(w *Worker, i int) {
-		name := w.s.names[i]
+	s.parallel(len(cells), func(i int) {
+		name := s.names[i]
 		base := baseOOO(32, 50)
 		base.Commit = rob.PolicyLate
-		baseRun := w.OOO(name, base)
+		baseRun := s.OOO(name, base)
 		cfg := base
 		cfg.LoadElim = ooosim.ElimSLE
-		sle := metrics.TrafficReduction(baseRun, w.OOO(name, cfg))
+		sle := metrics.TrafficReduction(baseRun, s.OOO(name, cfg))
 		cfg.LoadElim = ooosim.ElimSLEVLE
-		slevle := metrics.TrafficReduction(baseRun, w.OOO(name, cfg))
+		slevle := metrics.TrafficReduction(baseRun, s.OOO(name, cfg))
 		cells[i] = cell{sle, slevle}
 	})
 	for i, name := range s.names {

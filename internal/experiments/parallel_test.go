@@ -44,13 +44,13 @@ func TestParallelOutputIdentical(t *testing.T) {
 func TestSuiteCachesAreConcurrencySafe(t *testing.T) {
 	s := NewSuite(Opts{Insns: 800, Parallelism: 0})
 	names := s.Names()
-	s.parallel(4*len(names), func(w *Worker, k int) {
+	s.parallel(4*len(names), func(k int) {
 		name := names[k%len(names)]
-		tr := w.Trace(name)
+		tr := s.Trace(name)
 		if tr == nil || tr.Len() == 0 {
 			t.Errorf("empty trace for %s", name)
 		}
-		st := w.Ref(name, 50)
+		st := s.Ref(name, 50)
 		if st.Cycles <= 0 {
 			t.Errorf("%s: non-positive cycles", name)
 		}

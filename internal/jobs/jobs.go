@@ -32,6 +32,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -163,8 +164,10 @@ type Metrics struct {
 	Failed    int64 `json:"failed"`
 	Canceled  int64 `json:"canceled"`
 	Preempted int64 `json:"preempted"`
-	Queued    int64 `json:"queued"`
-	Running   int64 `json:"running"`
+	// Panicked counts runs that panicked; each such job finished failed.
+	Panicked int64 `json:"panicked"`
+	Queued   int64 `json:"queued"`
+	Running  int64 `json:"running"`
 }
 
 // Manager owns the queue, the worker pool and the job records. Construct
@@ -186,6 +189,7 @@ type Manager struct {
 	failed    atomic.Int64
 	canceledN atomic.Int64
 	preempted atomic.Int64
+	panicked  atomic.Int64
 
 	// tracer records one span timeline per sampled job. Nil (the default)
 	// keeps the whole layer untraced and allocation-free.
@@ -383,6 +387,7 @@ func (m *Manager) Metrics() Metrics {
 		Failed:    m.failed.Load(),
 		Canceled:  m.canceledN.Load(),
 		Preempted: m.preempted.Load(),
+		Panicked:  m.panicked.Load(),
 		Queued:    queued,
 		Running:   running,
 	}
@@ -449,6 +454,19 @@ func (m *Manager) endLeg(leg *span.Span, outcome string) {
 	leg.End()
 }
 
+// runLeg calls j.run, turning a panic into a failed job instead of the end
+// of the process: the error carries the panic value and the stack it was
+// recovered on.
+func (m *Manager) runLeg(ctx context.Context, j *Job) (panicked bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.panicked.Add(1)
+			panicked, err = true, fmt.Errorf("jobs: run panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return false, j.run(ctx, j)
+}
+
 // worker is the pool loop: wait for runnable work (non-empty queue, no
 // interactive traffic, not closed), pop the best job, run it, classify the
 // outcome.
@@ -485,7 +503,7 @@ func (m *Manager) worker() {
 		m.running++
 		m.mu.Unlock()
 
-		err := j.run(ctx, j)
+		panicked, err := m.runLeg(ctx, j)
 		cause := context.Cause(ctx)
 		cancel(nil)
 
@@ -493,6 +511,9 @@ func (m *Manager) worker() {
 		m.running--
 		j.cancel = nil
 		switch {
+		case panicked:
+			m.endLeg(leg, "panicked")
+			m.finishLocked(j, StateFailed, err)
 		case err == nil:
 			m.endLeg(leg, "done")
 			m.finishLocked(j, StateDone, nil)

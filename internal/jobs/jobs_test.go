@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -260,5 +261,34 @@ func TestMetricsCounts(t *testing.T) {
 	mt := m.Metrics()
 	if mt.Submitted != 3 || mt.Done != 3 || mt.Queued != 0 || mt.Running != 0 {
 		t.Fatalf("metrics %+v", mt)
+	}
+}
+
+// TestPanickingJobFailsAndWorkerSurvives runs a job that panics on the
+// manager's only worker: the job must finish failed with the panic value
+// and its stack in the error, and the same worker must go on to complete
+// the next job.
+func TestPanickingJobFailsAndWorkerSurvives(t *testing.T) {
+	m := New(1, 8)
+	defer m.Close()
+	bad, err := m.Submit(func(ctx context.Context, j *Job) error { panic("simulator blew up") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := waitState(t, m, bad, StateFailed, StateDone, StateCanceled)
+	if s.State != StateFailed {
+		t.Fatalf("panicking job ended %s, want %s", s.State, StateFailed)
+	}
+	if !strings.Contains(s.Error, "simulator blew up") || !strings.Contains(s.Error, "goroutine") {
+		t.Errorf("error %q lacks the panic value or its stack", s.Error)
+	}
+	good, err := m.Submit(func(ctx context.Context, j *Job) error { return nil }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, good, StateDone)
+	mt := m.Metrics()
+	if mt.Panicked != 1 || mt.Failed != 1 || mt.Done != 1 || mt.Running != 0 {
+		t.Errorf("metrics %+v, want panicked 1, failed 1, done 1, running 0", mt)
 	}
 }

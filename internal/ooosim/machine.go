@@ -11,6 +11,7 @@ import (
 	"oovec/internal/rename"
 	"oovec/internal/rob"
 	"oovec/internal/sched"
+	"oovec/internal/sim"
 	"oovec/internal/trace"
 	"oovec/internal/vregfile"
 )
@@ -46,10 +47,11 @@ func Run(t *trace.Trace, cfg Config) *Result {
 // storage) across runs: Reset restores the power-on state without
 // reallocating when the configuration's structural sizes are unchanged.
 // Machines for up to maxCachedShapes previously seen shapes are retained,
-// so a worker sweeping a register-count grid rebuilds each shape once, not
-// once per grid point.
+// so a pooled machine serving a register-count grid rebuilds each shape
+// once, not once per grid point.
 //
-// A Machine is not safe for concurrent use; give each worker its own.
+// A Machine is not safe for concurrent use; check one out of Machines for
+// each run.
 type Machine struct {
 	m *machine
 	// shapes retires machines by structural shape when Reset switches
@@ -85,6 +87,11 @@ func shapeOf(cfg Config) machineShape {
 func NewMachine(cfg Config) *Machine {
 	return &Machine{m: newMachine(cfg)}
 }
+
+// Machines is the process-wide pool of OOOVA machines: every surface that
+// runs the OOOVA and does not keep the Result's Tables or Records checks a
+// machine out of it for one run.
+var Machines = sim.Pool[Config, *Machine]{New: NewMachine}
 
 // Run simulates the trace from power-on state: RunCheckpointed with zero
 // options. The returned Result's Tables and Records alias machine state and

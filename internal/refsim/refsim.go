@@ -28,6 +28,7 @@ import (
 	"oovec/internal/metrics"
 	"oovec/internal/probe"
 	"oovec/internal/sched"
+	"oovec/internal/sim"
 	"oovec/internal/trace"
 	"oovec/internal/vregfile"
 )
@@ -92,7 +93,8 @@ func Run(t *trace.Trace, cfg Config) *metrics.RunStats {
 // (the reference machine's structure is fixed, so reuse never rebuilds),
 // amortising the interval-list and scratch storage across many runs.
 //
-// A Machine is not safe for concurrent use; give each worker its own.
+// A Machine is not safe for concurrent use; check one out of Machines for
+// each run.
 type Machine struct {
 	m *machine
 }
@@ -101,6 +103,10 @@ type Machine struct {
 func NewMachine(cfg Config) *Machine {
 	return &Machine{m: newMachine(cfg)}
 }
+
+// Machines is the process-wide pool of reference machines: every surface
+// that runs REF checks a machine out of it for one run.
+var Machines = sim.Pool[Config, *Machine]{New: NewMachine}
 
 // Run simulates the trace from power-on state: RunCheckpointed with zero
 // options.

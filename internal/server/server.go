@@ -3,9 +3,9 @@
 // construction per process, the server amortises them across requests: the
 // content-addressed result cache (package simcache) makes a repeated
 // identical request a lookup that performs zero new simulations, concurrent
-// identical requests coalesce onto one simulation (singleflight), machines
-// are checked out of pools per request, and generated traces are shared
-// process-wide.
+// identical requests coalesce onto one simulation (singleflight), each run
+// checks a machine out of its model's process-wide pool, and generated
+// traces are shared process-wide.
 //
 // Endpoints:
 //
@@ -49,9 +49,6 @@ import (
 	"oovec/internal/engine"
 	"oovec/internal/hist"
 	"oovec/internal/jobs"
-	"oovec/internal/ooosim"
-	"oovec/internal/refsim"
-	"oovec/internal/sim"
 	"oovec/internal/simcache"
 	"oovec/internal/span"
 	"oovec/internal/store"
@@ -131,8 +128,6 @@ type Server struct {
 	results *simcache.Results
 	store   *store.Store // nil = memory-only
 	tracer  *span.Tracer // nil = tracing disabled
-	oooPool sim.Pool[ooosim.Config, *ooosim.Machine]
-	refPool sim.Pool[refsim.Config, *refsim.Machine]
 
 	// The async job layer (jobs.go). jobInfos ties job ids to their result
 	// keys and parked checkpoints; jobsOnce makes shutdown idempotent.
@@ -223,8 +218,6 @@ func New(opts Opts) *Server {
 		tracer:         span.NewTracer(opts.TraceSample, opts.TraceBuffer),
 		results:        simcache.NewResults(opts.CacheEntries, disk),
 		store:          opts.Store,
-		oooPool:        sim.Pool[ooosim.Config, *ooosim.Machine]{New: ooosim.NewMachine},
-		refPool:        sim.Pool[refsim.Config, *refsim.Machine]{New: refsim.NewMachine},
 		jobs:           jobs.New(opts.JobWorkers, opts.JobQueue),
 		jobInfos:       make(map[string]*jobInfo),
 		mux:            http.NewServeMux(),
@@ -438,6 +431,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ovserve_jobs_failed_total %d\n", jm.Failed)
 	fmt.Fprintf(w, "ovserve_jobs_canceled_total %d\n", jm.Canceled)
 	fmt.Fprintf(w, "ovserve_jobs_preempted_total %d\n", jm.Preempted)
+	fmt.Fprintf(w, "ovserve_jobs_panicked_total %d\n", jm.Panicked)
 	fmt.Fprintf(w, "ovserve_jobs_queued %d\n", jm.Queued)
 	fmt.Fprintf(w, "ovserve_jobs_running %d\n", jm.Running)
 	fmt.Fprintf(w, "ovserve_checkpoints_saved_total %d\n", s.ckSaved.Load())

@@ -144,7 +144,7 @@ func (s *Server) planSim(req *SimRequest) (*simPlan, error) {
 			return nil, err
 		}
 		key := simcache.ResultKey(simcache.OOOConfigKey(cfg), traceKey)
-		return newSimPlan("OOOVA", key, getTrace, &s.oooPool, cfg, ooosim.DecodeCheckpoint,
+		return newSimPlan("OOOVA", key, getTrace, &ooosim.Machines, cfg, ooosim.DecodeCheckpoint,
 			func(r *ooosim.Result) *metrics.RunStats { return r.Stats }), nil
 	case "ref":
 		cfg, err := req.Config.RefConfig()
@@ -152,7 +152,7 @@ func (s *Server) planSim(req *SimRequest) (*simPlan, error) {
 			return nil, err
 		}
 		key := simcache.ResultKey(simcache.RefConfigKey(cfg), traceKey)
-		return newSimPlan("REF", key, getTrace, &s.refPool, cfg, refsim.DecodeCheckpoint,
+		return newSimPlan("REF", key, getTrace, &refsim.Machines, cfg, refsim.DecodeCheckpoint,
 			func(st *metrics.RunStats) *metrics.RunStats { return st }), nil
 	default:
 		return nil, fmt.Errorf("unknown machine %q (ooo | ref)", req.Machine)
@@ -173,8 +173,9 @@ type encodedCheckpoint interface {
 }
 
 // newSimPlan builds both runners of a plan over one machine model: machine
-// names it in spans, pool supplies machines reset to cfg, decode reads a
-// resumed checkpoint and stats extracts the measurements from a result.
+// names it in spans, pool is the model's machine pool (ooosim.Machines,
+// refsim.Machines), decode reads a resumed checkpoint and stats extracts the
+// measurements from a result.
 func newSimPlan[Cfg any, M simMachine[Cfg, C, R], C encodedCheckpoint, R any](
 	machine, key string, getTrace func() *trace.Trace, pool *sim.Pool[Cfg, M], cfg Cfg,
 	decode func([]byte) (C, error), stats func(R) *metrics.RunStats,
@@ -201,7 +202,6 @@ func newSimPlan[Cfg any, M simMachine[Cfg, C, R], C encodedCheckpoint, R any](
 		sp.SetInt("resume_from", int64(start))
 		defer sp.End()
 		m := pool.Get(cfg)
-		defer pool.Put(m)
 		r, stop, err := m.RunCheckpointed(t, sim.Opts[C]{
 			Ctx:             ctx,
 			CheckpointEvery: ckEvery,
@@ -213,6 +213,7 @@ func newSimPlan[Cfg any, M simMachine[Cfg, C, R], C encodedCheckpoint, R any](
 			OnProgress: cb.onProgress,
 			Resume:     res,
 		})
+		pool.Put(m) // not deferred: a run that panicked drops its machine
 		if err != nil {
 			var b []byte
 			next := start

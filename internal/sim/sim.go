@@ -1,13 +1,15 @@
 // Package sim owns what every machine model shares: the instruction loop
 // that drives a model over a trace — with its abort checks, progress
 // reports and periodic checkpoints — the options that configure it, and the
-// machine pool the server checks machines out of.
+// machine pool type behind each model's one process-wide pool.
 //
 // A machine model (ooosim's OOOVA, refsim's in-order reference machine)
 // implements Model on its internal state and exposes sim.Run through its
-// public Machine type. Adding a model means writing one package with those
-// four methods and a checkpoint type; the loop, cancellation, resume
-// validation and pooling come from here.
+// public Machine type, and declares one Pool of its machines next to its
+// NewMachine (ooosim.Machines, refsim.Machines). Adding a model means
+// writing one package with those four methods, a checkpoint type and that
+// pool; the loop, cancellation, resume validation and recycling come from
+// here.
 package sim
 
 import (
@@ -149,11 +151,14 @@ func begin[C Checkpoint, R any](m Model[C, R], t *trace.Trace, resume C) (int, e
 	return start, m.Begin(t, resume)
 }
 
-// Pool recycles machines across concurrent borrowers — the checkout/checkin
-// primitive the ovserve request handlers use, so a long-lived server
-// amortises machine construction across requests the way the experiment
-// drivers amortise it across a grid. Machines stay single-goroutine
-// objects; the pool hands each one to one borrower at a time.
+// Pool recycles machines across concurrent borrowers. Each machine model
+// declares exactly one, and it is the only place its machines are reused:
+// the experiment suite, every sweep grid point and the server's /v1/sim and
+// /v1/jobs runs check a machine out for one run and check it back in. A
+// machine keeps its trace-sized buffers between runs, so a pooled run pays
+// for construction and buffer growth once per machine, not once per run.
+// Machines stay single-goroutine objects; the pool hands each one to one
+// borrower at a time.
 type Pool[Cfg any, M interface{ Reset(Cfg) }] struct {
 	// New builds a machine when the pool is empty.
 	New func(Cfg) M
@@ -162,7 +167,6 @@ type Pool[Cfg any, M interface{ Reset(Cfg) }] struct {
 }
 
 // Get checks out a machine reset to cfg, building one if the pool is empty.
-// Return it with Put when the run is finished.
 func (p *Pool[Cfg, M]) Get(cfg Cfg) M {
 	if m, ok := p.p.Get().(M); ok {
 		m.Reset(cfg)
@@ -171,5 +175,7 @@ func (p *Pool[Cfg, M]) Get(cfg Cfg) M {
 	return p.New(cfg)
 }
 
-// Put checks a machine back in for a later Get to reuse.
+// Put checks a machine back in for a later Get to reuse. Call it only after
+// the machine's run returned: a run that panicked may have left the machine
+// inconsistent, so its borrower drops it instead (Put is never deferred).
 func (p *Pool[Cfg, M]) Put(m M) { p.p.Put(m) }

@@ -4,10 +4,10 @@
 //
 // Grid points are independent simulations; the grid runners fan them
 // across a worker pool (package engine) while keeping the CSV row order —
-// and therefore the output bytes — identical to a serial run. Each pool
-// worker drives all its grid points through one pooled, resettable machine
-// (ooosim.Machine / refsim.Machine), so an N-point grid constructs machine
-// state once per worker and shape instead of once per point.
+// and therefore the output bytes — identical to a serial run. Each grid
+// point checks a machine out of its model's process-wide pool
+// (ooosim.Machines, refsim.Machines) for its one run, so consecutive grids
+// reuse the machines — and the trace-sized buffers — earlier grids built.
 //
 // Opts adds the two production concerns of a long-lived
 // design-space-exploration service: per-point result caching (every grid
@@ -110,9 +110,9 @@ func endPoint(sp *span.Span, cached bool) {
 	sp.End()
 }
 
-// point produces one measurement: sim runs it on the worker's pooled
-// machine, through the cache when configured (keyed by cfgKey, the
-// machine's simcache config key), inside a grid-point span.
+// point produces one measurement: sim runs it on a pooled machine, through
+// the cache when configured (keyed by cfgKey, the machine's simcache config
+// key), inside a grid-point span.
 func (o Opts) point(machine, cfgKey string, sim func() *metrics.RunStats) *metrics.RunStats {
 	run := func() *metrics.RunStats {
 		if o.OnSim != nil {
@@ -133,12 +133,12 @@ func (o Opts) point(machine, cfgKey string, sim func() *metrics.RunStats) *metri
 	return st
 }
 
-// grid fans n points across the worker pool, each worker driving its points
-// through one machine from newState, and collects them in index order.
-func grid[M any](o Opts, n int, newState func() M, point func(m M, i int) Point) ([]Point, error) {
+// grid fans n points across the worker pool and collects them in index
+// order.
+func grid(o Opts, n int, point func(i int) Point) ([]Point, error) {
 	o.validate()
 	pts := make([]Point, n)
-	err := engine.MapWithCtx(o.Ctx, o.Workers, n, newState, func(m M, i int) { pts[i] = point(m, i) })
+	err := engine.MapCtx(o.Ctx, o.Workers, n, func(i int) { pts[i] = point(i) })
 	if err != nil {
 		return nil, err
 	}
@@ -146,19 +146,19 @@ func grid[M any](o Opts, n int, newState func() M, point func(m M, i int) Point)
 }
 
 // refGrid runs the reference machine across memory latencies under Opts:
-// fanned across the worker pool (each worker reusing one reference
-// machine for all its points), served from the result cache where
+// fanned across the worker pool, served from the result cache where
 // configured, cancellable between points. The points come back in latency
 // order for any worker count; on cancellation it returns the context's
 // error and the points must be discarded.
 func refGrid(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
-	newState := func() *refsim.Machine { return refsim.NewMachine(refsim.DefaultConfig()) }
-	return grid(o, len(latencies), newState, func(m *refsim.Machine, i int) Point {
+	return grid(o, len(latencies), func(i int) Point {
 		cfg := refsim.DefaultConfig()
 		cfg.MemLatency = latencies[i]
 		st := o.point("REF", simcache.RefConfigKey(cfg), func() *metrics.RunStats {
-			m.Reset(cfg)
-			return m.Run(t)
+			m := refsim.Machines.Get(cfg)
+			st := m.Run(t)
+			refsim.Machines.Put(m)
+			return st
 		})
 		return Point{
 			Program: t.Name, Machine: "REF", Latency: latencies[i],
@@ -170,23 +170,23 @@ func refGrid(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
 
 // oooGrid runs the OOOVA over the cross product of register counts and
 // latencies, with all other parameters taken from base, under Opts: fanned
-// across the worker pool (each worker reusing one pooled OOOVA machine;
-// register-count changes revive the matching shape from the machine's shape
-// cache), served from the result cache where configured, cancellable
-// between points. The points come back register-major for any worker
-// count; on cancellation it returns the context's error and the points must
-// be discarded.
+// across the worker pool (register-count changes revive the matching shape
+// from the pooled machine's shape cache), served from the result cache
+// where configured, cancellable between points. The points come back
+// register-major for any worker count; on cancellation it returns the
+// context's error and the points must be discarded.
 func oooGrid(t *trace.Trace, base ooosim.Config, vregs []int, latencies []int64, o Opts) ([]Point, error) {
 	nl := len(latencies)
-	newState := func() *ooosim.Machine { return ooosim.NewMachine(base) }
-	return grid(o, len(vregs)*nl, newState, func(m *ooosim.Machine, k int) Point {
+	return grid(o, len(vregs)*nl, func(k int) Point {
 		regs, lat := vregs[k/nl], latencies[k%nl]
 		cfg := base
 		cfg.PhysVRegs = regs
 		cfg.MemLatency = lat
 		st := o.point("OOOVA", simcache.OOOConfigKey(cfg), func() *metrics.RunStats {
-			m.Reset(cfg)
-			return m.Run(t).Stats
+			m := ooosim.Machines.Get(cfg)
+			st := m.Run(t).Stats
+			ooosim.Machines.Put(m)
+			return st
 		})
 		// Report the exact parameters the simulator resolved, so CSV rows
 		// cannot drift from what actually ran.

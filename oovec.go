@@ -241,24 +241,6 @@ func RunOOOVA(t *Trace, cfg OOOVAConfig) *OOOVAResult {
 	return ooosim.Run(t, cfg)
 }
 
-// OOOVAMachine is a reusable OOOVA simulator instance: Reset restores the
-// power-on state without reallocating, amortising construction across many
-// runs (hot sweep loops, worker pools). Machines for previously seen
-// structural shapes are retained, so sweeping register counts rebuilds
-// each shape once. Not safe for concurrent use; give each worker its own.
-type OOOVAMachine = ooosim.Machine
-
-// NewOOOVAMachine builds a reusable machine for the configuration.
-func NewOOOVAMachine(cfg OOOVAConfig) *OOOVAMachine { return ooosim.NewMachine(cfg) }
-
-// ReferenceMachine is a reusable reference-simulator instance, the REF
-// counterpart of OOOVAMachine. Not safe for concurrent use; give each
-// worker its own.
-type ReferenceMachine = refsim.Machine
-
-// NewReferenceMachine builds a reusable reference machine.
-func NewReferenceMachine(cfg ReferenceConfig) *ReferenceMachine { return refsim.NewMachine(cfg) }
-
 // RunOOOVAWithFault simulates with a precise exception injected at the
 // given instruction index and returns the recovered precise state (§5).
 func RunOOOVAWithFault(t *Trace, cfg OOOVAConfig, faultIdx int) (*FaultResult, error) {
