@@ -6,8 +6,7 @@ import (
 )
 
 // Gobsafe audits every struct that crosses an encoding/gob boundary — the
-// checkpoint Encode/Decode pairs, the store's result payloads, anything
-// passed to gob.Register. gob silently drops unexported fields, so a
+// checkpoint Encode/Decode pairs, anything passed to gob.Register. gob silently drops unexported fields, so a
 // checkpoint State struct with one lowercase field round-trips without
 // error and resumes wrong; interface-typed fields panic at encode time
 // unless every concrete type is registered, which no compiler checks.

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -15,8 +16,11 @@ import (
 // 5 register counts × 2 queue depths) through machines checked out of the
 // process-wide pools (ooosim.Machines, refsim.Machines). Those machines
 // outlive the suite, so a suite after the first builds none, and the
-// per-simulation average is mostly the runs' own results (~13 KB).
+// per-simulation average is mostly the runs' own results (~6 KB). GC is
+// off so the pools keep what the first suite put back, and one P keeps
+// every Get on the P its Put went to.
 func TestPooledSuiteBytesBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const insns = 2000
 	const sims = 110 // OOOVA grid points + REF baselines in Fig5
 
@@ -26,11 +30,12 @@ func TestPooledSuiteBytesBudget(t *testing.T) {
 			t.Fatal("empty result")
 		}
 	}
-	run() // warm any lazy runtime state
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run() // warm any lazy runtime state and fill the pools
 
 	const runs = 3
 	var before, after runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		run()
@@ -38,13 +43,12 @@ func TestPooledSuiteBytesBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perSuite := (after.TotalAlloc - before.TotalAlloc) / runs
 	perSim := perSuite / sims
+	t.Logf("pooled Fig5 suite: %d B per simulation", perSim)
 
-	// The budget is loose: at 2000 instructions a fresh machine per
-	// simulation costs 55-141 KB (construction plus buffer growth), which
-	// stays under it. It catches per-simulation state an order of magnitude
-	// larger; TestSecondGridReusesMachines (package sweep) is the guard
-	// that machines are reused at all.
-	const budget = 256 << 10 // 256 KiB per simulation
+	// At 2000 instructions a fresh machine per simulation costs 55-141 KB
+	// (construction plus buffer growth), so the budget fails a suite that
+	// does not reuse pooled machines.
+	const budget = 40 << 10 // 40 KiB per simulation
 	if perSim > budget {
 		t.Errorf("pooled suite run allocated %d B per simulation (%d B per suite), want <= %d",
 			perSim, perSuite, budget)

@@ -5,6 +5,8 @@
 package metrics
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"oovec/internal/isa"
@@ -271,6 +273,101 @@ type RunStats struct {
 	Stalls StallBreakdown
 	// Occupancy holds the per-structure occupancy histograms (OOOVA only).
 	Occupancy Occupancy
+}
+
+// RunStats has one binary encoding, the payload of the store's result
+// entries: Machine and Program as uvarint-length-prefixed bytes, then every
+// int64 leaf as a zigzag varint in the order leaves lists them. Every value
+// has exactly one encoding — the decoder rejects overlong varints — so a
+// payload that decodes re-encodes to the same bytes. A field added to
+// RunStats must be added to leaves, and the store's entry epoch bumped.
+
+// numLeaves is the number of int64 leaves in a RunStats; it sizes the
+// stack buffer leaves fills, so a stale count costs an allocation, not
+// correctness.
+const numLeaves = 1 + NumStates + 12 + 11 + 5*(1+OccBuckets)
+
+// leaves appends a pointer to every int64 leaf of r, in encoding order, to
+// dst.
+func (r *RunStats) leaves(dst []*int64) []*int64 {
+	dst = append(dst, &r.Cycles)
+	for i := range r.States {
+		dst = append(dst, &r.States[i])
+	}
+	dst = append(dst, &r.MemPortBusy, &r.MemRequests, &r.Instructions,
+		&r.VRegPortConflictCycles, &r.Mispredicts, &r.EliminatedLoads,
+		&r.EliminatedRequests, &r.ElidedStores, &r.ElidedRequests,
+		&r.DecodeStallRegs, &r.DecodeStallQueue, &r.DecodeStallROB)
+	s := &r.Stalls
+	dst = append(dst, &s.ROBFull, &s.IQFullA, &s.IQFullS, &s.IQFullV,
+		&s.IQFullM, &s.NoPhysA, &s.NoPhysS, &s.NoPhysV, &s.NoPhysM,
+		&s.PortConflict, &s.MemBusBusy)
+	o := &r.Occupancy
+	for _, h := range [...]*OccHist{&o.ROB, &o.IQA, &o.IQS, &o.IQV, &o.IQM} {
+		dst = append(dst, &h.Cap)
+		for i := range h.Counts {
+			dst = append(dst, &h.Counts[i])
+		}
+	}
+	return dst
+}
+
+// AppendBinary appends r's binary encoding to b. It never fails.
+func (r *RunStats) AppendBinary(b []byte) ([]byte, error) {
+	for _, s := range [...]string{r.Machine, r.Program} {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	var buf [numLeaves]*int64
+	for _, v := range r.leaves(buf[:0]) {
+		b = binary.AppendVarint(b, *v)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes an AppendBinary encoding into r. It returns an
+// error, never panics, on a truncated payload, an overlong or overflowing
+// varint, a string length running past the payload, or trailing bytes; on
+// error r is left partly written.
+func (r *RunStats) UnmarshalBinary(p []byte) error {
+	for _, s := range [...]*string{&r.Machine, &r.Program} {
+		n, k, err := uvarint(p)
+		if err != nil {
+			return err
+		}
+		p = p[k:]
+		if n > uint64(len(p)) {
+			return fmt.Errorf("metrics: string length %d runs past the %d-byte payload", n, len(p))
+		}
+		*s, p = string(p[:n]), p[n:]
+	}
+	var buf [numLeaves]*int64
+	for _, v := range r.leaves(buf[:0]) {
+		u, k, err := uvarint(p)
+		if err != nil {
+			return err
+		}
+		*v, p = int64(u>>1)^-int64(u&1), p[k:]
+	}
+	if len(p) > 0 {
+		return fmt.Errorf("metrics: %d trailing bytes after RunStats", len(p))
+	}
+	return nil
+}
+
+// uvarint reads one minimally encoded uvarint from the front of p and
+// returns it with its length.
+func uvarint(p []byte) (uint64, int, error) {
+	u, k := binary.Uvarint(p)
+	switch {
+	case k == 0:
+		return 0, 0, errors.New("metrics: RunStats payload truncated")
+	case k < 0:
+		return 0, 0, errors.New("metrics: varint overflows 64 bits")
+	case k > 1 && p[k-1] == 0:
+		return 0, 0, errors.New("metrics: overlong varint")
+	}
+	return u, k, nil
 }
 
 // MemPortIdlePct returns the Figure 4/6 metric: the percentage of execution

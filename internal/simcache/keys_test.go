@@ -12,8 +12,9 @@ import (
 // TestKeySchemeIsStable pins the content-address scheme. Every persisted
 // result and parked checkpoint is stored under these keys, so a refactor
 // that changes their rendering silently turns every warm store into
-// misses. A deliberate change to the scheme must bump store.FormatEpoch and
-// update the golden values here.
+// misses. A deliberate change to the scheme orphans every stored entry and
+// checkpoint (the store's LRU GC ages them out) and must update the golden
+// values here.
 func TestKeySchemeIsStable(t *testing.T) {
 	p, _ := tgen.PresetByName("swm256")
 	p.Insns = 2000

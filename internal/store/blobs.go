@@ -2,9 +2,11 @@ package store
 
 // Checkpoint blobs: the second kind of store file, holding opaque payloads
 // — the serialised mid-run machine checkpoints of the preemptible job
-// layer — rather than gob-encoded RunStats. Blobs go through the same file
+// layer — rather than encoded RunStats. Blobs go through the same file
 // path as result entries (writeFile, read, remove), so they share the
-// directory, the durability discipline and the byte budget. Blob writes
+// directory, the durability discipline and the byte budget, but keep their
+// own format epoch: a change to the entry encoding leaves parked
+// checkpoints resumable. Blob writes
 // are synchronous: a checkpoint is persisted exactly when the caller needs
 // the durability guarantee (cancellation, preemption, shutdown), so there
 // is nothing to batch behind.

@@ -12,14 +12,13 @@ import (
 	"oovec/internal/metrics"
 )
 
-// goldenEntryHex and goldenBlobHex are one entry file and one blob file as
-// the store wrote them at FormatEpoch 2, before entries and blobs shared
-// one write and read path: goldenStats() under the entry magic, and
-// goldenBlobPayload under the blob magic. gob numbers types per process;
-// RunStats (with the types it embeds) is the only type this package's
-// tests encode, so its numbering — and these bytes — are reproducible.
+// goldenGobEntryHex and goldenBlobHex are one entry file and one blob file
+// as the store wrote them at epoch 2, before entries and blobs shared one
+// write and read path: goldenStats() gob-encoded under the entry magic, and
+// goldenBlobPayload under the blob magic. goldenEntryHex is goldenStats()
+// in RunStats' binary encoding at entry epoch 3.
 const (
-	goldenEntryHex = "" +
+	goldenGobEntryHex = "" +
 		"4f565253000000020000030e783996e0fe01467f0301010852756e5374617473" +
 		"01ff8000011201074d616368696e65010c00010750726f6772616d010c000106" +
 		"4379636c6573010400010653746174657301ff8200010b4d656d506f72744275" +
@@ -45,6 +44,11 @@ const (
 		"00000001fe054c01fe071c01fe07d00206010407010a00010101ff8001090200" +
 		"0000000000000000010209000000000000000000000102090000000000000000" +
 		"000001020900000000000000000000010209000000000000000000000000"
+	goldenEntryHex = "" +
+		"4f565253000000030000006329450d8a054f4f4f56410474726664f2c0010016" +
+		"000000000000cc0a9c0ed00f0006040000000000000a00000000000000000000" +
+		"8001020000000000000000000000000000000000000000000000000000000000" +
+		"00000000000000000000000000000000000000"
 	goldenBlobHex = "4f564342000000020000000d7dc809d4636865636b706f696e740001ff"
 )
 
@@ -63,32 +67,49 @@ func goldenStats() *metrics.RunStats {
 }
 
 // TestOnDiskFormatIsStable pins the on-disk bytes of both file kinds:
-// files written by the earlier code still load, and saving the same values
-// again writes the same bytes. A failure here is a format change, which
-// must bump FormatEpoch.
+// files written by the earlier code of the same epoch still load, and
+// saving the same values again writes the same bytes. A failure here is a
+// format change, which must bump the kind's epoch. An entry of the gob
+// epoch is a quarantined miss: entries moved to epoch 3 while blobs stayed
+// at 2, so checkpoints parked before the change still resume.
 func TestOnDiskFormatIsStable(t *testing.T) {
-	entry, err := hex.DecodeString(goldenEntryHex)
-	if err != nil {
-		t.Fatal(err)
+	decode := func(h string) []byte {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	blob, err := hex.DecodeString(goldenBlobHex)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gobEntry, entry, blob := decode(goldenGobEntryHex), decode(goldenEntryHex), decode(goldenBlobHex)
 	s := mustOpen(t, t.TempDir(), 0)
 	ctx := context.Background()
+	place := func(path string, b []byte) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// The old bytes load.
+	// The gob-era entry is a miss, quarantined once.
+	const stale = "feed00"
+	place(s.path(stale), gobEntry)
+	if got, ok := s.Load(ctx, stale); ok {
+		t.Errorf("gob-era entry loaded as %+v; want a miss", got)
+	}
+	if _, err := os.Stat(s.path(stale)); !os.IsNotExist(err) {
+		t.Error("gob-era entry was not quarantined")
+	}
+	if c := s.Stats().Corrupt; c != 1 {
+		t.Errorf("corrupt = %d after the gob-era entry, want 1", c)
+	}
+
+	// The current bytes load.
 	const old = "feed01"
-	if err := os.MkdirAll(filepath.Dir(s.path(old)), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.path(old), entry, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.blobPath(old), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	place(s.path(old), entry)
+	place(s.blobPath(old), blob)
 	if got, ok := s.Load(ctx, old); !ok || !reflect.DeepEqual(got, goldenStats()) {
 		t.Errorf("golden entry: Load = %+v, %v; want %+v", got, ok, goldenStats())
 	}

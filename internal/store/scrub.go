@@ -7,8 +7,9 @@ package store
 // entry, caught at read time and paid for with a re-simulation during
 // interactive traffic. The scrubber moves that discovery to idle time: it
 // walks every entry and checkpoint blob, re-runs the same header+CRC
-// validation the read path uses, and quarantines anything invalid so the
-// re-simulation happens on a background schedule instead of a request path.
+// validation the read path uses — and, for entries, the same decode — and
+// quarantines anything invalid so the re-simulation happens on a
+// background schedule instead of a request path.
 
 import (
 	"context"
@@ -18,16 +19,19 @@ import (
 	"slices"
 	"strings"
 	"time"
+
+	"oovec/internal/metrics"
 )
 
 // Scrub walks every entry and blob file once, validating the on-disk
-// header and payload CRC, and quarantining (deleting and counting as
-// Corrupt) any file that fails. It returns the number of files verified
-// and the number quarantined. Scrub is safe to run concurrently with
-// reads and writes: a file that disappears mid-walk (evicted, replaced)
-// is simply skipped, and atomic renames mean a readable file is always
-// either wholly old or wholly new.
+// header and payload CRC and decoding each entry's payload as Load does,
+// and quarantining (deleting and counting as Corrupt) any file that fails.
+// It returns the number of files verified and the number quarantined.
+// Scrub is safe to run concurrently with reads and writes: a file that
+// disappears mid-walk (evicted, replaced) is simply skipped, and atomic
+// renames mean a readable file is always either wholly old or wholly new.
 func (s *Store) Scrub() (verified, quarantined int64) {
+	var st metrics.RunStats
 	filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return nil
@@ -40,7 +44,11 @@ func (s *Store) Scrub() (verified, quarantined int64) {
 		if err != nil {
 			return nil // vanished mid-walk: eviction or replacement won the race
 		}
-		if _, err := validateFile(b, k); err != nil {
+		p, err := validateFile(b, k)
+		if err == nil && k == entryKind {
+			err = st.UnmarshalBinary(p)
+		}
+		if err != nil {
 			s.quarantine(context.Background(), path)
 			quarantined++
 			return nil

@@ -165,6 +165,37 @@ func TestScrubVerifiesAndQuarantines(t *testing.T) {
 	}
 }
 
+// TestScrubQuarantinesUndecodableEntry: an entry whose header and CRC are
+// valid but whose payload does not decode (a trailing byte, CRC recomputed)
+// is quarantined by the scrubber, in idle time, not by a later Load.
+func TestScrubQuarantinesUndecodableEntry(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 0)
+	saveSync(t, s, "aa00", testStats(1))
+	saveSync(t, s, "aa01", testStats(2))
+	p := s.path("aa01")
+	b, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := validateFile(b, entryKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p, encodeFile(entryKind, append(payload, 0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if verified, quarantined := s.Scrub(); verified != 1 || quarantined != 1 {
+		t.Fatalf("scrub: verified=%d quarantined=%d, want 1/1", verified, quarantined)
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Fatal("undecodable entry was not quarantined")
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Misses != 0 || st.Files != 1 {
+		t.Fatalf("stats = %+v, want corrupt 1, misses 0, files 1", st)
+	}
+}
+
 func TestStartScrubberRunsAndStops(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 0)

@@ -12,9 +12,11 @@
 //     shard directory, synced, then renamed into place. A reader — in this
 //     process or another sharing the directory — sees either the complete
 //     old entry, the complete new entry, or nothing; never a torn file.
-//   - Every entry carries a versioned header (magic, format epoch, payload
-//     length) and a CRC over the payload. A truncated, bit-flipped,
-//     zero-length or wrong-epoch file degrades to a cache miss: it is
+//   - Every file carries a versioned header (magic, format epoch, payload
+//     length) and a CRC over the payload. Each file kind has its own epoch,
+//     so a change to the entry encoding invalidates stored results but not
+//     parked checkpoints. A truncated, bit-flipped, zero-length,
+//     wrong-epoch or undecodable file degrades to a cache miss: it is
 //     counted, quarantined (deleted), and the result is re-simulated.
 //     Corruption can never crash the process or serve a wrong result.
 //   - The store is bounded: once the entry files exceed the configured byte
@@ -34,7 +36,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
@@ -51,12 +52,6 @@ import (
 	"oovec/internal/span"
 )
 
-// FormatEpoch versions the on-disk entry schema. Bump it whenever the
-// payload encoding changes meaning — a field added to metrics.RunStats, a
-// different serialisation — and every existing entry self-invalidates on
-// its next read instead of silently decoding into the wrong shape.
-const FormatEpoch = 2
-
 // headerSize is magic(4) + epoch(4) + payload length(4) + CRC32(4).
 const headerSize = 16
 
@@ -68,20 +63,29 @@ const (
 )
 
 // fileKind is one of the two kinds of file the store holds: result entries
-// (gob-encoded RunStats) and checkpoint blobs (opaque payloads, see
-// blobs.go). Each kind has its own suffix and magic, so neither can decode
-// as the other; everything else — sharding, header, atomic write,
-// validated read, quarantine and the byte budget — is shared.
+// (RunStats in its binary encoding, see metrics.RunStats.AppendBinary) and
+// checkpoint blobs (opaque payloads, see blobs.go). Each kind has its own
+// suffix, magic and format epoch, so neither can decode as the other and
+// each is versioned alone; everything else — sharding, header, atomic
+// write, validated read, quarantine and the byte budget — is shared.
 type fileKind struct {
 	suffix, magic string
+	// epoch is the format epoch of the kind's payload encoding. Bump it
+	// whenever the payload changes meaning — a field added to
+	// metrics.RunStats, a different serialisation — and every existing file
+	// of the kind self-invalidates on its next read instead of silently
+	// decoding into the wrong shape; files of the other kind are untouched.
+	epoch uint32
 	// span is the "kind" attribute of the kind's store.read/store.write
 	// spans; empty (no attribute) for result entries.
 	span string
 }
 
+// Entry epoch 3 is RunStats' own binary encoding (epoch 2 was gob); blobs
+// have been at epoch 2 since the header gained its epoch field.
 var (
-	entryKind = fileKind{suffix: entrySuffix, magic: "OVRS"}
-	blobKind  = fileKind{suffix: ".ovb", magic: "OVCB", span: "blob"}
+	entryKind = fileKind{suffix: entrySuffix, magic: "OVRS", epoch: 3}
+	blobKind  = fileKind{suffix: ".ovb", magic: "OVCB", epoch: 2, span: "blob"}
 )
 
 // kindOf classifies a file name as an entry or a blob; staging files and
@@ -115,9 +119,9 @@ type Stats struct {
 	// durable, never fatal.
 	Writes      int64 `json:"writes"`
 	WriteErrors int64 `json:"write_errors"`
-	// Corrupt counts entries quarantined on read: truncated, bit-flipped,
-	// zero-length, wrong-magic or wrong-epoch files, each deleted so they
-	// are paid for once.
+	// Corrupt counts files quarantined on read or scrub: truncated,
+	// bit-flipped, zero-length, wrong-magic, wrong-epoch or undecodable
+	// files, each deleted so they are paid for once.
 	Corrupt int64 `json:"corrupt"`
 	// Evictions counts entry files deleted by the size-bound GC.
 	Evictions int64 `json:"evictions"`
@@ -245,14 +249,11 @@ func (s *Store) path(key string) string { return s.file(key, entryKind) }
 // trace span (a "store.read" child records the read); it never cancels a
 // load.
 func (s *Store) Load(ctx context.Context, key string) (*metrics.RunStats, bool) {
-	var st metrics.RunStats
-	ok := s.read(ctx, key, entryKind, func(p []byte) error {
-		return gob.NewDecoder(bytes.NewReader(p)).Decode(&st)
-	})
-	if !ok {
+	st := new(metrics.RunStats)
+	if !s.read(ctx, key, entryKind, st.UnmarshalBinary) {
 		return nil, false
 	}
-	return &st, true
+	return st, true
 }
 
 // read is the one validated read of both kinds: it reads key's file of
@@ -401,12 +402,12 @@ func (s *Store) done() {
 // write persists one entry. Errors are counted, never fatal — a result
 // that fails to persist is simply not durable.
 func (s *Store) write(key string, st *metrics.RunStats) {
-	var p bytes.Buffer
-	if err := gob.NewEncoder(&p).Encode(st); err != nil {
+	p, err := st.AppendBinary(nil)
+	if err != nil {
 		s.writeErrors.Add(1)
 		return
 	}
-	s.writeFile(s.path(key), encodeFile(entryKind, p.Bytes()))
+	s.writeFile(s.path(key), encodeFile(entryKind, p))
 }
 
 // writeFile is the one write path of both kinds: stage b in a temp file in
@@ -548,12 +549,12 @@ func (s *Store) Stats() Stats {
 }
 
 // encodeFile renders one file of either kind: the header (the kind's
-// magic, FormatEpoch, payload length, CRC32-Castagnoli over the payload)
+// magic and epoch, payload length, CRC32-Castagnoli over the payload)
 // followed by the payload verbatim.
 func encodeFile(k fileKind, payload []byte) []byte {
 	b := make([]byte, headerSize+len(payload))
 	copy(b[0:4], k.magic)
-	binary.BigEndian.PutUint32(b[4:8], FormatEpoch)
+	binary.BigEndian.PutUint32(b[4:8], k.epoch)
 	binary.BigEndian.PutUint32(b[8:12], uint32(len(payload)))
 	binary.BigEndian.PutUint32(b[12:16], crc32.Checksum(payload, crcTable))
 	copy(b[headerSize:], payload)
@@ -570,8 +571,8 @@ func validateFile(b []byte, k fileKind) ([]byte, error) {
 	if !bytes.Equal(b[0:4], []byte(k.magic)) {
 		return nil, fmt.Errorf("store: bad magic %q, want %q", b[0:4], k.magic)
 	}
-	if epoch := binary.BigEndian.Uint32(b[4:8]); epoch != FormatEpoch {
-		return nil, fmt.Errorf("store: format epoch %d, want %d", epoch, FormatEpoch)
+	if epoch := binary.BigEndian.Uint32(b[4:8]); epoch != k.epoch {
+		return nil, fmt.Errorf("store: format epoch %d, want %d", epoch, k.epoch)
 	}
 	plen := binary.BigEndian.Uint32(b[8:12])
 	if int(plen) != len(b)-headerSize {

@@ -127,7 +127,7 @@ func TestCorruptEntriesAreMissesNeverResults(t *testing.T) {
 			return b
 		}},
 		{"wrong epoch", func(b []byte) []byte {
-			binary.BigEndian.PutUint32(b[4:8], FormatEpoch+1)
+			binary.BigEndian.PutUint32(b[4:8], entryKind.epoch+1)
 			return b
 		}},
 		{"trailing garbage", func(b []byte) []byte {
