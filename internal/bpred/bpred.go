@@ -44,7 +44,6 @@ type Predictor struct {
 	ras [RASDepth]uint64
 	top int // number of valid RAS entries
 
-	lookups    int64
 	mispredict int64
 }
 
@@ -73,7 +72,6 @@ func (p *Predictor) PredictBranch(pc uint64) (taken bool, target uint64) {
 // reports whether the earlier prediction was wrong (counting the
 // misprediction).
 func (p *Predictor) ResolveBranch(pc uint64, taken bool, target uint64) (mispredicted bool) {
-	p.lookups++
 	predTaken, predTarget := p.PredictBranch(pc)
 	mis := predTaken != taken || (taken && predTarget != target)
 	e := &p.btb[p.index(pc)]
@@ -93,7 +91,6 @@ func (p *Predictor) ResolveBranch(pc uint64, taken bool, target uint64) (mispred
 // ResolveJump handles an unconditional jump: mispredicted only if the BTB
 // did not know the target yet.
 func (p *Predictor) ResolveJump(pc, target uint64) (mispredicted bool) {
-	p.lookups++
 	e := &p.btb[p.index(pc)]
 	known := e.valid && e.tag == pc && e.target == target
 	if !known {
@@ -121,7 +118,6 @@ func (p *Predictor) Call(pc, target uint64) (mispredicted bool) {
 // Return pops the return stack and reports a misprediction if the popped
 // address does not match the actual return target (or the stack was empty).
 func (p *Predictor) Return(actualTarget uint64) (mispredicted bool) {
-	p.lookups++
 	if p.top == 0 {
 		p.mispredict++
 		return true
@@ -134,9 +130,6 @@ func (p *Predictor) Return(actualTarget uint64) (mispredicted bool) {
 	return false
 }
 
-// Lookups returns the number of control-flow resolutions performed.
-func (p *Predictor) Lookups() int64 { return p.lookups }
-
 // Mispredictions returns the number of mispredicted control transfers.
 func (p *Predictor) Mispredictions() int64 { return p.mispredict }
 
@@ -147,13 +140,5 @@ func (p *Predictor) Reset() {
 		p.btb[i] = btbEntry{ctr: 1}
 	}
 	p.top = 0
-	p.lookups, p.mispredict = 0, 0
-}
-
-// MissRate returns the fraction of resolutions that mispredicted.
-func (p *Predictor) MissRate() float64 {
-	if p.lookups == 0 {
-		return 0
-	}
-	return float64(p.mispredict) / float64(p.lookups)
+	p.mispredict = 0
 }

@@ -15,13 +15,12 @@ type State struct {
 	BTB        [BTBEntries]BTBEntryState
 	RAS        [RASDepth]uint64
 	Top        int
-	Lookups    int64
 	Mispredict int64
 }
 
 // Snapshot captures the predictor state.
 func (p *Predictor) Snapshot() State {
-	st := State{RAS: p.ras, Top: p.top, Lookups: p.lookups, Mispredict: p.mispredict}
+	st := State{RAS: p.ras, Top: p.top, Mispredict: p.mispredict}
 	for i, e := range p.btb {
 		st.BTB[i] = BTBEntryState{Valid: e.valid, Tag: e.tag, Target: e.target, Ctr: uint8(e.ctr)}
 	}
@@ -45,6 +44,6 @@ func (p *Predictor) Restore(st State) error {
 	}
 	p.ras = st.RAS
 	p.top = st.Top
-	p.lookups, p.mispredict = st.Lookups, st.Mispredict
+	p.mispredict = st.Mispredict
 	return nil
 }

@@ -36,8 +36,6 @@ type Queue struct {
 	// books no earlier, so the port stays one-per-cycle for callers that
 	// ignore AdmitConstraint; a caller that waits never meets it.
 	floor int64
-
-	issued int64
 }
 
 // NewQueue returns a queue with the given capacity.
@@ -62,13 +60,8 @@ func (q *Queue) Issue(enter, ready int64) int64 {
 	if q.window.Full() {
 		q.floor = max(q.floor, q.window.FreeAt()+1) // the oldest is evicted
 	}
-	t := q.window.AdmitFirstFree(max(enter, ready, q.floor))
-	q.issued++
-	return t
+	return q.window.AdmitFirstFree(max(enter, ready, q.floor))
 }
-
-// Issued returns the number of instructions issued.
-func (q *Queue) Issued() int64 { return q.issued }
 
 // Occupied returns the number of queue slots held at the given cycle.
 func (q *Queue) Occupied(now int64) int { return q.window.Occupied(now) }
@@ -80,7 +73,6 @@ func (q *Queue) Reserve(int) {}
 func (q *Queue) Reset() {
 	q.window.Reset()
 	q.floor = 0
-	q.issued = 0
 }
 
 // memEntry is the disambiguation record of one memory instruction.
@@ -125,8 +117,6 @@ type MemQueue struct {
 	// in slot i%scanWin and marked if it is a store, so the Dependence
 	// check visits only the overlapping entries.
 	ranges *rangeidx.Index //ovlint:derived the ranges of the live entries; Restore rebuilds it
-
-	conflicts int64
 }
 
 // NewMemQueue returns a memory queue with the given capacity.
@@ -184,9 +174,6 @@ func (q *MemQueue) ConflictConstraint(start, end uint64, isStore bool) int64 {
 	}
 	for slot := rangeidx.Next(over, 0); slot >= 0 && slot < first; slot = rangeidx.Next(over, slot+1) {
 		at = max(at, q.conflictWith(lo+q.scanWin-first+slot, start, end, isStore))
-	}
-	if at > 0 {
-		q.conflicts++
 	}
 	return at
 }
@@ -279,14 +266,10 @@ func (q *MemQueue) rebuildRanges() {
 // Occupied returns the number of queue slots held at the given cycle.
 func (q *MemQueue) Occupied(now int64) int { return q.window.Occupied(now) }
 
-// Conflicts returns the number of accesses delayed by disambiguation.
-func (q *MemQueue) Conflicts() int64 { return q.conflicts }
-
 // Reset empties the queue and its front pipeline for reuse.
 func (q *MemQueue) Reset() {
 	q.window.Reset()
 	q.free = [3]int64{}
 	q.ranges.Reset()
 	q.n, q.slot = 0, 0
-	q.conflicts = 0
 }

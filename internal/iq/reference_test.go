@@ -71,9 +71,6 @@ func TestQueueMatchesGapReference(t *testing.T) {
 					}
 				}
 			}
-			if q.Issued() != 4000 {
-				t.Fatalf("cap %d seed %d: Issued = %d", capacity, seed, q.Issued())
-			}
 		}
 	}
 }

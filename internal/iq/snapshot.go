@@ -12,7 +12,6 @@ import (
 type QueueState struct {
 	Window sched.RingWindowState
 	Floor  int64
-	Issued int64
 }
 
 // Snapshot captures the queue state (deep copy).
@@ -20,7 +19,6 @@ func (q *Queue) Snapshot() QueueState {
 	return QueueState{
 		Window: q.window.Snapshot(),
 		Floor:  q.floor,
-		Issued: q.issued,
 	}
 }
 
@@ -34,7 +32,6 @@ func (q *Queue) Restore(st QueueState) error {
 		return fmt.Errorf("iq: %w", err)
 	}
 	q.floor = st.Floor
-	q.issued = st.Issued
 	return nil
 }
 
@@ -53,21 +50,19 @@ type MemEntryState struct {
 // holds the full disambiguation ring: slot i%len(Entries) of instruction i,
 // exactly as the queue indexes it.
 type MemQueueState struct {
-	Window    sched.RingWindowState
-	Free      [3]int64
-	Entries   []MemEntryState
-	N         int
-	Conflicts int64
+	Window  sched.RingWindowState
+	Free    [3]int64
+	Entries []MemEntryState
+	N       int
 }
 
 // Snapshot captures the memory queue state (deep copy).
 func (q *MemQueue) Snapshot() MemQueueState {
 	st := MemQueueState{
-		Window:    q.window.Snapshot(),
-		Free:      q.free,
-		Entries:   make([]MemEntryState, maxScan),
-		N:         q.n,
-		Conflicts: q.conflicts,
+		Window:  q.window.Snapshot(),
+		Free:    q.free,
+		Entries: make([]MemEntryState, maxScan),
+		N:       q.n,
 	}
 	for i := range q.entries {
 		e := &q.entries[i]
@@ -106,7 +101,6 @@ func (q *MemQueue) Restore(st MemQueueState) error {
 		q.entries[i] = memEntry{start: e.Start, end: e.End, isStore: e.IsStore, busEnd: e.BusEnd, pend: e.Pend}
 	}
 	q.n, q.slot = st.N, st.N%q.scanWin
-	q.conflicts = st.Conflicts
 	q.rebuildRanges()
 	return nil
 }

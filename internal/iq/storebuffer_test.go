@@ -94,10 +94,9 @@ func (b *testBuffer) cancel(i int) {
 // linearQueue is the reference Dependence check: it keeps every entry ever
 // recorded and scans the last scanWin of them, oldest first.
 type linearQueue struct {
-	entries   []memEntry
-	scanWin   int
-	sb        StoreBuffer
-	conflicts int64
+	entries []memEntry
+	scanWin int
+	sb      StoreBuffer
 }
 
 func (l *linearQueue) ConflictConstraint(start, end uint64, isStore bool) int64 {
@@ -111,9 +110,6 @@ func (l *linearQueue) ConflictConstraint(start, end uint64, isStore bool) int64 
 			l.sb.PlaceStore(e.pend)
 		}
 		at = max(at, e.busEnd)
-	}
-	if at > 0 {
-		l.conflicts++
 	}
 	return at
 }
@@ -223,9 +219,6 @@ func checkMemQueueAgainstReference(t *testing.T, slots int, ops []byte) {
 		}
 		if !slices.Equal(buf.bus.Intervals(), refBuf.bus.Intervals()) {
 			t.Fatalf("op %d: bus intervals diverge:\n got %v\nwant %v", k/4, buf.bus.Intervals(), refBuf.bus.Intervals())
-		}
-		if q.Conflicts() != ref.conflicts {
-			t.Fatalf("op %d: conflicts = %d, reference %d", k/4, q.Conflicts(), ref.conflicts)
 		}
 		if q.n != len(ref.entries) {
 			t.Fatalf("op %d: %d entries, reference %d", k/4, q.n, len(ref.entries))

@@ -80,7 +80,7 @@ func (b Breakdown) MemIdleCycles() int64 {
 // clamped to that range.
 //
 // Precondition: each list is sorted by start and disjoint, as
-// sched.Allocator.Intervals guarantees. The sweep is then a single
+// the sched allocators' Intervals guarantee. The sweep is then a single
 // three-way merge over the lists — linear in the interval count, with no
 // sorting and no allocation.
 func StateBreakdown(fu2, fu1, mem []sched.Interval, total int64) Breakdown {

@@ -245,7 +245,10 @@ func TestPropertyBreakdownMatchesPerCycle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		mk := func() []sched.Interval {
-			var a sched.Allocator = sched.NewGap()
+			var a interface {
+				Allocate(earliest, dur int64) int64
+				Intervals() []sched.Interval
+			} = sched.NewGap()
 			switch r.Intn(4) {
 			case 0:
 				return nil

@@ -44,10 +44,9 @@ type PendStoreState struct {
 // M queue's store buffer. The disambiguation ring is the M queue's
 // (iq.MemQueueState).
 type MemSchedState struct {
-	Bus  sched.GapState
-	Pend []PendStoreState
-
-	Requests, LastEnd int64
+	Bus      sched.GapState
+	Pend     []PendStoreState
+	Requests int64
 }
 
 // snapshot captures the scheduler state (deep copy).
@@ -56,7 +55,6 @@ func (s *memScheduler) snapshot() MemSchedState {
 		Bus:      s.bus.Snapshot(),
 		Pend:     make([]PendStoreState, len(s.pend)),
 		Requests: s.requests,
-		LastEnd:  s.lastEnd,
 	}
 	for i := range s.pend {
 		p := &s.pend[i]
@@ -93,7 +91,7 @@ func (s *memScheduler) restore(st MemSchedState, mq *iq.MemQueueState) error {
 			s.pushReady(i)
 		}
 	}
-	s.requests, s.lastEnd = st.Requests, st.LastEnd
+	s.requests = st.Requests
 	return nil
 }
 
@@ -142,9 +140,8 @@ type Checkpoint struct {
 	Stalls                              metrics.StallBreakdown
 	Occ                                 metrics.Occupancy
 
-	SuppressFrom int
-	SpillPend    map[[2]uint64]int
-	Records      []rename.Record
+	SpillPend map[[2]uint64]int
+	Records   []rename.Record
 }
 
 // Encode serialises the checkpoint with encoding/gob.
@@ -211,8 +208,6 @@ func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 		ElidedRequests:     m.elidedRequests,
 		Stalls:             m.stalls,
 		Occ:                m.occ,
-
-		SuppressFrom: m.suppressFrom,
 	}
 	for class, tb := range m.tables {
 		if tb != nil {
@@ -241,10 +236,21 @@ func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 // restore replaces the machine state with ck. The machine must already be
 // reset to the configuration the checkpoint was taken under; structural
 // mismatches are reported as errors rather than silently corrupting the run.
+// Under CollectRecords the checkpoint holds one rename record per simulated
+// instruction, and otherwise none, so Result.Records stays index-aligned
+// with the trace.
 func (m *machine) restore(ck *Checkpoint) error {
 	if ck.Banked != m.cfg.BankedPorts {
 		return fmt.Errorf("ooosim: checkpoint port organisation mismatch (banked=%v, cfg banked=%v)",
 			ck.Banked, m.cfg.BankedPorts)
+	}
+	want := 0
+	if m.cfg.CollectRecords {
+		want = ck.NextInsn
+	}
+	if len(ck.Records) != want {
+		return fmt.Errorf("ooosim: checkpoint holds %d rename records at instruction %d, want %d",
+			len(ck.Records), ck.NextInsn, want)
 	}
 	if len(ck.AReady) != len(m.aReady) || len(ck.SReady) != len(m.sReady) ||
 		len(ck.VTiming) != len(m.vTiming) || len(ck.MTiming) != len(m.mTiming) {
@@ -312,7 +318,6 @@ func (m *machine) restore(ck *Checkpoint) error {
 	m.stalls = ck.Stalls
 	m.occ = ck.Occ
 
-	m.suppressFrom = ck.SuppressFrom
 	if ck.SpillPend != nil {
 		if m.spillPend == nil {
 			m.spillPend = make(map[[2]uint64]int, len(ck.SpillPend))

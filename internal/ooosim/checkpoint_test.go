@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -300,4 +301,39 @@ func gobSize(t *testing.T, v any) int {
 		t.Fatal(err)
 	}
 	return b.Len()
+}
+
+// TestGoldenCheckpointResumes resumes a checkpoint written by an earlier
+// build of this layout: instruction 500 of a 1,000-instruction trfd trace
+// under SLE+VLE. The resumed run must end byte-identical to an uninterrupted
+// one. Fields a later build drops are ignored by gob, so this pins that such
+// a build still resumes the jobs an older one parked. A state change that
+// alters what the blob means must bump checkpointLayout (this test then
+// fails to decode it) and re-pin the blob deliberately: take it with
+// RunCheckpointed at CheckpointEvery 500 and write its Encode.
+func TestGoldenCheckpointResumes(t *testing.T) {
+	b, err := os.ReadFile("testdata/trfd-1000-at-500-sle-vle.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := DecodeCheckpoint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.NextInsn != 500 {
+		t.Fatalf("golden checkpoint resumes at %d, want 500", ck.NextInsn)
+	}
+	tr := checkpointTestTrace(t, "trfd", 1000)
+	cfg := DefaultConfig()
+	cfg.LoadElim = ElimSLEVLE
+	got, _, err := NewMachine(cfg).RunCheckpointed(tr, RunOpts{Resume: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Run(tr, cfg).Stats
+	gotB, _ := got.Stats.AppendBinary(nil)
+	wantB, _ := want.AppendBinary(nil)
+	if !bytes.Equal(gotB, wantB) {
+		t.Errorf("resumed golden checkpoint differs from an uninterrupted run\ngot:  %+v\nwant: %+v", got.Stats, want)
+	}
 }

@@ -16,16 +16,6 @@ import (
 	"oovec/internal/vregfile"
 )
 
-// portFile is the vector register file port model: the paper's dedicated
-// per-register ports (vregfile.FlatFile), or — for the ablation showing why
-// the paper abandoned it — the reference machine's banked organisation.
-type portFile interface {
-	Acquire(reads []int, write int, earliest, dur int64) int64
-	Peek(reads []int, write int, earliest int64) int64
-	ConflictCycles() int64
-	Reset()
-}
-
 // Result bundles the measurements of one OOOVA run with the optional
 // reorder-buffer rename records (for precise-trap rollback demos).
 type Result struct {
@@ -179,7 +169,10 @@ type machine struct {
 	// Memory tags (§6), indexed by physical register.
 	vTags, sTags, aTags *rename.TagFile
 
-	ports  portFile
+	// ports is the paper's dedicated per-register ports
+	// (vregfile.FlatFile), or — for the ablation showing why the paper
+	// abandoned it — the reference machine's banked organisation.
+	ports  vregfile.PortFile
 	fu1    *sched.Gap
 	fu2    *sched.Gap
 	msched *memScheduler
@@ -215,7 +208,7 @@ type machine struct {
 	// suppressFrom, when >= 0, marks the first instruction of a squashed
 	// window (fault injection): those instructions never commit, so their
 	// old physical registers are never released.
-	suppressFrom int
+	suppressFrom int //ovlint:config set only by RunWithFault, which never checkpoints; reset to -1 for every other run
 
 	records []rename.Record
 
@@ -235,7 +228,7 @@ type srcOp struct {
 }
 
 // newPortFile selects the register-file port model.
-func newPortFile(cfg Config) portFile {
+func newPortFile(cfg Config) vregfile.PortFile {
 	if cfg.BankedPorts {
 		return vregfile.NewBankedFile(cfg.PhysVRegs)
 	}

@@ -37,7 +37,6 @@ type memScheduler struct {
 	byReady []int //ovlint:derived a view of pend; restore rebuilds it
 
 	requests int64
-	lastEnd  int64
 }
 
 type pendStore struct {
@@ -81,14 +80,7 @@ func (s *memScheduler) reset() {
 	s.bus.Reset()
 	s.pend = s.pend[:0]
 	s.byReady = s.byReady[:0]
-	s.requests, s.lastEnd = 0, 0
-}
-
-// note tracks the latest bus activity for end-of-run accounting.
-func (s *memScheduler) note(end int64) {
-	if end > s.lastEnd {
-		s.lastEnd = end
-	}
+	s.requests = 0
 }
 
 // flush places every pending store whose ready time is at or before
@@ -161,7 +153,6 @@ func (s *memScheduler) place(i int) {
 	p.placed = true
 	s.requests += p.req
 	s.q.SetBusEnd(p.entry, start+p.occ)
-	s.note(start + p.occ)
 }
 
 // PlaceStore implements iq.StoreBuffer: an access conflicts with pending
@@ -189,7 +180,6 @@ func (s *memScheduler) placeNow(ready, occ, req int64) (busStart int64) {
 	s.flush(ready)
 	busStart = s.bus.Allocate(ready, occ)
 	s.requests += req
-	s.note(busStart + occ)
 	return busStart
 }
 
@@ -228,11 +218,14 @@ func (s *memScheduler) tryCancel(i int) (int64, bool) {
 
 // finishAll places any still-pending stores (including surviving elidable
 // ones — a spill never overwritten must still reach memory) and returns the
-// cycle the last bus activity ends.
+// cycle the last bus activity ends: the end of the bus's last interval, or 0.
 func (s *memScheduler) finishAll() int64 {
 	s.flush(int64(1) << 62)
 	for i := range s.pend {
 		s.place(i)
 	}
-	return s.lastEnd
+	if iv := s.bus.Intervals(); len(iv) > 0 {
+		return iv[len(iv)-1].End
+	}
+	return 0
 }

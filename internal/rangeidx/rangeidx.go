@@ -65,9 +65,6 @@ func New(n int) *Index {
 	}
 }
 
-// Len returns the number of items the index was built for.
-func (x *Index) Len() int { return len(x.spans) }
-
 func (x *Index) set(k int) []uint64 { return x.sets[k*x.words : (k+1)*x.words] }
 
 // bucket returns the set of the bucket block hashes to.

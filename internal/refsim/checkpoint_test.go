@@ -1,7 +1,9 @@
 package refsim
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"reflect"
 	"testing"
 
@@ -119,5 +121,36 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("resume from instruction %d: stats differ from uninterrupted run", ck.NextInsn)
 		}
+	}
+}
+
+// TestGoldenCheckpointResumes resumes a checkpoint written by an earlier
+// build: instruction 500 of a 1,000-instruction trfd trace. The resumed run
+// must end byte-identical to an uninterrupted one, so a build that changes
+// the checkpoint's state types still resumes the jobs an older one parked.
+// A change that alters what the blob means must re-pin it deliberately:
+// take it with RunCheckpointed at CheckpointEvery 500 and write its Encode.
+func TestGoldenCheckpointResumes(t *testing.T) {
+	b, err := os.ReadFile("testdata/trfd-1000-at-500.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := DecodeCheckpoint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.NextInsn != 500 {
+		t.Fatalf("golden checkpoint resumes at %d, want 500", ck.NextInsn)
+	}
+	tr := checkpointTestTrace(t, "trfd", 1000)
+	got, _, err := NewMachine(DefaultConfig()).RunCheckpointed(tr, RunOpts{Resume: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Run(tr, DefaultConfig())
+	gotB, _ := got.AppendBinary(nil)
+	wantB, _ := want.AppendBinary(nil)
+	if !bytes.Equal(gotB, wantB) {
+		t.Errorf("resumed golden checkpoint differs from an uninterrupted run\ngot:  %+v\nwant: %+v", got, want)
 	}
 }

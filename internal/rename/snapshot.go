@@ -84,18 +84,12 @@ func (t *Table) check(st TableState) error {
 
 // TagFileState is the serialisable mid-run state of a TagFile.
 type TagFileState struct {
-	Tags          []Tag
-	Matches       int64
-	Invalidations int64
+	Tags []Tag
 }
 
 // Snapshot captures the tag-file state (deep copy).
 func (f *TagFile) Snapshot() TagFileState {
-	return TagFileState{
-		Tags:          append([]Tag(nil), f.tags...),
-		Matches:       f.matches,
-		Invalidations: f.invalidations,
-	}
+	return TagFileState{Tags: append([]Tag(nil), f.tags...)}
 }
 
 // Restore replaces the tag-file state with st. The number of tags is the
@@ -107,7 +101,6 @@ func (f *TagFile) Restore(st TagFileState) error {
 			len(st.Tags), len(f.tags))
 	}
 	copy(f.tags, st.Tags)
-	f.matches, f.invalidations = st.Matches, st.Invalidations
 	if f.idx != nil || slices.ContainsFunc(f.tags, func(t Tag) bool { return t.Valid }) {
 		f.buildIndex()
 	}

@@ -58,9 +58,6 @@ func (t Tag) Overlaps(start, end uint64) bool {
 type TagFile struct {
 	tags []Tag
 	idx  *rangeidx.Index //ovlint:derived the valid tags by address block; Restore rebuilds it
-
-	matches       int64
-	invalidations int64
 }
 
 // NewTagFile returns a tag file for n physical registers, all invalid.
@@ -68,22 +65,12 @@ func NewTagFile(n int) *TagFile {
 	return &TagFile{tags: make([]Tag, n)}
 }
 
-// Grow extends the file to at least n registers.
-func (f *TagFile) Grow(n int) {
-	for len(f.tags) < n {
-		f.tags = append(f.tags, Tag{})
-	}
-	if f.idx != nil && f.idx.Len() < n {
-		f.buildIndex()
-	}
-}
-
 // buildIndex sizes the index for the file and fills it with the valid
 // tags.
 //
 //ovlint:coldpath once per tag file, at its first valid tag, or per restore
 func (f *TagFile) buildIndex() {
-	if f.idx == nil || f.idx.Len() != len(f.tags) {
+	if f.idx == nil {
 		f.idx = rangeidx.New(len(f.tags))
 	} else {
 		f.idx.Reset()
@@ -95,13 +82,12 @@ func (f *TagFile) buildIndex() {
 	}
 }
 
-// Reset invalidates every tag and clears the counters, reusing the storage.
+// Reset invalidates every tag, reusing the storage.
 func (f *TagFile) Reset() {
 	clear(f.tags)
 	if f.idx != nil {
 		f.idx.Reset()
 	}
-	f.matches, f.invalidations = 0, 0
 }
 
 // Set installs a tag on phys.
@@ -146,7 +132,6 @@ func (f *TagFile) InvalidateOverlap(start, end uint64, except int) {
 	for p := rangeidx.Next(over, 0); p >= 0; p = rangeidx.Next(over, p+1) {
 		if p != except && f.tags[p].Overlaps(start, end) {
 			f.Invalidate(p)
-			f.invalidations++
 		}
 	}
 }
@@ -160,7 +145,6 @@ func (f *TagFile) InvalidateExact(start, end uint64, except int) {
 	for p := rangeidx.Next(over, 0); p >= 0; p = rangeidx.Next(over, p+1) {
 		if p != except && f.tags[p].Valid && f.tags[p].Start == start && f.tags[p].End == end {
 			f.Invalidate(p)
-			f.invalidations++
 		}
 	}
 }
@@ -172,15 +156,8 @@ func (f *TagFile) FindExact(t Tag) int {
 	over := f.overlapping(t.Start, t.End)
 	for p := rangeidx.Next(over, 0); p >= 0; p = rangeidx.Next(over, p+1) {
 		if f.tags[p].Matches(t) {
-			f.matches++
 			return p
 		}
 	}
 	return -1
 }
-
-// Matches returns the number of successful FindExact lookups.
-func (f *TagFile) Matches() int64 { return f.matches }
-
-// Invalidations returns the number of tags killed by overlap invalidation.
-func (f *TagFile) Invalidations() int64 { return f.invalidations }

@@ -61,9 +61,9 @@ type ROB struct {
 	ring  []int64 // the last max(size, width) commit cycles
 	count int     // commits in the ring
 	ri    int     // ring index of the next commit
-	last  int64
-	res   int   //ovlint:derived slots held at asOf, the newest of the ring; Restore recounts it
-	asOf  int64 //ovlint:derived cycle res is current for; Restore recounts it
+	last  int64   //ovlint:derived the newest commit in the ring; Restore reads it back
+	res   int     //ovlint:derived slots held at asOf, the newest of the ring; Restore recounts it
+	asOf  int64   //ovlint:derived cycle res is current for; Restore recounts it
 }
 
 // New returns a ROB with the given capacity and commit width.

@@ -6,12 +6,12 @@ import (
 )
 
 // State is the serialisable mid-run state of a ROB (see package sched on
-// checkpointing). Size, width and the occupancy cursor are not state.
+// checkpointing). Size, width, the occupancy cursor and the last commit
+// (the newest in the ring) are not state.
 type State struct {
 	Ring  []int64 // the commit ring, max(size, width) entries
 	Count int     // commits in the ring
 	RI    int     // ring index of the next commit
-	Last  int64
 }
 
 // Snapshot captures the ROB state (deep copy).
@@ -20,7 +20,6 @@ func (r *ROB) Snapshot() State {
 		Ring:  append([]int64(nil), r.ring...),
 		Count: r.count,
 		RI:    r.ri,
-		Last:  r.last,
 	}
 }
 
@@ -40,7 +39,10 @@ func (r *ROB) Restore(st State) error {
 		return fmt.Errorf("rob: commit ring index %d with %d of %d commits", st.RI, st.Count, n)
 	}
 	copy(r.ring, st.Ring)
-	r.count, r.ri, r.last = st.Count, st.RI, st.Last
+	r.count, r.ri, r.last = st.Count, st.RI, 0
+	if r.count > 0 {
+		r.last = r.ring[r.back(1)]
+	}
 	r.recount(math.MinInt64)
 	return nil
 }

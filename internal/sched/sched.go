@@ -57,39 +57,33 @@ type Interval struct {
 // Len returns the interval length in cycles.
 func (iv Interval) Len() int64 { return iv.End - iv.Start }
 
-// Allocator is the shared interface of Monotonic and Gap.
-type Allocator interface {
-	// Allocate books dur consecutive cycles starting no earlier than
-	// earliest and returns the start cycle.
-	Allocate(earliest, dur int64) int64
-	// BusyCycles returns the total booked cycles.
-	BusyCycles() int64
-	// Intervals returns the booked intervals, sorted and disjoint
-	// (adjacent intervals are merged). The caller must not mutate it.
-	Intervals() []Interval
-	// Reset clears all bookings.
-	Reset()
+// busyCycles returns the total length of iv.
+func busyCycles(iv []Interval) int64 {
+	var n int64
+	for _, v := range iv {
+		n += v.Len()
+	}
+	return n
 }
 
 // Monotonic is an in-order allocator: each reservation starts at
 // max(earliest, end of previous reservation).
 type Monotonic struct {
 	nextFree int64
-	busy     int64
 	iv       []Interval
 }
 
 // NewMonotonic returns an empty in-order allocator.
 func NewMonotonic() *Monotonic { return &Monotonic{} }
 
-// Allocate implements Allocator.
+// Allocate books dur (at least one) consecutive cycles starting no earlier
+// than earliest and returns the start cycle.
 //
 //ovlint:hotpath books one interval per instruction; steady-state appends stay within Reserve capacity
 func (m *Monotonic) Allocate(earliest, dur int64) int64 {
 	dur = max(dur, 1)
 	start := max(earliest, m.nextFree)
 	m.nextFree = start + dur
-	m.busy += dur
 	if n := len(m.iv); n > 0 && m.iv[n-1].End == start {
 		m.iv[n-1].End = start + dur
 	} else {
@@ -107,38 +101,37 @@ func (m *Monotonic) NextFree() int64 { return m.nextFree }
 // reallocate.
 func (m *Monotonic) Reserve(n int) { m.iv = reserve(m.iv, n) }
 
-// BusyCycles implements Allocator.
-func (m *Monotonic) BusyCycles() int64 { return m.busy }
+// BusyCycles returns the total booked cycles, summed over the intervals.
+func (m *Monotonic) BusyCycles() int64 { return busyCycles(m.iv) }
 
-// Intervals implements Allocator.
+// Intervals returns the booked intervals, sorted and disjoint (adjacent
+// intervals are merged). The caller must not mutate it.
 func (m *Monotonic) Intervals() []Interval { return m.iv }
 
-// Reset implements Allocator. The interval storage is kept (and its
+// Reset clears all bookings. The interval storage is kept (and its
 // contents overwritten by later bookings), so slices returned by Intervals
 // before the Reset are invalidated.
 func (m *Monotonic) Reset() {
-	m.nextFree, m.busy = 0, 0
+	m.nextFree = 0
 	m.iv = m.iv[:0]
 }
 
 // Gap is an out-of-order allocator that keeps a sorted, disjoint list of
 // busy intervals and books the first hole large enough.
 type Gap struct {
-	iv   []Interval
-	busy int64
-	cur  int //ovlint:derived search hint only; Restore resets it and any value gives the same answer
+	iv  []Interval
+	cur int //ovlint:derived search hint only; Restore resets it and any value gives the same answer
 }
 
 // NewGap returns an empty gap allocator.
 func NewGap() *Gap { return &Gap{} }
 
-// Allocate implements Allocator: it finds the earliest hole of length dur
-// starting at or after earliest and books it.
+// Allocate finds the earliest hole of length dur (at least one) starting at
+// or after earliest, books it and returns its start.
 //
 //ovlint:hotpath books one interval per instruction; steady-state appends stay within Reserve capacity
 func (g *Gap) Allocate(earliest, dur int64) int64 {
 	dur = max(dur, 1)
-	g.busy += dur
 	start, i := g.findHole(earliest, dur)
 	g.insert(i, Interval{start, start + dur})
 	return start
@@ -259,18 +252,19 @@ func reserve(iv []Interval, n int) []Interval {
 	return grown
 }
 
-// BusyCycles implements Allocator.
-func (g *Gap) BusyCycles() int64 { return g.busy }
+// BusyCycles returns the total booked cycles, summed over the intervals.
+func (g *Gap) BusyCycles() int64 { return busyCycles(g.iv) }
 
-// Intervals implements Allocator.
+// Intervals returns the booked intervals, sorted and disjoint (adjacent
+// intervals are merged). The caller must not mutate it.
 func (g *Gap) Intervals() []Interval { return g.iv }
 
-// Reset implements Allocator. The interval storage is kept (and its
+// Reset clears all bookings. The interval storage is kept (and its
 // contents overwritten by later bookings), so slices returned by Intervals
 // before the Reset are invalidated.
 func (g *Gap) Reset() {
 	g.iv = g.iv[:0]
-	g.busy, g.cur = 0, 0
+	g.cur = 0
 }
 
 // RingWindow tracks the departure times of the last N occupants of a
@@ -282,7 +276,7 @@ func (g *Gap) Reset() {
 // resident at cycle asOf.
 type RingWindow struct {
 	leave []int64
-	n     int
+	n     int //ovlint:config capacity, fixed at construction; Restore checks the state's ring length against it
 	next  int
 	count int
 

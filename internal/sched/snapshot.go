@@ -15,7 +15,6 @@ import (
 // MonotonicState is the serialisable state of a Monotonic allocator.
 type MonotonicState struct {
 	NextFree int64
-	Busy     int64
 	IV       []Interval
 }
 
@@ -24,7 +23,6 @@ type MonotonicState struct {
 func (m *Monotonic) Snapshot() MonotonicState {
 	return MonotonicState{
 		NextFree: m.nextFree,
-		Busy:     m.busy,
 		IV:       append([]Interval(nil), m.iv...),
 	}
 }
@@ -44,20 +42,19 @@ func (m *Monotonic) Restore(st MonotonicState) error {
 	if st.NextFree != end {
 		return fmt.Errorf("monotonic next free cycle %d, last interval ends at %d", st.NextFree, end)
 	}
-	m.nextFree, m.busy = st.NextFree, st.Busy
+	m.nextFree = st.NextFree
 	m.iv = append(m.iv[:0], st.IV...)
 	return nil
 }
 
 // GapState is the serialisable state of a Gap allocator.
 type GapState struct {
-	IV   []Interval
-	Busy int64
+	IV []Interval
 }
 
 // Snapshot captures the allocator state (deep copy).
 func (g *Gap) Snapshot() GapState {
-	return GapState{IV: append([]Interval(nil), g.iv...), Busy: g.busy}
+	return GapState{IV: append([]Interval(nil), g.iv...)}
 }
 
 // Restore replaces the allocator state with st, reusing storage when it
@@ -68,7 +65,7 @@ func (g *Gap) Restore(st GapState) error {
 		return fmt.Errorf("gap %w", err)
 	}
 	g.iv = append(g.iv[:0], st.IV...)
-	g.busy, g.cur = st.Busy, 0
+	g.cur = 0
 	return nil
 }
 
@@ -87,10 +84,10 @@ func checkIntervals(iv []Interval) error {
 	return nil
 }
 
-// RingWindowState is the serialisable state of a RingWindow.
+// RingWindowState is the serialisable state of a RingWindow, whose capacity
+// is len(Leave).
 type RingWindowState struct {
 	Leave []int64
-	N     int
 	Next  int
 	Count int
 }
@@ -99,7 +96,6 @@ type RingWindowState struct {
 func (w *RingWindow) Snapshot() RingWindowState {
 	return RingWindowState{
 		Leave: append([]int64(nil), w.leave...),
-		N:     w.n,
 		Next:  w.next,
 		Count: w.count,
 	}
@@ -111,14 +107,12 @@ func (w *RingWindow) Snapshot() RingWindowState {
 // is an error and leaves the window unchanged.
 func (w *RingWindow) Restore(st RingWindowState) error {
 	switch {
-	case st.N != w.n:
-		return fmt.Errorf("window capacity %d, configuration wants %d", st.N, w.n)
-	case len(st.Leave) != st.N:
-		return fmt.Errorf("window holds %d departure times for capacity %d", len(st.Leave), st.N)
-	case st.Count < 0 || st.Count > st.N:
-		return fmt.Errorf("window count %d outside [0,%d]", st.Count, st.N)
-	case st.N > 0 && (st.Next < 0 || st.Next >= st.N), st.N == 0 && st.Next != 0:
-		return fmt.Errorf("window ring index %d outside [0,%d)", st.Next, st.N)
+	case len(st.Leave) != w.n:
+		return fmt.Errorf("window capacity %d, configuration wants %d", len(st.Leave), w.n)
+	case st.Count < 0 || st.Count > w.n:
+		return fmt.Errorf("window count %d outside [0,%d]", st.Count, w.n)
+	case w.n > 0 && (st.Next < 0 || st.Next >= w.n), w.n == 0 && st.Next != 0:
+		return fmt.Errorf("window ring index %d outside [0,%d)", st.Next, w.n)
 	}
 	copy(w.leave, st.Leave)
 	w.next, w.count = st.Next, st.Count

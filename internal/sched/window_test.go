@@ -129,8 +129,8 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 		edit func(*RingWindowState)
 		want string
 	}{
-		{"capacity mismatch", func(st *RingWindowState) { st.N, st.Leave = 8, make([]int64, 8) }, "capacity"},
-		{"short ring", func(st *RingWindowState) { st.Leave = st.Leave[:2] }, "departure times"},
+		{"capacity mismatch", func(st *RingWindowState) { st.Leave = make([]int64, 8) }, "capacity"},
+		{"short ring", func(st *RingWindowState) { st.Leave = st.Leave[:2] }, "capacity"},
 		{"over-long count", func(st *RingWindowState) { st.Count = 5 }, "count"},
 		{"negative count", func(st *RingWindowState) { st.Count = -1 }, "count"},
 		{"ring index past the end", func(st *RingWindowState) { st.Next = 4 }, "ring index"},
@@ -160,7 +160,7 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 	}
 	for _, c := range gaps {
 		g := NewGap()
-		if err := g.Restore(GapState{IV: c.iv, Busy: 10}); err == nil {
+		if err := g.Restore(GapState{IV: c.iv}); err == nil {
 			t.Errorf("gap %s: Restore accepted %v", c.name, c.iv)
 		}
 		if got := g.Allocate(0, 2); got != 0 {

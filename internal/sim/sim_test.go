@@ -56,7 +56,7 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 			ck.ROB.Ring = ck.ROB.Ring[:len(ck.ROB.Ring)-1]
 		}},
 		{"issue queue ring index out of range", func(ck *ooosim.Checkpoint) {
-			ck.VQ.Window.Next = ck.VQ.Window.N
+			ck.VQ.Window.Next = len(ck.VQ.Window.Leave)
 		}},
 		{"memory queue window count negative", func(ck *ooosim.Checkpoint) {
 			ck.MQ.Window.Count = -1
@@ -124,6 +124,22 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 			ck.Pred.BTB[5].Ctr = 4
 		}},
 	}
+	// Rename records must stay index-aligned with the trace: one per
+	// simulated instruction under CollectRecords, none without it.
+	collect := ooosim.DefaultConfig()
+	collect.CollectRecords = true
+	recordCases := []struct {
+		name string
+		cfg  ooosim.Config
+		edit func(*ooosim.Checkpoint)
+	}{
+		{"rename records without CollectRecords", ooosim.DefaultConfig(), func(ck *ooosim.Checkpoint) {
+			ck.Records = make([]rename.Record, ck.NextInsn)
+		}},
+		{"one rename record short", collect, func(ck *ooosim.Checkpoint) {
+			ck.Records = ck.Records[:len(ck.Records)-1]
+		}},
+	}
 	// REF-only corruptions of its three in-order allocators.
 	refCases := []struct {
 		name string
@@ -179,6 +195,15 @@ func TestMalformedCheckpointIsAnError(t *testing.T) {
 			_, ck, _ := ooosim.NewMachine(ooosim.DefaultConfig()).RunCheckpointed(tr, ooosim.RunOpts{Ctx: canceled})
 			c.edit(ck)
 			if _, _, err := ooosim.NewMachine(ooosim.DefaultConfig()).RunCheckpointed(tr, ooosim.RunOpts{Resume: ck}); err == nil {
+				t.Fatal("malformed checkpoint resumed without an error")
+			}
+		})
+	}
+	for _, c := range recordCases {
+		t.Run("OOOVA/"+c.name, func(t *testing.T) {
+			_, ck, _ := ooosim.NewMachine(c.cfg).RunCheckpointed(tr, ooosim.RunOpts{Ctx: canceled})
+			c.edit(ck)
+			if _, _, err := ooosim.NewMachine(c.cfg).RunCheckpointed(tr, ooosim.RunOpts{Resume: ck}); err == nil {
 				t.Fatal("malformed checkpoint resumed without an error")
 			}
 		})

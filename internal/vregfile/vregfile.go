@@ -25,6 +25,8 @@ type PortFile interface {
 	// port for write (pass write < 0 for none) for dur consecutive cycles
 	// starting no earlier than earliest. It returns the chosen start cycle.
 	Acquire(reads []int, write int, earliest, dur int64) int64
+	// Peek returns the start Acquire would choose, without booking.
+	Peek(reads []int, write int, earliest int64) int64
 	// ConflictCycles returns the cumulative number of cycles instructions
 	// were delayed by port conflicts.
 	ConflictCycles() int64
@@ -119,7 +121,7 @@ func (f *BankedFile) plan(reads []int, write int, earliest int64) (int64, int) {
 	return start, n
 }
 
-// Peek returns the start Acquire would choose, without booking.
+// Peek implements PortFile.
 //
 //ovlint:hotpath probed once per vector operand set
 func (f *BankedFile) Peek(reads []int, write int, earliest int64) int64 {
@@ -130,7 +132,7 @@ func (f *BankedFile) Peek(reads []int, write int, earliest int64) int64 {
 // Acquire implements PortFile. Reads from the same bank compete for that
 // bank's two read ports; the write competes for the bank's single write port.
 //
-//ovlint:hotpath called once per vector instruction through the portFile interface
+//ovlint:hotpath called once per vector instruction through the PortFile interface
 func (f *BankedFile) Acquire(reads []int, write int, earliest, dur int64) int64 {
 	if dur <= 0 {
 		dur = 1
@@ -178,15 +180,7 @@ func NewFlatFile(n int) *FlatFile {
 	}
 }
 
-// Grow extends the file to accommodate at least n registers.
-func (f *FlatFile) Grow(n int) {
-	for len(f.readFree) < n {
-		f.readFree = append(f.readFree, 0)
-		f.writeFree = append(f.writeFree, 0)
-	}
-}
-
-// Peek returns the start Acquire would choose, without booking the ports.
+// Peek implements PortFile.
 //
 //ovlint:hotpath probed once per vector operand set
 func (f *FlatFile) Peek(reads []int, write int, earliest int64) int64 {
@@ -204,7 +198,7 @@ func (f *FlatFile) Peek(reads []int, write int, earliest int64) int64 {
 
 // Acquire implements PortFile.
 //
-//ovlint:hotpath called once per vector instruction through the portFile interface
+//ovlint:hotpath called once per vector instruction through the PortFile interface
 func (f *FlatFile) Acquire(reads []int, write int, earliest, dur int64) int64 {
 	if dur <= 0 {
 		dur = 1

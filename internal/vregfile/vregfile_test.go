@@ -109,14 +109,6 @@ func TestFlatWriteAfterWriteSamePort(t *testing.T) {
 	}
 }
 
-func TestFlatGrow(t *testing.T) {
-	f := NewFlatFile(4)
-	f.Grow(10)
-	if start := f.Acquire([]int{9}, -1, 0, 5); start != 0 {
-		t.Errorf("grown reg start = %d", start)
-	}
-}
-
 func TestTimingReadyFor(t *testing.T) {
 	fu := Timing{ChainStart: 100, Complete: 163, FromMem: false}
 	if got := fu.ReadyFor(true); got != 101 {
