@@ -17,7 +17,7 @@ import (
 // value into an interface argument, go statements, and defer.
 //
 // Functions annotated //ovlint:coldpath are pruned from the traversal:
-// per-run setup and result assembly (reserveFor, Finish, Reset) runs once
+// per-run setup and result assembly (Begin, Finish, Reset) runs once
 // per trace and is amortised over millions of instructions. Calls of
 // generic functions and of methods of generic types resolve to their
 // generic declaration. Calls through interfaces and function values are not

@@ -45,10 +45,11 @@ func TestPooledSuiteBytesBudget(t *testing.T) {
 	perSim := perSuite / sims
 	t.Logf("pooled Fig5 suite: %d B per simulation", perSim)
 
-	// At 2000 instructions a fresh machine per simulation costs 55-141 KB
-	// (construction plus buffer growth), so the budget fails a suite that
-	// does not reuse pooled machines.
-	const budget = 40 << 10 // 40 KiB per simulation
+	// A fresh machine per simulation costs ~32 KB for the OOOVA's default
+	// shape (its construction: the held bookings and stores are
+	// machine-sized) and ~4 KB for REF, on top of the result, so the budget
+	// fails a suite that does not reuse pooled machines.
+	const budget = 16 << 10 // 16 KiB per simulation
 	if perSim > budget {
 		t.Errorf("pooled suite run allocated %d B per simulation (%d B per suite), want <= %d",
 			perSim, perSuite, budget)

@@ -59,9 +59,6 @@ func (b Breakdown) Total() int64 {
 // Idle returns the cycles in state < , , > (all vector units idle).
 func (b Breakdown) Idle() int64 { return b[0] }
 
-// FullyBusy returns the cycles in state <FU2,FU1,MEM>.
-func (b Breakdown) FullyBusy() int64 { return b[StateFU2|StateFU1|StateMEM] }
-
 // MemIdleCycles returns the cycles in the four states where the MEM unit is
 // idle — the quantity of Figure 4 ("these four states correspond to cycles
 // where the memory port could potentially be used").
@@ -75,29 +72,72 @@ func (b Breakdown) MemIdleCycles() int64 {
 	return t
 }
 
-// StateBreakdown sweeps the busy intervals of the three vector units and
-// returns the exact per-state cycle counts over [0, total). Intervals are
-// clamped to that range.
-//
-// Precondition: each list is sorted by start and disjoint, as
-// the sched allocators' Intervals guarantee. The sweep is then a single
-// three-way merge over the lists — linear in the interval count, with no
-// sorting and no allocation.
-func StateBreakdown(fu2, fu1, mem []sched.Interval, total int64) Breakdown {
-	var b Breakdown
+// FoldEvery is how many instructions apart the machines fold their finished
+// bookings into their StateBreakdown.
+const FoldEvery = 64
+
+// StateBreakdown accumulates the exact per-state cycle counts of the three
+// vector units, over cycles [0, At), as a run goes: a machine folds in its
+// bookings below a floor no later booking starts under, so its allocators
+// hold only bookings that can still change the count.
+type StateBreakdown struct {
+	States Breakdown
+	At     int64
+}
+
+// Unit is one vector unit's held bookings, as the sched allocators keep
+// them: sorted, disjoint, and each ending after the breakdown's At.
+type Unit interface {
+	Intervals() []sched.Interval
+	Drop(t int64)
+}
+
+// Fold counts the cycles [At, upTo) from the held intervals of the three
+// units, in one three-way merge, and drops from each unit the intervals
+// that end at or before upTo; one straddling upTo is counted up to it and
+// kept. No unit may be booked below upTo afterwards.
+func (s *StateBreakdown) Fold(fu2, fu1, mem Unit, upTo int64) {
+	iv2, iv1, ivm := fu2.Intervals(), fu1.Intervals(), mem.Intervals()
 	var i2, i1, im int
-	for t := int64(0); t < total; {
+	for t := s.At; t < upTo; {
 		// Each unit contributes its busy bit at t and the next cycle its
 		// state changes; the machine state is constant until the earliest.
-		next := total
-		cur := unitAt(fu2, &i2, t, StateFU2, &next) |
-			unitAt(fu1, &i1, t, StateFU1, &next) |
-			unitAt(mem, &im, t, StateMEM, &next)
-		b[cur] += next - t
+		next := upTo
+		cur := unitAt(iv2, &i2, t, StateFU2, &next) |
+			unitAt(iv1, &i1, t, StateFU1, &next) |
+			unitAt(ivm, &im, t, StateMEM, &next)
+		s.States[cur] += next - t
 		t = next
 	}
-	return b
+	s.At = max(s.At, upTo)
+	fu2.Drop(upTo)
+	fu1.Drop(upTo)
+	mem.Drop(upTo)
 }
+
+// Check reports a breakdown no run produces beside the units' held
+// intervals: a negative count, counts that do not sum to At, or a held
+// interval ending at or before At, which the breakdown has counted already.
+func (s *StateBreakdown) Check(fu2, fu1, mem Unit) error {
+	for st, n := range s.States {
+		if n < 0 {
+			return fmt.Errorf("state breakdown counts %d cycles in state %v", n, State(st))
+		}
+	}
+	if tot := s.States.Total(); tot != s.At {
+		return fmt.Errorf("state breakdown counts %d cycles up to cycle %d", tot, s.At)
+	}
+	for _, u := range [...]Unit{fu2, fu1, mem} {
+		if iv := u.Intervals(); len(iv) > 0 && iv[0].End <= s.At {
+			return fmt.Errorf("held interval [%d,%d) ends at or before the breakdown's cycle %d", iv[0].Start, iv[0].End, s.At)
+		}
+	}
+	return nil
+}
+
+// MemBusy returns the cycles the MEM unit is busy: the sum of the four
+// states that contain it.
+func (b Breakdown) MemBusy() int64 { return b.Total() - b.MemIdleCycles() }
 
 // unitAt advances *i past the intervals of ivs that end at or before t and
 // returns bit if the unit is busy at t (0 otherwise), lowering *next to the

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,31 @@ import (
 	"oovec/internal/sched"
 	"oovec/internal/trace"
 )
+
+// held is an interval list as an allocator holds it.
+type held []sched.Interval
+
+func (h *held) Intervals() []sched.Interval { return *h }
+func (h *held) Drop(t int64) {
+	for len(*h) > 0 && (*h)[0].End <= t {
+		*h = (*h)[1:]
+	}
+}
+
+// breakdown folds the three interval lists into a fresh accumulator at each
+// of the increasing cut cycles and then up to total, and returns the counts.
+// The lists are not modified.
+func breakdown(fu2, fu1, mem []sched.Interval, total int64, cuts ...int64) Breakdown {
+	var s StateBreakdown
+	h2, h1, hm := held(fu2), held(fu1), held(mem)
+	for _, c := range append(cuts, total) {
+		s.Fold(&h2, &h1, &hm, c)
+	}
+	if s.At != total || s.States.Total() != total {
+		panic(fmt.Sprintf("breakdown folded to %d with %d cycles counted, want %d", s.At, s.States.Total(), total))
+	}
+	return s.States
+}
 
 func TestStateString(t *testing.T) {
 	if got := (StateFU2 | StateFU1 | StateMEM).String(); got != "<FU2,FU1,MEM>" {
@@ -27,7 +53,7 @@ func TestStateString(t *testing.T) {
 
 func TestStateBreakdownDisjointUnits(t *testing.T) {
 	// FU2 busy [0,10), FU1 busy [10,20), MEM busy [20,30); total 40.
-	b := StateBreakdown(
+	b := breakdown(
 		[]sched.Interval{{Start: 0, End: 10}},
 		[]sched.Interval{{Start: 10, End: 20}},
 		[]sched.Interval{{Start: 20, End: 30}},
@@ -45,13 +71,13 @@ func TestStateBreakdownDisjointUnits(t *testing.T) {
 
 func TestStateBreakdownOverlap(t *testing.T) {
 	// All three busy [5,15); FU1 alone [15,25); total 30.
-	b := StateBreakdown(
+	b := breakdown(
 		[]sched.Interval{{Start: 5, End: 15}},
 		[]sched.Interval{{Start: 5, End: 25}},
 		[]sched.Interval{{Start: 5, End: 15}},
 		30)
-	if b.FullyBusy() != 10 {
-		t.Errorf("fully busy = %d, want 10", b.FullyBusy())
+	if b[StateFU2|StateFU1|StateMEM] != 10 {
+		t.Errorf("fully busy = %d, want 10", b[StateFU2|StateFU1|StateMEM])
 	}
 	if b[StateFU1] != 10 {
 		t.Errorf("fu1 alone = %d, want 10", b[StateFU1])
@@ -62,7 +88,7 @@ func TestStateBreakdownOverlap(t *testing.T) {
 }
 
 func TestStateBreakdownClampsToTotal(t *testing.T) {
-	b := StateBreakdown(
+	b := breakdown(
 		[]sched.Interval{{Start: 0, End: 100}}, nil, nil, 10)
 	if b[StateFU2] != 10 || b.Total() != 10 {
 		t.Errorf("clamped breakdown = %v", b)
@@ -93,7 +119,7 @@ func TestPropertyBreakdownTotalsMatch(t *testing.T) {
 		}
 		fu2, fu1, mem := mk(), mk(), mk()
 		total := int64(1200)
-		b := StateBreakdown(fu2, fu1, mem, total)
+		b := breakdown(fu2, fu1, mem, total)
 		if b.Total() != total {
 			return false
 		}
@@ -238,9 +264,10 @@ func TestPropertyIdealIsLowerBoundOnUnitWork(t *testing.T) {
 }
 
 // TestPropertyBreakdownMatchesPerCycle checks every one of the eight state
-// counts against a per-cycle brute force. The inputs honour the sorted,
-// disjoint precondition: interval lists from both allocator disciplines,
-// empty lists, and intervals that start before 0 or run past total.
+// counts, folded in several steps, against a per-cycle brute force. The
+// inputs honour the sorted, disjoint precondition: interval lists from both
+// allocator disciplines, empty lists, and intervals that start before 0 or
+// run past total.
 func TestPropertyBreakdownMatchesPerCycle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -266,7 +293,13 @@ func TestPropertyBreakdownMatchesPerCycle(t *testing.T) {
 		}
 		fu2, fu1, mem := mk(), mk(), mk()
 		total := int64(r.Intn(800)) // often ends inside an interval
-		got := StateBreakdown(fu2, fu1, mem, total)
+		// Fold at increasing cuts, as a run does at its floors: a cut often
+		// falls inside an interval, which is then counted in two folds.
+		var cuts []int64
+		for c := int64(r.Intn(50)); c < total; c += int64(1 + r.Intn(100)) {
+			cuts = append(cuts, c)
+		}
+		got := breakdown(fu2, fu1, mem, total, cuts...)
 
 		var want Breakdown
 		busy := func(ivs []sched.Interval, c int64) bool {
@@ -302,10 +335,10 @@ func TestPropertyBreakdownMatchesPerCycle(t *testing.T) {
 }
 
 func TestStateBreakdownEmpty(t *testing.T) {
-	if b := StateBreakdown(nil, nil, nil, 0); b != (Breakdown{}) {
+	if b := breakdown(nil, nil, nil, 0); b != (Breakdown{}) {
 		t.Errorf("zero-length run breakdown = %v", b)
 	}
-	if b := StateBreakdown(nil, nil, nil, 7); b.Idle() != 7 || b.Total() != 7 {
+	if b := breakdown(nil, nil, nil, 7); b.Idle() != 7 || b.Total() != 7 {
 		t.Errorf("all-idle breakdown = %v, want 7 idle cycles", b)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"oovec/internal/refsim"
 	"oovec/internal/tgen"
+	"oovec/internal/trace"
 )
 
 // allocsTrace is a mixed scalar/vector workload of 8000 instructions.
@@ -22,8 +23,8 @@ func allocsTrace() *tgen.Preset {
 
 // TestRunAllocationBound guards the zero-allocation hot path: a full
 // OOOVA run over 8000 instructions must stay within a small constant
-// allocation budget (machine construction plus amortised interval-list
-// growth) — i.e. no per-instruction allocations. The seed simulator spent
+// allocation budget (machine construction plus the growth of the held
+// bookings and stores) — i.e. no per-instruction allocations. The seed simulator spent
 // roughly two allocations per instruction here.
 func TestRunAllocationBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
@@ -90,9 +91,9 @@ func bytesPerRun(runs int, fn func()) uint64 {
 
 // TestMachineReuseBytesBound guards the bytes/op of the pooled path the
 // experiment drivers and sweep grids run on. A fresh-machine OOOVA run
-// costs ~2 MB (machine construction, allocator interval lists, breakdown
-// edges); a reused machine with trace-sized preallocation must stay under
-// a small constant so the regression cannot silently return.
+// costs ~33 KB here (machine construction; the held bookings and stores
+// are machine-sized); a reused machine must stay under a small constant so
+// a per-run rebuild cannot silently return.
 func TestMachineReuseBytesBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
 	mm := NewMachine(DefaultConfig())
@@ -118,5 +119,36 @@ func TestRefMachineReuseBytesBound(t *testing.T) {
 	if per > bound {
 		t.Errorf("reused refsim Machine.Run allocated %d B/run for %d insns, want <= %d",
 			per, tr.Len(), bound)
+	}
+}
+
+// TestFreshRunBytesIndependentOfTraceLength guards the machine-sized state
+// of both simulators: a fresh machine's run allocates the same bytes on a
+// 10,000- and an 80,000-instruction trace, within a small constant. What
+// the run allocates is the machine itself and the held bookings and stores,
+// which are sized by the work in flight; a structure that kept every
+// booking or store of the run would cost hundreds of kilobytes more at 80k.
+func TestFreshRunBytesIndependentOfTraceLength(t *testing.T) {
+	const slack = 8 << 10
+	for _, bench := range []string{"hydro2d", "swm256"} {
+		p, _ := tgen.PresetByName(bench)
+		p.Insns = 10_000
+		short := tgen.Generate(p)
+		p.Insns = 80_000
+		long := tgen.Generate(p)
+		runs := map[string]func(*trace.Trace){
+			"OOOVA": func(tr *trace.Trace) { NewMachine(DefaultConfig()).Run(tr) },
+			"REF":   func(tr *trace.Trace) { refsim.NewMachine(refsim.DefaultConfig()).Run(tr) },
+		}
+		for name, run := range runs {
+			run(short) // warm up any lazy runtime state
+			b10 := bytesPerRun(3, func() { run(short) })
+			b80 := bytesPerRun(3, func() { run(long) })
+			t.Logf("%s/%s: %d B/run at 10k instructions, %d at 80k", bench, name, b10, b80)
+			if b80 > b10+slack {
+				t.Errorf("%s/%s: a fresh machine's run allocated %d B at 10k instructions and %d at 80k, want within %d",
+					bench, name, b10, b80, slack)
+			}
+		}
 	}
 }

@@ -33,18 +33,20 @@ import (
 	"oovec/internal/vregfile"
 )
 
-// PendStoreState is the exported form of one pending (lazily placed) store.
+// PendStoreState is the exported form of one held (lazily placed) store.
 type PendStoreState struct {
-	Ready, Occ, Req            int64
+	Ready, Dep, Occ, Req       int64
 	Entry                      int
 	Placed, Elidable, Canceled bool
 }
 
 // MemSchedState is the serialisable state of the memory/bus scheduler, the
-// M queue's store buffer. The disambiguation ring is the M queue's
+// M queue's store buffer. Pend holds the held stores oldest first, the
+// first of them store number Base. The disambiguation ring is the M queue's
 // (iq.MemQueueState).
 type MemSchedState struct {
 	Bus      sched.GapState
+	Base     int
 	Pend     []PendStoreState
 	Requests int64
 }
@@ -53,42 +55,55 @@ type MemSchedState struct {
 func (s *memScheduler) snapshot() MemSchedState {
 	st := MemSchedState{
 		Bus:      s.bus.Snapshot(),
-		Pend:     make([]PendStoreState, len(s.pend)),
+		Base:     s.base,
+		Pend:     make([]PendStoreState, s.held),
 		Requests: s.requests,
 	}
-	for i := range s.pend {
-		p := &s.pend[i]
-		st.Pend[i] = PendStoreState{Ready: p.ready, Occ: p.occ, Req: p.req,
+	for i := range st.Pend {
+		p := &s.pend[(s.base+i)&(len(s.pend)-1)]
+		st.Pend[i] = PendStoreState{Ready: p.ready, Dep: p.dep, Occ: p.occ, Req: p.req,
 			Entry: p.entry, Placed: p.placed, Elidable: p.elidable, Canceled: p.canceled}
 	}
 	return st
 }
 
 // restore replaces the scheduler state with st; mq is the M queue state
-// restored beside it. A malformed bus interval list, or a pending store and
-// an M-queue entry that name each other out of range, are errors: the
-// Dependence check and placement follow those names.
+// restored beside it. A malformed bus list, a first held store no longer
+// pending, Dependence cycles after a ready cycle or out of order (the floor
+// relies on both), and out-of-range names between stores and entries are
+// errors.
 func (s *memScheduler) restore(st MemSchedState, mq *iq.MemQueueState) error {
+	if st.Base < 0 || len(st.Pend) > 0 && (st.Pend[0].Placed || st.Pend[0].Canceled) {
+		return fmt.Errorf("memory scheduler first held store %d is negative or no longer pending", st.Base)
+	}
 	for i, p := range st.Pend {
 		if p.Entry < 0 || p.Entry >= mq.N {
-			return fmt.Errorf("memory scheduler pending store %d names entry %d of %d", i, p.Entry, mq.N)
+			return fmt.Errorf("memory scheduler held store %d names entry %d of %d", st.Base+i, p.Entry, mq.N)
+		}
+		if p.Dep > p.Ready || i > 0 && p.Dep < st.Pend[i-1].Dep {
+			return fmt.Errorf("memory scheduler held store %d leaves the Dependence stage at %d, after it is ready or before an older store", st.Base+i, p.Dep)
 		}
 	}
 	for i := max(mq.N-len(mq.Entries), 0); i < mq.N; i++ {
-		if e := mq.Entries[i%len(mq.Entries)]; e.Pend >= len(st.Pend) {
-			return fmt.Errorf("memory queue entry %d names pending store %d of %d", i, e.Pend, len(st.Pend))
+		if e := mq.Entries[i%len(mq.Entries)]; e.Pend >= 0 && (e.Pend < st.Base || e.Pend >= st.Base+len(st.Pend)) {
+			return fmt.Errorf("memory queue entry %d names store %d, outside the held stores [%d,%d)",
+				i, e.Pend, st.Base, st.Base+len(st.Pend))
 		}
 	}
 	if err := s.bus.Restore(st.Bus); err != nil {
 		return fmt.Errorf("address bus %w", err)
 	}
-	s.pend = s.pend[:0]
+	for len(s.pend) < len(st.Pend) {
+		s.grow()
+	}
+	s.base, s.held = st.Base, len(st.Pend)
 	s.byReady = s.byReady[:0]
 	for i, p := range st.Pend {
-		s.pend = append(s.pend, pendStore{ready: p.Ready, occ: p.Occ, req: p.Req,
-			entry: p.Entry, placed: p.Placed, elidable: p.Elidable, canceled: p.Canceled})
+		n := st.Base + i
+		s.pend[n&(len(s.pend)-1)] = pendStore{ready: p.Ready, dep: p.Dep, occ: p.Occ, req: p.Req,
+			entry: p.Entry, placed: p.Placed, elidable: p.Elidable, canceled: p.Canceled}
 		if !p.Placed && !p.Canceled && !p.Elidable {
-			s.pushReady(i)
+			s.pushReady(readyKey{p.Ready, n})
 		}
 	}
 	s.requests = st.Requests
@@ -99,8 +114,9 @@ func (s *memScheduler) restore(st MemSchedState, mq *iq.MemQueueState) error {
 // any other, as gob would decode it cleanly into wrong state. Bump it when a
 // state type changes meaning. Every blob written before the number existed
 // decodes as layout 0; layout 2 gave the ROB one commit ring; layout 3 moved
-// the memory scheduler's disambiguation ring into the M queue's.
-const checkpointLayout = 3
+// the memory scheduler's disambiguation ring into the M queue's; layout 4
+// folds finished bookings into States and holds only stores in flight.
+const checkpointLayout = 4
 
 // Checkpoint is the complete deterministic state of an OOOVA simulation at
 // an instruction boundary: instructions [0, NextInsn) have been simulated.
@@ -125,8 +141,10 @@ type Checkpoint struct {
 	FlatPorts   vregfile.FlatFileState
 	BankedPorts vregfile.BankedFileState
 
+	// FU1, FU2 and the bus hold the bookings States has not folded in.
 	FU1, FU2 sched.GapState
 	MSched   MemSchedState
+	States   metrics.StateBreakdown
 
 	AQ, SQ, VQ iq.QueueState
 	MQ         iq.MemQueueState
@@ -188,6 +206,7 @@ func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 		FU1:    m.fu1.Snapshot(),
 		FU2:    m.fu2.Snapshot(),
 		MSched: m.msched.snapshot(),
+		States: m.states,
 
 		AQ:   m.aQ.Snapshot(),
 		SQ:   m.sQ.Snapshot(),
@@ -299,6 +318,10 @@ func (m *machine) restore(ck *Checkpoint) error {
 	// The store buffer's names are checked against an M queue restored
 	// without error.
 	if err := m.msched.restore(ck.MSched, &ck.MQ); err != nil {
+		return fmt.Errorf("ooosim: checkpoint %w", err)
+	}
+	m.states = ck.States
+	if err := m.states.Check(m.fu2, m.fu1, m.msched.bus); err != nil {
 		return fmt.Errorf("ooosim: checkpoint %w", err)
 	}
 	if err := m.pred.Restore(ck.Pred); err != nil {

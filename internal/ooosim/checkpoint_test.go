@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"math"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"oovec/internal/isa"
+	"oovec/internal/refsim"
+	"oovec/internal/rename"
 	"oovec/internal/rob"
 	"oovec/internal/tgen"
 	"oovec/internal/trace"
@@ -203,18 +205,88 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsMalformedCheckpoint mutates a real checkpoint (swm256,
+// 4,000 instructions, cut at 1,000) into states no run produces. Each must
+// fail to resume with an error naming what is wrong, never resume into a
+// different result or panic.
+func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
+	tr := checkpointTestTrace(t, "swm256", 4000)
+	cfg := DefaultConfig()
+	var good *Checkpoint
+	_, _, err := NewMachine(cfg).RunCheckpointed(tr, RunOpts{
+		CheckpointEvery: 1000,
+		OnCheckpoint: func(ck *Checkpoint) {
+			if ck.NextInsn == 1000 {
+				good = ck
+			}
+		},
+	})
+	if err != nil || good == nil {
+		t.Fatalf("no checkpoint at instruction 1000 (err %v)", err)
+	}
+	if len(good.MSched.Pend) == 0 || len(good.FU1.IV) == 0 {
+		t.Fatalf("checkpoint holds %d stores and %d FU1 bookings; the cases below need both", len(good.MSched.Pend), len(good.FU1.IV))
+	}
+	cases := []struct {
+		name string
+		edit func(*Checkpoint)
+		want string
+	}{
+		{"V register neither mapped nor free", func(ck *Checkpoint) {
+			ck.Tables[isa.RegV].Free = ck.Tables[isa.RegV].Free[1:]
+		}, "unreferenced registers"},
+		{"breakdown not summing to its cycle", func(ck *Checkpoint) { ck.States.States[0]++ }, "state breakdown"},
+		{"breakdown past a held booking", func(ck *Checkpoint) {
+			end := ck.FU1.IV[0].End
+			ck.States.States[0] += end - ck.States.At
+			ck.States.At = end
+		}, "held interval"},
+		{"first held store already placed", func(ck *Checkpoint) { ck.MSched.Pend[0].Placed = true }, "no longer pending"},
+		{"held stores renumbered", func(ck *Checkpoint) { ck.MSched.Base += 5 }, "outside the held stores"},
+		{"held store ready before its Dependence stage", func(ck *Checkpoint) {
+			ck.MSched.Pend[0].Dep = ck.MSched.Pend[0].Ready + 1
+		}, "Dependence stage"},
+	}
+	for _, c := range cases {
+		ck := cloneCheckpoint(t, good)
+		c.edit(ck)
+		_, _, err := NewMachine(cfg).RunCheckpointed(tr, RunOpts{Resume: ck})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: resume error %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+	if _, _, err := NewMachine(cfg).RunCheckpointed(tr, RunOpts{Resume: cloneCheckpoint(t, good)}); err != nil {
+		t.Errorf("unmodified checkpoint: %v", err)
+	}
+}
+
+// cloneCheckpoint returns a deep copy of ck through its wire format.
+func cloneCheckpoint(t *testing.T, ck *Checkpoint) *Checkpoint {
+	t.Helper()
+	b, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeCheckpoint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestDecodeCheckpointRejectsOtherLayout checks that a blob of another
 // layout — a stale one written before the layout number existed decodes
-// with Layout 0, layout 1 carries the ROB state layout 2 replaced, and
-// layout 2 the memory scheduler's disambiguation ring layout 3 moved into
-// the M queue — is an error, so a job resuming from it restarts instead of resuming with the
-// wrong state.
+// with Layout 0, layout 1 carries the ROB state layout 2 replaced, layout 2
+// the memory scheduler's disambiguation ring layout 3 moved into the M
+// queue, and layout 3 the full booking history and every store of the run
+// that layout 4 folds and retires — is an error, so a job resuming from it
+// restarts instead of resuming with the wrong state.
 func TestDecodeCheckpointRejectsOtherLayout(t *testing.T) {
 	tr := checkpointTestTrace(t, "trfd", 2000)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, ck, _ := NewMachine(DefaultConfig()).RunCheckpointed(tr, RunOpts{Ctx: canceled, CheckEvery: 500})
-	for _, layout := range []int{0, 1, 2, checkpointLayout + 1} {
+	for _, layout := range []int{0, 1, 2, 3, checkpointLayout + 1} {
 		stale := *ck
 		stale.Layout = layout
 		b, err := stale.Encode()
@@ -234,45 +306,96 @@ func TestDecodeCheckpointRejectsOtherLayout(t *testing.T) {
 	}
 }
 
-// TestQueueStateIndependentOfTraceLength guards the footprint of the issue
-// queues' checkpoint state: its gob encoding has the same size at
-// instruction 10,000 and at 80,000. gob writes integers in variable width,
-// so both states are first widened — every integer set to its widest
-// encoding — and the size then measures the state's shape, not how large
-// its cycle numbers have grown. A queue that kept a record per issued
-// instruction would grow by thousands of bytes.
+// TestQueueStateIndependentOfTraceLength guards the footprint of the whole
+// checkpoint of both machines: its gob encoding has the same size at instruction 10,000 and
+// at 80,000. gob writes integers in variable width, so both states are first
+// widened — every integer set to its widest encoding — and the size then
+// measures the state's shape, not how large its cycle numbers have grown.
+//
+// The rename free lists, the held bookings of the FUs and the bus and the
+// store buffer's held stores vary with what is in flight at the cut. A free
+// list is padded to its register count; the other three are measured apart:
+// each holds at most maxHeld entries at both cuts, where a full booking
+// history holds thousands at 10,000 instructions. Dead-spill-store elision
+// is the one exception: a spill no later access reads or overwrites stays
+// held until the end of the run, and every store younger than it stays
+// held behind it, so its held lists and spill map grow with the trace
+// (12,186 held stores at 80k instructions of swm256 under SLE+VLE); only
+// the rest of its checkpoint is fixed.
 func TestQueueStateIndependentOfTraceLength(t *testing.T) {
+	const maxHeld = 256
 	q128 := DefaultConfig()
 	q128.QueueSlots = 128
 	q128.LoadElim = ElimSLEVLE
-	configs := map[string]Config{"default": DefaultConfig(), "q128+sle+vle": q128}
+	elide := q128
+	elide.ElideDeadSpillStores = true
+	configs := map[string]Config{"default": DefaultConfig(), "q128+sle+vle": q128, "elide": elide}
 	for _, bench := range []string{"hydro2d", "swm256"} {
 		tr := checkpointTestTrace(t, bench, 81_000)
 		for name, cfg := range configs {
-			states := map[int][]any{}
+			cks := map[int]*Checkpoint{}
 			_, _, err := NewMachine(cfg).RunCheckpointed(tr, RunOpts{
 				CheckpointEvery: 10_000,
-				OnCheckpoint: func(ck *Checkpoint) {
-					states[ck.NextInsn] = []any{&ck.AQ, &ck.SQ, &ck.VQ, &ck.MQ}
-				},
+				OnCheckpoint:    func(ck *Checkpoint) { cks[ck.NextInsn] = ck },
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, queue := range []string{"AQ", "SQ", "VQ", "MQ"} {
-				early, late := states[10_000][i], states[80_000][i]
-				widen(reflect.ValueOf(early).Elem())
-				widen(reflect.ValueOf(late).Elem())
-				if b10, b80 := gobSize(t, early), gobSize(t, late); b10 != b80 {
-					t.Errorf("%s/%s %s: %d bytes at 10k instructions, %d at 80k", bench, name, queue, b10, b80)
+			var sizes [2]int
+			for i, ck := range []*Checkpoint{cks[10_000], cks[80_000]} {
+				held := map[string]int{"FU1": len(ck.FU1.IV), "FU2": len(ck.FU2.IV),
+					"bus": len(ck.MSched.Bus.IV), "stores": len(ck.MSched.Pend)}
+				for list, n := range held {
+					if n > maxHeld && !cfg.ElideDeadSpillStores {
+						t.Errorf("%s/%s at %d: %d held %s entries, want at most %d", bench, name, ck.NextInsn, n, list, maxHeld)
+					}
+				}
+				ck.FU1.IV, ck.FU2.IV, ck.MSched.Bus.IV, ck.MSched.Pend = nil, nil, nil, nil
+				// A free list holds at most one entry per register: pad it
+				// to that, as the ring the table keeps it in is.
+				for c := range ck.Tables {
+					ck.Tables[c].Free = make([]rename.FreeEntry, len(ck.Tables[c].Refcnt))
+				}
+				if cfg.ElideDeadSpillStores {
+					ck.SpillPend = nil
+				}
+				widen(reflect.ValueOf(ck).Elem())
+				sizes[i] = gobSize(t, ck)
+			}
+			if sizes[0] != sizes[1] {
+				t.Errorf("%s/%s: checkpoint without held lists is %d bytes at 10k instructions, %d at 80k", bench, name, sizes[0], sizes[1])
+			}
+		}
+
+		// The reference machine holds only its units' bookings besides
+		// fixed-size state.
+		cks := map[int]*refsim.Checkpoint{}
+		_, _, err := refsim.NewMachine(refsim.DefaultConfig()).RunCheckpointed(tr, refsim.RunOpts{
+			CheckpointEvery: 10_000,
+			OnCheckpoint:    func(ck *refsim.Checkpoint) { cks[ck.NextInsn] = ck },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sizes [2]int
+		for i, ck := range []*refsim.Checkpoint{cks[10_000], cks[80_000]} {
+			for list, n := range map[string]int{"FU1": len(ck.FU1.IV), "FU2": len(ck.FU2.IV), "bus": len(ck.Bus.IV)} {
+				if n > maxHeld {
+					t.Errorf("%s/REF at %d: %d held %s intervals, want at most %d", bench, ck.NextInsn, n, list, maxHeld)
 				}
 			}
+			ck.FU1.IV, ck.FU2.IV, ck.Bus.IV = nil, nil, nil
+			widen(reflect.ValueOf(ck).Elem())
+			sizes[i] = gobSize(t, ck)
+		}
+		if sizes[0] != sizes[1] {
+			t.Errorf("%s/REF: checkpoint without held lists is %d bytes at 10k instructions, %d at 80k", bench, sizes[0], sizes[1])
 		}
 	}
 }
 
 // widen sets every integer and boolean in v to the value gob encodes in
-// the most bytes.
+// the most bytes. Maps must be empty: their keys cannot all be widened.
 func widen(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Struct:
@@ -283,12 +406,16 @@ func widen(v reflect.Value) {
 		for i := range v.Len() {
 			widen(v.Index(i))
 		}
-	case reflect.Int, reflect.Int64:
-		v.SetInt(math.MinInt64)
-	case reflect.Uint64:
-		v.SetUint(math.MaxUint64)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-1 << (v.Type().Bits() - 1))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1<<v.Type().Bits() - 1)
 	case reflect.Bool:
 		v.SetBool(true)
+	case reflect.Map:
+		if v.Len() > 0 {
+			panic("widen: non-empty map " + v.Type().String())
+		}
 	default:
 		panic("widen: unhandled kind " + v.Kind().String())
 	}

@@ -146,10 +146,7 @@ func DefaultConfig() Config {
 // the paper's value — exactly what the simulator runs with. Callers that
 // record configurations (the sweep CSV writer) use it so reported
 // parameters cannot drift from the simulated ones.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-// withDefaults fills zero fields with the paper's values.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
 	if c.PhysVRegs == 0 {
 		c.PhysVRegs = d.PhysVRegs

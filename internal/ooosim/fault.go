@@ -69,7 +69,7 @@ func RunWithFault(t *trace.Trace, cfg Config, faultIdx int) (*FaultResult, error
 	if faultIdx < 0 || faultIdx >= t.Len() {
 		return nil, fmt.Errorf("ooosim: fault index %d out of range [0,%d)", faultIdx, t.Len())
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	cfg.CollectRecords = true
 
 	m := newMachine(cfg)

@@ -15,7 +15,7 @@ import (
 func TestRollbackCorruptionErrorDeterministic(t *testing.T) {
 	first := ""
 	for i := 0; i < 50; i++ {
-		m := newMachine(DefaultConfig().withDefaults())
+		m := newMachine(DefaultConfig().WithDefaults())
 		// Corrupt two classes: dropping a live mapping's last reference
 		// pushes the register onto the free list while it is still mapped,
 		// which CheckInvariants rejects.

@@ -50,13 +50,13 @@ type Machine struct {
 }
 
 // maxCachedShapes bounds the retired-machine cache: each retired machine
-// holds megabytes of state, and a caller resetting across an unbounded
-// structural sweep must not accumulate them all. The repo's grids visit at
+// holds ~30 KB of machine-sized state (hydro2d at 4k or 40k instructions
+// alike), and a caller resetting across an unbounded structural sweep must
+// not accumulate them all. The repo's grids visit at
 // most ten shapes; beyond the cap, uncached shapes simply rebuild.
 const maxCachedShapes = 16
 
-// machineShape is the comparable key of a configuration's structural sizes
-// — exactly the fields sameShape compares.
+// machineShape is the comparable key of a configuration's structural sizes.
 type machineShape struct {
 	physV, physA, physS, physM      int
 	queueSlots, robSize, commitWide int
@@ -122,7 +122,8 @@ func (mm *Machine) Reset(cfg Config) {
 }
 
 // Begin implements sim.Model: it restores the power-on state (or resume,
-// when set) and sizes the growable buffers from the trace.
+// when set) and, when the run collects rename records, sizes their buffer
+// from the trace.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
@@ -132,24 +133,10 @@ func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
 			return err
 		}
 	}
-	m.reserveFor(t)
 	if m.cfg.CollectRecords && cap(m.records) < t.Len() {
 		m.records = append(make([]rename.Record, 0, t.Len()), m.records...)
 	}
 	return nil
-}
-
-// reserveFor sizes the growable buffers from the trace's counts so a reused
-// machine's steady-state run never grows them: a vector computation books
-// at most one interval per FU, a memory access one bus interval, a store
-// one pending-store record. The issue queues are sized by their capacity.
-//
-//ovlint:coldpath once per run, amortised over the whole trace
-func (m *machine) reserveFor(t *trace.Trace) {
-	nV, nMem, nStores := t.UnitCounts()
-	m.fu1.Reserve(nV + 1)
-	m.fu2.Reserve(nV + 1)
-	m.msched.reserve(nMem+1, nStores+1)
 }
 
 // machine is the OOOVA simulation state.
@@ -176,6 +163,8 @@ type machine struct {
 	fu1    *sched.Gap
 	fu2    *sched.Gap
 	msched *memScheduler
+	// states counts the bookings folded out of fu1, fu2 and the bus (Step).
+	states metrics.StateBreakdown
 
 	aQ, sQ, vQ *iq.Queue
 	mQ         *iq.MemQueue
@@ -279,13 +268,7 @@ func newMachine(cfg Config) *machine {
 
 // sameShape reports whether cfg keeps every structural size of the current
 // configuration, so reset can reuse the allocated state.
-func (m *machine) sameShape(cfg Config) bool {
-	c := &m.cfg
-	return cfg.PhysVRegs == c.PhysVRegs && cfg.PhysARegs == c.PhysARegs &&
-		cfg.PhysSRegs == c.PhysSRegs && cfg.PhysMRegs == c.PhysMRegs &&
-		cfg.QueueSlots == c.QueueSlots && cfg.ROBSize == c.ROBSize &&
-		cfg.CommitWidth == c.CommitWidth && cfg.BankedPorts == c.BankedPorts
-}
+func (m *machine) sameShape(cfg Config) bool { return shapeOf(cfg) == shapeOf(m.cfg) }
 
 // reset restores the power-on state in place; cfg must satisfy sameShape.
 //
@@ -316,6 +299,7 @@ func (m *machine) reset(cfg Config) {
 	m.fu1.Reset()
 	m.fu2.Reset()
 	m.msched.reset()
+	m.states = metrics.StateBreakdown{}
 	m.aQ.Reset()
 	m.sQ.Reset()
 	m.vQ.Reset()
@@ -351,11 +335,7 @@ func (m *machine) tableMap() map[isa.RegClass]*rename.Table {
 	return tm
 }
 
-func (m *machine) note(c int64) {
-	if c > m.lastCycle {
-		m.lastCycle = c
-	}
-}
+func (m *machine) note(c int64) { m.lastCycle = max(m.lastCycle, c) }
 
 // usesVReg reports whether the instruction reads or writes a vector
 // register (the §6.2 criterion for renaming at the Dependence stage).
@@ -571,6 +551,13 @@ func (m *machine) Step(idx int, in *isa.Instruction) {
 			Fetch: fetch, Decode: dec, Issue: issue,
 			Exec: execStart, Complete: complete, Commit: commit,
 		})
+	}
+
+	// Every later FU booking starts after a later decode (at issue+readX),
+	// and every later bus booking at or after the store buffer's floor,
+	// which is at most dec: the breakdown below the floor is final.
+	if idx%metrics.FoldEvery == metrics.FoldEvery-1 {
+		m.states.Fold(m.fu2, m.fu1, m.msched.bus, m.msched.floor(dec))
 	}
 }
 
@@ -870,8 +857,8 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 		// requests.
 		busStart = ready
 		storeDone = ready + occ
-		entry := m.mQ.RecordPending(rstart, rend, len(m.msched.pend), busStart)
-		i := m.msched.deferStore(ready, occ, vl, entry, elide)
+		entry := m.mQ.RecordPending(rstart, rend, m.msched.nextStore(), busStart)
+		i := m.msched.deferStore(ready, depT, occ, vl, entry, elide)
 		if elide {
 			m.spillPend[[2]uint64{rstart, rend}] = i
 		}
@@ -930,12 +917,13 @@ func (m *machine) noteBusWait(cycles int64) {
 func (m *machine) Finish(t *trace.Trace) *Result {
 	m.note(m.msched.finishAll())
 	total := m.lastCycle + 1
+	m.states.Fold(m.fu2, m.fu1, m.msched.bus, total)
 	st := &metrics.RunStats{
 		Machine:                m.cfg.Name(),
 		Program:                t.Name,
 		Cycles:                 total,
 		Instructions:           int64(t.Len()),
-		MemPortBusy:            m.msched.bus.BusyCycles(),
+		MemPortBusy:            m.states.States.MemBusy(),
 		MemRequests:            m.msched.requests,
 		VRegPortConflictCycles: m.ports.ConflictCycles(),
 		Mispredicts:            m.pred.Mispredictions(),
@@ -953,7 +941,6 @@ func (m *machine) Finish(t *trace.Trace) *Result {
 	// of the port state, so it is not accumulated — and not checkpointed —
 	// separately).
 	st.Stalls.PortConflict = st.VRegPortConflictCycles
-	st.States = metrics.StateBreakdown(m.fu2.Intervals(), m.fu1.Intervals(),
-		m.msched.bus.Intervals(), total)
+	st.States = m.states.States
 	return &Result{Stats: st, Records: m.records, Tables: m.tableMap()}
 }

@@ -365,7 +365,7 @@ func TestRenameTablesStayConsistent(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := Config{}.WithDefaults()
 	if c.PhysVRegs != 16 || c.QueueSlots != 16 || c.ROBSize != 64 ||
 		c.CommitWidth != 4 || c.MemLatency != 50 {
 		t.Errorf("defaults = %+v", c)

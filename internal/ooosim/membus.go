@@ -26,21 +26,26 @@ type memScheduler struct {
 	bus *sched.Gap
 	q   *iq.MemQueue //ovlint:config the machine's M queue, which the scheduler reports placed and elided stores to
 
-	pend []pendStore
+	// pend holds the deferred stores from the oldest unplaced one on, as a
+	// ring: store number n (the name the M queue, spillPend and byReady use)
+	// is pend[n&(len(pend)-1)] for base <= n < base+held.
+	pend       []pendStore
+	base, held int
 
-	// byReady is a binary min-heap of pend indices ordered by (ready time,
-	// index) — the ready-order, ties-by-age placement order — over the
-	// non-elidable deferred stores flush has not yet reached. Stores placed
-	// out of order (PlaceStore) or cancelled are dropped lazily when they
-	// reach the top, so flush costs O(log n) per placement instead of a
-	// scan over every store of the run.
-	byReady []int //ovlint:derived a view of pend; restore rebuilds it
+	// byReady is a binary min-heap of the (ready time, store number) of the
+	// non-elidable deferred stores flush has not yet reached — the
+	// ready-order, ties-by-age placement order. Stores placed out of order
+	// (PlaceStore) or cancelled are dropped lazily when they reach the top,
+	// so flush costs O(log n) per placement instead of a scan over every
+	// held store.
+	byReady []readyKey //ovlint:derived a view of pend; restore rebuilds it
 
 	requests int64
 }
 
 type pendStore struct {
 	ready    int64
+	dep      int64 // Dependence-stage cycle: no later than ready, nor than any younger store's
 	occ      int64 // bus occupancy (startup + one slot per element)
 	req      int64 // element requests (counted at placement for elidables)
 	entry    int   // the store's entry number in the M queue
@@ -49,38 +54,70 @@ type pendStore struct {
 	canceled bool // elided: never issues requests
 }
 
+// readyKey orders a held store in byReady.
+type readyKey struct {
+	ready int64
+	n     int
+}
+
 // newMemScheduler returns the store buffer of the M queue q.
 func newMemScheduler(q *iq.MemQueue) *memScheduler {
-	s := &memScheduler{bus: sched.NewGap(), q: q}
+	s := &memScheduler{bus: sched.NewGap(), q: q, pend: make([]pendStore, 16)}
 	q.Attach(s)
 	return s
 }
 
-// reserve sizes the bus interval list, the pending-store list and the
-// ready heap so steady-state appends never reallocate; the bounds derive
-// from the trace's memory-instruction and store counts. Growth keeps the
-// current contents, so reserving after a restore loses nothing.
-func (s *memScheduler) reserve(busIv, stores int) {
-	s.bus.Reserve(busIv)
-	if cap(s.pend) < stores {
-		grown := make([]pendStore, len(s.pend), stores)
-		copy(grown, s.pend)
-		s.pend = grown
+// reset restores the empty-scheduler state, reusing the ring's storage.
+func (s *memScheduler) reset() {
+	s.bus.Reset()
+	s.base, s.held = 0, 0
+	s.byReady = s.byReady[:0]
+	s.requests = 0
+}
+
+// store returns held store number n, or nil if it has left the buffer or
+// was never deferred.
+func (s *memScheduler) store(n int) *pendStore {
+	if n < s.base || n >= s.base+s.held {
+		return nil
 	}
-	if cap(s.byReady) < stores {
-		grown := make([]int, len(s.byReady), stores)
-		copy(grown, s.byReady)
-		s.byReady = grown
+	return &s.pend[n&(len(s.pend)-1)]
+}
+
+// nextStore returns the number the next deferred store gets.
+func (s *memScheduler) nextStore() int { return s.base + s.held }
+
+// retire drops the placed and cancelled stores at the front of the ring.
+func (s *memScheduler) retire() {
+	for s.held > 0 {
+		if p := &s.pend[s.base&(len(s.pend)-1)]; !p.placed && !p.canceled {
+			return
+		}
+		s.base++
+		s.held--
 	}
 }
 
-// reset restores the empty-scheduler state, reusing the pending-store
-// storage.
-func (s *memScheduler) reset() {
-	s.bus.Reset()
-	s.pend = s.pend[:0]
-	s.byReady = s.byReady[:0]
-	s.requests = 0
+// grow doubles the ring, moving each held store to its number's new slot.
+//
+//ovlint:coldpath runs only when more stores are in flight than ever before on this machine
+func (s *memScheduler) grow() {
+	ring := make([]pendStore, 2*len(s.pend))
+	for n := s.base; n < s.base+s.held; n++ {
+		ring[n&(len(ring)-1)] = s.pend[n&(len(s.pend)-1)]
+	}
+	s.pend = ring
+}
+
+// floor returns a cycle no later bus booking starts before, given the
+// current decode cycle dec. Later loads and late-commit stores book after
+// their Dependence stage, so after dec; a held store books at or after its
+// ready cycle, so after its Dependence stage, and the stage is in order.
+func (s *memScheduler) floor(dec int64) int64 {
+	if s.held == 0 {
+		return dec
+	}
+	return min(dec, s.pend[s.base&(len(s.pend)-1)].dep)
 }
 
 // flush places every pending store whose ready time is at or before
@@ -89,28 +126,27 @@ func (s *memScheduler) reset() {
 // elision and are placed only on overlap demand or at end of run.
 func (s *memScheduler) flush(threshold int64) {
 	for len(s.byReady) > 0 {
-		i := s.byReady[0]
-		if s.pend[i].ready > threshold {
+		k := s.byReady[0]
+		if k.ready > threshold {
 			return
 		}
 		s.popReady()
-		s.place(i) // no-op for a store placed out of order or cancelled
+		s.place(k.n) // no-op for a store placed out of order or cancelled
 	}
 }
 
-// readyLess orders pend indices by ready time, ties by age.
-func (s *memScheduler) readyLess(a, b int) bool {
-	ra, rb := s.pend[a].ready, s.pend[b].ready
-	return ra < rb || (ra == rb && a < b)
+// readyLess orders heap keys by ready time, ties by age.
+func readyLess(a, b readyKey) bool {
+	return a.ready < b.ready || (a.ready == b.ready && a.n < b.n)
 }
 
-// pushReady adds pend index i to the ready heap.
-func (s *memScheduler) pushReady(i int) {
-	h := append(s.byReady, i)
+// pushReady adds k to the ready heap.
+func (s *memScheduler) pushReady(k readyKey) {
+	h := append(s.byReady, k)
 	j := len(h) - 1
 	for j > 0 {
 		parent := (j - 1) / 2
-		if !s.readyLess(h[j], h[parent]) {
+		if !readyLess(h[j], h[parent]) {
 			break
 		}
 		h[j], h[parent] = h[parent], h[j]
@@ -131,10 +167,10 @@ func (s *memScheduler) popReady() {
 		if c >= len(h) {
 			break
 		}
-		if r := c + 1; r < len(h) && s.readyLess(h[r], h[c]) {
+		if r := c + 1; r < len(h) && readyLess(h[r], h[c]) {
 			c = r
 		}
-		if !s.readyLess(h[c], h[j]) {
+		if !readyLess(h[c], h[j]) {
 			break
 		}
 		h[j], h[c] = h[c], h[j]
@@ -143,31 +179,33 @@ func (s *memScheduler) popReady() {
 	s.byReady = h
 }
 
-// place books the bus for pending store i.
-func (s *memScheduler) place(i int) {
-	p := &s.pend[i]
-	if p.placed || p.canceled {
+// place books the bus for held store n.
+func (s *memScheduler) place(n int) {
+	p := s.store(n)
+	if p == nil || p.placed || p.canceled {
 		return
 	}
 	start := s.bus.Allocate(p.ready, p.occ)
 	p.placed = true
 	s.requests += p.req
 	s.q.SetBusEnd(p.entry, start+p.occ)
+	s.retire()
 }
 
 // PlaceStore implements iq.StoreBuffer: an access conflicts with pending
-// store i, which must issue first. It places every store ready up to it,
+// store n, which must issue first. It places every store ready up to it,
 // then it, preserving ready order. (Elidable stores skip the flush, so it
 // places them directly — an overlapping access proves the spilled value is
 // live.)
 //
 //ovlint:hotpath called by the M queue's Dependence check per conflicting pending store
-func (s *memScheduler) PlaceStore(i int) {
-	if s.pend[i].placed {
+func (s *memScheduler) PlaceStore(n int) {
+	p := s.store(n)
+	if p == nil || p.placed {
 		return
 	}
-	s.flush(s.pend[i].ready)
-	s.place(i)
+	s.flush(p.ready)
+	s.place(n)
 }
 
 // placeNow books the bus for an access that is ready at `ready`: pending
@@ -183,46 +221,49 @@ func (s *memScheduler) placeNow(ready, occ, req int64) (busStart int64) {
 	return busStart
 }
 
-// deferStore adds a store, recorded in the M queue as entry number entry,
-// whose bus occupancy will be placed lazily. It is used under the
-// early-commit policy, where nothing needs the store's exact completion
-// cycle immediately. Requests are counted at placement. An elidable store
-// is a spill held in the store buffer for possible dead-store elision (the
-// paper's §6 "relaxing compatibility" future-work idea): flush skips it,
-// and tryCancel may drop it. It returns the store's index, the one the
-// queue entry names.
-func (s *memScheduler) deferStore(ready, occ, req int64, entry int, elidable bool) int {
-	i := len(s.pend)
-	s.pend = append(s.pend, pendStore{ready: ready, occ: occ, req: req, entry: entry, elidable: elidable})
-	if !elidable {
-		s.pushReady(i)
+// deferStore adds a store, recorded in the M queue as entry number entry
+// after leaving the Dependence stage at dep, whose bus occupancy will be
+// placed lazily. It is used under the early-commit policy, where nothing
+// needs the store's exact completion cycle immediately. Requests are
+// counted at placement. An elidable store is a spill held in the store
+// buffer for possible dead-store elision (the paper's §6 "relaxing
+// compatibility" future-work idea): flush skips it, and tryCancel may drop
+// it. It returns the store's number, the one the queue entry names.
+func (s *memScheduler) deferStore(ready, dep, occ, req int64, entry int, elidable bool) int {
+	if s.held == len(s.pend) {
+		s.grow()
 	}
-	return i
+	n := s.nextStore()
+	s.pend[n&(len(s.pend)-1)] = pendStore{ready: ready, dep: dep, occ: occ, req: req, entry: entry, elidable: elidable}
+	s.held++
+	if !elidable {
+		s.pushReady(readyKey{ready, n})
+	}
+	return n
 }
 
-// tryCancel elides a pending spill store if it has not yet issued any
+// tryCancel elides pending spill store n if it has not yet issued any
 // requests. It returns the elided request count and whether the elision
 // succeeded.
-func (s *memScheduler) tryCancel(i int) (int64, bool) {
-	if i < 0 || i >= len(s.pend) {
-		return 0, false
-	}
-	p := &s.pend[i]
-	if p.placed || p.canceled {
+func (s *memScheduler) tryCancel(n int) (int64, bool) {
+	p := s.store(n)
+	if p == nil || p.placed || p.canceled {
 		return 0, false
 	}
 	p.canceled = true
 	s.q.Elide(p.entry)
+	s.retire() // leaves p's storage as it is
 	return p.req, true
 }
 
 // finishAll places any still-pending stores (including surviving elidable
 // ones — a spill never overwritten must still reach memory) and returns the
-// cycle the last bus activity ends: the end of the bus's last interval, or 0.
+// end of the bus's last held interval, or 0: a folded one ended by a decode
+// cycle, which the run's last cycle passes.
 func (s *memScheduler) finishAll() int64 {
 	s.flush(int64(1) << 62)
-	for i := range s.pend {
-		s.place(i)
+	for s.held > 0 {
+		s.place(s.base)
 	}
 	if iv := s.bus.Intervals(); len(iv) > 0 {
 		return iv[len(iv)-1].End

@@ -26,16 +26,25 @@ type VRegSnapshot struct {
 	HasValue      bool
 }
 
+// checkpointLayout numbers the Checkpoint encoding, as ooosim's does:
+// DecodeCheckpoint rejects any other. Layout 0, every blob written before
+// the number existed, holds the full booking history layout 1 folds.
+const checkpointLayout = 1
+
 // Checkpoint is the complete deterministic state of a reference-machine
 // simulation at an instruction boundary: instructions [0, NextInsn) have
 // been simulated.
 type Checkpoint struct {
+	// Layout is the encoding's layout number (checkpointLayout).
+	Layout int
 	// NextInsn is the index of the first instruction not yet simulated.
 	NextInsn int
 	// TraceLen guards against resuming on the wrong trace.
 	TraceLen int
 
+	// FU1, FU2 and Bus hold the bookings States has not folded in.
 	FU1, FU2, Bus sched.MonotonicState
+	States        metrics.StateBreakdown
 	Ports         vregfile.BankedFileState
 
 	AReady [isa.NumLogicalA]int64
@@ -62,11 +71,15 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 // Position implements sim.Checkpoint.
 func (ck *Checkpoint) Position() (next, traceLen int) { return ck.NextInsn, ck.TraceLen }
 
-// DecodeCheckpoint deserialises a checkpoint produced by Encode.
+// DecodeCheckpoint deserialises a checkpoint produced by Encode. A
+// checkpoint of another layout is an error.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	ck := new(Checkpoint)
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(ck); err != nil {
 		return nil, err
+	}
+	if ck.Layout != checkpointLayout {
+		return nil, fmt.Errorf("refsim: checkpoint layout %d, this build reads layout %d", ck.Layout, checkpointLayout)
 	}
 	return ck, nil
 }
@@ -75,13 +88,15 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 // instruction boundary nextInsn.
 func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 	ck := &Checkpoint{
+		Layout:   checkpointLayout,
 		NextInsn: nextInsn,
 		TraceLen: traceLen,
 
-		FU1:   m.fu1.Snapshot(),
-		FU2:   m.fu2.Snapshot(),
-		Bus:   m.bus.Snapshot(),
-		Ports: m.ports.Snapshot(),
+		FU1:    m.fu1.Snapshot(),
+		FU2:    m.fu2.Snapshot(),
+		Bus:    m.bus.Snapshot(),
+		States: m.states,
+		Ports:  m.ports.Snapshot(),
 
 		AReady: m.aReady,
 		SReady: m.sReady,
@@ -114,11 +129,13 @@ func (m *machine) restore(ck *Checkpoint) error {
 		m.fu1.Restore(ck.FU1),
 		m.fu2.Restore(ck.FU2),
 		m.bus.Restore(ck.Bus),
+		ck.States.Check(m.fu2, m.fu1, m.bus), // after the units' restores
 	} {
 		if err != nil {
 			return fmt.Errorf("refsim: checkpoint %w", err)
 		}
 	}
+	m.states = ck.States
 	m.aReady = ck.AReady
 	m.sReady = ck.SReady
 	for i := range m.vregs {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oovec/internal/metrics"
@@ -124,12 +125,44 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestDecodeCheckpointRejectsOtherLayout checks that a blob of another
+// layout — layout 0, every blob written before the number existed, holds
+// the units' full booking history that layout 1 folds into States — is an
+// error, so a job resuming from it restarts instead of counting that
+// history twice.
+func TestDecodeCheckpointRejectsOtherLayout(t *testing.T) {
+	tr := checkpointTestTrace(t, "trfd", 2000)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, ck, _ := NewMachine(DefaultConfig()).RunCheckpointed(tr, RunOpts{Ctx: canceled, CheckEvery: 500})
+	for _, layout := range []int{0, checkpointLayout + 1} {
+		stale := *ck
+		stale.Layout = layout
+		b, err := stale.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpoint(b); err == nil || !strings.Contains(err.Error(), "layout") {
+			t.Errorf("layout %d: DecodeCheckpoint error = %v, want a layout error", layout, err)
+		}
+	}
+	b, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(b); err != nil {
+		t.Errorf("current layout: %v", err)
+	}
+}
+
 // TestGoldenCheckpointResumes resumes a checkpoint written by an earlier
-// build: instruction 500 of a 1,000-instruction trfd trace. The resumed run
-// must end byte-identical to an uninterrupted one, so a build that changes
-// the checkpoint's state types still resumes the jobs an older one parked.
-// A change that alters what the blob means must re-pin it deliberately:
-// take it with RunCheckpointed at CheckpointEvery 500 and write its Encode.
+// build of this layout: instruction 500 of a 1,000-instruction trfd trace.
+// The resumed run must end byte-identical to an uninterrupted one, so a
+// build that changes the checkpoint's state types still resumes the jobs an
+// older one parked. A change that alters what the blob means must bump
+// checkpointLayout (this test then fails to decode it) and re-pin the blob
+// deliberately: take it with RunCheckpointed at CheckpointEvery 500 and
+// write its Encode.
 func TestGoldenCheckpointResumes(t *testing.T) {
 	b, err := os.ReadFile("testdata/trfd-1000-at-500.ckpt")
 	if err != nil {

@@ -69,10 +69,7 @@ type vregState struct {
 // WithDefaults returns the configuration with every defaulted field filled
 // with the value Run would use — the canonical form callers key caches on
 // (mirroring ooosim.Config.WithDefaults).
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-// withDefaults fills the latency fields Run has always defaulted.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.MemLatency <= 0 {
 		c.MemLatency = 50
 	}
@@ -91,7 +88,7 @@ func Run(t *trace.Trace, cfg Config) *metrics.RunStats {
 // Machine is a reusable reference-simulator instance, mirroring
 // ooosim.Machine: Reset restores the power-on state without reallocating
 // (the reference machine's structure is fixed, so reuse never rebuilds),
-// amortising the interval-list and scratch storage across many runs.
+// amortising the held interval lists across many runs.
 //
 // A Machine is not safe for concurrent use; check one out of Machines for
 // each run.
@@ -127,6 +124,8 @@ type machine struct {
 
 	fu1, fu2, bus *sched.Monotonic
 	ports         *vregfile.BankedFile
+	// states counts the bookings folded out of fu1, fu2 and bus (Step).
+	states metrics.StateBreakdown
 
 	aReady       [isa.NumLogicalA]int64
 	sReady       [isa.NumLogicalS]int64
@@ -157,7 +156,7 @@ type machine struct {
 
 func newMachine(cfg Config) *machine {
 	return &machine{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg.WithDefaults(),
 		fu1:       sched.NewMonotonic(),
 		fu2:       sched.NewMonotonic(),
 		bus:       sched.NewMonotonic(),
@@ -172,10 +171,11 @@ func newMachine(cfg Config) *machine {
 //
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) reset(cfg Config) {
-	m.cfg = cfg.withDefaults()
+	m.cfg = cfg.WithDefaults()
 	m.fu1.Reset()
 	m.fu2.Reset()
 	m.bus.Reset()
+	m.states = metrics.StateBreakdown{}
 	m.ports.Reset()
 	m.aReady = [isa.NumLogicalA]int64{}
 	m.sReady = [isa.NumLogicalS]int64{}
@@ -187,39 +187,20 @@ func (m *machine) reset(cfg Config) {
 	m.stalls = metrics.StallBreakdown{}
 }
 
-// reserveFor sizes the unit interval lists from the trace's counts: a vector
-// computation books at most one interval per FU, a memory access one bus
-// interval, so a reused machine's steady-state run never grows them.
+// Begin implements sim.Model: it restores the power-on state, or resume
+// when set.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
-func (m *machine) reserveFor(t *trace.Trace) {
-	nV, nMem, _ := t.UnitCounts()
-	m.fu1.Reserve(nV + 1)
-	m.fu2.Reserve(nV + 1)
-	m.bus.Reserve(nMem + 1)
-}
-
-// Begin implements sim.Model: it restores the power-on state (or resume,
-// when set) and sizes the unit interval lists from the trace.
-//
-//ovlint:coldpath once per run, amortised over the whole trace
-func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
+func (m *machine) Begin(_ *trace.Trace, resume *Checkpoint) error {
 	m.reset(m.cfg)
 	if resume != nil {
-		if err := m.restore(resume); err != nil {
-			return err
-		}
+		return m.restore(resume)
 	}
-	m.reserveFor(t)
 	return nil
 }
 
 // note tracks the latest activity for end-of-run accounting.
-func (m *machine) note(c int64) {
-	if c > m.lastCycle {
-		m.lastCycle = c
-	}
-}
+func (m *machine) note(c int64) { m.lastCycle = max(m.lastCycle, c) }
 
 // scalarReady returns when a scalar operand can be read.
 func (m *machine) scalarReady(r isa.Reg) int64 {
@@ -315,9 +296,6 @@ func (m *machine) Step(i int, in *isa.Instruction) {
 		// ops go to whichever frees first (FU1 preferred on ties).
 		fu := fu1
 		if in.Op.NeedsFU2() || fu2.NextFree() < fu1.NextFree() {
-			fu = fu2
-		}
-		if in.Op.NeedsFU2() {
 			fu = fu2
 		}
 		if nf := fu.NextFree(); nf > cand {
@@ -422,6 +400,12 @@ func (m *machine) Step(i int, in *isa.Instruction) {
 			Exec: issue, Complete: m.lastCycle, Commit: -1,
 		})
 	}
+
+	// Issue is in order and every unit booking starts at or after its
+	// instruction's issue, so nothing is booked below this one's again.
+	if i%metrics.FoldEvery == metrics.FoldEvery-1 {
+		m.states.Fold(m.fu2, m.fu1, m.bus, issue)
+	}
 }
 
 // Finish implements sim.Model: it assembles the run statistics.
@@ -429,17 +413,18 @@ func (m *machine) Step(i int, in *isa.Instruction) {
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) Finish(t *trace.Trace) *metrics.RunStats {
 	total := m.lastCycle + 1
+	m.states.Fold(m.fu2, m.fu1, m.bus, total)
 	st := &metrics.RunStats{
 		Machine:                "REF",
 		Program:                t.Name,
 		Cycles:                 total,
 		Instructions:           int64(t.Len()),
-		MemPortBusy:            m.bus.BusyCycles(),
+		MemPortBusy:            m.states.States.MemBusy(),
 		MemRequests:            m.memRequests,
 		VRegPortConflictCycles: m.ports.ConflictCycles(),
 		Stalls:                 m.stalls,
 	}
 	st.Stalls.PortConflict = st.VRegPortConflictCycles
-	st.States = metrics.StateBreakdown(m.fu2.Intervals(), m.fu1.Intervals(), m.bus.Intervals(), total)
+	st.States = m.states.States
 	return st
 }

@@ -191,9 +191,6 @@ func (t *Table) Undo(logical, oldPhys, newPhys int) {
 	t.Release(newPhys, 0)
 }
 
-// LiveRefs returns the reference count of phys (testing/invariant checks).
-func (t *Table) LiveRefs(phys int) int { return t.refcnt[phys] }
-
 // CheckInvariants verifies structural sanity: every mapping target is
 // referenced, and no free register is listed twice or referenced.
 func (t *Table) CheckInvariants() error { return t.check(t.Snapshot()) }

@@ -85,15 +85,15 @@ func TestAliasToLiveRegister(t *testing.T) {
 	if tb.Lookup(5) != 1 || tb.Lookup(1) != 1 {
 		t.Error("aliasing broke mappings")
 	}
-	if tb.LiveRefs(1) != 2 {
-		t.Errorf("refcount = %d, want 2", tb.LiveRefs(1))
+	if tb.Snapshot().Refcnt[1] != 2 {
+		t.Errorf("refcount = %d, want 2", tb.Snapshot().Refcnt[1])
 	}
 	if err := tb.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 	// Releasing one reference must not free the register.
 	tb.Release(1, 50)
-	if tb.LiveRefs(1) != 1 || tb.FreeCount() != 4 {
+	if tb.Snapshot().Refcnt[1] != 1 || tb.FreeCount() != 4 {
 		t.Error("register freed while still mapped")
 	}
 }

@@ -55,8 +55,9 @@ func (t *Table) Restore(st TableState) error {
 
 // check returns the first invariant st breaks: sizes other than the
 // table's, more free entries than registers, a free entry out of range,
-// listed twice or still referenced, or a mapping out of range or to a
-// register with no reference.
+// listed twice or still referenced, a mapping out of range or to a register
+// with no reference, a negative refcount, or an unreferenced register
+// missing from the free list.
 func (t *Table) check(st TableState) error {
 	if len(st.Mapping) != t.NumLogical || len(st.Refcnt) != t.NumPhysical || len(st.Free) > t.NumPhysical {
 		return fmt.Errorf("rename: %v table state sized %d/%d with %d free, configuration wants %d/%d",
@@ -78,6 +79,20 @@ func (t *Table) check(st TableState) error {
 		if uint(p) >= uint(t.NumPhysical) || st.Refcnt[p] <= 0 {
 			return fmt.Errorf("rename: %v%d maps to physical %d, outside [0,%d) or unreferenced", t.Class, l, p, t.NumPhysical)
 		}
+	}
+	// A register is unreferenced exactly while it is free: one missing from
+	// the free list would never be renamed to again.
+	unref := 0
+	for p, n := range st.Refcnt {
+		if n < 0 {
+			return fmt.Errorf("rename: %v physical %d has refcount %d", t.Class, p, n)
+		}
+		if n == 0 {
+			unref++
+		}
+	}
+	if unref != len(st.Free) {
+		return fmt.Errorf("rename: %v has %d unreferenced registers, %d on the free list", t.Class, unref, len(st.Free))
 	}
 	return nil
 }

@@ -18,11 +18,11 @@
 //     first choice — exactly the oldest-ready-first heuristic of real
 //     issue logic.
 //
-// Both allocators record their busy intervals so the metrics package can
-// reconstruct exact per-cycle unit-state breakdowns (Figures 3 and 7)
-// without per-cycle simulation. Gap finds a hole by galloping from where
-// the previous search ended, since successive requests on one resource ask
-// for nearly the same cycle.
+// Both allocators hold a busy interval only until a state breakdown has
+// counted it: a machine folds every interval ending at or before a floor no
+// later booking starts below into metrics.StateBreakdown, and Drop forgets
+// them, changing no later answer. What remains is sized by the machine's
+// in-flight work, so Gap finds a hole by walking back from its last one.
 //
 // RingWindow bounds an issue queue's occupants and answers the
 // per-instruction occupancy sample. Its occupancy
@@ -54,18 +54,6 @@ type Interval struct {
 	Start, End int64
 }
 
-// Len returns the interval length in cycles.
-func (iv Interval) Len() int64 { return iv.End - iv.Start }
-
-// busyCycles returns the total length of iv.
-func busyCycles(iv []Interval) int64 {
-	var n int64
-	for _, v := range iv {
-		n += v.Len()
-	}
-	return n
-}
-
 // Monotonic is an in-order allocator: each reservation starts at
 // max(earliest, end of previous reservation).
 type Monotonic struct {
@@ -79,7 +67,7 @@ func NewMonotonic() *Monotonic { return &Monotonic{} }
 // Allocate books dur (at least one) consecutive cycles starting no earlier
 // than earliest and returns the start cycle.
 //
-//ovlint:hotpath books one interval per instruction; steady-state appends stay within Reserve capacity
+//ovlint:hotpath books one interval per instruction; appends stay within the capacity the held bookings reached before
 func (m *Monotonic) Allocate(earliest, dur int64) int64 {
 	dur = max(dur, 1)
 	start := max(earliest, m.nextFree)
@@ -96,17 +84,16 @@ func (m *Monotonic) Allocate(earliest, dur int64) int64 {
 func (m *Monotonic) NextFree() int64 { return m.nextFree }
 
 // Reserve grows the interval storage to hold at least n intervals without
-// further allocation. Simulators call it once per run with a bound derived
-// from the trace length, so a reused allocator's steady state appends never
-// reallocate.
-func (m *Monotonic) Reserve(n int) { m.iv = reserve(m.iv, n) }
+// further allocation.
+func (m *Monotonic) Reserve(n int) { m.iv = slices.Grow(m.iv, max(n-len(m.iv), 0)) }
 
-// BusyCycles returns the total booked cycles, summed over the intervals.
-func (m *Monotonic) BusyCycles() int64 { return busyCycles(m.iv) }
-
-// Intervals returns the booked intervals, sorted and disjoint (adjacent
+// Intervals returns the held intervals, sorted and disjoint (adjacent
 // intervals are merged). The caller must not mutate it.
 func (m *Monotonic) Intervals() []Interval { return m.iv }
+
+// Drop forgets the held intervals that end at or before cycle t, which a
+// state breakdown has counted. NextFree is kept.
+func (m *Monotonic) Drop(t int64) { m.iv = drop(m.iv, t) }
 
 // Reset clears all bookings. The interval storage is kept (and its
 // contents overwritten by later bookings), so slices returned by Intervals
@@ -119,8 +106,7 @@ func (m *Monotonic) Reset() {
 // Gap is an out-of-order allocator that keeps a sorted, disjoint list of
 // busy intervals and books the first hole large enough.
 type Gap struct {
-	iv  []Interval
-	cur int //ovlint:derived search hint only; Restore resets it and any value gives the same answer
+	iv []Interval
 }
 
 // NewGap returns an empty gap allocator.
@@ -129,7 +115,7 @@ func NewGap() *Gap { return &Gap{} }
 // Allocate finds the earliest hole of length dur (at least one) starting at
 // or after earliest, books it and returns its start.
 //
-//ovlint:hotpath books one interval per instruction; steady-state appends stay within Reserve capacity
+//ovlint:hotpath books one interval per instruction; appends stay within the capacity the held bookings reached before
 func (g *Gap) Allocate(earliest, dur int64) int64 {
 	dur = max(dur, 1)
 	start, i := g.findHole(earliest, dur)
@@ -147,73 +133,22 @@ func (g *Gap) Peek(earliest, dur int64) int64 {
 }
 
 // findHole locates the earliest hole of length dur at or after earliest and
-// returns its start plus the insertion index.
+// returns its start plus the insertion index. The search walks back from the
+// last held interval to the first that ends after earliest: requests ask for
+// cycles near the latest bookings, and the held list is machine-sized.
 func (g *Gap) findHole(earliest, dur int64) (int64, int) {
+	i := len(g.iv)
+	for i > 0 && g.iv[i-1].End > earliest {
+		i--
+	}
 	start := earliest
-	i := g.partition(earliest)
-	for i < len(g.iv) {
+	for ; i < len(g.iv); i++ {
 		if start+dur <= g.iv[i].Start {
 			break // hole before interval i fits
 		}
 		start = max(start, g.iv[i].End)
-		i++
 	}
 	return start, i
-}
-
-// partition returns the index of the first interval ending after t. The
-// interval ends are strictly increasing, so that index is unique; the search
-// gallops outward from the previous call's answer (the cursor) and then
-// bisects the bracket it found, costing O(log d) for a cursor d intervals
-// away. Successive requests on one resource ask for nearly the same cycle,
-// so d is usually zero or small.
-func (g *Gap) partition(t int64) int {
-	iv := g.iv
-	lo, hi := 0, len(iv)
-	c := min(g.cur, hi)
-	switch {
-	case c < hi && iv[c].End <= t:
-		// The answer lies above c: double the probe distance until an
-		// interval ends after t.
-		lo = c + 1
-		for step := 1; ; step <<= 1 {
-			p := c + step
-			if p >= hi {
-				break
-			}
-			if iv[p].End > t {
-				hi = p
-				break
-			}
-			lo = p + 1
-		}
-	case c > 0 && iv[c-1].End > t:
-		// The answer lies at or below c-1.
-		hi = c - 1
-		for step := 2; ; step <<= 1 {
-			p := c - step
-			if p < 0 {
-				break
-			}
-			if iv[p].End <= t {
-				lo = p + 1
-				break
-			}
-			hi = p
-		}
-	default:
-		lo, hi = c, c
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if iv[mid].End <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	g.cur = lo
-	return lo
 }
 
 // insert places iv at position i, merging with neighbours when adjacent.
@@ -239,33 +174,32 @@ func (g *Gap) insert(i int, nv Interval) {
 }
 
 // Reserve grows the interval storage to hold at least n intervals without
-// further allocation (see Monotonic.Reserve).
-func (g *Gap) Reserve(n int) { g.iv = reserve(g.iv, n) }
+// further allocation.
+func (g *Gap) Reserve(n int) { g.iv = slices.Grow(g.iv, max(n-len(g.iv), 0)) }
 
-// reserve returns iv with capacity >= n, preserving contents.
-func reserve(iv []Interval, n int) []Interval {
-	if cap(iv) >= n {
-		return iv
+// Drop forgets the held intervals that end at or before cycle t, which a
+// state breakdown has counted. Every later request must be for a cycle at
+// or after t, so none of their holes could be chosen again.
+func (g *Gap) Drop(t int64) { g.iv = drop(g.iv, t) }
+
+// drop returns iv without the intervals that end at or before t, in the
+// same storage.
+func drop(iv []Interval, t int64) []Interval {
+	n := 0
+	for n < len(iv) && iv[n].End <= t {
+		n++
 	}
-	grown := make([]Interval, len(iv), n)
-	copy(grown, iv)
-	return grown
+	return iv[:copy(iv, iv[n:])]
 }
 
-// BusyCycles returns the total booked cycles, summed over the intervals.
-func (g *Gap) BusyCycles() int64 { return busyCycles(g.iv) }
-
-// Intervals returns the booked intervals, sorted and disjoint (adjacent
+// Intervals returns the held intervals, sorted and disjoint (adjacent
 // intervals are merged). The caller must not mutate it.
 func (g *Gap) Intervals() []Interval { return g.iv }
 
 // Reset clears all bookings. The interval storage is kept (and its
 // contents overwritten by later bookings), so slices returned by Intervals
 // before the Reset are invalidated.
-func (g *Gap) Reset() {
-	g.iv = g.iv[:0]
-	g.cur = 0
-}
+func (g *Gap) Reset() { g.iv = g.iv[:0] }
 
 // RingWindow tracks the departure times of the last N occupants of a
 // bounded structure (an issue queue). Entry i may only be

@@ -29,18 +29,18 @@ func (m *Monotonic) Snapshot() MonotonicState {
 
 // Restore replaces the allocator state with st, reusing storage when it
 // fits. The intervals must be non-empty, sorted and disjoint, and NextFree
-// the end of the last one (0 when there is none), as Allocate keeps them;
-// anything else is an error and leaves the allocator unchanged.
+// the end of the last one, as Allocate keeps them; with every interval
+// dropped, NextFree only must not be negative. Anything else is an error and
+// leaves the allocator unchanged.
 func (m *Monotonic) Restore(st MonotonicState) error {
 	if err := checkIntervals(st.IV); err != nil {
 		return fmt.Errorf("monotonic %w", err)
 	}
-	var end int64
-	if n := len(st.IV); n > 0 {
-		end = st.IV[n-1].End
+	if n := len(st.IV); n > 0 && st.NextFree != st.IV[n-1].End {
+		return fmt.Errorf("monotonic next free cycle %d, last interval ends at %d", st.NextFree, st.IV[n-1].End)
 	}
-	if st.NextFree != end {
-		return fmt.Errorf("monotonic next free cycle %d, last interval ends at %d", st.NextFree, end)
+	if st.NextFree < 0 {
+		return fmt.Errorf("monotonic next free cycle %d is negative", st.NextFree)
 	}
 	m.nextFree = st.NextFree
 	m.iv = append(m.iv[:0], st.IV...)
@@ -65,7 +65,6 @@ func (g *Gap) Restore(st GapState) error {
 		return fmt.Errorf("gap %w", err)
 	}
 	g.iv = append(g.iv[:0], st.IV...)
-	g.cur = 0
 	return nil
 }
 

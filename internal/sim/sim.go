@@ -40,9 +40,8 @@ type Checkpoint interface {
 // R its result.
 type Model[C Checkpoint, R any] interface {
 	// Begin readies the model for a run over t: it restores the power-on
-	// state, then resume unless it is nil, and sizes its buffers from the
-	// trace. A checkpoint that does not fit the model's configuration is an
-	// error.
+	// state, then resume unless it is nil. A checkpoint that does not fit
+	// the model's configuration is an error.
 	Begin(t *trace.Trace, resume C) error
 	// Step simulates instruction i of the trace.
 	Step(i int, in *isa.Instruction)
@@ -155,8 +154,8 @@ func begin[C Checkpoint, R any](m Model[C, R], t *trace.Trace, resume C) (int, e
 // declares exactly one, and it is the only place its machines are reused:
 // the experiment suite, every sweep grid point and the server's /v1/sim and
 // /v1/jobs runs check a machine out for one run and check it back in. A
-// machine keeps its trace-sized buffers between runs, so a pooled run pays
-// for construction and buffer growth once per machine, not once per run.
+// machine keeps its buffers between runs, so a pooled run pays for
+// construction and buffer growth once per machine, not once per run.
 // Machines stay single-goroutine objects; the pool hands each one to one
 // borrower at a time.
 type Pool[Cfg any, M interface{ Reset(Cfg) }] struct {

@@ -25,10 +25,9 @@ func allocated(fn func()) uint64 {
 
 // TestSecondGridReusesMachines runs the same uncached REF and OOOVA grids
 // twice. Every point checks its machine out of the process-wide pools, so
-// the second pass finds machines already built, shaped and grown for the
-// trace: it must allocate less than one fresh machine's growth — the
-// construction and trace-sized buffers a machine built for the run pays
-// over a reused one. GC is off so the pools keep what the first pass put
+// the second pass finds machines already built, shaped and grown: it must
+// allocate less than one fresh machine's growth — the construction and
+// buffers a machine built for the run pays over a reused one. GC is off so the pools keep what the first pass put
 // back, and one P keeps every Get on the P its Put went to.
 func TestSecondGridReusesMachines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

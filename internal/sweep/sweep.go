@@ -7,7 +7,7 @@
 // and therefore the output bytes — identical to a serial run. Each grid
 // point checks a machine out of its model's process-wide pool
 // (ooosim.Machines, refsim.Machines) for its one run, so consecutive grids
-// reuse the machines — and the trace-sized buffers — earlier grids built.
+// reuse the machines — and the buffers — earlier grids built.
 //
 // Opts adds the two production concerns of a long-lived
 // design-space-exploration service: per-point result caching (every grid

@@ -61,7 +61,6 @@ func (b *Builder) emit(in isa.Instruction) *Builder {
 		b.err = fmt.Errorf("insn %d: %w", len(b.t.Insns), err)
 	}
 	b.t.Insns = append(b.t.Insns, in)
-	b.t.counts.add(in.Op)
 	return b
 }
 

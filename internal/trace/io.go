@@ -321,7 +321,6 @@ func ReadLimited(r io.Reader, lim Limits) (*Trace, error) {
 			return nil, fmt.Errorf("trace: insn %d: %w", i, err)
 		}
 		t.Insns = append(t.Insns, in)
-		t.counts.add(in.Op)
 	}
 	return t, nil
 }

@@ -22,39 +22,6 @@ type Trace struct {
 	Suite string
 	// Insns is the dynamic instruction sequence in program order.
 	Insns []isa.Instruction
-	// counts caches UnitCounts; the builder and the decoder add to it.
-	counts unitCounts
-}
-
-// unitCounts are UnitCounts' answer for the first n instructions.
-type unitCounts struct{ n, vector, mem, stores int }
-
-// UnitCounts returns the number of vector computations (isa.UnitV), memory
-// instructions and stores. Build and the decoder count them as they go; a
-// trace assembled by hand, or whose Insns changed length since, is scanned.
-func (t *Trace) UnitCounts() (vector, mem, stores int) {
-	c := t.counts
-	if c.n != len(t.Insns) {
-		c = unitCounts{}
-		for i := range t.Insns {
-			c.add(t.Insns[i].Op)
-		}
-	}
-	return c.vector, c.mem, c.stores
-}
-
-// add counts one more instruction.
-func (c *unitCounts) add(op isa.Op) {
-	c.n++
-	switch {
-	case op.ExecUnit() == isa.UnitV:
-		c.vector++
-	case op.IsStore():
-		c.stores++
-		c.mem++
-	case op.IsMem():
-		c.mem++
-	}
 }
 
 // Len returns the number of dynamic instructions.
