@@ -179,8 +179,10 @@ func TestEmitBench(t *testing.T) {
 	}
 	snap := benchSnapshot{Insns: benchInsns}
 
-	// Steady-state simulator throughput: a reusable machine, reset per run,
-	// the way a machine checked out of its model's pool is driven.
+	// Steady-state simulator throughput: one machine run repeatedly, each
+	// Run starting from power-on state. Production runs build a machine
+	// per run; construction adds a fixed cost that does not grow with the
+	// trace.
 	oooM := ooosim.NewMachine(ooosim.DefaultConfig())
 	snap.Benchmarks = append(snap.Benchmarks, record("ooova/swm256",
 		testing.Benchmark(func(b *testing.B) {

@@ -336,7 +336,7 @@ func BenchmarkSimulatorRefThroughput(b *testing.B) {
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minsns/s")
 }
 
-// reuseLengths are the trace lengths of the pooled-machine benchmarks: a
+// reuseLengths are the trace lengths of the reused-machine benchmarks: a
 // simulator whose cost is linear in trace length reports the same ns/insn
 // at every size.
 var reuseLengths = []int{10000, 20000, 40000, 80000}
@@ -383,9 +383,9 @@ func BenchmarkSimulatorOOOThroughput(b *testing.B) {
 }
 
 // BenchmarkSimulatorOOOReuse measures the steady-state throughput and
-// bytes/op of a reused Machine (explicit Reset instead of per-run
-// construction) — the pooled path the experiment drivers and sweep grids
-// run on.
+// bytes/op of one Machine run repeatedly; compare with
+// BenchmarkSimulatorOOOThroughput for the per-run construction cost every
+// production run pays.
 func BenchmarkSimulatorOOOReuse(b *testing.B) {
 	m := ooosim.NewMachine(ooosim.DefaultConfig())
 	benchReuse(b, func(tr *trace.Trace) { m.Run(tr) })

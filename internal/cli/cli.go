@@ -90,10 +90,19 @@ type SimConfig struct {
 	Elim string `json:"elim,omitempty"`
 }
 
+// MaxStructure bounds every structural size a request may set: physical
+// vector registers (a run's vregs, a sweep's regs), queue slots, reorder
+// buffer entries and commit width. A machine allocates state in proportion
+// to these sizes when it is built, so an unbounded value would let one
+// request exhaust the process's memory. 1024 is eight times the largest
+// size the paper evaluates (128-slot queues).
+const MaxStructure = 1024
+
 // OOOConfig resolves the surface onto an ooosim.Config: no negative field,
-// and more physical vector registers than architectural ones, since
-// renaming needs at least one spare (the simulator panics without it).
-// Zero fields stay zero, which the simulator runs as the paper's defaults.
+// no structural size above MaxStructure, and more physical vector registers
+// than architectural ones, since renaming needs at least one spare (the
+// simulator panics without it). Zero fields stay zero, which the simulator
+// runs as the paper's defaults.
 func (c SimConfig) OOOConfig() (ooosim.Config, error) {
 	cfg := ooosim.Config{
 		PhysVRegs:        c.VRegs,
@@ -106,6 +115,9 @@ func (c SimConfig) OOOConfig() (ooosim.Config, error) {
 	if cfg.PhysVRegs < 0 || cfg.QueueSlots < 0 || cfg.ROBSize < 0 || cfg.CommitWidth < 0 ||
 		cfg.MemLatency < 0 || cfg.ScalarMemLatency < 0 {
 		return ooosim.Config{}, errors.New("config values must be non-negative")
+	}
+	if max(cfg.PhysVRegs, cfg.QueueSlots, cfg.ROBSize, cfg.CommitWidth) > MaxStructure {
+		return ooosim.Config{}, fmt.Errorf("vregs, queues, rob and commit_width must be at most %d", MaxStructure)
 	}
 	if cfg.PhysVRegs > 0 && cfg.PhysVRegs <= isa.NumLogicalV {
 		return ooosim.Config{}, fmt.Errorf("vregs %d: the OOOVA needs more than %d physical vector registers", cfg.PhysVRegs, isa.NumLogicalV)
@@ -156,7 +168,7 @@ type Common struct {
 // flag.CommandLine) and returns the destination struct.
 func RegisterCommon(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	fs.IntVar(&c.Jobs, "j", 0, "parallel simulation workers, each reusing pooled simulator machines (0 = one per core, 1 = serial); output is identical for every value")
+	fs.IntVar(&c.Jobs, "j", 0, "parallel simulation workers, each building a simulator machine per run (0 = one per core, 1 = serial); output is identical for every value")
 	fs.BoolVar(&c.Verbose, "v", false, "verbose: print the resolved worker count to stderr")
 	return c
 }

@@ -15,8 +15,8 @@
 // reference-run caches) serialise internally.
 //
 // Tasks carry no per-worker state: a task that needs a simulator machine
-// checks one out of its model's process-wide pool (ooosim.Machines,
-// refsim.Machines) for the one run and puts it back. MapCtx adds
+// builds one for its run and drops it (machine state is fixed-size, so
+// construction is cheap beside the run). MapCtx adds
 // cooperative cancellation between tasks, which is what lets a server
 // abandon a grid whose client has disconnected instead of burning workers
 // on results nobody will read.

@@ -7,52 +7,43 @@ package experiments
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 )
 
-// TestPooledSuiteBytesBudget guards the bytes/op of a pooled suite run:
-// the Fig5 grid drives 100 OOOVA and 10 REF simulations (10 benchmarks ×
-// 5 register counts × 2 queue depths) through machines checked out of the
-// process-wide pools (ooosim.Machines, refsim.Machines). Those machines
-// outlive the suite, so a suite after the first builds none, and the
-// per-simulation average is mostly the runs' own results (~6 KB). GC is
-// off so the pools keep what the first suite put back, and one P keeps
-// every Get on the P its Put went to.
-func TestPooledSuiteBytesBudget(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const insns = 2000
+// TestSuiteBytesPerSimulationIndependentOfTraceLength guards the whole
+// suite path against trace-sized state: the Fig5 grid drives 100 OOOVA and
+// 10 REF simulations (10 benchmarks × 5 register counts × 2 queue depths),
+// each on a machine built for the run, and the bytes it allocates per
+// simulation must be the same at 2,000 and at 8,000 instructions within a
+// small constant. A machine, result, cache entry or span that grew with
+// the trace would cost kilobytes more per simulation at the longer length.
+func TestSuiteBytesPerSimulationIndependentOfTraceLength(t *testing.T) {
 	const sims = 110 // OOOVA grid points + REF baselines in Fig5
+	const slack = 8 << 10
 
-	run := func() {
-		s := NewSuite(Opts{Insns: insns, Parallelism: 1})
-		if res := Fig5(s); len(res.Names) == 0 {
-			t.Fatal("empty result")
+	perSim := func(insns int) uint64 {
+		run := func() {
+			s := NewSuite(Opts{Insns: insns, Parallelism: 1})
+			if res := Fig5(s); len(res.Names) == 0 {
+				t.Fatal("empty result")
+			}
 		}
-	}
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	run() // warm any lazy runtime state and fill the pools
+		run() // generate the shared traces and warm any lazy runtime state
 
-	const runs = 3
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+		const runs = 2
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs / sims
 	}
-	runtime.ReadMemStats(&after)
-	perSuite := (after.TotalAlloc - before.TotalAlloc) / runs
-	perSim := perSuite / sims
-	t.Logf("pooled Fig5 suite: %d B per simulation", perSim)
-
-	// A fresh machine per simulation costs ~32 KB for the OOOVA's default
-	// shape (its construction: the held bookings and stores are
-	// machine-sized) and ~4 KB for REF, on top of the result, so the budget
-	// fails a suite that does not reuse pooled machines.
-	const budget = 16 << 10 // 16 KiB per simulation
-	if perSim > budget {
-		t.Errorf("pooled suite run allocated %d B per simulation (%d B per suite), want <= %d",
-			perSim, perSuite, budget)
+	short, long := perSim(2000), perSim(8000)
+	t.Logf("Fig5 suite: %d B per simulation at 2000 insns, %d B at 8000", short, long)
+	if long > short+slack || short > long+slack {
+		t.Errorf("Fig5 suite allocated %d B per simulation at 2000 insns and %d B at 8000, want within %d B of each other",
+			short, long, slack)
 	}
 }
 

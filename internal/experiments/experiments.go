@@ -13,9 +13,9 @@
 // serially, so rendered output is byte-identical to a serial run for any
 // worker count.
 //
-// Each simulation checks a machine out of its model's process-wide pool
-// (ooosim.Machines, refsim.Machines) for the one run, so a driver's N
-// simulations construct a machine only when the pool is empty, not N times.
+// Each simulation builds its machine for the one run (refsim.Run,
+// ooosim.Run) and drops it: machine state is fixed-size, so construction
+// costs microseconds against the milliseconds a run takes.
 //
 // Drivers share results through the Suite's simcache.Results, the same
 // two-tier cache and key scheme ovserve and ovsweep use: a grid point that
@@ -126,33 +126,23 @@ func (s *Suite) preset(name string) tgen.Preset {
 }
 
 // Ref returns (running and caching) the reference machine result at the
-// given memory latency, simulating on a pooled machine on a miss.
+// given memory latency, simulating on a miss.
 func (s *Suite) Ref(name string, latency int64) *metrics.RunStats {
 	cfg := refsim.DefaultConfig()
 	cfg.MemLatency = latency
 	return s.cached(name, simcache.RefConfigKey(cfg), func() *metrics.RunStats {
-		t := s.Trace(name)
-		m := refsim.Machines.Get(cfg)
-		st := m.Run(t)
-		refsim.Machines.Put(m)
-		return st
+		return refsim.Run(s.Trace(name), cfg)
 	})
 }
 
 // OOO returns (running and caching) the OOOVA result for a configuration,
-// simulating on a pooled machine on a miss. Several drivers revisit the
-// same grid point — Fig5 and Fig9 share the early-commit register sweep,
-// Fig11/Fig12 share their late-commit baselines — so identical simulations
-// run exactly once per suite. Configurations carrying a probe Sink are not
-// cacheable and run directly.
+// simulating on a miss. Several drivers revisit the same grid point — Fig5
+// and Fig9 share the early-commit register sweep, Fig11/Fig12 share their
+// late-commit baselines — so identical simulations run exactly once per
+// suite. Configurations carrying a probe Sink are not cacheable and run
+// directly.
 func (s *Suite) OOO(name string, cfg ooosim.Config) *metrics.RunStats {
-	run := func() *metrics.RunStats {
-		t := s.Trace(name)
-		m := ooosim.Machines.Get(cfg)
-		st := m.Run(t).Stats
-		ooosim.Machines.Put(m)
-		return st
-	}
+	run := func() *metrics.RunStats { return ooosim.Run(s.Trace(name), cfg).Stats }
 	if cfg.Sink != nil {
 		return run()
 	}

@@ -9,12 +9,12 @@ import (
 	"oovec/internal/rob"
 )
 
-// TestPooledMatchesFreshRuns compares the suite's pooled-machine results
-// against fresh one-shot simulator runs for a cross-section of the grid
-// points the drivers visit: every measurement a Render consumes must be
-// byte-identical whether the machine was constructed for the run or revived
-// by Reset.
-func TestPooledMatchesFreshRuns(t *testing.T) {
+// TestMatchesFreshRuns compares the suite's results against one-shot
+// simulator runs outside the suite for a cross-section of the grid points
+// the drivers visit: every measurement a Render consumes must be
+// byte-identical whether it came through the suite's fan-out and result
+// cache or straight from the simulator.
+func TestMatchesFreshRuns(t *testing.T) {
 	s := NewSuite(Opts{Insns: 1200, Parallelism: 2})
 	names := []string{"swm256", "trfd", "bdna"}
 
@@ -25,14 +25,14 @@ func TestPooledMatchesFreshRuns(t *testing.T) {
 			cfg.MemLatency = lat
 			want := refsim.Run(tr, cfg)
 			if got := s.Ref(name, lat); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s lat=%d: pooled REF differs from fresh\ngot:  %+v\nwant: %+v",
+				t.Errorf("%s lat=%d: suite REF differs from fresh\ngot:  %+v\nwant: %+v",
 					name, lat, got, want)
 			}
 		}
 		for _, cfg := range oooSampleConfigs() {
 			want := ooosim.Run(tr, cfg).Stats
 			if got := s.OOO(name, cfg); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s cfg=%+v: pooled OOOVA differs from fresh\ngot:  %+v\nwant: %+v",
+				t.Errorf("%s cfg=%+v: suite OOOVA differs from fresh\ngot:  %+v\nwant: %+v",
 					name, cfg, got, want)
 			}
 		}
@@ -40,7 +40,7 @@ func TestPooledMatchesFreshRuns(t *testing.T) {
 }
 
 // oooSampleConfigs covers the configuration axes the drivers sweep:
-// register counts (shape changes), queue depth, commit policy, elimination.
+// register counts, queue depth, commit policy, elimination.
 func oooSampleConfigs() []ooosim.Config {
 	base := ooosim.DefaultConfig()
 	regs9 := base
@@ -56,28 +56,28 @@ func oooSampleConfigs() []ooosim.Config {
 	return []ooosim.Config{base, regs9, regs64, deepQ, late, elim}
 }
 
-// TestAllDriversPooledVsSerialWorkers renders every experiment from two
-// independent suites — forced-serial (one pooled worker) and one worker per
-// grid point's natural parallelism — and asserts byte-identical output.
-// Unlike TestParallelOutputIdentical this uses small distinct worker counts
-// to stress machine reuse order inside each worker.
-func TestAllDriversPooledVsSerialWorkers(t *testing.T) {
+// TestAllDriversVsSerialWorkers renders every experiment from two
+// independent suites — forced-serial (one worker) and three workers — and
+// asserts byte-identical output. Unlike TestParallelOutputIdentical this
+// uses small distinct worker counts, so grid points interleave across
+// workers in a different order than in the serial suite.
+func TestAllDriversVsSerialWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	serial := NewSuite(Opts{Insns: 1000, Parallelism: 1})
-	pooled := NewSuite(Opts{Insns: 1000, Parallelism: 3})
+	parallel := NewSuite(Opts{Insns: 1000, Parallelism: 3})
 	for _, exp := range AllExperiments {
 		want, err := Run(serial, exp)
 		if err != nil {
 			t.Fatalf("serial %s: %v", exp, err)
 		}
-		got, err := Run(pooled, exp)
+		got, err := Run(parallel, exp)
 		if err != nil {
-			t.Fatalf("pooled %s: %v", exp, err)
+			t.Fatalf("3-worker %s: %v", exp, err)
 		}
 		if got != want {
-			t.Errorf("%s: 3-worker pooled output differs from serial", exp)
+			t.Errorf("%s: 3-worker output differs from serial", exp)
 		}
 	}
 }

@@ -89,11 +89,11 @@ func bytesPerRun(runs int, fn func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestMachineReuseBytesBound guards the bytes/op of the pooled path the
-// experiment drivers and sweep grids run on. A fresh-machine OOOVA run
-// costs ~33 KB here (machine construction; the held bookings and stores
-// are machine-sized); a reused machine must stay under a small constant so
-// a per-run rebuild cannot silently return.
+// TestMachineReuseBytesBound guards the bytes/op of a repeated Run on one
+// machine, the path the root benchmarks and perfbench time. A fresh-machine
+// OOOVA run costs ~33 KB here (machine construction; the held bookings and
+// stores are machine-sized); a reused machine must stay under a small
+// constant so a per-run rebuild inside Run cannot silently return.
 func TestMachineReuseBytesBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
 	mm := NewMachine(DefaultConfig())
@@ -108,7 +108,7 @@ func TestMachineReuseBytesBound(t *testing.T) {
 }
 
 // TestRefMachineReuseBytesBound is the same guard for the reference
-// simulator's pooled path.
+// simulator.
 func TestRefMachineReuseBytesBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
 	mm := refsim.NewMachine(refsim.DefaultConfig())

@@ -12,7 +12,7 @@ package ooosim
 // so a checkpoint is the component snapshots (package sched, iq, rob,
 // bpred, rename, vregfile) plus the machine's own scalars. Scratch buffers
 // and configuration are deliberately excluded — a checkpoint is only
-// restored into a machine already reset to the identical configuration
+// restored into a machine built for the identical configuration
 // (the job layer guarantees this by keying checkpoints on the same
 // canonical-config hash as results).
 
@@ -252,8 +252,8 @@ func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 	return ck
 }
 
-// restore replaces the machine state with ck. The machine must already be
-// reset to the configuration the checkpoint was taken under; structural
+// restore replaces the machine state with ck. The machine must be built for
+// the configuration the checkpoint was taken under; structural
 // mismatches are reported as errors rather than silently corrupting the run.
 // Under CollectRecords the checkpoint holds one rename record per simulated
 // instruction, and otherwise none, so Result.Records stays index-aligned
@@ -362,8 +362,8 @@ type RunOpts = sim.Opts[*Checkpoint]
 // RunCheckpointed simulates the trace like Run, with cooperative
 // cancellation and checkpointing (see sim.Run). On completion it returns
 // (result, nil, nil); on cancellation (nil, checkpoint, ctx error). A run
-// resumed from that checkpoint — on this machine or any other machine reset
-// to the same configuration — ends byte-identical to an uninterrupted run.
+// resumed from that checkpoint — on this machine or any other machine built
+// for the same configuration — ends byte-identical to an uninterrupted run.
 func (mm *Machine) RunCheckpointed(t *trace.Trace, opts RunOpts) (*Result, *Checkpoint, error) {
 	return sim.Run[*Checkpoint, *Result](mm.m, t, opts)
 }

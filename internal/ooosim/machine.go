@@ -11,7 +11,6 @@ import (
 	"oovec/internal/rename"
 	"oovec/internal/rob"
 	"oovec/internal/sched"
-	"oovec/internal/sim"
 	"oovec/internal/trace"
 	"oovec/internal/vregfile"
 )
@@ -32,93 +31,31 @@ func Run(t *trace.Trace, cfg Config) *Result {
 	return NewMachine(cfg).Run(t)
 }
 
-// Machine is a reusable OOOVA simulator instance. Unlike the one-shot Run,
-// a Machine amortises its internal state (rename tables, queues, allocator
-// storage) across runs: Reset restores the power-on state without
-// reallocating when the configuration's structural sizes are unchanged.
-// Machines for up to maxCachedShapes previously seen shapes are retained,
-// so a pooled machine serving a register-count grid rebuilds each shape
-// once, not once per grid point.
+// Machine is an OOOVA simulator instance built for one configuration. Its
+// state is machine-sized (register files, queues, reorder buffer), so
+// production code builds one per run, as the package-level Run does; Run
+// may still be called again on the same machine, and each call starts from
+// power-on state.
 //
-// A Machine is not safe for concurrent use; check one out of Machines for
-// each run.
+// A Machine is not safe for concurrent use.
 type Machine struct {
 	m *machine
-	// shapes retires machines by structural shape when Reset switches
-	// configuration, so revisiting a shape reuses its storage.
-	shapes map[machineShape]*machine
 }
 
-// maxCachedShapes bounds the retired-machine cache: each retired machine
-// holds ~30 KB of machine-sized state (hydro2d at 4k or 40k instructions
-// alike), and a caller resetting across an unbounded structural sweep must
-// not accumulate them all. The repo's grids visit at
-// most ten shapes; beyond the cap, uncached shapes simply rebuild.
-const maxCachedShapes = 16
-
-// machineShape is the comparable key of a configuration's structural sizes.
-type machineShape struct {
-	physV, physA, physS, physM      int
-	queueSlots, robSize, commitWide int
-	banked                          bool
-}
-
-// shapeOf extracts the structural shape of a resolved configuration.
-func shapeOf(cfg Config) machineShape {
-	return machineShape{
-		physV: cfg.PhysVRegs, physA: cfg.PhysARegs,
-		physS: cfg.PhysSRegs, physM: cfg.PhysMRegs,
-		queueSlots: cfg.QueueSlots, robSize: cfg.ROBSize,
-		commitWide: cfg.CommitWidth, banked: cfg.BankedPorts,
-	}
-}
-
-// NewMachine builds a reusable machine for the configuration.
+// NewMachine builds a machine for the configuration.
 func NewMachine(cfg Config) *Machine {
 	return &Machine{m: newMachine(cfg)}
 }
 
-// Machines is the process-wide pool of OOOVA machines: every surface that
-// runs the OOOVA and does not keep the Result's Tables or Records checks a
-// machine out of it for one run.
-var Machines = sim.Pool[Config, *Machine]{New: NewMachine}
-
 // Run simulates the trace from power-on state: RunCheckpointed with zero
 // options. The returned Result's Tables and Records alias machine state and
-// are invalidated by the next Run or Reset; callers that retain them (the
+// are invalidated by the next Run; callers that retain them (the
 // precise-trap demos) should use the package-level Run instead.
 //
-//ovlint:hotpath the reusable-machine run path is the sweep inner loop and must stay allocation-free
+//ovlint:hotpath every run enters the instruction loop here; an allocation outside the per-run setup multiplies by trace length
 func (mm *Machine) Run(t *trace.Trace) *Result {
 	r, _, _ := mm.RunCheckpointed(t, RunOpts{})
 	return r
-}
-
-// Reset restores the power-on state under a (possibly different)
-// configuration. State is reused when cfg keeps the same structural sizes
-// (register files, queues, ROB, port organisation); otherwise the current
-// machine is retired to the shape cache and the new shape's machine is
-// revived from it — or built once, on first encounter.
-//
-//ovlint:coldpath shape changes rebuild storage once per shape, amortised over the sweep
-func (mm *Machine) Reset(cfg Config) {
-	cfg = cfg.WithDefaults()
-	if mm.m.sameShape(cfg) {
-		mm.m.reset(cfg)
-	} else {
-		if mm.shapes == nil {
-			mm.shapes = make(map[machineShape]*machine)
-		}
-		if len(mm.shapes) < maxCachedShapes {
-			mm.shapes[shapeOf(mm.m.cfg)] = mm.m
-		}
-		if prev, ok := mm.shapes[shapeOf(cfg)]; ok {
-			prev.reset(cfg)
-			mm.m = prev
-		} else {
-			mm.m = newMachine(cfg)
-		}
-	}
 }
 
 // Begin implements sim.Model: it restores the power-on state (or resume,
@@ -127,7 +64,7 @@ func (mm *Machine) Reset(cfg Config) {
 //
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
-	m.reset(m.cfg)
+	m.reset()
 	if resume != nil {
 		if err := m.restore(resume); err != nil {
 			return err
@@ -141,7 +78,7 @@ func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
 
 // machine is the OOOVA simulation state.
 type machine struct {
-	cfg Config //ovlint:config a checkpoint is only restored into a machine already reset to the identical configuration
+	cfg Config //ovlint:config a checkpoint is only restored into a machine built for the identical configuration
 
 	// tables is indexed by register class (RegNone unused); a flat array
 	// replaces a map lookup on every rename and operand lookup.
@@ -191,8 +128,8 @@ type machine struct {
 	// sink was attached.
 	stalls   metrics.StallBreakdown
 	occ      metrics.Occupancy
-	robOcc   metrics.OccTable //ovlint:config occupancy bucket table of the shape's ROB size
-	queueOcc metrics.OccTable //ovlint:config occupancy bucket table of the shape's queue size
+	robOcc   metrics.OccTable //ovlint:config occupancy bucket table of the machine's ROB size
+	queueOcc metrics.OccTable //ovlint:config occupancy bucket table of the machine's queue size
 
 	// suppressFrom, when >= 0, marks the first instruction of a squashed
 	// window (fault injection): those instructions never commit, so their
@@ -266,15 +203,11 @@ func newMachine(cfg Config) *machine {
 	return m
 }
 
-// sameShape reports whether cfg keeps every structural size of the current
-// configuration, so reset can reuse the allocated state.
-func (m *machine) sameShape(cfg Config) bool { return shapeOf(cfg) == shapeOf(m.cfg) }
-
-// reset restores the power-on state in place; cfg must satisfy sameShape.
+// reset restores the power-on state in place, under the machine's own
+// configuration.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
-func (m *machine) reset(cfg Config) {
-	m.cfg = cfg
+func (m *machine) reset() {
 	for _, tb := range m.tables {
 		if tb != nil {
 			tb.Reset()
@@ -315,13 +248,7 @@ func (m *machine) reset(cfg Config) {
 	m.occ = metrics.Occupancy{}
 	m.suppressFrom = -1
 	m.records = m.records[:0]
-	if cfg.ElideDeadSpillStores {
-		if m.spillPend == nil {
-			m.spillPend = make(map[[2]uint64]int)
-		} else {
-			clear(m.spillPend)
-		}
-	}
+	clear(m.spillPend)
 }
 
 // tableMap exposes the class-indexed tables in the public map form.

@@ -3,7 +3,7 @@ package refsim
 // Mid-run checkpointing for the reference machine, mirroring
 // ooosim.Checkpoint: the complete deterministic machine state at an
 // instruction boundary, serialisable with encoding/gob, restorable into any
-// machine reset to the same configuration.
+// machine built for the same configuration.
 
 import (
 	"bytes"

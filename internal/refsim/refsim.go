@@ -28,7 +28,6 @@ import (
 	"oovec/internal/metrics"
 	"oovec/internal/probe"
 	"oovec/internal/sched"
-	"oovec/internal/sim"
 	"oovec/internal/trace"
 	"oovec/internal/vregfile"
 )
@@ -85,42 +84,32 @@ func Run(t *trace.Trace, cfg Config) *metrics.RunStats {
 	return NewMachine(cfg).Run(t)
 }
 
-// Machine is a reusable reference-simulator instance, mirroring
-// ooosim.Machine: Reset restores the power-on state without reallocating
-// (the reference machine's structure is fixed, so reuse never rebuilds),
-// amortising the held interval lists across many runs.
+// Machine is a reference-simulator instance, mirroring ooosim.Machine:
+// its state is fixed-size, so production code builds one per run, and each
+// Run on it starts from power-on state.
 //
-// A Machine is not safe for concurrent use; check one out of Machines for
-// each run.
+// A Machine is not safe for concurrent use.
 type Machine struct {
 	m *machine
 }
 
-// NewMachine builds a reusable reference machine for the configuration.
+// NewMachine builds a reference machine for the configuration.
 func NewMachine(cfg Config) *Machine {
 	return &Machine{m: newMachine(cfg)}
 }
 
-// Machines is the process-wide pool of reference machines: every surface
-// that runs REF checks a machine out of it for one run.
-var Machines = sim.Pool[Config, *Machine]{New: NewMachine}
-
 // Run simulates the trace from power-on state: RunCheckpointed with zero
 // options.
 //
-//ovlint:hotpath the reusable-machine run path is the sweep inner loop and must stay allocation-free
+//ovlint:hotpath every run enters the instruction loop here; an allocation outside the per-run setup multiplies by trace length
 func (mm *Machine) Run(t *trace.Trace) *metrics.RunStats {
 	st, _, _ := mm.RunCheckpointed(t, RunOpts{})
 	return st
 }
 
-// Reset restores the power-on state under a (possibly different)
-// configuration.
-func (mm *Machine) Reset(cfg Config) { mm.m.reset(cfg) }
-
 // machine is the reference-simulator state.
 type machine struct {
-	cfg Config //ovlint:config a checkpoint is only restored into a machine already reset to the identical configuration
+	cfg Config //ovlint:config a checkpoint is only restored into a machine built for the identical configuration
 
 	fu1, fu2, bus *sched.Monotonic
 	ports         *vregfile.BankedFile
@@ -167,11 +156,11 @@ func newMachine(cfg Config) *machine {
 	}
 }
 
-// reset restores the power-on state in place, keeping allocated storage.
+// reset restores the power-on state in place, under the machine's own
+// configuration.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
-func (m *machine) reset(cfg Config) {
-	m.cfg = cfg.WithDefaults()
+func (m *machine) reset() {
 	m.fu1.Reset()
 	m.fu2.Reset()
 	m.bus.Reset()
@@ -192,7 +181,7 @@ func (m *machine) reset(cfg Config) {
 //
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) Begin(_ *trace.Trace, resume *Checkpoint) error {
-	m.reset(m.cfg)
+	m.reset()
 	if resume != nil {
 		return m.restore(resume)
 	}

@@ -8,9 +8,8 @@ import (
 )
 
 // TestMachineReuseMatchesFreshRuns runs several (benchmark, config) pairs
-// through one reused Machine and asserts every measurement matches a fresh
-// one-shot Run — the correctness contract of Reset (mirrors
-// internal/ooosim/reuse_test.go).
+// twice back to back on one machine and asserts both runs match a fresh
+// one-shot Run (mirrors internal/ooosim/reuse_test.go).
 func TestMachineReuseMatchesFreshRuns(t *testing.T) {
 	slow := DefaultConfig()
 	slow.MemLatency = 100
@@ -18,34 +17,28 @@ func TestMachineReuseMatchesFreshRuns(t *testing.T) {
 	fast.MemLatency = 1
 	noPenalty := DefaultConfig()
 	noPenalty.TakenBranchPenalty = 0
-	configs := []Config{DefaultConfig(), slow, fast, noPenalty, DefaultConfig()}
+	configs := []Config{DefaultConfig(), slow, fast, noPenalty}
 
-	var mm *Machine
 	for _, name := range []string{"swm256", "trfd", "bdna"} {
 		p, _ := tgen.PresetByName(name)
 		p.Insns = 2000
 		tr := tgen.Generate(p)
 		for ci, cfg := range configs {
 			want := Run(tr, cfg)
-			if mm == nil {
-				mm = NewMachine(cfg)
-			} else {
-				mm.Reset(cfg)
-			}
-			got := mm.Run(tr)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s config %d: reused machine stats differ\ngot:  %+v\nwant: %+v",
+			mm := NewMachine(cfg)
+			if got := mm.Run(tr); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s config %d: machine stats differ\ngot:  %+v\nwant: %+v",
 					name, ci, got, want)
 			}
 			// Back-to-back Run on a dirty machine must self-reset.
 			if again := mm.Run(tr); !reflect.DeepEqual(again, want) {
-				t.Errorf("%s config %d: second reused run differs", name, ci)
+				t.Errorf("%s config %d: second run on the machine differs", name, ci)
 			}
 		}
 	}
 }
 
-// TestMachineZeroConfigDefaults checks that a reused machine resolves the
+// TestMachineZeroConfigDefaults checks that a Machine resolves the
 // latency defaults exactly like the package-level Run.
 func TestMachineZeroConfigDefaults(t *testing.T) {
 	p, _ := tgen.PresetByName("hydro2d")
@@ -55,6 +48,6 @@ func TestMachineZeroConfigDefaults(t *testing.T) {
 	want := Run(tr, Config{})
 	got := NewMachine(Config{}).Run(tr)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("zero-config reused run differs\ngot:  %+v\nwant: %+v", got, want)
+		t.Errorf("zero-config machine run differs\ngot:  %+v\nwant: %+v", got, want)
 	}
 }

@@ -1,11 +1,12 @@
 // Package server exposes the simulators as a long-lived HTTP/JSON service —
-// the ovserve daemon. Where the CLIs pay trace generation and machine
-// construction per process, the server amortises them across requests: the
-// content-addressed result cache (package simcache) makes a repeated
-// identical request a lookup that performs zero new simulations, concurrent
-// identical requests coalesce onto one simulation (singleflight), each run
-// checks a machine out of its model's process-wide pool, and generated
-// traces are shared process-wide.
+// the ovserve daemon. Where the CLIs pay trace generation per process, the
+// server amortises it across requests: the content-addressed result cache
+// (package simcache) makes a repeated identical request a lookup that
+// performs zero new simulations, concurrent identical requests coalesce onto
+// one simulation (singleflight), and generated traces are shared
+// process-wide. Each simulation builds its machine for the one run and
+// drops it; machine state is fixed-size, so construction is cheap beside
+// the run.
 //
 // Endpoints:
 //

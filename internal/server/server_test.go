@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"oovec/internal/cli"
 	"oovec/internal/ooosim"
 	"oovec/internal/refsim"
 	"oovec/internal/simcache"
@@ -369,6 +370,12 @@ func TestPresetsAndHealthz(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t)
+	p, _ := tgen.PresetByName("trfd")
+	p.Insns = 200
+	var upload bytes.Buffer
+	if err := trace.Write(&upload, tgen.Generate(p)); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		req  SimRequest
@@ -384,17 +391,29 @@ func TestBadRequests(t *testing.T) {
 		{"bad commit", SimRequest{Bench: "trfd", Config: SimConfig{Commit: "sideways"}}},
 		{"ooo fields on ref", SimRequest{Bench: "trfd", Machine: "ref", Config: SimConfig{VRegs: 16}}},
 		{"corrupt upload", SimRequest{Trace: []byte("not an OVTR trace")}},
+		{"insns beside an upload", SimRequest{Trace: upload.Bytes(), Insns: 100}},
+		{"vregs past the limit", SimRequest{Bench: "trfd", Config: SimConfig{VRegs: cli.MaxStructure + 1}}},
+		{"queues past the limit", SimRequest{Bench: "trfd", Config: SimConfig{Queues: cli.MaxStructure + 1}}},
 	}
 	for _, tc := range cases {
 		if rec := post(t, s, "/v1/sim", tc.req); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, rec.Code, rec.Body)
 		}
+		if rec := post(t, s, "/v1/jobs", JobRequest{Sim: tc.req}); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s as a job: status %d, want 400 (%s)", tc.name, rec.Code, rec.Body)
+		}
+	}
+	if n := metricValue(t, s, "ovserve_sims_total"); n != 0 {
+		t.Errorf("sims_total = %d after rejected requests, want 0", n)
 	}
 	if rec := post(t, s, "/v1/sweep", SweepRequest{}); rec.Code != http.StatusBadRequest {
 		t.Errorf("empty sweep: status %d, want 400", rec.Code)
 	}
 	if rec := post(t, s, "/v1/sweep", SweepRequest{Bench: []string{"trfd"}, Lats: []int64{0}}); rec.Code != http.StatusBadRequest {
 		t.Errorf("zero latency sweep: status %d, want 400", rec.Code)
+	}
+	if rec := post(t, s, "/v1/sweep", SweepRequest{Bench: []string{"trfd"}, Regs: []int{cli.MaxStructure + 1}}); rec.Code != http.StatusBadRequest {
+		t.Errorf("sweep regs past the limit: status %d, want 400", rec.Code)
 	}
 	// Method mismatches.
 	if rec := get(t, s, "/v1/sim"); rec.Code != http.StatusMethodNotAllowed {

@@ -80,6 +80,9 @@ func (s *Server) loadTrace(req *SimRequest) (func() *trace.Trace, string, error)
 		// would, without generating first.
 		return func() *trace.Trace { return simcache.GenerateTrace(p) }, simcache.PresetKey(p), nil
 	case len(req.Trace) > 0:
+		if req.Insns != 0 {
+			return nil, "", errors.New("insns applies to presets only, not to an uploaded trace")
+		}
 		t, err := trace.ReadLimited(bytes.NewReader(req.Trace), s.traceLimits)
 		if err != nil {
 			return nil, "", fmt.Errorf("decoding uploaded trace: %w", err)
@@ -144,7 +147,10 @@ func (s *Server) planSim(req *SimRequest) (*simPlan, error) {
 			return nil, err
 		}
 		key := simcache.ResultKey(simcache.OOOConfigKey(cfg), traceKey)
-		return newSimPlan("OOOVA", key, getTrace, &ooosim.Machines, cfg, ooosim.DecodeCheckpoint,
+		run := func(t *trace.Trace, o ooosim.RunOpts) (*ooosim.Result, *ooosim.Checkpoint, error) {
+			return ooosim.NewMachine(cfg).RunCheckpointed(t, o)
+		}
+		return newSimPlan("OOOVA", key, getTrace, run, ooosim.DecodeCheckpoint,
 			func(r *ooosim.Result) *metrics.RunStats { return r.Stats }), nil
 	case "ref":
 		cfg, err := req.Config.RefConfig()
@@ -152,18 +158,14 @@ func (s *Server) planSim(req *SimRequest) (*simPlan, error) {
 			return nil, err
 		}
 		key := simcache.ResultKey(simcache.RefConfigKey(cfg), traceKey)
-		return newSimPlan("REF", key, getTrace, &refsim.Machines, cfg, refsim.DecodeCheckpoint,
+		run := func(t *trace.Trace, o refsim.RunOpts) (*metrics.RunStats, *refsim.Checkpoint, error) {
+			return refsim.NewMachine(cfg).RunCheckpointed(t, o)
+		}
+		return newSimPlan("REF", key, getTrace, run, refsim.DecodeCheckpoint,
 			func(st *metrics.RunStats) *metrics.RunStats { return st }), nil
 	default:
 		return nil, fmt.Errorf("unknown machine %q (ooo | ref)", req.Machine)
 	}
-}
-
-// simMachine is what the plan body needs of a simulator's Machine: pooled
-// reset plus the checkpointable run.
-type simMachine[Cfg any, C sim.Checkpoint, R any] interface {
-	Reset(Cfg)
-	RunCheckpointed(*trace.Trace, sim.Opts[C]) (R, C, error)
 }
 
 // encodedCheckpoint is a checkpoint handle with its machine's gob encoding.
@@ -173,11 +175,12 @@ type encodedCheckpoint interface {
 }
 
 // newSimPlan builds both runners of a plan over one machine model: machine
-// names it in spans, pool is the model's machine pool (ooosim.Machines,
-// refsim.Machines), decode reads a resumed checkpoint and stats extracts the
-// measurements from a result.
-func newSimPlan[Cfg any, M simMachine[Cfg, C, R], C encodedCheckpoint, R any](
-	machine, key string, getTrace func() *trace.Trace, pool *sim.Pool[Cfg, M], cfg Cfg,
+// names it in spans, simulate runs the trace on a machine built for the run
+// (NewMachine(cfg).RunCheckpointed), decode reads a resumed checkpoint and
+// stats extracts the measurements from a result.
+func newSimPlan[C encodedCheckpoint, R any](
+	machine, key string, getTrace func() *trace.Trace,
+	simulate func(*trace.Trace, sim.Opts[C]) (R, C, error),
 	decode func([]byte) (C, error), stats func(R) *metrics.RunStats,
 ) *simPlan {
 	runCk := func(ctx context.Context, resume []byte, ckEvery int, cb ckCallbacks) (*metrics.RunStats, []byte, int, error) {
@@ -201,8 +204,7 @@ func newSimPlan[Cfg any, M simMachine[Cfg, C, R], C encodedCheckpoint, R any](
 		sp.SetAttr("machine", machine)
 		sp.SetInt("resume_from", int64(start))
 		defer sp.End()
-		m := pool.Get(cfg)
-		r, stop, err := m.RunCheckpointed(t, sim.Opts[C]{
+		r, stop, err := simulate(t, sim.Opts[C]{
 			Ctx:             ctx,
 			CheckpointEvery: ckEvery,
 			OnCheckpoint: func(ck C) {
@@ -213,7 +215,6 @@ func newSimPlan[Cfg any, M simMachine[Cfg, C, R], C encodedCheckpoint, R any](
 			OnProgress: cb.onProgress,
 			Resume:     res,
 		})
-		pool.Put(m) // not deferred: a run that panicked drops its machine
 		if err != nil {
 			var b []byte
 			next := start

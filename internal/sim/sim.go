@@ -1,21 +1,22 @@
 // Package sim owns what every machine model shares: the instruction loop
 // that drives a model over a trace — with its abort checks, progress
-// reports and periodic checkpoints — the options that configure it, and the
-// machine pool type behind each model's one process-wide pool.
+// reports and periodic checkpoints — and the options that configure it.
 //
 // A machine model (ooosim's OOOVA, refsim's in-order reference machine)
 // implements Model on its internal state and exposes sim.Run through its
-// public Machine type, and declares one Pool of its machines next to its
-// NewMachine (ooosim.Machines, refsim.Machines). Adding a model means
-// writing one package with those four methods, a checkpoint type and that
-// pool; the loop, cancellation, resume validation and recycling come from
-// here.
+// public Machine type. Adding a model means writing one package with those
+// four methods and a checkpoint type; the loop, cancellation and resume
+// validation come from here.
+//
+// Machines are not recycled: every run builds its machine and drops it.
+// A model's state is machine-sized (its register files, queues and reorder
+// buffer, never a trace-length buffer), so construction is a fixed cost of
+// microseconds and a few tens of kilobytes, small beside any run.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"oovec/internal/isa"
 	"oovec/internal/trace"
@@ -82,7 +83,7 @@ type Opts[C Checkpoint] struct {
 // Run simulates the trace on m. On completion it returns (result, nil,
 // nil). On cancellation it returns (zero, checkpoint, ctx error): the
 // checkpoint captures the exact boundary the run stopped at, so a later Run
-// with Resume set continues — on this model or any other reset to the same
+// with Resume set continues — on this model or any other built for the same
 // configuration — and its final result is byte-identical to an
 // uninterrupted run's. A checkpoint that does not fit the trace or the
 // model is rejected with an error before any instruction runs.
@@ -149,32 +150,3 @@ func begin[C Checkpoint, R any](m Model[C, R], t *trace.Trace, resume C) (int, e
 	}
 	return start, m.Begin(t, resume)
 }
-
-// Pool recycles machines across concurrent borrowers. Each machine model
-// declares exactly one, and it is the only place its machines are reused:
-// the experiment suite, every sweep grid point and the server's /v1/sim and
-// /v1/jobs runs check a machine out for one run and check it back in. A
-// machine keeps its buffers between runs, so a pooled run pays for
-// construction and buffer growth once per machine, not once per run.
-// Machines stay single-goroutine objects; the pool hands each one to one
-// borrower at a time.
-type Pool[Cfg any, M interface{ Reset(Cfg) }] struct {
-	// New builds a machine when the pool is empty.
-	New func(Cfg) M
-
-	p sync.Pool
-}
-
-// Get checks out a machine reset to cfg, building one if the pool is empty.
-func (p *Pool[Cfg, M]) Get(cfg Cfg) M {
-	if m, ok := p.p.Get().(M); ok {
-		m.Reset(cfg)
-		return m
-	}
-	return p.New(cfg)
-}
-
-// Put checks a machine back in for a later Get to reuse. Call it only after
-// the machine's run returned: a run that panicked may have left the machine
-// inconsistent, so its borrower drops it instead (Put is never deferred).
-func (p *Pool[Cfg, M]) Put(m M) { p.p.Put(m) }

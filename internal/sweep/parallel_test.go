@@ -40,10 +40,10 @@ func TestGridWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestGridPooledMatchesFresh rebuilds both grids with fresh one-shot
-// simulator runs and asserts the pooled-machine grids produce byte-identical
-// CSV — the correctness contract of threading reusable machines through the
-// sweep layer.
+// TestGridPooledMatchesFresh rebuilds both grids with one-shot simulator
+// runs outside the sweep layer and asserts the grids produce byte-identical
+// CSV for every worker count: the grid's fan-out and point assembly change
+// no measurement.
 func TestGridPooledMatchesFresh(t *testing.T) {
 	p, _ := tgen.PresetByName("bdna")
 	p.Insns = 1000
@@ -94,10 +94,10 @@ func TestGridPooledMatchesFresh(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 0} {
 		if got := render(mustGrid(refGrid(tr, lats, Opts{Workers: workers}))); got != render(freshRef) {
-			t.Errorf("refGrid(Workers: %d): pooled CSV differs from fresh runs", workers)
+			t.Errorf("refGrid(Workers: %d): grid CSV differs from fresh runs", workers)
 		}
 		if got := render(mustGrid(oooGrid(tr, base, regs, lats, Opts{Workers: workers}))); got != render(freshOOO) {
-			t.Errorf("oooGrid(Workers: %d): pooled CSV differs from fresh runs", workers)
+			t.Errorf("oooGrid(Workers: %d): grid CSV differs from fresh runs", workers)
 		}
 	}
 }

@@ -84,6 +84,9 @@ func (s Spec) resolve() (plan, error) {
 			if r <= isa.NumLogicalV {
 				return p, fmt.Errorf("regs %d: the OOOVA needs more than %d physical vector registers (one per architectural register plus at least one for renaming)", r, isa.NumLogicalV)
 			}
+			if r > cli.MaxStructure {
+				return p, fmt.Errorf("regs %d: at most %d physical vector registers", r, cli.MaxStructure)
+			}
 		}
 	}
 	for _, l := range p.lats {

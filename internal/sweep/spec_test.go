@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"oovec/internal/cli"
 	"oovec/internal/ooosim"
 	"oovec/internal/tgen"
 )
@@ -29,6 +30,9 @@ func TestSpecResolve(t *testing.T) {
 		{"regs 8 on ooo", edit(func(s *Spec) { s.Machine, s.Regs = "ooo", []int{16, 8} }), false},
 		{"regs 8 on both", edit(func(s *Spec) { s.Machine, s.Regs = "both", []int{8} }), false},
 		{"regs 8 on ref", edit(func(s *Spec) { s.Machine, s.Regs, s.Lats = "ref", []int{8}, []int64{50} }), true},
+		{"regs at the limit", edit(func(s *Spec) { s.Regs, s.Lats = []int{cli.MaxStructure}, []int64{50} }), true},
+		{"regs past the limit", edit(func(s *Spec) { s.Regs = []int{16, cli.MaxStructure + 1} }), false},
+		{"regs past the limit on both", edit(func(s *Spec) { s.Machine, s.Regs = "both", []int{cli.MaxStructure + 1} }), false},
 		{"lats 0", edit(func(s *Spec) { s.Lats = []int64{1, 0} }), false},
 		{"negative insns", edit(func(s *Spec) { s.Insns = -5 }), false},
 		{"bad commit", edit(func(s *Spec) { s.Commit = "sideways" }), false},

@@ -5,9 +5,9 @@
 // Grid points are independent simulations; the grid runners fan them
 // across a worker pool (package engine) while keeping the CSV row order —
 // and therefore the output bytes — identical to a serial run. Each grid
-// point checks a machine out of its model's process-wide pool
-// (ooosim.Machines, refsim.Machines) for its one run, so consecutive grids
-// reuse the machines — and the buffers — earlier grids built.
+// point builds its machine for its one run (refsim.Run, ooosim.Run) and
+// drops it: machine state is fixed-size, so construction is cheap beside
+// the run.
 //
 // Opts adds the two production concerns of a long-lived
 // design-space-exploration service: per-point result caching (every grid
@@ -110,9 +110,9 @@ func endPoint(sp *span.Span, cached bool) {
 	sp.End()
 }
 
-// point produces one measurement: sim runs it on a pooled machine, through
-// the cache when configured (keyed by cfgKey, the machine's simcache config
-// key), inside a grid-point span.
+// point produces one measurement: sim runs it on a machine built for the
+// run, through the cache when configured (keyed by cfgKey, the machine's
+// simcache config key), inside a grid-point span.
 func (o Opts) point(machine, cfgKey string, sim func() *metrics.RunStats) *metrics.RunStats {
 	run := func() *metrics.RunStats {
 		if o.OnSim != nil {
@@ -155,10 +155,7 @@ func refGrid(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
 		cfg := refsim.DefaultConfig()
 		cfg.MemLatency = latencies[i]
 		st := o.point("REF", simcache.RefConfigKey(cfg), func() *metrics.RunStats {
-			m := refsim.Machines.Get(cfg)
-			st := m.Run(t)
-			refsim.Machines.Put(m)
-			return st
+			return refsim.Run(t, cfg)
 		})
 		return Point{
 			Program: t.Name, Machine: "REF", Latency: latencies[i],
@@ -170,11 +167,10 @@ func refGrid(t *trace.Trace, latencies []int64, o Opts) ([]Point, error) {
 
 // oooGrid runs the OOOVA over the cross product of register counts and
 // latencies, with all other parameters taken from base, under Opts: fanned
-// across the worker pool (register-count changes revive the matching shape
-// from the pooled machine's shape cache), served from the result cache
-// where configured, cancellable between points. The points come back
-// register-major for any worker count; on cancellation it returns the
-// context's error and the points must be discarded.
+// across the worker pool, served from the result cache where configured,
+// cancellable between points. The points come back register-major for any
+// worker count; on cancellation it returns the context's error and the
+// points must be discarded.
 func oooGrid(t *trace.Trace, base ooosim.Config, vregs []int, latencies []int64, o Opts) ([]Point, error) {
 	nl := len(latencies)
 	return grid(o, len(vregs)*nl, func(k int) Point {
@@ -183,10 +179,7 @@ func oooGrid(t *trace.Trace, base ooosim.Config, vregs []int, latencies []int64,
 		cfg.PhysVRegs = regs
 		cfg.MemLatency = lat
 		st := o.point("OOOVA", simcache.OOOConfigKey(cfg), func() *metrics.RunStats {
-			m := ooosim.Machines.Get(cfg)
-			st := m.Run(t).Stats
-			ooosim.Machines.Put(m)
-			return st
+			return ooosim.Run(t, cfg).Stats
 		})
 		// Report the exact parameters the simulator resolved, so CSV rows
 		// cannot drift from what actually ran.

@@ -34,7 +34,7 @@
 //
 // Beyond the library, the repository ships CLIs (cmd/ovbench, ovsweep,
 // ovsim, ovtrace) and a simulation-as-a-service daemon (cmd/ovserve). See
-// docs/ARCHITECTURE.md for the package map and pooling/caching data flow,
+// docs/ARCHITECTURE.md for the package map and caching data flow,
 // and docs/API.md for the ovserve HTTP API.
 package oovec
 
