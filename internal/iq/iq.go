@@ -29,9 +29,26 @@ import (
 // set at 16 slots"); the OOOVA-128 configuration uses 128.
 const DefaultSlots = 16
 
+// Slots is the occupancy window every queue admits through: decode stalls
+// on it, and the simulator samples it, through whichever queue an
+// instruction enters.
+type Slots struct {
+	window *sched.RingWindow
+}
+
+// AdmitConstraint returns the earliest cycle a new instruction can be
+// admitted (decode stalls until the queue has a slot).
+func (s *Slots) AdmitConstraint() int64 { return s.window.FreeAt() }
+
+// Occupied returns the number of queue slots held at the given cycle.
+func (s *Slots) Occupied(now int64) int { return s.window.Occupied(now) }
+
+// Reserve does nothing: the queue is sized by its capacity.
+func (s *Slots) Reserve(int) {}
+
 // Queue is an A/S/V-style out-of-order issue queue.
 type Queue struct {
-	window *sched.RingWindow
+	Slots
 	// floor is one past the latest departure of an evicted occupant. Issue
 	// books no earlier, so the port stays one-per-cycle for callers that
 	// ignore AdmitConstraint; a caller that waits never meets it.
@@ -43,12 +60,8 @@ func NewQueue(capacity int) *Queue {
 	if capacity <= 0 {
 		capacity = DefaultSlots
 	}
-	return &Queue{window: sched.NewRingWindow(capacity)}
+	return &Queue{Slots: Slots{sched.NewRingWindow(capacity)}}
 }
-
-// AdmitConstraint returns the earliest cycle a new instruction can be
-// admitted (decode stalls until the queue has a slot).
-func (q *Queue) AdmitConstraint() int64 { return q.window.FreeAt() }
 
 // Issue admits an instruction that enters the queue at `enter` and whose
 // operands are ready at `ready`, books the 1-per-cycle issue port at the
@@ -62,12 +75,6 @@ func (q *Queue) Issue(enter, ready int64) int64 {
 	}
 	return q.window.AdmitFirstFree(max(enter, ready, q.floor))
 }
-
-// Occupied returns the number of queue slots held at the given cycle.
-func (q *Queue) Occupied(now int64) int { return q.window.Occupied(now) }
-
-// Reserve does nothing: the queue is sized by its capacity.
-func (q *Queue) Reserve(int) {}
 
 // Reset empties the queue for reuse, keeping its capacity.
 func (q *Queue) Reset() {
@@ -102,7 +109,7 @@ type StoreBuffer interface {
 // MemQueue is the memory instruction queue with its in-order front pipeline
 // and range-based disambiguation.
 type MemQueue struct {
-	window *sched.RingWindow
+	Slots
 	// free holds the next free cycle of the in-order one-per-cycle front
 	// stages: Issue/RF, Range and Dependence.
 	free [3]int64
@@ -125,19 +132,12 @@ func NewMemQueue(capacity int) *MemQueue {
 		capacity = DefaultSlots
 	}
 	w := min(capacity, maxScan)
-	return &MemQueue{window: sched.NewRingWindow(capacity), scanWin: w, ranges: rangeidx.New(w)}
+	return &MemQueue{Slots: Slots{sched.NewRingWindow(capacity)}, scanWin: w, ranges: rangeidx.New(w)}
 }
 
 // Attach makes sb the store buffer that places the queue's pending stores.
 // A queue without one records no pending stores.
 func (q *MemQueue) Attach(sb StoreBuffer) { q.sb = sb }
-
-// AdmitConstraint returns the earliest cycle a new memory instruction can be
-// admitted to the queue.
-func (q *MemQueue) AdmitConstraint() int64 { return q.window.FreeAt() }
-
-// Reserve does nothing: the queue is sized by its capacity.
-func (q *MemQueue) Reserve(int) {}
 
 // Advance pushes an instruction entering the queue at `enter` through the
 // three in-order front stages and returns the cycle it leaves the
@@ -262,9 +262,6 @@ func (q *MemQueue) rebuildRanges() {
 		q.ranges.Insert(i%q.scanWin, e.start, e.end, e.isStore)
 	}
 }
-
-// Occupied returns the number of queue slots held at the given cycle.
-func (q *MemQueue) Occupied(now int64) int { return q.window.Occupied(now) }
 
 // Reset empties the queue and its front pipeline for reuse.
 func (q *MemQueue) Reset() {

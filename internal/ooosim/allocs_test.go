@@ -152,3 +152,36 @@ func TestFreshRunBytesIndependentOfTraceLength(t *testing.T) {
 		}
 	}
 }
+
+// TestFreshRunBytesBound bounds the bytes one fresh machine's run
+// allocates: the machine itself plus the held bookings and stores, which
+// are sized by the work in flight. A default OOOVA measures ~33–34 KB, a
+// 128-slot one ~54–55 KB and REF ~4.4 KB on these presets, so a structure
+// that grows the machine (a longer calendar horizon, a per-run table) has
+// to show here, where the 10k-versus-80k guard above would not see it.
+func TestFreshRunBytesBound(t *testing.T) {
+	slots128 := DefaultConfig()
+	slots128.QueueSlots = 128
+	runs := []struct {
+		name  string
+		bound uint64
+		run   func(*trace.Trace)
+	}{
+		{"OOOVA", 40 << 10, func(tr *trace.Trace) { NewMachine(DefaultConfig()).Run(tr) }},
+		{"OOOVA-128", 64 << 10, func(tr *trace.Trace) { NewMachine(slots128).Run(tr) }},
+		{"REF", 8 << 10, func(tr *trace.Trace) { refsim.NewMachine(refsim.DefaultConfig()).Run(tr) }},
+	}
+	for _, bench := range []string{"hydro2d", "swm256", "bdna"} {
+		p, _ := tgen.PresetByName(bench)
+		p.Insns = 10_000
+		tr := tgen.Generate(p)
+		for _, r := range runs {
+			r.run(tr) // warm up any lazy runtime state
+			per := bytesPerRun(3, func() { r.run(tr) })
+			t.Logf("%s/%s: %d B/run", bench, r.name, per)
+			if per > r.bound {
+				t.Errorf("%s/%s: a fresh machine's run allocated %d B, want <= %d", bench, r.name, per, r.bound)
+			}
+		}
+	}
+}

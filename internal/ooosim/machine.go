@@ -282,23 +282,19 @@ func (m *machine) scalarReadyFor(class isa.RegClass, phys int) int64 {
 	return 0
 }
 
-// allocDst renames the destination register, returning the rename record
-// and the cycle the new physical register is available.
-func (m *machine) allocDst(in *isa.Instruction) (rename.Record, int64) {
-	tb := m.tables[in.Dst.Class]
-	np, op, rdy, ok := tb.Allocate(int(in.Dst.Idx))
+// allocDst renames the destination register into rec, in place, and
+// returns the cycle the new physical register is available.
+func (m *machine) allocDst(in *isa.Instruction, rec *rename.Record) int64 {
+	np, op, rdy, ok := m.tables[in.Dst.Class].Allocate(int(in.Dst.Idx))
 	if !ok {
 		// Guaranteed impossible for numPhysical > numLogical: every prior
 		// allocation's matching release has already been recorded.
 		panic(fmt.Sprintf("ooosim: %v free list empty", in.Dst.Class)) //ovlint:allow hotpath panic path, unreachable in a valid run
 	}
-	return rename.Record{
-		Class:     in.Dst.Class,
-		Logical:   int(in.Dst.Idx),
-		OldPhys:   op,
-		NewPhys:   np,
-		HasRename: true,
-	}, rdy
+	// Field by field: a composite literal is built on the stack and copied
+	// in mixed widths, which stalls the copy's loads on its byte store.
+	rec.Class, rec.Logical, rec.OldPhys, rec.NewPhys, rec.HasRename = in.Dst.Class, int(in.Dst.Idx), op, np, true
+	return rdy
 }
 
 // Step implements sim.Model: it processes one dynamic instruction through
@@ -329,25 +325,30 @@ func (m *machine) Step(idx int, in *isa.Instruction) {
 		}
 		dec = c
 	}
+	// The target queue's slots, stall counter and occupancy histogram are
+	// chosen once: decode stalls on the slots and samples them below.
 	unit := in.Op.ExecUnit()
-	var qAdmit int64
+	var q *iq.Slots
 	var qFull *int64
+	var qOcc *metrics.OccHist
 	switch unit {
 	case isa.UnitA, isa.UnitCtl:
-		qAdmit, qFull = m.aQ.AdmitConstraint(), &m.stalls.IQFullA
+		q, qFull, qOcc = &m.aQ.Slots, &m.stalls.IQFullA, &m.occ.IQA
 	case isa.UnitS:
-		qAdmit, qFull = m.sQ.AdmitConstraint(), &m.stalls.IQFullS
+		q, qFull, qOcc = &m.sQ.Slots, &m.stalls.IQFullS, &m.occ.IQS
 	case isa.UnitV:
-		qAdmit, qFull = m.vQ.AdmitConstraint(), &m.stalls.IQFullV
+		q, qFull, qOcc = &m.vQ.Slots, &m.stalls.IQFullV, &m.occ.IQV
 	case isa.UnitMem:
-		qAdmit, qFull = m.mQ.AdmitConstraint(), &m.stalls.IQFullM
+		q, qFull, qOcc = &m.mQ.Slots, &m.stalls.IQFullM, &m.occ.IQM
 	}
-	if qAdmit > dec {
-		*qFull += qAdmit - dec
-		if s := cfg.Sink; s != nil {
-			s.Stall(probe.CauseIQFull, qAdmit-dec)
+	if q != nil {
+		if c := q.AdmitConstraint(); c > dec {
+			*qFull += c - dec
+			if s := cfg.Sink; s != nil {
+				s.Stall(probe.CauseIQFull, c-dec)
+			}
+			dec = c
 		}
-		dec = qAdmit
 	}
 
 	// §6.2: with vector load elimination, instructions touching vector
@@ -368,7 +369,7 @@ func (m *machine) Step(idx int, in *isa.Instruction) {
 	writesReg := in.WritesReg()
 	deferredAlloc := vleDefer && writesReg && in.Dst.Class == isa.RegV
 	if writesReg && !deferredAlloc {
-		rec, dstReadyAt = m.allocDst(in)
+		dstReadyAt = m.allocDst(in, &rec)
 		if dstReadyAt > dec && !vleDefer {
 			m.noteNoPhys(in.Dst.Class, dstReadyAt-dec)
 			dec = dstReadyAt
@@ -379,15 +380,8 @@ func (m *machine) Step(idx int, in *isa.Instruction) {
 	// Occupancy sampling: how full the reorder buffer and the target issue
 	// queue were at the cycle this instruction cleared decode.
 	m.occ.ROB.Observe(m.robOcc, m.rob.Occupied(dec))
-	switch unit {
-	case isa.UnitA, isa.UnitCtl:
-		m.occ.IQA.Observe(m.queueOcc, m.aQ.Occupied(dec))
-	case isa.UnitS:
-		m.occ.IQS.Observe(m.queueOcc, m.sQ.Occupied(dec))
-	case isa.UnitV:
-		m.occ.IQV.Observe(m.queueOcc, m.vQ.Occupied(dec))
-	case isa.UnitMem:
-		m.occ.IQM.Observe(m.queueOcc, m.mQ.Occupied(dec))
+	if q != nil {
+		qOcc.Observe(m.queueOcc, q.Occupied(dec))
 	}
 
 	var issue, execStart, complete int64
@@ -519,7 +513,7 @@ func (m *machine) execVector(in *isa.Instruction, dec, vl int64, vleDefer bool, 
 	}
 	var dstReadyAt int64
 	if vleDefer && in.WritesReg() && in.Dst.Class == isa.RegV {
-		*rec, dstReadyAt = m.allocDst(in)
+		dstReadyAt = m.allocDst(in, rec)
 	}
 
 	ready := enterQ
@@ -671,7 +665,7 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 	// Deferred vector rename (§6.2) for non-eliminated vector ops.
 	var dstReadyAt int64
 	if vleDefer && in.WritesReg() && in.Dst.Class == isa.RegV {
-		*rec, dstReadyAt = m.allocDst(in)
+		dstReadyAt = m.allocDst(in, rec)
 	}
 
 	ready := depT

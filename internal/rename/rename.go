@@ -86,12 +86,17 @@ func (t *Table) Reset() {
 
 // push appends a free entry at the ring tail, which has room for every register.
 func (t *Table) push(e freeEntry) {
-	i := t.head + t.count
+	t.free[t.wrap(t.head+t.count)] = e
+	t.count++
+}
+
+// wrap returns ring index i, less than twice the ring length, wrapped by a
+// compare rather than a division.
+func (t *Table) wrap(i int) int {
 	if i >= len(t.free) {
 		i -= len(t.free)
 	}
-	t.free[i] = e
-	t.count++
+	return i
 }
 
 // MustNewTable is NewTable that panics on error (for fixed valid configs).
@@ -122,9 +127,7 @@ func (t *Table) Allocate(logical int) (newPhys, oldPhys int, readyAt int64, ok b
 		return 0, 0, 0, false
 	}
 	e := t.free[t.head]
-	if t.head++; t.head == len(t.free) {
-		t.head = 0
-	}
+	t.head = t.wrap(t.head + 1)
 	t.count--
 	oldPhys = t.mapping[logical]
 	t.mapping[logical] = e.Phys
@@ -158,13 +161,12 @@ func (t *Table) Release(phys int, at int64) {
 func (t *Table) AliasTo(logical, phys int) (oldPhys int) {
 	if t.refcnt[phys] == 0 {
 		// Remove phys from the ring, preserving availability order.
-		n := len(t.free)
 		for i := 0; i < t.count; i++ {
-			if t.free[(t.head+i)%n].Phys != phys {
+			if t.free[t.wrap(t.head+i)].Phys != phys {
 				continue
 			}
 			for j := i; j < t.count-1; j++ {
-				t.free[(t.head+j)%n] = t.free[(t.head+j+1)%n]
+				t.free[t.wrap(t.head+j)] = t.free[t.wrap(t.head+j+1)]
 			}
 			t.count--
 			break

@@ -2,6 +2,7 @@ package rename
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -359,5 +360,47 @@ func TestPropertyInvalidationNeverLeavesOverlappingValidTags(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAliasToAcrossRingWrap drives Allocate, Release and AliasTo with
+// random operations, so the free ring's head and the removed entry wrap
+// past the end of the ring, and checks the free list after every step
+// against a plain slice kept in availability order.
+func TestAliasToAcrossRingWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tb := MustNewTable(isa.RegV, 12)
+	free := tb.Snapshot().Free // the reference free list, oldest first
+	var at int64
+	for step := range 4000 {
+		l := rng.Intn(tb.NumLogical)
+		var old int
+		if rng.Intn(3) == 0 {
+			phys := rng.Intn(tb.NumPhysical)
+			if i := slices.IndexFunc(free, func(e FreeEntry) bool { return e.Phys == phys }); i >= 0 {
+				free = slices.Delete(free, i, i+1)
+			}
+			old = tb.AliasTo(l, phys)
+		} else {
+			np, o, _, ok := tb.Allocate(l)
+			if !ok {
+				t.Fatalf("step %d: free list empty", step)
+			}
+			if np != free[0].Phys {
+				t.Fatalf("step %d: Allocate = %d, reference head %d", step, np, free[0].Phys)
+			}
+			free, old = free[1:], o
+		}
+		at += int64(rng.Intn(3))
+		tb.Release(old, at)
+		if tb.Snapshot().Refcnt[old] == 0 {
+			free = append(free, FreeEntry{Phys: old, ReadyAt: at})
+		}
+		if got := tb.Snapshot().Free; !slices.Equal(got, free) {
+			t.Fatalf("step %d: free list %v, reference %v", step, got, free)
+		}
+		if err := tb.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 }

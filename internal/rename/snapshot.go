@@ -31,7 +31,7 @@ func (t *Table) Snapshot() TableState {
 		Free:    make([]FreeEntry, t.count),
 	}
 	for i := 0; i < t.count; i++ {
-		e := t.free[(t.head+i)%len(t.free)]
+		e := t.free[t.wrap(t.head+i)]
 		st.Free[i] = FreeEntry{Phys: e.Phys, ReadyAt: e.ReadyAt}
 	}
 	return st

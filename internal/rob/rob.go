@@ -78,11 +78,10 @@ func New(size, width int) *ROB {
 }
 
 // back returns the ring index of the commit k before the next, 0 <= k <= len(ring).
+// It wraps without a branch: i>>63 is all ones exactly when i is negative.
 func (r *ROB) back(k int) int {
-	if k > r.ri {
-		return r.ri - k + len(r.ring)
-	}
-	return r.ri - k
+	i := r.ri - k
+	return i + len(r.ring)&(i>>63)
 }
 
 // AdmitConstraint returns the earliest cycle a new instruction may be
@@ -113,9 +112,7 @@ func (r *ROB) Commit(ready int64) int64 {
 	}
 	r.count = min(r.count+1, len(r.ring))
 	r.last = c
-	if c > r.asOf {
-		r.res = min(r.res+1, r.size) // a full buffer evicts its oldest slot
-	}
+	r.res = min(r.res+b2i(c > r.asOf), r.size) // a full buffer evicts its oldest slot
 	return c
 }
 
@@ -137,10 +134,28 @@ func (r *ROB) Occupied(now int64) int {
 		r.recount(now)
 	}
 	r.asOf = now
-	for r.res > 0 && r.ring[r.back(r.res)] <= now {
-		r.res--
+	// The residents, the newest res commits, are sorted, so those that left
+	// by now are the oldest p. Four are tested independently and without a
+	// branch (k < 1 names no resident: it reads index 0 back and is masked
+	// off); a query seldom passes more.
+	res, p := r.res, 0
+	for j := range 4 {
+		k := res - j
+		p += b2i(r.ring[r.back(k&^((k-1)>>63))] <= now) & b2i(k > 0)
 	}
-	return r.res
+	for res -= p; p == 4 && res > 0 && r.ring[r.back(res)] <= now; {
+		res--
+	}
+	r.res = res
+	return res
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // recount sets the slots held at now by binary search.

@@ -24,28 +24,25 @@
 // them, changing no later answer. What remains is sized by the machine's
 // in-flight work, so Gap finds a hole by walking back from its last one.
 //
-// RingWindow bounds an issue queue's occupants and answers the
-// per-instruction occupancy sample. Its occupancy
-// contract: Occupied(now) is exact for any sequence of Admit and Occupied
-// calls, and costs O(1) amortised while now does not decrease from one
-// query to the next — the simulators query at each instruction's decode
-// cycle, which strictly increases. Departures are tracked as events, not
-// recounted: a query pops the departures it has passed, and a query at an
-// earlier cycle rebuilds the events from the ring (a sort of at most
-// capacity departures). Admit files a departure in order, shifting it past
-// the residents departing later. The event state is derived: Restore and
-// Reset rebuild it and checkpoints never carry it.
+// RingWindow bounds an issue queue's occupants. Its ring of departure
+// cycles is the state; a derived calendar of one bit per cycle, refiled
+// from the ring on Restore, answers the per-instruction calls. Occupied(now)
+// is exact for any call order: a query up to 63 cycles after the previous
+// one clears the departures it passed from two calendar words without a
+// branch, and any other refiles or walks the calendar.
 //
 // AdmitFirstFree books an issue port, which needs no history, from the same
-// run: the first cycle at or after at on which no tracked occupant departs.
-// That equals a full-history Gap booking exactly when every evicted occupant
-// departed before at. It holds for a queue whose decode waits for FreeAt and
-// whose occupants enter after decode: occupant j departs by the decode of
-// occupant j+N, so every evicted occupant departed by the current decode.
+// calendar: the first cycle at or after at on which no tracked occupant
+// departs. That equals a full-history Gap booking exactly when every evicted
+// occupant departed before at. It holds for a queue whose decode waits for
+// FreeAt and whose occupants enter after decode: occupant j departs by the
+// decode of occupant j+N, so every evicted occupant departed by the current
+// decode.
 package sched
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -205,26 +202,39 @@ func (g *Gap) Reset() { g.iv = g.iv[:0] }
 // bounded structure (an issue queue). Entry i may only be
 // admitted once occupant i-N has departed; FreeAt returns that constraint.
 //
-// Occupancy follows the package's occupancy contract: dep[lo:hi] holds, in
-// ascending order, the departure times of the tracked occupants still
-// resident at cycle asOf.
+// cal has bit c mod h set for each tracked departure c in (base, base+h],
+// and dup holds the departures on a bit already set (M-queue stores leave
+// together); res counts the tracked departures after base, later ones too.
 type RingWindow struct {
 	leave []int64
-	n     int //ovlint:config capacity, fixed at construction; Restore checks the state's ring length against it
+	n     int   //ovlint:config capacity, fixed at construction; Restore checks the state's ring length against it
+	h     int64 //ovlint:config calendar horizon in cycles, 64 per word of cal
 	next  int
 	count int
 
-	dep    []int64 //ovlint:derived sorted resident departures, rebuilt from leave by Restore
-	lo, hi int     //ovlint:derived bounds of the resident run in dep, rebuilt by Restore
-	asOf   int64   //ovlint:derived cycle dep is current for, rebuilt by Restore
+	cal  []uint64 //ovlint:derived departure calendar, refiled from leave by Restore
+	base int64    //ovlint:derived cycle the calendar is current for, set by Restore
+	res  int      //ovlint:derived departures after base, recounted by Restore
+	dup  [4]int64 //ovlint:derived refiled by Restore
+	ndup int      //ovlint:derived refiled by Restore
+	// slow is the first query cycle that must refile the calendar: when a
+	// departure past the horizon enters it, or math.MinInt64 once dup
+	// overflowed.
+	slow int64 //ovlint:derived recomputed by Restore
 }
 
 // NewRingWindow returns a window of capacity n (n <= 0 means unbounded).
+// Its calendar has two words per slot (at least two), 16n bytes: a
+// horizon of at least 128n cycles.
 func NewRingWindow(n int) *RingWindow {
-	if n <= 0 {
-		return &RingWindow{asOf: math.MinInt64}
+	n = max(n, 0)
+	words := 2
+	for words < 2*n {
+		words *= 2
 	}
-	return &RingWindow{leave: make([]int64, n), n: n, dep: make([]int64, 2*n), asOf: math.MinInt64}
+	w := &RingWindow{leave: make([]int64, n), n: n, h: int64(words) << 6, cal: make([]uint64, words)}
+	w.rebuild(0)
+	return w
 }
 
 // Full reports whether the next admission evicts the oldest occupant.
@@ -248,21 +258,42 @@ func (w *RingWindow) Admit(departAt int64) {
 	if w.n == 0 {
 		return
 	}
-	if w.count == w.n {
-		if old := w.leave[w.next]; old > w.asOf {
-			w.drop(old) // evicted while still counted resident
-		}
-	} else {
-		w.count++
+	if w.count == w.n && w.leave[w.next] > w.base { // never in a machine: its decode waits for FreeAt
+		w.advance(w.leave[w.next]) // the evicted departure falls out of the calendar
 	}
+	w.count = min(w.count+1, w.n)
 	w.leave[w.next] = departAt
-	w.next++
-	if w.next == w.n {
+	if w.next++; w.next == w.n {
 		w.next = 0
 	}
-	if departAt > w.asOf {
-		w.add(departAt)
+	w.file(departAt)
+}
+
+// file adds departure d to the calendar.
+func (w *RingWindow) file(d int64) {
+	if d <= w.base {
+		return
 	}
+	w.res++
+	if d-w.base > w.h {
+		w.slow = min(w.slow, d-w.h)
+		return
+	}
+	i, b := w.bit(d)
+	if w.cal[i]&b != 0 {
+		if w.ndup == len(w.dup) {
+			w.slow = math.MinInt64
+			return
+		}
+		w.dup[w.ndup] = d
+		w.ndup++
+	}
+	w.cal[i] |= b
+}
+
+// bit returns the calendar word and bit of cycle c.
+func (w *RingWindow) bit(c int64) (int, uint64) {
+	return int(c>>6) & (len(w.cal) - 1), 1 << uint(c&63)
 }
 
 // AdmitFirstFree admits an occupant departing at the first cycle at or after
@@ -271,83 +302,87 @@ func (w *RingWindow) Admit(departAt int64) {
 //
 //ovlint:hotpath books the issue port once per queued instruction
 func (w *RingWindow) AdmitFirstFree(at int64) int64 {
-	if at <= w.asOf {
-		w.rebuild(at - 1) // the run must hold every departure at or after at
+	// The calendar must cover at and n more cycles, which the n tracked
+	// departures cannot all take. It moves no further than that, since
+	// the next query may come earlier than at.
+	if at <= w.base || at-w.base > w.h-int64(w.n) {
+		w.advance(at - w.h + int64(w.n))
 	}
 	t := at
-	k, _ := slices.BinarySearch(w.dep[w.lo:w.hi], at)
-	for k += w.lo; k < w.hi && w.dep[k] <= t; k++ {
-		t = max(t, w.dep[k]+1)
+	for {
+		i, _ := w.bit(t)
+		if free := ^w.cal[i] >> uint(t&63); free != 0 {
+			t += int64(bits.TrailingZeros64(free))
+			break
+		}
+		t = (t | 63) + 1
 	}
 	w.Admit(t)
 	return t
 }
 
-// add inserts departure time v into the sorted resident run.
-func (w *RingWindow) add(v int64) {
-	if w.hi == len(w.dep) {
-		// At most n-1 residents remain besides v, so compacting to the
-		// front of the 2n buffer frees at least n+1 slots: amortised O(1).
-		w.hi = copy(w.dep, w.dep[w.lo:w.hi])
-		w.lo = 0
-	}
-	i := w.hi
-	for i > w.lo && w.dep[i-1] > v {
-		w.dep[i] = w.dep[i-1]
-		i--
-	}
-	w.dep[i] = v
-	w.hi++
-}
-
-// drop removes one occurrence of departure time v from the resident run by
-// shifting the residents before it up one slot. The evicted occupant is the
-// oldest, which in a buffer freed in order is also the first to depart, so
-// v is usually at the front.
-func (w *RingWindow) drop(v int64) {
-	i := w.lo
-	for w.dep[i] != v {
-		i++
-	}
-	copy(w.dep[w.lo+1:i+1], w.dep[w.lo:i])
-	w.lo++
-}
-
 // Occupied returns the number of tracked occupants still resident at the
 // given cycle: those admitted but not yet departed (leave time > now).
-// Unbounded windows report zero. It is exact for any sequence of calls and
-// O(1) amortised while now does not decrease (see the package comment).
+// Unbounded windows report zero.
 //
-//ovlint:hotpath sampled once per instruction for occupancy histograms; pops departures in place, no allocation
+//ovlint:hotpath sampled once per instruction for occupancy histograms
 func (w *RingWindow) Occupied(now int64) int {
-	if now < w.asOf {
-		w.rebuild(now)
+	d := now - w.base
+	if uint64(d) > 63 || now >= w.slow || w.ndup > 0 {
+		w.advance(now)
+		return w.res
 	}
-	w.asOf = now
-	for w.lo < w.hi && w.dep[w.lo] <= now {
-		w.lo++
-	}
-	return w.hi - w.lo
+	// Clear (base, now], d bits from base+1 over two words. No shift count
+	// reaches 64, so none needs the compiler's wide-shift fix-up.
+	lo := w.base + 1
+	i, _ := w.bit(lo)
+	j := (i + 1) & (len(w.cal) - 1)
+	m, s := uint64(1)<<(d&63)-1, uint(lo&63)
+	m0, m1 := m<<s, m>>(63-s)>>1
+	w.res -= bits.OnesCount64(w.cal[i]&m0) + bits.OnesCount64(w.cal[j]&m1)
+	w.cal[i] &^= m0
+	w.cal[j] &^= m1
+	w.base = now
+	return w.res
 }
 
-// rebuild recomputes the resident run as of cycle now from the ring.
-//
-//ovlint:coldpath runs on Restore and on a query earlier than the previous one, never in a simulator's steady state
-func (w *RingWindow) rebuild(now int64) {
-	w.asOf = now
-	w.lo, w.hi = 0, 0
-	for _, l := range w.leave[:w.count] {
-		if l > now {
-			w.dep[w.hi] = l
-			w.hi++
+// advance moves the calendar to cycle now: forward within the horizon by
+// clearing the words and duplicates it passes, otherwise by refiling it.
+func (w *RingWindow) advance(now int64) {
+	if now < w.base || now-w.base >= w.h || now >= w.slow {
+		w.rebuild(now)
+		return
+	}
+	for c := w.base + 1; c <= now; c = (c | 63) + 1 {
+		i, _ := w.bit(c)
+		m := ^uint64(0) << uint(c&63)
+		if c>>6 == now>>6 { // the last word ends at now
+			m &= ^uint64(0) >> uint(63-now&63)
+		}
+		w.res -= bits.OnesCount64(w.cal[i] & m)
+		w.cal[i] &^= m
+	}
+	k := 0
+	for _, d := range w.dup[:w.ndup] {
+		if d > now {
+			w.dup[k] = d
+			k++
 		}
 	}
-	slices.Sort(w.dep[:w.hi])
+	w.base, w.res, w.ndup = now, w.res-(w.ndup-k), k
+}
+
+// rebuild refiles the calendar as of cycle now from the ring.
+func (w *RingWindow) rebuild(now int64) {
+	clear(w.cal)
+	w.base, w.res, w.ndup, w.slow = now, 0, 0, math.MaxInt64
+	for _, l := range w.leave[:w.count] {
+		w.file(l)
+	}
 }
 
 // Reset clears the window.
 func (w *RingWindow) Reset() {
 	w.next, w.count = 0, 0
-	w.lo, w.hi = 0, 0
-	w.asOf = math.MinInt64
+	w.rebuild(0)
 }

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Snapshot/Restore support for checkpointing (ooosim/refsim checkpoints
 // serialise the full allocator state mid-run and revive it, possibly in a
@@ -115,6 +112,6 @@ func (w *RingWindow) Restore(st RingWindowState) error {
 	}
 	copy(w.leave, st.Leave)
 	w.next, w.count = st.Next, st.Count
-	w.rebuild(math.MinInt64)
+	w.rebuild(0)
 	return nil
 }

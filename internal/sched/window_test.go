@@ -88,12 +88,17 @@ func from(iv []sched.Interval, at int64) []sched.Interval {
 }
 
 // FuzzWindowAndGap decodes the input into a sequence of RingWindow, Gap and
-// Monotonic operations — admissions, occupancy queries (some at an earlier
-// cycle than the previous query), hole searches and bookings at nearly
-// monotone and at far earlier cycles, port bookings from the window, folds
-// into a StateBreakdown at a rising floor, Snapshot/Restore round trips and
-// Resets — and checks every occupancy count and port booking against the
-// linear references, and every hole, booking and breakdown of the folded
+// Monotonic operations — admissions (some on the cycle of the previous one,
+// as M-queue stores leave together, and some 64 cycles to a million cycles
+// past the last query, beyond any calendar horizon), occupancy queries
+// (some at an earlier cycle than the previous query, some 64 to 8,192
+// cycles ahead, so a departure past the horizon enters it, and some
+// further ahead than any horizon), hole searches and bookings at nearly monotone
+// and at far earlier cycles, port bookings from the window (some far
+// ahead), folds into a StateBreakdown at a rising floor, Snapshot/Restore
+// round trips and Resets, on windows of up to 1024 slots (cli.MaxStructure)
+// — and checks every occupancy count and port booking against the linear
+// references, and every hole, booking and breakdown of the folded
 // allocators against full-history twins that are never folded. Bookings
 // after a fold ask for cycles at or after its floor, as the machines do.
 func FuzzWindowAndGap(f *testing.F) {
@@ -103,18 +108,25 @@ func FuzzWindowAndGap(f *testing.F) {
 	f.Add([]byte{6, 0, 9, 0, 8, 0, 7, 0, 6, 2, 0, 7, 0, 0, 50, 2, 63, 3, 63, 2, 1})
 	f.Add([]byte{4, 7, 9, 7, 9, 7, 9, 2, 3, 7, 10, 7, 9, 3, 30, 7, 1, 6, 0, 7, 9, 2, 1, 7, 13})
 	f.Add([]byte{0, 5, 3, 15, 40, 8, 2, 5, 9, 9, 30, 15, 3, 8, 7, 6, 0, 5, 1, 9, 40, 4, 2, 15, 250, 9, 20, 8, 1, 6, 3})
+	f.Add([]byte{5, 0, 9, 1, 3, 1, 3, 2, 1, 1, 250, 2, 3, 2, 60, 7, 9, 2, 255, 3, 10, 2, 1, 6, 0, 2, 2})
+	f.Add([]byte{9, 0, 4, 1, 7, 1, 248, 7, 245, 2, 1, 2, 250, 7, 6, 3, 9, 6, 0, 2, 3, 1, 255, 2, 252, 7, 2})
+	// A query at the calendar's own cycle while a duplicate departure is held.
+	f.Add([]byte("R^72020z0IA80z\x80z0z0"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		n := []int{0, 1, 2, 3, 4, 16, 64, 128}[data[0]%8]
+		n := []int{0, 1, 2, 3, 4, 16, 64, 128, 1000, 1024}[data[0]%10]
 		w := sched.NewRingWindow(n)
 		// fu2 and mem are folded Gaps and fu1 a folded Monotonic; the
 		// full-history twins book the same requests and are never folded.
 		fu2, mem, fu1 := sched.NewGap(), sched.NewGap(), sched.NewMonotonic()
 		fu2Full, memFull, fu1Full := sched.NewGap(), sched.NewGap(), sched.NewMonotonic()
 		var acc metrics.StateBreakdown
-		var now, gnow, floor int64
+		var now, gnow, floor, last int64
+		// far is a cycle 8,192 to a million cycles after now: past the
+		// calendar horizon of every capacity up to 1024.
+		far := func(arg int64) int64 { return now + 8192<<(arg%8) }
 		checkFold := func(k int) {
 			want := fullBreakdown(fu2Full.Intervals(), fu1Full.Intervals(), memFull.Intervals(), acc.At)
 			if acc.States != want {
@@ -136,13 +148,26 @@ func FuzzWindowAndGap(f *testing.F) {
 		for k := 1; k+1 < len(data); k += 2 {
 			op, arg := data[k]%10, int64(data[k+1])
 			switch op {
-			case 0, 1: // admit, sometimes already departed
-				w.Admit(now + arg%64 - 8)
-			case 2, 3: // query forwards, or backwards for op 3
-				if op == 2 {
-					now += arg % 4
-				} else {
+			case 0, 1: // admit, sometimes already departed, or for op 1 with the last departure or further ahead
+				switch {
+				case op == 0 || arg < 96:
+					last = now + arg%64 - 8
+				case arg >= 240:
+					last = far(arg)
+				case arg >= 200:
+					last = now + 64<<(arg%8)
+				}
+				w.Admit(last)
+			case 2, 3: // query forwards, 64 to 8,192 cycles or far ahead, or backwards for op 3
+				switch {
+				case op == 3:
 					now -= arg % 64
+				case arg >= 248:
+					now = far(arg)
+				case arg >= 200:
+					now += 64 << (arg % 8)
+				default:
+					now += arg % 4
 				}
 				if got, want := w.Occupied(now), scanOccupied(w.Snapshot(), now); got != want {
 					t.Fatalf("op %d: Occupied(%d) = %d, linear scan %d", k, now, got, want)
@@ -199,6 +224,9 @@ func FuzzWindowAndGap(f *testing.F) {
 					break
 				}
 				at := now + arg%64 - 8
+				if arg >= 240 {
+					at = far(arg)
+				}
 				st := w.Snapshot()
 				want := at
 				for slices.Contains(st.Leave[:st.Count], want) {
