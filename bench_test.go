@@ -2,9 +2,8 @@ package oovec
 
 // The benchmark harness: one testing.B benchmark per table and figure of
 // the paper (Tables 1-3, Figures 3-9 and 11-13), each reporting its
-// headline quantity as a custom metric, plus ablation benchmarks for the
-// design decisions called out in DESIGN.md and raw simulator-throughput
-// benchmarks.
+// headline quantity as a custom metric, plus a benchmark for the paper's
+// future-work spill-store elision and raw simulator-throughput benchmarks.
 //
 // Benchmarks run on reduced traces (benchInsns instructions per program) so
 // `go test -bench=.` completes quickly; `cmd/ovbench` regenerates the
@@ -193,99 +192,20 @@ func BenchmarkFig13Traffic(b *testing.B) {
 	}
 }
 
-// ---------------------------------------------------------------- ablations
+// ---------------------------------------------------------------- extensions
 
-// ablationTrace is a memory-intensive benchmark for the ablation studies.
-func ablationTrace() *Trace {
+// spillTrace is the spill-heaviest benchmark (bdna: 69% spill traffic).
+func spillTrace() *Trace {
 	p, _ := tgen.PresetByName("bdna")
 	p.Insns = benchInsns
 	return tgen.Generate(p)
-}
-
-func BenchmarkAblationLoadChaining(b *testing.B) {
-	// trfd: its loop-carried recurrence has a load feeding a compute chain,
-	// so load→FU chaining shortens the one path out-of-order issue cannot
-	// hide. bdna-style independent codes see ~nothing — out-of-order issue
-	// subsumes load chaining there.
-	p, _ := tgen.PresetByName("trfd")
-	p.Insns = benchInsns
-	tr := tgen.Generate(p)
-	for i := 0; i < b.N; i++ {
-		base := ooosim.DefaultConfig()
-		chained := base
-		chained.ChainLoads = true
-		c0 := ooosim.Run(tr, base).Stats.Cycles
-		c1 := ooosim.Run(tr, chained).Stats.Cycles
-		// How much would chaining loads into FUs have bought on top of
-		// out-of-order issue? (The paper keeps loads unchained.)
-		b.ReportMetric(float64(c0)/float64(c1), "speedup-if-loads-chained")
-	}
-}
-
-func BenchmarkAblationStoreTags(b *testing.B) {
-	tr := ablationTrace()
-	for i := 0; i < b.N; i++ {
-		cfg := ooosim.DefaultConfig()
-		cfg.Commit = rob.PolicyLate
-		cfg.LoadElim = ooosim.ElimSLEVLE
-		with := ooosim.Run(tr, cfg).Stats
-		cfg.NoStoreTags = true
-		without := ooosim.Run(tr, cfg).Stats
-		b.ReportMetric(float64(with.EliminatedLoads), "elim-with-store-tags")
-		b.ReportMetric(float64(without.EliminatedLoads), "elim-without-store-tags")
-	}
-}
-
-func BenchmarkAblationInvalidation(b *testing.B) {
-	// Sum across programs with non-unit strides, where stores partially
-	// overlap tagged regions: the conservative policy (kill on any overlap)
-	// forgoes the eliminations the unsafe exact-match policy would keep.
-	var traces []*Trace
-	for _, name := range []string{"arc2d", "nasa7", "bdna"} {
-		p, _ := tgen.PresetByName(name)
-		p.Insns = benchInsns
-		traces = append(traces, tgen.Generate(p))
-	}
-	for i := 0; i < b.N; i++ {
-		var extra int64
-		for _, tr := range traces {
-			cfg := ooosim.DefaultConfig()
-			cfg.Commit = rob.PolicyLate
-			cfg.LoadElim = ooosim.ElimSLEVLE
-			conservative := ooosim.Run(tr, cfg).Stats
-			cfg.ExactInvalidation = true
-			unsafe := ooosim.Run(tr, cfg).Stats
-			extra += unsafe.EliminatedLoads - conservative.EliminatedLoads
-		}
-		// The (incorrect) extra eliminations exact-only invalidation keeps.
-		b.ReportMetric(float64(extra), "unsafe-extra-eliminations")
-	}
-}
-
-func BenchmarkAblationPorts(b *testing.B) {
-	// swm256: long vectors with deep cross-iteration overlap — the workload
-	// where renamed registers land on conflicting banks most often.
-	p, _ := tgen.PresetByName("swm256")
-	p.Insns = benchInsns
-	tr := tgen.Generate(p)
-	for i := 0; i < b.N; i++ {
-		flat := ooosim.DefaultConfig()
-		banked := flat
-		banked.BankedPorts = true
-		cf := ooosim.Run(tr, flat).Stats.Cycles
-		cb := ooosim.Run(tr, banked).Stats.Cycles
-		// §2.2: "The original banking scheme of the register file can not
-		// be kept because renaming shuffles all the compiler scheduled
-		// read/write ports". The slowdown quantifies it.
-		b.ReportMetric(float64(cb)/float64(cf), "banked-ports-slowdown")
-	}
 }
 
 // BenchmarkExtensionSpillStoreElision measures the paper's §6 future-work
 // idea ("relaxing compatibility could lead to removing some spill stores"):
 // dead-spill-store elision on the spill-heaviest benchmark.
 func BenchmarkExtensionSpillStoreElision(b *testing.B) {
-	tr := ablationTrace() // bdna: 69% spill traffic
+	tr := spillTrace()
 	for i := 0; i < b.N; i++ {
 		base := ooosim.DefaultConfig()
 		base.PhysVRegs = 32

@@ -4,8 +4,7 @@ package isa
 //
 // The table in the available text of the paper is partially garbled by OCR;
 // the legible entries are kept verbatim and the rest are reconstructed with
-// values conventional for the Convex C3400 generation (documented in
-// DESIGN.md):
+// values conventional for the Convex C3400 generation:
 //
 //	read RF + crossbar:  1 cycle in REF, 0 in OOOVA  (legible: "(*) 0 in OOOVA, 1 in REF")
 //	write crossbar:      1 cycle in REF, 2 in OOOVA  (legible: "write x-bar 1 | 2")

@@ -134,12 +134,7 @@ type Checkpoint struct {
 	AReady, SReady      []int64
 	VTiming, MTiming    []vregfile.Timing
 	VTags, STags, ATags rename.TagFileState
-
-	// Banked selects which port-file state is populated, mirroring
-	// Config.BankedPorts.
-	Banked      bool
-	FlatPorts   vregfile.FlatFileState
-	BankedPorts vregfile.BankedFileState
+	FlatPorts           vregfile.FlatFileState
 
 	// FU1, FU2 and the bus hold the bookings States has not folded in.
 	FU1, FU2 sched.GapState
@@ -159,7 +154,6 @@ type Checkpoint struct {
 	Occ                                 metrics.Occupancy
 
 	SpillPend map[[2]uint64]int
-	Records   []rename.Record
 }
 
 // Encode serialises the checkpoint with encoding/gob.
@@ -203,6 +197,8 @@ func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 		STags:   m.sTags.Snapshot(),
 		ATags:   m.aTags.Snapshot(),
 
+		FlatPorts: m.ports.Snapshot(),
+
 		FU1:    m.fu1.Snapshot(),
 		FU2:    m.fu2.Snapshot(),
 		MSched: m.msched.snapshot(),
@@ -233,21 +229,11 @@ func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 			ck.Tables[class] = tb.Snapshot()
 		}
 	}
-	switch p := m.ports.(type) {
-	case *vregfile.FlatFile:
-		ck.FlatPorts = p.Snapshot()
-	case *vregfile.BankedFile:
-		ck.Banked = true
-		ck.BankedPorts = p.Snapshot()
-	}
 	if m.spillPend != nil {
 		ck.SpillPend = make(map[[2]uint64]int, len(m.spillPend))
 		for k, v := range m.spillPend {
 			ck.SpillPend[k] = v
 		}
-	}
-	if len(m.records) > 0 {
-		ck.Records = append([]rename.Record(nil), m.records...)
 	}
 	return ck
 }
@@ -255,22 +241,7 @@ func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 // restore replaces the machine state with ck. The machine must be built for
 // the configuration the checkpoint was taken under; structural
 // mismatches are reported as errors rather than silently corrupting the run.
-// Under CollectRecords the checkpoint holds one rename record per simulated
-// instruction, and otherwise none, so Result.Records stays index-aligned
-// with the trace.
 func (m *machine) restore(ck *Checkpoint) error {
-	if ck.Banked != m.cfg.BankedPorts {
-		return fmt.Errorf("ooosim: checkpoint port organisation mismatch (banked=%v, cfg banked=%v)",
-			ck.Banked, m.cfg.BankedPorts)
-	}
-	want := 0
-	if m.cfg.CollectRecords {
-		want = ck.NextInsn
-	}
-	if len(ck.Records) != want {
-		return fmt.Errorf("ooosim: checkpoint holds %d rename records at instruction %d, want %d",
-			len(ck.Records), ck.NextInsn, want)
-	}
 	if len(ck.AReady) != len(m.aReady) || len(ck.SReady) != len(m.sReady) ||
 		len(ck.VTiming) != len(m.vTiming) || len(ck.MTiming) != len(m.mTiming) {
 		return fmt.Errorf("ooosim: checkpoint register-file sizes (%d/%d/%d/%d) do not match configuration (%d/%d/%d/%d)",
@@ -289,17 +260,8 @@ func (m *machine) restore(ck *Checkpoint) error {
 	copy(m.sReady, ck.SReady)
 	copy(m.vTiming, ck.VTiming)
 	copy(m.mTiming, ck.MTiming)
-	var err error
-	switch p := m.ports.(type) {
-	case *vregfile.FlatFile:
-		err = p.Restore(ck.FlatPorts)
-	case *vregfile.BankedFile:
-		err = p.Restore(ck.BankedPorts)
-	}
-	if err != nil {
-		return fmt.Errorf("ooosim: checkpoint %w", err)
-	}
 	for _, err := range [...]error{
+		m.ports.Restore(ck.FlatPorts),
 		m.vTags.Restore(ck.VTags),
 		m.sTags.Restore(ck.STags),
 		m.aTags.Restore(ck.ATags),
@@ -351,7 +313,6 @@ func (m *machine) restore(ck *Checkpoint) error {
 			m.spillPend[k] = v
 		}
 	}
-	m.records = append(m.records[:0], ck.Records...)
 	return nil
 }
 

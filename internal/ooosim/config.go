@@ -50,17 +50,25 @@ func (m ElimMode) String() string {
 	return "none"
 }
 
+// The scalar and mask physical register file sizes and the misprediction
+// bubble are fixed by the paper, not swept.
+const (
+	// PhysARegs and PhysSRegs are the scalar physical register file sizes
+	// (64 each in the paper).
+	PhysARegs = 64
+	PhysSRegs = 64
+	// PhysMRegs is the mask physical register file size (8 in the paper).
+	PhysMRegs = 8
+	// MispredictPenalty is the front-end refill bubble after a control
+	// misprediction, in cycles (fetch + decode + redirect).
+	MispredictPenalty = 3
+)
+
 // Config parameterises the OOOVA.
 type Config struct {
 	// PhysVRegs is the number of physical vector registers (paper sweeps
 	// 9–64; 16 is the headline configuration).
 	PhysVRegs int
-	// PhysARegs and PhysSRegs are the scalar physical register file sizes
-	// (64 each in the paper).
-	PhysARegs int
-	PhysSRegs int
-	// PhysMRegs is the mask physical register file size (8 in the paper).
-	PhysMRegs int
 	// QueueSlots is the instruction queue depth (16, or 128 for OOOVA-128).
 	QueueSlots int
 	// ROBSize is the reorder buffer capacity (64).
@@ -76,36 +84,6 @@ type Config struct {
 	Commit rob.Policy
 	// LoadElim selects the §6 configuration.
 	LoadElim ElimMode
-	// MispredictPenalty is the front-end refill bubble after a control
-	// misprediction (cycles). Default 3 (fetch + decode + redirect).
-	MispredictPenalty int64
-	// CollectRecords, when true, retains the reorder-buffer rename records
-	// so precise-trap rollback can be demonstrated (costs memory).
-	CollectRecords bool
-
-	// Ablation switches (all default off; used by the ablation benchmarks
-	// to probe the design decisions DESIGN.md calls out).
-
-	// ChainLoads lets memory loads chain into functional units, which
-	// neither the C3400 nor the paper's OOOVA supports. Ablation: how much
-	// of the OOOVA's advantage would load chaining have provided?
-	ChainLoads bool
-	// NoStoreTags disables tagging the stored register on stores (§6.1).
-	// Without store tags, spill store → reload pairs cannot match, which
-	// removes most of the dynamic load elimination benefit.
-	NoStoreTags bool
-	// BankedPorts runs the OOOVA with the reference machine's banked
-	// register-file ports (pairs of physical registers sharing 2 read +
-	// 1 write port) instead of the paper's dedicated per-register ports.
-	// Ablation: renaming shuffles the compiler's port scheduling, so
-	// banking induces heavy conflicts — the reason §2.2 changed the ports.
-	BankedPorts bool
-	// ExactInvalidation makes stores invalidate only exactly-matching tags
-	// instead of all overlapping tags. UNSAFE — partial overwrites leave
-	// stale tags that would return wrong data in a real machine; the
-	// ablation measures how many additional (incorrect) eliminations the
-	// conservative policy forgoes.
-	ExactInvalidation bool
 	// ElideDeadSpillStores enables the paper's §6 future-work idea
 	// ("relaxing compatibility could lead to removing some spill stores"):
 	// a spill store held in the store buffer is elided when a later spill
@@ -127,18 +105,14 @@ type Config struct {
 // 50-cycle memory, early commit.
 func DefaultConfig() Config {
 	return Config{
-		PhysVRegs:         16,
-		PhysARegs:         64,
-		PhysSRegs:         64,
-		PhysMRegs:         8,
-		QueueSlots:        16,
-		ROBSize:           64,
-		CommitWidth:       4,
-		MemLatency:        50,
-		ScalarMemLatency:  6,
-		Commit:            rob.PolicyEarly,
-		LoadElim:          ElimNone,
-		MispredictPenalty: 3,
+		PhysVRegs:        16,
+		QueueSlots:       16,
+		ROBSize:          64,
+		CommitWidth:      4,
+		MemLatency:       50,
+		ScalarMemLatency: 6,
+		Commit:           rob.PolicyEarly,
+		LoadElim:         ElimNone,
 	}
 }
 
@@ -150,15 +124,6 @@ func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
 	if c.PhysVRegs == 0 {
 		c.PhysVRegs = d.PhysVRegs
-	}
-	if c.PhysARegs == 0 {
-		c.PhysARegs = d.PhysARegs
-	}
-	if c.PhysSRegs == 0 {
-		c.PhysSRegs = d.PhysSRegs
-	}
-	if c.PhysMRegs == 0 {
-		c.PhysMRegs = d.PhysMRegs
 	}
 	if c.QueueSlots == 0 {
 		c.QueueSlots = d.QueueSlots
@@ -174,9 +139,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.ScalarMemLatency == 0 {
 		c.ScalarMemLatency = d.ScalarMemLatency
-	}
-	if c.MispredictPenalty == 0 {
-		c.MispredictPenalty = d.MispredictPenalty
 	}
 	return c
 }

@@ -70,10 +70,10 @@ func RunWithFault(t *trace.Trace, cfg Config, faultIdx int) (*FaultResult, error
 		return nil, fmt.Errorf("ooosim: fault index %d out of range [0,%d)", faultIdx, t.Len())
 	}
 	cfg = cfg.WithDefaults()
-	cfg.CollectRecords = true
 
 	m := newMachine(cfg)
 	m.suppressFrom = faultIdx
+	m.records = make([]rename.Record, 0, t.Len())
 
 	sink := &faultSink{inner: cfg.Sink, decodes: make([]int64, 0, t.Len()), faultIdx: faultIdx}
 	m.cfg.Sink = sink

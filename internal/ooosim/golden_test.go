@@ -12,12 +12,12 @@ import (
 
 // TestOOOStatsGolden pins the complete OOOVA RunStats — cycles, the state
 // breakdown, stall attribution and every occupancy histogram — of the ten
-// presets at 4,000 instructions under eight configurations. Each entry is
+// presets at 4,000 instructions under seven configurations. Each entry is
 // the SHA-256 of the stats' %+v rendering, computed before the data
 // structure a configuration exercises was rewritten: the first four before
-// the occupancy and interval searches, the last four (scalar-only
-// elimination, exact invalidation, dead-spill-store elision, 128-slot
-// queues with elimination) before the address-overlap queries. A change to
+// the occupancy and interval searches, the last three (scalar-only
+// elimination, dead-spill-store elision, 128-slot queues with elimination)
+// before the address-overlap queries. A change to
 // how a structure is searched can never change what the simulator reports.
 func TestOOOStatsGolden(t *testing.T) {
 	q128 := DefaultConfig()
@@ -28,8 +28,6 @@ func TestOOOStatsGolden(t *testing.T) {
 	elim.LoadElim = ElimSLEVLE
 	sle := DefaultConfig()
 	sle.LoadElim = ElimSLE
-	exactInval := elim
-	exactInval.ExactInvalidation = true
 	elide := DefaultConfig()
 	elide.ElideDeadSpillStores = true
 	q128Elim := elim
@@ -43,7 +41,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		{"late", late},
 		{"sle+vle", elim},
 		{"sle", sle},
-		{"exact-inval", exactInval},
 		{"elide", elide},
 		{"q128+sle+vle", q128Elim},
 	}
@@ -53,7 +50,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"swm256/late":          "72f342245162df41",
 		"swm256/sle+vle":       "11a5eafbaad724e3",
 		"swm256/sle":           "13ed33de65ff91dc",
-		"swm256/exact-inval":   "11a5eafbaad724e3",
 		"swm256/elide":         "75d179b448b1fbec",
 		"swm256/q128+sle+vle":  "8294b7202a23d171",
 		"hydro2d/default":      "2f4fb153a3c662ae",
@@ -61,7 +57,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"hydro2d/late":         "122f856e05187a48",
 		"hydro2d/sle+vle":      "6ed9e8a446d2e0a7",
 		"hydro2d/sle":          "d02ab544a04437ba",
-		"hydro2d/exact-inval":  "6ed9e8a446d2e0a7",
 		"hydro2d/elide":        "3946f5ce543d1201",
 		"hydro2d/q128+sle+vle": "a79614e2226e6b7d",
 		"arc2d/default":        "347939b2becd00c1",
@@ -69,7 +64,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"arc2d/late":           "5fc53f2cf9c97f49",
 		"arc2d/sle+vle":        "cf095d95b0ddde52",
 		"arc2d/sle":            "05c0d2da9bfd1bf4",
-		"arc2d/exact-inval":    "dcbbf1c4f0c664b6",
 		"arc2d/elide":          "c381b70b03901739",
 		"arc2d/q128+sle+vle":   "c01dbb58dee46184",
 		"flo52/default":        "d8ffed944b98dd79",
@@ -77,7 +71,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"flo52/late":           "08c080609fa0a144",
 		"flo52/sle+vle":        "7f047cde0a005488",
 		"flo52/sle":            "620bd124986d9844",
-		"flo52/exact-inval":    "7f047cde0a005488",
 		"flo52/elide":          "e9731fcaaa86caff",
 		"flo52/q128+sle+vle":   "334ef3b40a0eb813",
 		"nasa7/default":        "cfa4e18c8f5f8515",
@@ -85,7 +78,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"nasa7/late":           "a7072455ef015045",
 		"nasa7/sle+vle":        "69aeeaea2ab6de11",
 		"nasa7/sle":            "9c8f78a9d22ef649",
-		"nasa7/exact-inval":    "69aeeaea2ab6de11",
 		"nasa7/elide":          "8f8f998449dc4420",
 		"nasa7/q128+sle+vle":   "a0afcb257105f451",
 		"su2cor/default":       "ffe5675884b9e868",
@@ -93,7 +85,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"su2cor/late":          "a0b6d3ea04aede48",
 		"su2cor/sle+vle":       "b4a12ca2ec64514a",
 		"su2cor/sle":           "d9afa08a35229778",
-		"su2cor/exact-inval":   "b4a12ca2ec64514a",
 		"su2cor/elide":         "5b0c33fa9046c4bd",
 		"su2cor/q128+sle+vle":  "ca5159039843c5ab",
 		"tomcatv/default":      "ea86f18679a5674b",
@@ -101,7 +92,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"tomcatv/late":         "0721df0427c926f5",
 		"tomcatv/sle+vle":      "58d6c9d18b1bc5f0",
 		"tomcatv/sle":          "771dece148365cbb",
-		"tomcatv/exact-inval":  "58d6c9d18b1bc5f0",
 		"tomcatv/elide":        "80a9f2550c48308e",
 		"tomcatv/q128+sle+vle": "49685eae23c7ce88",
 		"bdna/default":         "07802e4037558a89",
@@ -109,7 +99,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"bdna/late":            "c870ad53d9f9ebe7",
 		"bdna/sle+vle":         "c957c7f0c6016565",
 		"bdna/sle":             "a60f602cc7b21aec",
-		"bdna/exact-inval":     "c957c7f0c6016565",
 		"bdna/elide":           "0111d1e744c37029",
 		"bdna/q128+sle+vle":    "e9c844b7124b1494",
 		"trfd/default":         "e6d86cd34d38c017",
@@ -117,7 +106,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"trfd/late":            "f9a1ff865b3129b5",
 		"trfd/sle+vle":         "31ef0b629c919574",
 		"trfd/sle":             "83df9b226399c311",
-		"trfd/exact-inval":     "31ef0b629c919574",
 		"trfd/elide":           "d6bac250a58eba45",
 		"trfd/q128+sle+vle":    "a7ad473ce5535130",
 		"dyfesm/default":       "e9540783df8bdacd",
@@ -125,7 +113,6 @@ func TestOOOStatsGolden(t *testing.T) {
 		"dyfesm/late":          "b936c2737a28ebc7",
 		"dyfesm/sle+vle":       "22a6f2f2ba0de32f",
 		"dyfesm/sle":           "a25c63167aff8bff",
-		"dyfesm/exact-inval":   "22a6f2f2ba0de32f",
 		"dyfesm/elide":         "a030bd968d6df5af",
 		"dyfesm/q128+sle+vle":  "6dac73c4f775b1f2",
 	}

@@ -15,13 +15,10 @@ import (
 	"oovec/internal/vregfile"
 )
 
-// Result bundles the measurements of one OOOVA run with the optional
-// reorder-buffer rename records (for precise-trap rollback demos).
+// Result bundles the measurements of one OOOVA run with its final rename
+// tables.
 type Result struct {
 	Stats *metrics.RunStats
-	// Records holds one rename record per instruction when
-	// Config.CollectRecords is set (index-aligned with the trace).
-	Records []rename.Record
 	// Tables exposes the final rename tables (for rollback demos/tests).
 	Tables map[isa.RegClass]*rename.Table
 }
@@ -48,9 +45,9 @@ func NewMachine(cfg Config) *Machine {
 }
 
 // Run simulates the trace from power-on state: RunCheckpointed with zero
-// options. The returned Result's Tables and Records alias machine state and
-// are invalidated by the next Run; callers that retain them (the
-// precise-trap demos) should use the package-level Run instead.
+// options. The returned Result's Tables alias machine state and are
+// invalidated by the next Run; callers that retain them (the precise-trap
+// demos) should use the package-level Run instead.
 //
 //ovlint:hotpath every run enters the instruction loop here; an allocation outside the per-run setup multiplies by trace length
 func (mm *Machine) Run(t *trace.Trace) *Result {
@@ -59,19 +56,13 @@ func (mm *Machine) Run(t *trace.Trace) *Result {
 }
 
 // Begin implements sim.Model: it restores the power-on state (or resume,
-// when set) and, when the run collects rename records, sizes their buffer
-// from the trace.
+// when set).
 //
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
 	m.reset()
 	if resume != nil {
-		if err := m.restore(resume); err != nil {
-			return err
-		}
-	}
-	if m.cfg.CollectRecords && cap(m.records) < t.Len() {
-		m.records = append(make([]rename.Record, 0, t.Len()), m.records...)
+		return m.restore(resume)
 	}
 	return nil
 }
@@ -93,10 +84,8 @@ type machine struct {
 	// Memory tags (§6), indexed by physical register.
 	vTags, sTags, aTags *rename.TagFile
 
-	// ports is the paper's dedicated per-register ports
-	// (vregfile.FlatFile), or — for the ablation showing why the paper
-	// abandoned it — the reference machine's banked organisation.
-	ports  vregfile.PortFile
+	// ports is the paper's dedicated per-register ports.
+	ports  *vregfile.FlatFile
 	fu1    *sched.Gap
 	fu2    *sched.Gap
 	msched *memScheduler
@@ -135,8 +124,9 @@ type machine struct {
 	// window (fault injection): those instructions never commit, so their
 	// old physical registers are never released.
 	suppressFrom int //ovlint:config set only by RunWithFault, which never checkpoints; reset to -1 for every other run
-
-	records []rename.Record
+	// records, when non-nil, collects every instruction's rename record
+	// for RunWithFault's rollback.
+	records []rename.Record //ovlint:config set only by RunWithFault, which never checkpoints; nil for every other run
 
 	// Per-instruction scratch buffers. Keeping them on the (heap-allocated)
 	// machine rather than on step's stack keeps the hot path free of
@@ -153,27 +143,19 @@ type srcOp struct {
 	phys  int
 }
 
-// newPortFile selects the register-file port model.
-func newPortFile(cfg Config) vregfile.PortFile {
-	if cfg.BankedPorts {
-		return vregfile.NewBankedFile(cfg.PhysVRegs)
-	}
-	return vregfile.NewFlatFile(cfg.PhysVRegs)
-}
-
 func newMachine(cfg Config) *machine {
 	cfg = cfg.WithDefaults()
 	mQ := iq.NewMemQueue(cfg.QueueSlots)
 	m := &machine{
 		cfg:     cfg,
-		aReady:  make([]int64, cfg.PhysARegs),
-		sReady:  make([]int64, cfg.PhysSRegs),
+		aReady:  make([]int64, PhysARegs),
+		sReady:  make([]int64, PhysSRegs),
 		vTiming: make([]vregfile.Timing, cfg.PhysVRegs),
-		mTiming: make([]vregfile.Timing, cfg.PhysMRegs),
+		mTiming: make([]vregfile.Timing, PhysMRegs),
 		vTags:   rename.NewTagFile(cfg.PhysVRegs),
-		sTags:   rename.NewTagFile(cfg.PhysSRegs),
-		aTags:   rename.NewTagFile(cfg.PhysARegs),
-		ports:   newPortFile(cfg),
+		sTags:   rename.NewTagFile(PhysSRegs),
+		aTags:   rename.NewTagFile(PhysARegs),
+		ports:   vregfile.NewFlatFile(cfg.PhysVRegs),
 		fu1:     sched.NewGap(),
 		fu2:     sched.NewGap(),
 		msched:  newMemScheduler(mQ),
@@ -193,10 +175,10 @@ func newMachine(cfg Config) *machine {
 		prevDecode:   -1,
 		suppressFrom: -1,
 	}
-	m.tables[isa.RegA] = rename.MustNewTable(isa.RegA, cfg.PhysARegs)
-	m.tables[isa.RegS] = rename.MustNewTable(isa.RegS, cfg.PhysSRegs)
+	m.tables[isa.RegA] = rename.MustNewTable(isa.RegA, PhysARegs)
+	m.tables[isa.RegS] = rename.MustNewTable(isa.RegS, PhysSRegs)
 	m.tables[isa.RegV] = rename.MustNewTable(isa.RegV, cfg.PhysVRegs)
-	m.tables[isa.RegM] = rename.MustNewTable(isa.RegM, cfg.PhysMRegs)
+	m.tables[isa.RegM] = rename.MustNewTable(isa.RegM, PhysMRegs)
 	if cfg.ElideDeadSpillStores {
 		m.spillPend = make(map[[2]uint64]int)
 	}
@@ -247,7 +229,7 @@ func (m *machine) reset() {
 	m.stalls = metrics.StallBreakdown{}
 	m.occ = metrics.Occupancy{}
 	m.suppressFrom = -1
-	m.records = m.records[:0]
+	m.records = nil
 	clear(m.spillPend)
 }
 
@@ -437,7 +419,7 @@ func (m *machine) Step(idx int, in *isa.Instruction) {
 			mis = m.pred.Return(in.Addr)
 		}
 		if mis {
-			m.nextFetchMin = resolve + cfg.MispredictPenalty
+			m.nextFetchMin = resolve + MispredictPenalty
 		}
 		execStart, complete = issue, resolve
 
@@ -460,7 +442,7 @@ func (m *machine) Step(idx int, in *isa.Instruction) {
 	if rec.HasRename && !(m.suppressFrom >= 0 && idx >= m.suppressFrom) {
 		m.tables[rec.Class].Release(rec.OldPhys, commit)
 	}
-	if cfg.CollectRecords {
+	if m.records != nil {
 		m.records = append(m.records, rec)
 	}
 	m.note(complete)
@@ -529,11 +511,7 @@ func (m *machine) execVector(in *isa.Instruction, dec, vl int64, vleDefer bool, 
 		case isa.RegV:
 			p := m.tables[isa.RegV].Lookup(int(r.Idx))
 			vReads = append(vReads, p)
-			tm := m.vTiming[p]
-			if cfg.ChainLoads {
-				tm.FromMem = false // ablation: pretend loads chain
-			}
-			if t := tm.ReadyFor(true); t > ready {
+			if t := m.vTiming[p].ReadyFor(true); t > ready {
 				ready = t
 			}
 		case isa.RegA, isa.RegS:
@@ -788,7 +766,7 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 		// Tag the stored register (it mirrors the stored-to memory) and
 		// conservatively invalidate every overlapping tag elsewhere.
 		ownV, ownS, ownA := -1, -1, -1
-		if data := in.Src1; data.Class != isa.RegNone && !cfg.NoStoreTags {
+		if data := in.Src1; data.Class != isa.RegNone {
 			p := m.tables[data.Class].Lookup(int(data.Idx))
 			if taggable {
 				switch data.Class {
@@ -804,16 +782,9 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 				}
 			}
 		}
-		if cfg.ExactInvalidation {
-			// Unsafe ablation: only kill tags covering exactly this range.
-			m.vTags.InvalidateExact(rstart, rend, ownV)
-			m.sTags.InvalidateExact(rstart, rend, ownS)
-			m.aTags.InvalidateExact(rstart, rend, ownA)
-		} else {
-			m.vTags.InvalidateOverlap(rstart, rend, ownV)
-			m.sTags.InvalidateOverlap(rstart, rend, ownS)
-			m.aTags.InvalidateOverlap(rstart, rend, ownA)
-		}
+		m.vTags.InvalidateOverlap(rstart, rend, ownV)
+		m.sTags.InvalidateOverlap(rstart, rend, ownS)
+		m.aTags.InvalidateOverlap(rstart, rend, ownA)
 	}
 	return busStart, busStart, storeDone
 }
@@ -863,5 +834,5 @@ func (m *machine) Finish(t *trace.Trace) *Result {
 	// separately).
 	st.Stalls.PortConflict = st.VRegPortConflictCycles
 	st.States = m.states.States
-	return &Result{Stats: st, Records: m.records, Tables: m.tableMap()}
+	return &Result{Stats: st, Tables: m.tableMap()}
 }

@@ -44,24 +44,3 @@ func TestMachineReuseMatchesFreshRuns(t *testing.T) {
 		}
 	}
 }
-
-// TestMachineReuseWithRecords checks record collection across reuse: the
-// records slice must be rebuilt per run, not accumulated.
-func TestMachineReuseWithRecords(t *testing.T) {
-	p, _ := tgen.PresetByName("trfd")
-	p.Insns = 500
-	tr := tgen.Generate(p)
-	cfg := DefaultConfig()
-	cfg.CollectRecords = true
-
-	mm := NewMachine(cfg)
-	r1 := mm.Run(tr)
-	if len(r1.Records) != tr.Len() {
-		t.Fatalf("first run: %d records, want %d", len(r1.Records), tr.Len())
-	}
-	r2 := mm.Run(tr)
-	if len(r2.Records) != tr.Len() {
-		t.Fatalf("second run: %d records, want %d (records must not accumulate)",
-			len(r2.Records), tr.Len())
-	}
-}

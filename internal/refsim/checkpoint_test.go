@@ -27,7 +27,7 @@ func checkpointTestTrace(t *testing.T, name string, insns int) *trace.Trace {
 // cancellation is observationally identical to Run.
 func TestRunCheckpointedMatchesRun(t *testing.T) {
 	tr := checkpointTestTrace(t, "hydro2d", 3000)
-	for _, cfg := range []Config{DefaultConfig(), {MemLatency: 10}, {MemLatency: 100, TakenBranchPenalty: 4}} {
+	for _, cfg := range []Config{DefaultConfig(), {MemLatency: 10}, {MemLatency: 100, ScalarMemLatency: 3}} {
 		want := Run(tr, cfg)
 		got, ck, err := NewMachine(cfg).RunCheckpointed(tr, RunOpts{Ctx: context.Background()})
 		if err != nil || ck != nil {

@@ -43,9 +43,6 @@ type Config struct {
 	// so scalar references see a short cache latency rather than main
 	// memory. Default 6.
 	ScalarMemLatency int64
-	// TakenBranchPenalty is the fetch-bubble charged for taken branches
-	// (the in-order machine has no branch prediction). Default 2.
-	TakenBranchPenalty int64
 	// Sink, when non-nil, receives per-instruction lifecycle events and
 	// stall-cause notifications (package probe). Observation only: attaching
 	// a sink never changes the run's RunStats. The in-order machine models
@@ -53,9 +50,13 @@ type Config struct {
 	Sink probe.Sink
 }
 
+// TakenBranchPenalty is the fetch bubble, in cycles, charged for taken
+// branches (the in-order machine has no branch prediction).
+const TakenBranchPenalty = 2
+
 // DefaultConfig returns the paper's reference configuration.
 func DefaultConfig() Config {
-	return Config{MemLatency: 50, ScalarMemLatency: 6, TakenBranchPenalty: 2}
+	return Config{MemLatency: 50, ScalarMemLatency: 6}
 }
 
 // vregState is the hazard-tracking state of one logical vector register.
@@ -365,7 +366,7 @@ func (m *machine) Step(i int, in *isa.Instruction) {
 	case isa.UnitCtl:
 		issue = cand
 		if in.Taken {
-			m.bubble = cfg.TakenBranchPenalty
+			m.bubble = TakenBranchPenalty
 		}
 		m.note(issue + 1)
 

@@ -9,7 +9,7 @@ import (
 )
 
 // cfg50 is the default test configuration: 50-cycle memory.
-func cfg50() Config { return Config{MemLatency: 50, TakenBranchPenalty: 2} }
+func cfg50() Config { return Config{MemLatency: 50} }
 
 // run is a helper that simulates and returns (issue times, stats).
 func runWithProbe(t *trace.Trace, cfg Config) ([]int64, []int64) {

@@ -15,9 +15,9 @@ func TestMachineReuseMatchesFreshRuns(t *testing.T) {
 	slow.MemLatency = 100
 	fast := DefaultConfig()
 	fast.MemLatency = 1
-	noPenalty := DefaultConfig()
-	noPenalty.TakenBranchPenalty = 0
-	configs := []Config{DefaultConfig(), slow, fast, noPenalty}
+	slowScalar := DefaultConfig()
+	slowScalar.ScalarMemLatency = 20
+	configs := []Config{DefaultConfig(), slow, fast, slowScalar}
 
 	for _, name := range []string{"swm256", "trfd", "bdna"} {
 		p, _ := tgen.PresetByName(name)

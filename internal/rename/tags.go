@@ -137,9 +137,9 @@ func (f *TagFile) InvalidateOverlap(start, end uint64, except int) {
 }
 
 // InvalidateExact clears only tags whose range equals [start, end] exactly,
-// except `except`. This is the UNSAFE ablation policy (a partially
-// overlapping store leaves stale tags); the simulator uses it only to
-// quantify what the §6.1 conservative policy costs.
+// except `except`. This policy is UNSAFE (a partially overlapping store
+// leaves stale tags); only funcsim uses it, to demonstrate the wrong values
+// it would return where the §6.1 conservative policy stays correct.
 func (f *TagFile) InvalidateExact(start, end uint64, except int) {
 	over := f.overlapping(start, end)
 	for p := rangeidx.Next(over, 0); p >= 0; p = rangeidx.Next(over, p+1) {

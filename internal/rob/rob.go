@@ -135,15 +135,9 @@ func (r *ROB) Occupied(now int64) int {
 	}
 	r.asOf = now
 	// The residents, the newest res commits, are sorted, so those that left
-	// by now are the oldest p. Four are tested independently and without a
-	// branch (k < 1 names no resident: it reads index 0 back and is masked
-	// off); a query seldom passes more.
-	res, p := r.res, 0
-	for j := range 4 {
-		k := res - j
-		p += b2i(r.ring[r.back(k&^((k-1)>>63))] <= now) & b2i(k > 0)
-	}
-	for res -= p; p == 4 && res > 0 && r.ring[r.back(res)] <= now; {
+	// by now are the oldest.
+	res := r.res
+	for res > 0 && r.ring[r.back(res)] <= now {
 		res--
 	}
 	r.res = res

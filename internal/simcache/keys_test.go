@@ -1,8 +1,10 @@
 package simcache
 
 import (
+	"bytes"
 	"testing"
 
+	"oovec/internal/metrics"
 	"oovec/internal/ooosim"
 	"oovec/internal/refsim"
 	"oovec/internal/rob"
@@ -32,26 +34,26 @@ func TestKeySchemeIsStable(t *testing.T) {
 		{
 			"OOOVA default",
 			OOOConfigKey(ooosim.DefaultConfig()),
-			"ooo:{PhysVRegs:16 PhysARegs:64 PhysSRegs:64 PhysMRegs:8 QueueSlots:16 ROBSize:64 CommitWidth:4 MemLatency:50 ScalarMemLatency:6 Commit:early LoadElim:none MispredictPenalty:3 CollectRecords:false ChainLoads:false NoStoreTags:false BankedPorts:false ExactInvalidation:false ElideDeadSpillStores:false Sink:<nil>}",
-			"d85c7ee87440fa515f706988186cf95f",
+			"ooo:{PhysVRegs:16 QueueSlots:16 ROBSize:64 CommitWidth:4 MemLatency:50 ScalarMemLatency:6 Commit:early LoadElim:none ElideDeadSpillStores:false Sink:<nil>}",
+			"72664964ac0ed655de48df25baca509a",
 		},
 		{
 			"OOOVA late commit, SLE+VLE, 32 registers",
 			OOOConfigKey(ooosim.Config{PhysVRegs: 32, QueueSlots: 128, MemLatency: 1, Commit: rob.PolicyLate, LoadElim: ooosim.ElimSLEVLE}),
-			"ooo:{PhysVRegs:32 PhysARegs:64 PhysSRegs:64 PhysMRegs:8 QueueSlots:128 ROBSize:64 CommitWidth:4 MemLatency:1 ScalarMemLatency:6 Commit:late LoadElim:SLE+VLE MispredictPenalty:3 CollectRecords:false ChainLoads:false NoStoreTags:false BankedPorts:false ExactInvalidation:false ElideDeadSpillStores:false Sink:<nil>}",
-			"d373f4037355f17baecb9094a336bb86",
+			"ooo:{PhysVRegs:32 QueueSlots:128 ROBSize:64 CommitWidth:4 MemLatency:1 ScalarMemLatency:6 Commit:late LoadElim:SLE+VLE ElideDeadSpillStores:false Sink:<nil>}",
+			"3fc79c8926b95fd0fedda5f94d832133",
 		},
 		{
 			"REF default",
 			RefConfigKey(refsim.DefaultConfig()),
-			"ref:{MemLatency:50 ScalarMemLatency:6 TakenBranchPenalty:2 Sink:<nil>}",
-			"928797211f57ba011098ff3240e9ec6c",
+			"ref:{MemLatency:50 ScalarMemLatency:6 Sink:<nil>}",
+			"ec2bd93050bff04ae58c9005347823ba",
 		},
 		{
 			"REF latency 100, scalar latency 3",
 			RefConfigKey(refsim.Config{MemLatency: 100, ScalarMemLatency: 3}),
-			"ref:{MemLatency:100 ScalarMemLatency:3 TakenBranchPenalty:0 Sink:<nil>}",
-			"f9de9f6d1c95571acff4ca780732327d",
+			"ref:{MemLatency:100 ScalarMemLatency:3 Sink:<nil>}",
+			"d5a73f70c83b34bc2b96e4b115a2d1d4",
 		},
 	}
 	for _, c := range cases {
@@ -61,5 +63,38 @@ func TestKeySchemeIsStable(t *testing.T) {
 		if got := ResultKey(c.cfgKey, trace); got != c.wantResult {
 			t.Errorf("%s ResultKey = %s, want %s", c.name, got, c.wantResult)
 		}
+	}
+}
+
+// TestZeroConfigIsPaperDefault checks that an empty configuration is the
+// paper's: on both machines Run(tr, Config{}) stores byte-identical stats
+// to Run(tr, DefaultConfig()), and the two configurations share a cache
+// key, so a request that omits every field hits the default's entry.
+func TestZeroConfigIsPaperDefault(t *testing.T) {
+	p, _ := tgen.PresetByName("trfd")
+	p.Insns = 2000
+	tr := tgen.Generate(p)
+	encode := func(name string, st *metrics.RunStats) []byte {
+		b, err := st.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("%s: encode stats: %v", name, err)
+		}
+		return b
+	}
+
+	if zero, def := encode("OOOVA zero", ooosim.Run(tr, ooosim.Config{}).Stats),
+		encode("OOOVA default", ooosim.Run(tr, ooosim.DefaultConfig()).Stats); !bytes.Equal(zero, def) {
+		t.Error("OOOVA: zero-config run differs from the default-config run")
+	}
+	if zero, def := OOOConfigKey(ooosim.Config{}), OOOConfigKey(ooosim.DefaultConfig()); zero != def {
+		t.Errorf("OOOVA: zero-config key %q, default key %q", zero, def)
+	}
+
+	if zero, def := encode("REF zero", refsim.Run(tr, refsim.Config{})),
+		encode("REF default", refsim.Run(tr, refsim.DefaultConfig())); !bytes.Equal(zero, def) {
+		t.Error("REF: zero-config run differs from the default-config run")
+	}
+	if zero, def := RefConfigKey(refsim.Config{}), RefConfigKey(refsim.DefaultConfig()); zero != def {
+		t.Errorf("REF: zero-config key %q, default key %q", zero, def)
 	}
 }

@@ -13,26 +13,12 @@
 //     one dedicated write port. Conflicts then only arise when two in-flight
 //     instructions want the *same* physical register's port simultaneously.
 //
-// Both organisations implement PortFile: given the registers an instruction
-// reads and writes, its earliest possible issue cycle, and the number of
-// cycles it will occupy the ports (its vector length), the file returns the
-// earliest conflict-free start cycle and books the ports.
+// Both organisations have the same methods: given the registers an
+// instruction reads and writes, its earliest possible issue cycle, and the
+// number of cycles it will occupy the ports (its vector length), Acquire
+// returns the earliest conflict-free start cycle and books the ports. The
+// reference machine holds a *BankedFile and the OOOVA a *FlatFile.
 package vregfile
-
-// PortFile is a vector register file port model.
-type PortFile interface {
-	// Acquire books one read port for every register in reads and the write
-	// port for write (pass write < 0 for none) for dur consecutive cycles
-	// starting no earlier than earliest. It returns the chosen start cycle.
-	Acquire(reads []int, write int, earliest, dur int64) int64
-	// Peek returns the start Acquire would choose, without booking.
-	Peek(reads []int, write int, earliest int64) int64
-	// ConflictCycles returns the cumulative number of cycles instructions
-	// were delayed by port conflicts.
-	ConflictCycles() int64
-	// Reset clears all port state.
-	Reset()
-}
 
 // RegsPerBank is the C3400 grouping: pairs of vector registers share ports.
 const RegsPerBank = 2
@@ -121,7 +107,7 @@ func (f *BankedFile) plan(reads []int, write int, earliest int64) (int64, int) {
 	return start, n
 }
 
-// Peek implements PortFile.
+// Peek returns the start Acquire would choose, without booking.
 //
 //ovlint:hotpath probed once per vector operand set
 func (f *BankedFile) Peek(reads []int, write int, earliest int64) int64 {
@@ -129,10 +115,13 @@ func (f *BankedFile) Peek(reads []int, write int, earliest int64) int64 {
 	return start
 }
 
-// Acquire implements PortFile. Reads from the same bank compete for that
-// bank's two read ports; the write competes for the bank's single write port.
+// Acquire books one read port for every register in reads and the write
+// port for write (pass write < 0 for none) for dur consecutive cycles
+// starting no earlier than earliest, and returns the chosen start cycle.
+// Reads from the same bank compete for that bank's two read ports; the
+// write competes for the bank's single write port.
 //
-//ovlint:hotpath called once per vector instruction through the PortFile interface
+//ovlint:hotpath called once per vector instruction
 func (f *BankedFile) Acquire(reads []int, write int, earliest, dur int64) int64 {
 	if dur <= 0 {
 		dur = 1
@@ -150,10 +139,11 @@ func (f *BankedFile) Acquire(reads []int, write int, earliest, dur int64) int64 
 	return start
 }
 
-// ConflictCycles implements PortFile.
+// ConflictCycles returns the cumulative number of cycles instructions were
+// delayed by port conflicts.
 func (f *BankedFile) ConflictCycles() int64 { return f.conflicts }
 
-// Reset implements PortFile.
+// Reset clears all port state.
 func (f *BankedFile) Reset() {
 	for i := range f.readFree {
 		f.readFree[i] = [ReadPortsPerBank]int64{}
@@ -180,7 +170,7 @@ func NewFlatFile(n int) *FlatFile {
 	}
 }
 
-// Peek implements PortFile.
+// Peek returns the start Acquire would choose, without booking.
 //
 //ovlint:hotpath probed once per vector operand set
 func (f *FlatFile) Peek(reads []int, write int, earliest int64) int64 {
@@ -196,9 +186,11 @@ func (f *FlatFile) Peek(reads []int, write int, earliest int64) int64 {
 	return start
 }
 
-// Acquire implements PortFile.
+// Acquire books the dedicated port of every register in reads and of write
+// (pass write < 0 for none) for dur consecutive cycles starting no earlier
+// than earliest, and returns the chosen start cycle.
 //
-//ovlint:hotpath called once per vector instruction through the PortFile interface
+//ovlint:hotpath called once per vector instruction
 func (f *FlatFile) Acquire(reads []int, write int, earliest, dur int64) int64 {
 	if dur <= 0 {
 		dur = 1
@@ -216,10 +208,11 @@ func (f *FlatFile) Acquire(reads []int, write int, earliest, dur int64) int64 {
 	return start
 }
 
-// ConflictCycles implements PortFile.
+// ConflictCycles returns the cumulative number of cycles instructions were
+// delayed by port conflicts.
 func (f *FlatFile) ConflictCycles() int64 { return f.conflicts }
 
-// Reset implements PortFile.
+// Reset clears all port state.
 func (f *FlatFile) Reset() {
 	for i := range f.readFree {
 		f.readFree[i] = 0

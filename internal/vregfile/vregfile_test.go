@@ -123,8 +123,13 @@ func TestTimingReadyFor(t *testing.T) {
 	}
 }
 
+// portFile is the booking method both port organisations share.
+type portFile interface {
+	Acquire(reads []int, write int, earliest, dur int64) int64
+}
+
 func TestPropertyAcquireNeverBeforeEarliest(t *testing.T) {
-	check := func(mk func() PortFile, maxReg int) func(int64) bool {
+	check := func(mk func() portFile, maxReg int) func(int64) bool {
 		return func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
 			f := mk()
@@ -150,11 +155,11 @@ func TestPropertyAcquireNeverBeforeEarliest(t *testing.T) {
 			return true
 		}
 	}
-	if err := quick.Check(check(func() PortFile { return NewBankedFile(8) }, 8),
+	if err := quick.Check(check(func() portFile { return NewBankedFile(8) }, 8),
 		&quick.Config{MaxCount: 25}); err != nil {
 		t.Errorf("banked: %v", err)
 	}
-	if err := quick.Check(check(func() PortFile { return NewFlatFile(64) }, 64),
+	if err := quick.Check(check(func() portFile { return NewFlatFile(64) }, 64),
 		&quick.Config{MaxCount: 25}); err != nil {
 		t.Errorf("flat: %v", err)
 	}
