@@ -334,6 +334,31 @@ func BenchmarkSimulatorOOOElimReuse(b *testing.B) {
 	benchReuse(b, func(tr *trace.Trace) { m.Run(tr) })
 }
 
+// BenchmarkMemDepsBuild measures the one-time cost per trace of the M
+// queue's memory-dependence plan (trace.Trace.MemDeps), which every OOOVA
+// run on the trace then shares: building the plans of the ten presets at
+// the default length, in ns per memory instruction.
+func BenchmarkMemDepsBuild(b *testing.B) {
+	var traces []*trace.Trace
+	mem := 0
+	for _, p := range tgen.Presets() {
+		p.Insns = tgen.DefaultInsns
+		tr := tgen.Generate(p)
+		mem += tr.MemInsns(tr.Len())
+		traces = append(traces, tr)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range traces {
+			// A new Trace over the same instructions has no plan yet.
+			fresh := &trace.Trace{Name: tr.Name, Insns: tr.Insns}
+			fresh.MemDeps()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(mem*b.N), "ns/meminsn")
+}
+
 func BenchmarkTraceGeneration(b *testing.B) {
 	p, _ := tgen.PresetByName("swm256")
 	p.Insns = 20000

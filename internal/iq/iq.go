@@ -14,10 +14,17 @@
 // address bus lazily stays pending in its StoreBuffer until an access
 // conflicts with it.
 //
-// Both keep state sized by the queue, not the trace. An A/S/V queue books
-// its issue port from its occupancy window, as hardware arbitrates among
-// resident entries only (sched.RingWindow.AdmitFirstFree); each M-queue
-// front stage is one next-free cycle.
+// Which earlier accesses a memory instruction conflicts with depends only
+// on the trace, so the check does not search for them in every run: a
+// trace's MemDeps plan lists them once, and a queue following it (Follow)
+// walks the list for each access. A queue without a plan, and the plan's
+// builder, find them through a range index (package rangeidx).
+//
+// Both queue types keep state sized by the queue, not the trace. An A/S/V
+// queue books its issue port from its occupancy window, as hardware
+// arbitrates among resident entries only
+// (sched.RingWindow.AdmitFirstFree); each M-queue front stage is one
+// next-free cycle. The plan is trace-sized, and belongs to the trace.
 package iq
 
 import (
@@ -107,7 +114,7 @@ type StoreBuffer interface {
 }
 
 // MemQueue is the memory instruction queue with its in-order front pipeline
-// and range-based disambiguation.
+// and its Dependence check.
 type MemQueue struct {
 	Slots
 	// free holds the next free cycle of the in-order one-per-cycle front
@@ -117,27 +124,42 @@ type MemQueue struct {
 	entries [maxScan]memEntry
 	n       int         // total entries recorded
 	scanWin int         //ovlint:config structural size, fixed at construction
-	slot    int         //ovlint:derived n % scanWin, the range-index slot of the next entry; Restore rebuilds it
 	sb      StoreBuffer //ovlint:config the machine's store buffer, attached once at construction
 
+	// deps is the memory-dependence plan of the trace being run (Follow):
+	// entry n's Dependence check visits the entries deps lists for it.
+	deps *MemDeps //ovlint:config the running trace's plan, attached before the run starts
+
 	// ranges indexes the byte ranges of the last scanWin entries, entry i
-	// in slot i%scanWin and marked if it is a store, so the Dependence
-	// check visits only the overlapping entries.
-	ranges *rangeidx.Index //ovlint:derived the ranges of the live entries; Restore rebuilds it
+	// in slot i%scanWin and marked if it is a store, so a queue without a
+	// plan visits only the overlapping entries. It is built from the live
+	// entries at its first use (index).
+	ranges *rangeidx.Index //ovlint:derived the ranges of the live entries; Restore drops it and its first use rebuilds it
+	found  [maxScan]uint8  //ovlint:config per-check scratch, the entries the range index found
 }
 
-// NewMemQueue returns a memory queue with the given capacity.
+// NewMemQueue returns a memory queue with the given capacity, without a
+// plan.
 func NewMemQueue(capacity int) *MemQueue {
 	if capacity <= 0 {
 		capacity = DefaultSlots
 	}
-	w := min(capacity, maxScan)
-	return &MemQueue{Slots: Slots{sched.NewRingWindow(capacity)}, scanWin: w, ranges: rangeidx.New(w)}
+	return &MemQueue{Slots: Slots{sched.NewRingWindow(capacity)}, scanWin: min(capacity, maxScan)}
 }
 
 // Attach makes sb the store buffer that places the queue's pending stores.
 // A queue without one records no pending stores.
 func (q *MemQueue) Attach(sb StoreBuffer) { q.sb = sb }
+
+// Follow makes d, the plan of the trace about to run, answer the queue's
+// Dependence checks; nil makes the queue find the conflicting entries
+// through its range index. The queue's entries must be that trace's
+// memory instructions, so call Follow before the run's Reset or Restore.
+func (q *MemQueue) Follow(d *MemDeps) {
+	if d != q.deps {
+		q.deps, q.ranges = d, nil
+	}
+}
 
 // Advance pushes an instruction entering the queue at `enter` through the
 // three in-order front stages and returns the cycle it leaves the
@@ -157,42 +179,61 @@ func (q *MemQueue) Advance(enter int64) int64 {
 // issue, given the previous memory instructions in the queue. An access
 // conflicts with an earlier one when their ranges overlap and at least one
 // of the two is a store; the younger access must then wait until the older
-// one has issued all its requests. Overlapping entries are visited oldest
+// one has issued all its requests. Conflicting entries are visited oldest
 // first, so the store buffer places conflicting pending stores in age
-// order.
+// order. A queue following a plan takes the access to be the trace's next
+// memory instruction and visits the entries the plan lists for it.
 //
 //ovlint:hotpath the check runs once per memory instruction
 func (q *MemQueue) ConflictConstraint(start, end uint64, isStore bool) int64 {
-	// A load conflicts only with stores. Entry lo = n-scanWin (negative, and
-	// its slots empty, before the window fills) sits in slot first; slots
-	// first.. hold lo.., and slots 0..first-1 the younger entries after them.
-	over := q.ranges.Query(start, end, !isStore)
-	lo, first := q.n-q.scanWin, q.slot
-	var at int64
-	for slot := rangeidx.Next(over, first); slot >= 0; slot = rangeidx.Next(over, slot+1) {
-		at = max(at, q.conflictWith(lo+slot-first, start, end, isStore))
+	var backs []uint8
+	if q.deps != nil {
+		backs = q.deps.Conflicts(q.n)
+	} else {
+		backs = q.overlapping(q.found[:0], start, end, isStore)
 	}
-	for slot := rangeidx.Next(over, 0); slot >= 0 && slot < first; slot = rangeidx.Next(over, slot+1) {
-		at = max(at, q.conflictWith(lo+q.scanWin-first+slot, start, end, isStore))
+	var at int64
+	for _, b := range backs {
+		if int(b) >= q.scanWin {
+			continue // a plan lists the last maxScan entries
+		}
+		e := &q.entries[(q.n-1-int(b))%maxScan]
+		if e.pend >= 0 {
+			// The older conflicting store must issue first.
+			q.sb.PlaceStore(e.pend)
+		}
+		at = max(at, e.busEnd)
 	}
 	return at
 }
 
-// conflictWith checks the access over [start, end] against entry i, an
-// overlapping entry the range index returned, and returns the cycle the
-// entry's bus occupancy ends if the two conflict, else 0. The check is the
-// index's own for a well-formed range; only an inverted one (start > end),
-// for which the index returns every live entry, depends on it.
-func (q *MemQueue) conflictWith(i int, start, end uint64, isStore bool) int64 {
-	e := &q.entries[i%maxScan]
-	if !(isStore || e.isStore) || !(e.start <= end && start <= e.end) {
-		return 0
+// overlapping appends to dst, oldest first, the entries among the last
+// scanWin that an access over [start, end] conflicts with, each as its
+// distance back from entry n, minus one. The range index finds them, and
+// keeps only stores for a load; only an inverted range (start > end), for
+// which it returns every live entry, depends on the overlap test here.
+func (q *MemQueue) overlapping(dst []uint8, start, end uint64, isStore bool) []uint8 {
+	// Entry n-scanWin (negative, and its slot empty, before the window
+	// fills) sits in slot first, the next entry's; slots first.. hold the
+	// oldest entries, slots 0..first-1 the younger ones after them.
+	over := q.index().Query(start, end, !isStore)
+	first := q.n % q.scanWin
+	for slot := rangeidx.Next(over, first); slot >= 0; slot = rangeidx.Next(over, slot+1) {
+		dst = q.appendOverlap(dst, q.scanWin-1-slot+first, start, end)
 	}
-	if e.pend >= 0 {
-		// The older conflicting store must issue first.
-		q.sb.PlaceStore(e.pend)
+	for slot := rangeidx.Next(over, 0); slot >= 0 && slot < first; slot = rangeidx.Next(over, slot+1) {
+		dst = q.appendOverlap(dst, first-1-slot, start, end)
 	}
-	return e.busEnd
+	return dst
+}
+
+// appendOverlap appends back to dst if [start, end] overlaps the range of
+// the entry back+1 before entry n.
+func (q *MemQueue) appendOverlap(dst []uint8, back int, start, end uint64) []uint8 {
+	if e := &q.entries[(q.n-1-back)%maxScan]; e.start <= end && start <= e.end {
+		dst = append(dst, uint8(back))
+	}
+	return dst
 }
 
 // Record registers an issued memory access for later disambiguation and
@@ -216,13 +257,13 @@ func (q *MemQueue) RecordPending(start, end uint64, pend int, leaveAt int64) int
 	return q.n - 1
 }
 
-// record appends an entry to the ring and the range index.
+// record appends an entry to the ring, and to the range index of a queue
+// without a plan.
 func (q *MemQueue) record(start, end uint64, isStore bool, busEnd int64, pend int) {
-	q.entries[q.n%maxScan] = memEntry{start: start, end: end, isStore: isStore, busEnd: busEnd, pend: pend}
-	q.ranges.Insert(q.slot, start, end, isStore) // replaces entry n-scanWin
-	if q.slot++; q.slot == q.scanWin {
-		q.slot = 0
+	if q.deps == nil {
+		q.index().Insert(q.n%q.scanWin, start, end, isStore) // replaces entry n-scanWin
 	}
+	q.entries[q.n%maxScan] = memEntry{start: start, end: end, isStore: isStore, busEnd: busEnd, pend: pend}
 	q.n++
 }
 
@@ -236,26 +277,34 @@ func (q *MemQueue) SetBusEnd(entry int, busEnd int64) {
 }
 
 // Elide neutralises the pending store with entry number entry, which the
-// store buffer dropped before it issued: a dead store orders nothing.
+// store buffer dropped before it issued: a dead store orders nothing. A
+// plan still lists the entry, and a rebuilt range index can return its
+// empty range [1, 0] for a range from address 0; its bus end of 0 and no
+// pending store leave the check unchanged.
 func (q *MemQueue) Elide(entry int) {
 	if entry >= q.n-maxScan {
 		e := &q.entries[entry%maxScan]
-		e.start, e.end = 1, 0 // empty range: overlaps nothing
+		e.start, e.end = 1, 0
 		e.busEnd, e.pend = 0, -1
 	}
-	if back := q.n - entry; back <= q.scanWin {
-		slot := q.slot - back
-		if slot < 0 {
-			slot += q.scanWin
-		}
-		q.ranges.Remove(slot)
+	if q.ranges != nil && q.n-entry <= q.scanWin {
+		q.ranges.Remove(entry % q.scanWin)
 	}
 }
 
-// rebuildRanges indexes the live entries in a new index.
+// index returns the range index, built from the live entries at its first
+// use.
+func (q *MemQueue) index() *rangeidx.Index {
+	if q.ranges == nil {
+		q.buildRanges()
+	}
+	return q.ranges
+}
+
+// buildRanges indexes the live entries in a new index.
 //
-//ovlint:coldpath once per restore
-func (q *MemQueue) rebuildRanges() {
+//ovlint:coldpath once per queue without a plan, or per restore of one
+func (q *MemQueue) buildRanges() {
 	q.ranges = rangeidx.New(q.scanWin)
 	for i := max(q.n-q.scanWin, 0); i < q.n; i++ {
 		e := &q.entries[i%maxScan]
@@ -267,6 +316,8 @@ func (q *MemQueue) rebuildRanges() {
 func (q *MemQueue) Reset() {
 	q.window.Reset()
 	q.free = [3]int64{}
-	q.ranges.Reset()
-	q.n, q.slot = 0, 0
+	if q.ranges != nil {
+		q.ranges.Reset()
+	}
+	q.n = 0
 }

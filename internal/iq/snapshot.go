@@ -75,12 +75,17 @@ func (q *MemQueue) Snapshot() MemQueueState {
 // store buffer are configuration, not state, and are kept. These are
 // errors: a window of another capacity, a negative entry count, a ring of
 // another size, a live entry whose pending-store index is below -1 (or at
-// least 0 in a queue without a store buffer), and front-stage cycles that
-// no sequence of Advance calls leaves (all zero, or 0 < Issue/RF < Range <
-// Dependence). The store buffer checks that the stores named exist.
+// least 0 in a queue without a store buffer), front-stage cycles that no
+// sequence of Advance calls leaves (all zero, or 0 < Issue/RF < Range <
+// Dependence), and, in a queue following a plan, more entries than the
+// plan's memory instructions. The store buffer checks that the stores
+// named exist.
 func (q *MemQueue) Restore(st MemQueueState) error {
 	if st.N < 0 {
 		return fmt.Errorf("iq: memory queue entry count %d is negative", st.N)
+	}
+	if q.deps != nil && st.N > q.deps.Len() {
+		return fmt.Errorf("iq: memory queue entry count %d runs past the plan's %d memory instructions", st.N, q.deps.Len())
 	}
 	if len(st.Entries) != maxScan {
 		return fmt.Errorf("iq: memory queue ring holds %d entries, want %d", len(st.Entries), maxScan)
@@ -100,7 +105,7 @@ func (q *MemQueue) Restore(st MemQueueState) error {
 	for i, e := range st.Entries {
 		q.entries[i] = memEntry{start: e.Start, end: e.End, isStore: e.IsStore, busEnd: e.BusEnd, pend: e.Pend}
 	}
-	q.n, q.slot = st.N, st.N%q.scanWin
-	q.rebuildRanges()
+	q.n = st.N
+	q.ranges = nil // rebuilt from the entries at its first use
 	return nil
 }

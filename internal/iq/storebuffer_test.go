@@ -132,29 +132,24 @@ func (l *linearQueue) Elide(entry int) {
 // default, the OOOVA-128 size and the scan bound.
 var memQueueSlots = []int{1, 2, 4, 16, 64, 128, 256, 300}
 
-// checkMemQueueAgainstReference decodes ops, four bytes an operation, into
-// the calls the OOOVA makes on its M queue and store buffer — loads, late
-// stores and deferred stores, each after its Dependence check, elidable
-// stores, cancellations, eliminated loads, conflict probes, the end-of-run
-// placement of every pending store and snapshot/restore of the queue and
-// its buffer into fresh ones — and
-// requires every constraint, the bus bookings, the conflict count and the
-// ring's live entries to match the linear reference after each.
-func checkMemQueueAgainstReference(t *testing.T, slots int, ops []byte) {
-	t.Helper()
-	q := NewMemQueue(slots)
-	buf := &testBuffer{q: q, bus: sched.NewGap()}
-	q.Attach(buf)
-	ref := &linearQueue{scanWin: min(slots, maxScan)}
-	refBuf := &testBuffer{q: ref, bus: sched.NewGap()}
-	ref.sb = refBuf
+// memOp is one decoded operation of checkMemQueueAgainstReference.
+type memOp struct {
+	op, a      byte
+	start, end uint64
+	isStore    bool
+	ready, occ int64
+}
 
+// decodeMemOps decodes ops, four bytes an operation, and returns them with
+// the accesses they record in order: the memory instructions of the trace
+// they model.
+func decodeMemOps(ops []byte) ([]memOp, []Access) {
+	var decoded []memOp
+	var accs []Access
 	var clock int64
 	for k := 0; k+4 <= len(ops); k += 4 {
 		op, a, b, c := ops[k]%10, ops[k+1], ops[k+2], ops[k+3]
 		clock += int64(c % 8)
-		ready := clock + int64(c/8)
-		occ := 1 + int64(b%32)
 		// Ranges crowd four 4 KiB blocks; some straddle a block boundary,
 		// some span more than two blocks, and a few are inverted.
 		start := uint64(a) * 64
@@ -165,67 +160,143 @@ func checkMemQueueAgainstReference(t *testing.T, slots int, ops []byte) {
 		case b >= 224:
 			end = start + 3*4096
 		}
-		isStore := op == 1 || op == 2 || op == 3
-		if op <= 3 {
-			got, want := q.ConflictConstraint(start, end, isStore), ref.ConflictConstraint(start, end, isStore)
-			if got != want {
-				t.Fatalf("op %d: Dependence check = %d, reference %d", k/4, got, want)
-			}
-			ready = max(ready, got)
+		m := memOp{op: op, a: a, start: start, end: end, isStore: op == 1 || op == 2 || op == 3,
+			ready: clock + int64(c/8), occ: 1 + int64(b%32)}
+		if op <= 3 || op == 5 {
+			accs = append(accs, Access{Start: start, End: end, Store: m.isStore})
 		}
-		switch op {
-		case 0, 3: // a load, or a store under late commit
-			busStart := buf.placeNow(ready, occ)
-			if want := refBuf.placeNow(ready, occ); busStart != want {
-				t.Fatalf("op %d: bus start %d, reference %d", k/4, busStart, want)
+		decoded = append(decoded, m)
+	}
+	return decoded, accs
+}
+
+// checkMemQueueAgainstReference decodes ops into the calls the OOOVA makes
+// on its M queue and store buffer — loads, late stores and deferred
+// stores, each after its Dependence check, elidable stores,
+// cancellations, eliminated loads, conflict probes, the end-of-run
+// placement of every pending store and snapshot/restore of the queue and
+// its buffer into fresh ones — and requires every constraint, the bus
+// bookings and the ring's live entries to match the linear reference
+// after each. It runs them twice: on a queue without a plan, with probes
+// of arbitrary accesses; then on that queue and on one following the plan
+// built from the recorded accesses, side by side, with each probe asking
+// about the next recorded access, the only one a plan answers for.
+func checkMemQueueAgainstReference(t *testing.T, slots int, ops []byte) {
+	t.Helper()
+	decoded, accs := decodeMemOps(ops)
+	runMemQueueCheck(t, slots, decoded, accs, nil)
+	runMemQueueCheck(t, slots, decoded, accs, buildMemDeps(len(accs), slices.Values(accs), 1<<30))
+}
+
+// runMemQueueCheck is one run of checkMemQueueAgainstReference: on a queue
+// without a plan if plan is nil, else on that queue and one following
+// plan.
+func runMemQueueCheck(t *testing.T, slots int, decoded []memOp, accs []Access, plan *MemDeps) {
+	t.Helper()
+	plans := []*MemDeps{nil}
+	if plan != nil {
+		plans = append(plans, plan)
+	}
+	qs := make([]*MemQueue, len(plans))
+	bufs := make([]*testBuffer, len(plans))
+	for j, d := range plans {
+		qs[j] = NewMemQueue(slots)
+		qs[j].Follow(d)
+		bufs[j] = &testBuffer{q: qs[j], bus: sched.NewGap()}
+		qs[j].Attach(bufs[j])
+	}
+	ref := &linearQueue{scanWin: min(slots, maxScan)}
+	refBuf := &testBuffer{q: ref, bus: sched.NewGap()}
+	ref.sb = refBuf
+
+	// check runs one Dependence check on every queue and the reference.
+	check := func(k int, what string, start, end uint64, isStore bool) int64 {
+		want := ref.ConflictConstraint(start, end, isStore)
+		for j, q := range qs {
+			if got := q.ConflictConstraint(start, end, isStore); got != want {
+				t.Fatalf("op %d, queue %d of %d: %s = %d, reference %d", k, j, len(qs), what, got, want)
 			}
-			q.Record(start, end, isStore, busStart, busStart+occ)
-			ref.record(start, end, isStore, busStart+occ, -1)
+		}
+		return want
+	}
+	for k, m := range decoded {
+		ready := m.ready
+		if m.op <= 3 {
+			ready = max(ready, check(k, "Dependence check", m.start, m.end, m.isStore))
+		}
+		switch m.op {
+		case 0, 3: // a load, or a store under late commit
+			want := refBuf.placeNow(ready, m.occ)
+			for j, q := range qs {
+				if busStart := bufs[j].placeNow(ready, m.occ); busStart != want {
+					t.Fatalf("op %d, queue %d: bus start %d, reference %d", k, j, busStart, want)
+				}
+				q.Record(m.start, m.end, m.isStore, want, want+m.occ)
+			}
+			ref.record(m.start, m.end, m.isStore, want+m.occ, -1)
 		case 1, 2: // a deferred store; 2 is an elidable spill
-			st := bufferedStore{ready: ready, occ: occ, elidable: op == 2}
-			st.entry = q.RecordPending(start, end, len(buf.pend), ready)
-			buf.pend = append(buf.pend, st)
-			st.entry = ref.record(start, end, true, 0, len(refBuf.pend))
+			st := bufferedStore{ready: ready, occ: m.occ, elidable: m.op == 2}
+			for j, q := range qs {
+				st.entry = q.RecordPending(m.start, m.end, len(bufs[j].pend), ready)
+				bufs[j].pend = append(bufs[j].pend, st)
+			}
+			st.entry = ref.record(m.start, m.end, true, 0, len(refBuf.pend))
 			refBuf.pend = append(refBuf.pend, st)
 		case 4:
-			i := int(a) % (len(buf.pend) + 1)
-			buf.cancel(i)
+			i := int(m.a) % (len(refBuf.pend) + 1)
+			for _, b := range bufs {
+				b.cancel(i)
+			}
 			refBuf.cancel(i)
 		case 5: // an eliminated load
-			q.Record(start, end, false, ready, ready)
-			ref.record(start, end, false, ready, -1)
-		case 6, 7:
-			got, want := q.ConflictConstraint(start, end, op == 7), ref.ConflictConstraint(start, end, op == 7)
-			if got != want {
-				t.Fatalf("op %d: conflict probe = %d, reference %d", k/4, got, want)
+			for _, q := range qs {
+				q.Record(m.start, m.end, false, ready, ready)
 			}
+			ref.record(m.start, m.end, false, ready, -1)
+		case 6, 7:
+			start, end, isStore := m.start, m.end, m.op == 7
+			if plan != nil {
+				if len(ref.entries) == len(accs) {
+					break // no access left to probe
+				}
+				next := accs[len(ref.entries)]
+				start, end, isStore = next.Start, next.End, next.Store
+			}
+			check(k, "conflict probe", start, end, isStore)
 		case 8: // rare, so stores stay pending past 256 entries first
-			if a < 8 {
-				buf.finish()
+			if m.a < 8 {
+				for _, b := range bufs {
+					b.finish()
+				}
 				refBuf.finish()
 			}
 		case 9:
-			st := q.Snapshot()
-			q = NewMemQueue(slots)
-			moved := &testBuffer{q: q, bus: sched.NewGap(), pend: slices.Clone(buf.pend)}
-			if err := moved.bus.Restore(buf.bus.Snapshot()); err != nil {
-				t.Fatal(err)
+			for j, q := range qs {
+				st := q.Snapshot()
+				qs[j] = NewMemQueue(slots)
+				qs[j].Follow(plans[j])
+				moved := &testBuffer{q: qs[j], bus: sched.NewGap(), pend: slices.Clone(bufs[j].pend)}
+				if err := moved.bus.Restore(bufs[j].bus.Snapshot()); err != nil {
+					t.Fatal(err)
+				}
+				bufs[j] = moved
+				qs[j].Attach(moved)
+				if err := qs[j].Restore(st); err != nil {
+					t.Fatalf("op %d, queue %d: restore: %v", k, j, err)
+				}
 			}
-			buf = moved
-			q.Attach(buf)
-			if err := q.Restore(st); err != nil {
-				t.Fatalf("op %d: restore: %v", k/4, err)
+		}
+		for j, q := range qs {
+			if !slices.Equal(bufs[j].bus.Intervals(), refBuf.bus.Intervals()) {
+				t.Fatalf("op %d, queue %d: bus intervals diverge:\n got %v\nwant %v", k, j, bufs[j].bus.Intervals(), refBuf.bus.Intervals())
 			}
-		}
-		if !slices.Equal(buf.bus.Intervals(), refBuf.bus.Intervals()) {
-			t.Fatalf("op %d: bus intervals diverge:\n got %v\nwant %v", k/4, buf.bus.Intervals(), refBuf.bus.Intervals())
-		}
-		if q.n != len(ref.entries) {
-			t.Fatalf("op %d: %d entries, reference %d", k/4, q.n, len(ref.entries))
-		}
-		for i := max(q.n-maxScan, 0); i < q.n; i++ {
-			if q.entries[i%maxScan] != ref.entries[i] {
-				t.Fatalf("op %d: ring entry %d = %+v, reference %+v", k/4, i, q.entries[i%maxScan], ref.entries[i])
+			if q.n != len(ref.entries) {
+				t.Fatalf("op %d, queue %d: %d entries, reference %d", k, j, q.n, len(ref.entries))
+			}
+			for i := max(q.n-maxScan, 0); i < q.n; i++ {
+				if q.entries[i%maxScan] != ref.entries[i] {
+					t.Fatalf("op %d, queue %d: ring entry %d = %+v, reference %+v", k, j, i, q.entries[i%maxScan], ref.entries[i])
+				}
 			}
 		}
 	}
@@ -245,7 +316,8 @@ func TestMemQueueStoreBufferMatchesLinearReference(t *testing.T) {
 }
 
 // FuzzMemQueue checks the M queue's Dependence check with a store buffer
-// attached against the linear reference on fuzzed operation sequences.
+// attached against the linear reference on fuzzed operation sequences,
+// without a plan and following the plan built from each sequence.
 func FuzzMemQueue(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 10, 5, 3, 0, 12, 5, 9, 2, 40, 7, 1, 4, 0, 0, 0, 6, 10, 5, 3, 7, 12, 1, 8})
 	f.Add(uint8(0), []byte{2, 1, 2, 3, 2, 1, 2, 9, 1, 3, 4, 200, 8, 0, 0, 0, 0, 1, 2, 3, 4, 1, 0, 0, 5, 9, 9, 9})

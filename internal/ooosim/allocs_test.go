@@ -128,6 +128,9 @@ func TestRefMachineReuseBytesBound(t *testing.T) {
 // the run allocates is the machine itself and the held bookings and stores,
 // which are sized by the work in flight; a structure that kept every
 // booking or store of the run would cost hundreds of kilobytes more at 80k.
+// Both traces' memory-dependence plans are built first: a plan is
+// trace-derived data, built once per trace and shared by every run on it,
+// like the trace itself (TestMemDepsBytes bounds it).
 func TestFreshRunBytesIndependentOfTraceLength(t *testing.T) {
 	const slack = 8 << 10
 	for _, bench := range []string{"hydro2d", "swm256"} {
@@ -136,6 +139,8 @@ func TestFreshRunBytesIndependentOfTraceLength(t *testing.T) {
 		short := tgen.Generate(p)
 		p.Insns = 80_000
 		long := tgen.Generate(p)
+		short.MemDeps()
+		long.MemDeps()
 		runs := map[string]func(*trace.Trace){
 			"OOOVA": func(tr *trace.Trace) { NewMachine(DefaultConfig()).Run(tr) },
 			"REF":   func(tr *trace.Trace) { refsim.NewMachine(refsim.DefaultConfig()).Run(tr) },
@@ -184,4 +189,40 @@ func TestFreshRunBytesBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMemDepsBytes bounds what a trace's memory-dependence plan holds, the
+// one trace-sized structure an OOOVA run reads besides the trace itself:
+// the heap bytes the plans of the ten presets keep, per memory
+// instruction. An exact-size plan keeps a 4-byte offset and under one
+// conflict byte per memory instruction (4.84 B measured); spare capacity
+// left by append growth, or wider offsets or conflict entries, would keep
+// more. Building also allocates a fixed ~50 KB window per trace, which it
+// drops (10.95 B per memory instruction allocated in all).
+func TestMemDepsBytes(t *testing.T) {
+	const bound = 6 // bytes per memory instruction
+	var traces []*trace.Trace
+	var mem int64
+	for _, p := range tgen.Presets() {
+		p.Insns = tgen.DefaultInsns
+		tr := tgen.Generate(p)
+		mem += int64(tr.MemInsns(tr.Len()))
+		traces = append(traces, tr)
+	}
+	var before, built, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, tr := range traces {
+		tr.MemDeps()
+	}
+	runtime.ReadMemStats(&built)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(mem)
+	t.Logf("plans of the ten presets: %.2f B kept and %.2f B allocated per memory instruction (%d of them)",
+		kept, float64(built.TotalAlloc-before.TotalAlloc)/float64(mem), mem)
+	if kept > bound {
+		t.Errorf("the presets' plans keep %.2f B per memory instruction, want <= %d", kept, bound)
+	}
+	runtime.KeepAlive(traces)
 }

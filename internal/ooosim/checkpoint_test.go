@@ -184,9 +184,8 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	if _, _, err := NewMachine(big).RunCheckpointed(tr, RunOpts{Resume: ck}); err == nil {
 		t.Errorf("resume under a different register-file size succeeded; want error")
 	}
-	short := *tr
-	short.Insns = short.Insns[:1000]
-	if _, _, err := NewMachine(DefaultConfig()).RunCheckpointed(&short, RunOpts{Resume: ck}); err == nil {
+	short := &trace.Trace{Name: tr.Name, Suite: tr.Suite, Insns: tr.Insns[:1000]}
+	if _, _, err := NewMachine(DefaultConfig()).RunCheckpointed(short, RunOpts{Resume: ck}); err == nil {
 		t.Errorf("resume on a different trace succeeded; want error")
 	}
 }
@@ -232,6 +231,12 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 		{"held store ready before its Dependence stage", func(ck *Checkpoint) {
 			ck.MSched.Pend[0].Dep = ck.MSched.Pend[0].Ready + 1
 		}, "Dependence stage"},
+		// The M queue walks the trace's memory-dependence plan at entry N:
+		// another count would walk the wrong accesses' conflicts, and one
+		// past the plan would index out of it.
+		{"M queue entries not the memory instructions before the position", func(ck *Checkpoint) { ck.MQ.N++ }, "memory instructions"},
+		{"position moved past M queue entries", func(ck *Checkpoint) { ck.NextInsn += 100 }, "memory instructions"},
+		{"M queue past the plan", func(ck *Checkpoint) { ck.MQ.N += 1 << 20 }, "memory instructions"},
 	}
 	for _, c := range cases {
 		ck := cloneCheckpoint(t, good)

@@ -72,6 +72,9 @@ func RunWithFault(t *trace.Trace, cfg Config, faultIdx int) (*FaultResult, error
 	cfg = cfg.WithDefaults()
 
 	m := newMachine(cfg)
+	if err := m.Begin(t, nil); err != nil {
+		return nil, err
+	}
 	m.suppressFrom = faultIdx
 	m.records = make([]rename.Record, 0, t.Len())
 

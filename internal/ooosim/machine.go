@@ -55,16 +55,24 @@ func (mm *Machine) Run(t *trace.Trace) *Result {
 	return r
 }
 
-// Begin implements sim.Model: it restores the power-on state (or resume,
-// when set).
+// Begin implements sim.Model: it attaches the trace's memory-dependence
+// plan to the M queue and restores the power-on state (or resume, when
+// set). A resumed M queue holds one entry per memory instruction before
+// the checkpoint's position; another count would walk the wrong part of
+// the plan.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
+	m.mQ.Follow(t.MemDeps())
 	m.reset()
-	if resume != nil {
-		return m.restore(resume)
+	if resume == nil {
+		return nil
 	}
-	return nil
+	if mem := t.MemInsns(resume.NextInsn); resume.MQ.N != mem {
+		return fmt.Errorf("ooosim: checkpoint M queue holds %d entries, the trace %d memory instructions before instruction %d",
+			resume.MQ.N, mem, resume.NextInsn)
+	}
+	return m.restore(resume)
 }
 
 // machine is the OOOVA simulation state.

@@ -2,10 +2,12 @@ package ooosim
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"oovec/internal/rob"
 	"oovec/internal/tgen"
+	"oovec/internal/trace"
 )
 
 // Reset points mm at a machine built for cfg, so a test can walk a table of
@@ -41,6 +43,55 @@ func TestMachineReuseMatchesFreshRuns(t *testing.T) {
 			if again := mm.Run(tr).Stats; !reflect.DeepEqual(again, want) {
 				t.Errorf("%s config %d: second run on the machine differs", name, ci)
 			}
+		}
+	}
+}
+
+// TestConcurrentFirstRunsShareOnePlan starts runs of several
+// configurations on one fresh trace at the same moment, so they all ask
+// for its memory-dependence plan first. They must share one plan and match
+// runs on an identical trace simulated one by one; one machine then runs
+// both traces in turn and must match too.
+func TestConcurrentFirstRunsShareOnePlan(t *testing.T) {
+	late := DefaultConfig()
+	late.Commit = rob.PolicyLate
+	late.LoadElim = ElimSLEVLE
+	slots128 := DefaultConfig()
+	slots128.QueueSlots = 128
+	configs := []Config{DefaultConfig(), late, slots128, DefaultConfig()}
+
+	p, _ := tgen.PresetByName("bdna")
+	p.Insns = 3000
+	shared, serial := tgen.Generate(p), tgen.Generate(p)
+	got := make([]*Result, len(configs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, cfg := range configs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = Run(shared, cfg)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, cfg := range configs {
+		if want := Run(serial, cfg).Stats; !reflect.DeepEqual(got[i].Stats, want) {
+			t.Errorf("config %d: concurrent first run differs from a serial one\ngot:  %+v\nwant: %+v", i, got[i].Stats, want)
+		}
+	}
+	if shared.MemDeps() == nil || shared.MemDeps() != shared.MemDeps() {
+		t.Fatal("the trace's plan is missing or not memoized")
+	}
+
+	q, _ := tgen.PresetByName("swm256")
+	q.Insns = 3000
+	other := tgen.Generate(q)
+	mm := NewMachine(DefaultConfig())
+	for _, tr := range []*trace.Trace{shared, other, shared} {
+		if got, want := mm.Run(tr).Stats, Run(tr, DefaultConfig()).Stats; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s on a machine that ran another trace differs from a fresh run", tr.Name)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 // Package rangeidx answers the simulators' address-overlap queries without
 // scanning every live byte range.
 //
-// Three structures ask, for every memory instruction, which of a bounded set
-// of byte ranges may overlap a new one: the OOOVA's memory scheduler and the
-// M queue's Dependence stage (the last QueueSlots accesses, §2.2), and the
-// §6.1 memory tags (one range per physical register). Few ranges ever
-// overlap, so a scan spends almost all its time rejecting.
+// Two structures ask, for every memory instruction, which of a bounded set
+// of byte ranges may overlap a new one: the builder of a trace's
+// memory-dependence plan (iq.BuildMemDeps, the last 256 accesses, once per
+// trace; an M queue without a plan asks the same for its last QueueSlots
+// accesses, §2.2), and the §6.1 memory tags (one range per physical
+// register). Few ranges ever overlap, so a scan spends almost all its time
+// rejecting.
 //
 // An Index maps each item — a ring slot or a physical register, numbered
 // 0..n-1 — to the 4 KiB blocks its range touches, hashed into a fixed table

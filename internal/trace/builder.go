@@ -44,8 +44,7 @@ func (b *Builder) Build() *Trace {
 	if err := b.t.Validate(); err != nil {
 		panic("trace.Builder: " + err.Error())
 	}
-	t := b.t
-	return &t
+	return &Trace{Name: b.t.Name, Suite: b.t.Suite, Insns: b.t.Insns}
 }
 
 // VL returns the current vector length.

@@ -10,7 +10,9 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
+	"oovec/internal/iq"
 	"oovec/internal/isa"
 )
 
@@ -22,6 +24,49 @@ type Trace struct {
 	Suite string
 	// Insns is the dynamic instruction sequence in program order.
 	Insns []isa.Instruction
+
+	// deps memoizes MemDeps.
+	deps struct {
+		once sync.Once
+		plan *iq.MemDeps
+	}
+}
+
+// MemDeps returns the M queue's memory-dependence plan of the trace
+// (iq.MemDeps; nil for a trace too dense to plan), building it at the
+// first call. Concurrent first calls build it once. Every OOOVA run on the
+// trace shares it, so it describes Insns as they were at that first call:
+// a trace is not modified once it has been simulated.
+func (t *Trace) MemDeps() *iq.MemDeps {
+	t.deps.once.Do(func() { t.deps.plan = iq.BuildMemDeps(t.MemInsns(t.Len()), t.memAccesses) })
+	return t.deps.plan
+}
+
+// MemInsns returns the number of memory instructions among the first n:
+// the M queue entries a run has recorded before instruction n.
+func (t *Trace) MemInsns(n int) int {
+	mem := 0
+	for i := range t.Insns[:n] {
+		if t.Insns[i].Op.ExecUnit() == isa.UnitMem {
+			mem++
+		}
+	}
+	return mem
+}
+
+// memAccesses yields the byte range and store flag of every memory
+// instruction, in program order: the M queue's entries.
+func (t *Trace) memAccesses(yield func(iq.Access) bool) {
+	for i := range t.Insns {
+		in := &t.Insns[i]
+		if in.Op.ExecUnit() != isa.UnitMem {
+			continue
+		}
+		start, end := in.MemRange()
+		if !yield(iq.Access{Start: start, End: end, Store: in.Op.IsStore()}) {
+			return
+		}
+	}
 }
 
 // Len returns the number of dynamic instructions.
