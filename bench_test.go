@@ -335,8 +335,8 @@ func BenchmarkSimulatorOOOElimReuse(b *testing.B) {
 }
 
 // BenchmarkMemDepsBuild measures the one-time cost per trace of the M
-// queue's memory-dependence plan (trace.Trace.MemDeps), which every OOOVA
-// run on the trace then shares: building the plans of the ten presets at
+// queue's memory-dependence plan (trace.Trace.MemDeps), which a trace's
+// second OOOVA run builds and every later run shares: building the plans of the ten presets at
 // the default length, in ns per memory instruction.
 func BenchmarkMemDepsBuild(b *testing.B) {
 	var traces []*trace.Trace

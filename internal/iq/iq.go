@@ -17,8 +17,9 @@
 // Which earlier accesses a memory instruction conflicts with depends only
 // on the trace, so the check does not search for them in every run: a
 // trace's MemDeps plan lists them once, and a queue following it (Follow)
-// walks the list for each access. A queue without a plan, and the plan's
-// builder, find them through a range index (package rangeidx).
+// walks the list for each access. A queue without a plan (the OOOVA's
+// M queue in a trace's first run), and the plan's builder, find them
+// through a range index (package rangeidx).
 //
 // Both queue types keep state sized by the queue, not the trace. An A/S/V
 // queue books its issue port from its occupancy window, as hardware

@@ -28,6 +28,7 @@ func allocsTrace() *tgen.Preset {
 // roughly two allocations per instruction here.
 func TestRunAllocationBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
+	tr.MemDeps() // built once per trace, not per run
 	cfg := DefaultConfig()
 	Run(tr, cfg) // warm up any lazy runtime state
 
@@ -61,6 +62,7 @@ func TestRefRunAllocationBound(t *testing.T) {
 // must allocate almost nothing beyond the interval bookkeeping.
 func TestMachineReuseAllocationBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
+	tr.MemDeps() // built once per trace, not per run
 	cfg := DefaultConfig()
 	mm := NewMachine(cfg)
 	mm.Run(tr)
@@ -96,6 +98,7 @@ func bytesPerRun(runs int, fn func()) uint64 {
 // constant so a per-run rebuild inside Run cannot silently return.
 func TestMachineReuseBytesBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
+	tr.MemDeps() // built once per trace, not per run
 	mm := NewMachine(DefaultConfig())
 	mm.Run(tr) // reach steady state: reserve + first-run growth
 
@@ -160,10 +163,12 @@ func TestFreshRunBytesIndependentOfTraceLength(t *testing.T) {
 
 // TestFreshRunBytesBound bounds the bytes one fresh machine's run
 // allocates: the machine itself plus the held bookings and stores, which
-// are sized by the work in flight. A default OOOVA measures ~33–34 KB, a
-// 128-slot one ~54–55 KB and REF ~4.4 KB on these presets, so a structure
+// are sized by the work in flight. A default OOOVA measures ~32 KB, a
+// 128-slot one ~42 KB and REF ~4.4 KB on these presets, so a structure
 // that grows the machine (a longer calendar horizon, a per-run table) has
 // to show here, where the 10k-versus-80k guard above would not see it.
+// The trace's plan is built first; a trace's first run goes without it
+// and also allocates its M queue's range index ("OOOVA first run").
 func TestFreshRunBytesBound(t *testing.T) {
 	slots128 := DefaultConfig()
 	slots128.QueueSlots = 128
@@ -173,6 +178,7 @@ func TestFreshRunBytesBound(t *testing.T) {
 		run   func(*trace.Trace)
 	}{
 		{"OOOVA", 40 << 10, func(tr *trace.Trace) { NewMachine(DefaultConfig()).Run(tr) }},
+		{"OOOVA first run", 40 << 10, func(tr *trace.Trace) { NewMachine(DefaultConfig()).Run(unplanned(tr)) }},
 		{"OOOVA-128", 64 << 10, func(tr *trace.Trace) { NewMachine(slots128).Run(tr) }},
 		{"REF", 8 << 10, func(tr *trace.Trace) { refsim.NewMachine(refsim.DefaultConfig()).Run(tr) }},
 	}
@@ -180,6 +186,7 @@ func TestFreshRunBytesBound(t *testing.T) {
 		p, _ := tgen.PresetByName(bench)
 		p.Insns = 10_000
 		tr := tgen.Generate(p)
+		tr.MemDeps()
 		for _, r := range runs {
 			r.run(tr) // warm up any lazy runtime state
 			per := bytesPerRun(3, func() { r.run(tr) })

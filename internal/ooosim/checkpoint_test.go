@@ -238,16 +238,21 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 		{"position moved past M queue entries", func(ck *Checkpoint) { ck.NextInsn += 100 }, "memory instructions"},
 		{"M queue past the plan", func(ck *Checkpoint) { ck.MQ.N += 1 << 20 }, "memory instructions"},
 	}
-	for _, c := range cases {
-		ck := cloneCheckpoint(t, good)
-		c.edit(ck)
-		_, _, err := NewMachine(cfg).RunCheckpointed(tr, RunOpts{Resume: ck})
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: resume error %v, want one mentioning %q", c.name, err, c.want)
+	// Resumes on tr follow its plan; those on a new trace over the same
+	// instructions go without one.
+	tr.MemDeps()
+	for _, to := range []*trace.Trace{tr, unplanned(tr)} {
+		for _, c := range cases {
+			ck := cloneCheckpoint(t, good)
+			c.edit(ck)
+			_, _, err := NewMachine(cfg).RunCheckpointed(to, RunOpts{Resume: ck})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s (plan %v): resume error %v, want one mentioning %q", c.name, to == tr, err, c.want)
+			}
 		}
-	}
-	if _, _, err := NewMachine(cfg).RunCheckpointed(tr, RunOpts{Resume: cloneCheckpoint(t, good)}); err != nil {
-		t.Errorf("unmodified checkpoint: %v", err)
+		if _, _, err := NewMachine(cfg).RunCheckpointed(to, RunOpts{Resume: cloneCheckpoint(t, good)}); err != nil {
+			t.Errorf("unmodified checkpoint (plan %v): %v", to == tr, err)
+		}
 	}
 }
 

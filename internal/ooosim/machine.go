@@ -56,14 +56,15 @@ func (mm *Machine) Run(t *trace.Trace) *Result {
 }
 
 // Begin implements sim.Model: it attaches the trace's memory-dependence
-// plan to the M queue and restores the power-on state (or resume, when
-// set). A resumed M queue holds one entry per memory instruction before
-// the checkpoint's position; another count would walk the wrong part of
-// the plan.
+// plan to the M queue (none at the trace's first run, nor at a resume
+// before the plan is built: trace.Trace.RunMemDeps) and restores the
+// power-on state (or resume, when set). A resumed M queue holds one entry
+// per memory instruction before the checkpoint's position; another count
+// would walk the wrong part of the plan.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
-	m.mQ.Follow(t.MemDeps())
+	m.mQ.Follow(t.RunMemDeps(resume != nil))
 	m.reset()
 	if resume == nil {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"oovec/internal/isa"
 	"oovec/internal/rob"
 	"oovec/internal/tgen"
 	"oovec/internal/trace"
@@ -49,9 +50,10 @@ func TestMachineReuseMatchesFreshRuns(t *testing.T) {
 
 // TestConcurrentFirstRunsShareOnePlan starts runs of several
 // configurations on one fresh trace at the same moment, so they all ask
-// for its memory-dependence plan first. They must share one plan and match
-// runs on an identical trace simulated one by one; one machine then runs
-// both traces in turn and must match too.
+// for its memory-dependence plan first: one goes without it and the
+// others share one plan. They must match runs on an identical trace
+// simulated one by one; one machine then runs both traces in turn and
+// must match too.
 func TestConcurrentFirstRunsShareOnePlan(t *testing.T) {
 	late := DefaultConfig()
 	late.Commit = rob.PolicyLate
@@ -92,6 +94,131 @@ func TestConcurrentFirstRunsShareOnePlan(t *testing.T) {
 	for _, tr := range []*trace.Trace{shared, other, shared} {
 		if got, want := mm.Run(tr).Stats, Run(tr, DefaultConfig()).Stats; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s on a machine that ran another trace differs from a fresh run", tr.Name)
+		}
+	}
+}
+
+// unplanned returns a new trace over tr's instructions: no run has asked
+// for its plan yet, so its next run finds the M queue's conflicts through
+// the range index.
+func unplanned(tr *trace.Trace) *trace.Trace {
+	return &trace.Trace{Name: tr.Name, Suite: tr.Suite, Insns: tr.Insns}
+}
+
+// followsPlan reports whether the machine's M queue followed a plan in
+// its last run (iq.MemQueue keeps the plan unexported).
+func followsPlan(mm *Machine) bool {
+	return !reflect.ValueOf(mm.m.mQ).Elem().FieldByName("deps").IsNil()
+}
+
+// TestPlanlessRunsMatchPlanned checks the M queue's two ways of finding
+// an access's conflicts against each other on whole OOOVA runs: a trace's
+// first run, which has no plan and queries the range index, and the runs
+// after it, which follow the trace's plan. On every preset and in several
+// configurations, a plan-less run, and resumes on each path from the
+// periodic checkpoints of the other, must match a planned run.
+func TestPlanlessRunsMatchPlanned(t *testing.T) {
+	configs := checkpointConfigs()
+	slots128 := DefaultConfig()
+	slots128.QueueSlots = 128
+	configs["128 slots"] = slots128
+	for _, p := range tgen.Presets() {
+		p.Insns = 3000
+		planned := tgen.Generate(p)
+		if planned.MemDeps() == nil {
+			t.Fatalf("%s: no plan", p.Name)
+		}
+		for name, cfg := range configs {
+			want := Run(planned, cfg).Stats
+			mm := NewMachine(cfg)
+			if got := mm.Run(unplanned(planned)).Stats; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: a run without the plan differs from one with it\ngot:  %+v\nwant: %+v", p.Name, name, got, want)
+			}
+			if followsPlan(mm) {
+				t.Fatalf("%s/%s: a trace's first run followed a plan", p.Name, name)
+			}
+			for _, fromPlanned := range []bool{true, false} {
+				from := planned
+				if !fromPlanned {
+					from = unplanned(planned)
+				}
+				var cks []*Checkpoint
+				if _, _, err := NewMachine(cfg).RunCheckpointed(from, RunOpts{
+					CheckpointEvery: 1000,
+					OnCheckpoint:    func(ck *Checkpoint) { cks = append(cks, ck) },
+				}); err != nil || len(cks) == 0 {
+					t.Fatalf("%s/%s: checkpointing run: %d checkpoints, %v", p.Name, name, len(cks), err)
+				}
+				for _, ck := range cks {
+					to := planned
+					if fromPlanned {
+						to = unplanned(planned)
+					}
+					mm := NewMachine(cfg)
+					got, _, err := mm.RunCheckpointed(to, RunOpts{Resume: ck})
+					if err != nil {
+						t.Fatalf("%s/%s: resume from %d: %v", p.Name, name, ck.NextInsn, err)
+					}
+					if followsPlan(mm) == fromPlanned {
+						t.Fatalf("%s/%s: a resume from a checkpoint of the other path took the same one", p.Name, name)
+					}
+					if !reflect.DeepEqual(got.Stats, want) {
+						t.Errorf("%s/%s: resume from %d with the plan %v differs from a planned run",
+							p.Name, name, ck.NextInsn, !fromPlanned)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseTraceRunsWithoutPlan runs a trace whose memory instructions
+// all conflict, too dense to plan, so every run on it queries the range
+// index. One machine running it and a planned trace in turn, and resumes
+// of the dense trace, must match fresh runs.
+func TestDenseTraceRunsWithoutPlan(t *testing.T) {
+	b := trace.NewBuilder("dense")
+	for i := range 1200 {
+		b.VLoad(isa.V(i%4), 0x1000)
+		b.Vector(isa.OpVAdd, isa.V(4+i%4), isa.V(i%4), isa.V(i%4))
+		b.VStore(isa.V(4+i%4), 0x1000+uint64(i%3)*8)
+	}
+	dense := b.Build()
+	if dense.MemDeps() != nil {
+		t.Fatal("a trace whose every access conflicts got a plan")
+	}
+	p, _ := tgen.PresetByName("bdna")
+	p.Insns = 3000
+	planned := tgen.Generate(p)
+	planned.MemDeps()
+
+	cfg := DefaultConfig()
+	cfg.LoadElim = ElimSLEVLE
+	mm := NewMachine(cfg)
+	for _, tr := range []*trace.Trace{dense, planned, dense, planned} {
+		if got, want := mm.Run(tr).Stats, Run(tr, cfg).Stats; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s on a machine that ran the other trace differs from a fresh run", tr.Name)
+		}
+		if followsPlan(mm) != (tr == planned) {
+			t.Errorf("%s: the M queue's plan attached %v", tr.Name, followsPlan(mm))
+		}
+	}
+
+	want := Run(dense, cfg).Stats
+	var cks []*Checkpoint
+	if _, _, err := NewMachine(cfg).RunCheckpointed(dense, RunOpts{
+		CheckpointEvery: 700,
+		OnCheckpoint:    func(ck *Checkpoint) { cks = append(cks, ck) },
+	}); err != nil || len(cks) < 3 {
+		t.Fatalf("checkpointing run: %d checkpoints, %v", len(cks), err)
+	}
+	for _, ck := range cks {
+		got, _, err := mm.RunCheckpointed(dense, RunOpts{Resume: ck})
+		if err != nil {
+			t.Fatalf("resume from %d: %v", ck.NextInsn, err)
+		}
+		if !reflect.DeepEqual(got.Stats, want) {
+			t.Errorf("resume from %d differs from an uninterrupted run", ck.NextInsn)
 		}
 	}
 }

@@ -3,8 +3,10 @@ package trace_test
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
+	"oovec/internal/iq"
 	"oovec/internal/isa"
 	"oovec/internal/tgen"
 	"oovec/internal/trace"
@@ -107,5 +109,53 @@ func TestMemDepsMatchesLinearScanOnRandomTraces(t *testing.T) {
 		if n := checkMemDeps(t, tr); n < 500 {
 			t.Fatalf("seed %d: %d conflicts; the trace is too sparse to test the plan", seed, n)
 		}
+	}
+}
+
+// TestRunMemDepsFromSecondRun checks which runs follow the plan: not a
+// trace's first run from the start, so a trace simulated once never
+// builds one, but every later run, and every run once the plan is built.
+// A resume follows a plan already built and builds none. Of runs starting
+// at the same moment on a fresh trace, exactly one goes without the plan.
+func TestRunMemDepsFromSecondRun(t *testing.T) {
+	p, _ := tgen.PresetByName("swm256")
+	p.Insns = 2000
+	tr := tgen.Generate(p)
+	if tr.RunMemDeps(true) != nil || tr.RunMemDeps(false) != nil || tr.RunMemDeps(true) != nil {
+		t.Fatal("a trace's first run, or a resume before its second, follows a plan")
+	}
+	if d := tr.RunMemDeps(false); d == nil || d != tr.MemDeps() || tr.RunMemDeps(false) != d || tr.RunMemDeps(true) != d {
+		t.Fatal("later runs do not share the trace's plan")
+	}
+	built := tgen.Generate(p)
+	if d := built.MemDeps(); built.RunMemDeps(false) != d {
+		t.Error("the first run on a trace whose plan is built does not follow it")
+	}
+
+	shared := tgen.Generate(p)
+	got := make([]*iq.MemDeps, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = shared.RunMemDeps(false)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	without := 0
+	for _, d := range got {
+		switch {
+		case d == nil:
+			without++
+		case d != shared.MemDeps():
+			t.Error("concurrent runs follow different plans")
+		}
+	}
+	if without != 1 {
+		t.Errorf("%d of %d concurrent first runs went without the plan, want 1", without, len(got))
 	}
 }

@@ -11,6 +11,7 @@ package trace
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"oovec/internal/iq"
 	"oovec/internal/isa"
@@ -25,21 +26,42 @@ type Trace struct {
 	// Insns is the dynamic instruction sequence in program order.
 	Insns []isa.Instruction
 
-	// deps memoizes MemDeps.
+	// deps memoizes MemDeps; asked is set by the first run from the
+	// start (RunMemDeps).
 	deps struct {
-		once sync.Once
-		plan *iq.MemDeps
+		asked atomic.Bool
+		once  sync.Once
+		plan  atomic.Pointer[iq.MemDeps]
 	}
 }
 
 // MemDeps returns the M queue's memory-dependence plan of the trace
 // (iq.MemDeps; nil for a trace too dense to plan), building it at the
 // first call. Concurrent first calls build it once. Every OOOVA run on the
-// trace shares it, so it describes Insns as they were at that first call:
-// a trace is not modified once it has been simulated.
+// trace from then on shares it, so it describes Insns as they were at
+// that first call: a trace is not modified once it has been simulated.
 func (t *Trace) MemDeps() *iq.MemDeps {
-	t.deps.once.Do(func() { t.deps.plan = iq.BuildMemDeps(t.MemInsns(t.Len()), t.memAccesses) })
-	return t.deps.plan
+	t.deps.once.Do(func() { t.deps.plan.Store(iq.BuildMemDeps(t.MemInsns(t.Len()), t.memAccesses)) })
+	return t.deps.plan.Load()
+}
+
+// RunMemDeps returns the plan an OOOVA run about to start on the trace
+// follows. The trace's first run from the start goes without one: its M
+// queue finds its conflicts through a range index. The second builds the
+// plan (MemDeps), and every run after a plan is built follows it. On the
+// presets, building costs what the index costs two or three runs, so a
+// trace simulated once (one ovsim run, one /v1/sim on an uploaded trace)
+// never pays for a plan, and a trace simulated many times (each config of
+// a sweep) pays once. A resumed run continues one that started earlier: it follows a
+// plan already built and builds none.
+func (t *Trace) RunMemDeps(resumed bool) *iq.MemDeps {
+	if d := t.deps.plan.Load(); d != nil || resumed {
+		return d
+	}
+	if t.deps.asked.Load() || t.deps.asked.Swap(true) {
+		return t.MemDeps()
+	}
+	return nil
 }
 
 // MemInsns returns the number of memory instructions among the first n:
