@@ -334,29 +334,30 @@ func BenchmarkSimulatorOOOElimReuse(b *testing.B) {
 	benchReuse(b, func(tr *trace.Trace) { m.Run(tr) })
 }
 
-// BenchmarkMemDepsBuild measures the one-time cost per trace of the M
-// queue's memory-dependence plan (trace.Trace.MemDeps), which a trace's
-// second OOOVA run builds and every later run shares: building the plans of the ten presets at
-// the default length, in ns per memory instruction.
-func BenchmarkMemDepsBuild(b *testing.B) {
+// BenchmarkOOOFreshTrace measures OOOVA runs on traces no run has seen:
+// each op simulates every preset at the default length on a new
+// trace.Trace over its instructions, once (runs=1: a trace simulated once,
+// as ovsim or an uploaded /v1/sim trace is) or twice (runs=2: the first
+// run records the M queue's plan, the second follows it).
+func BenchmarkOOOFreshTrace(b *testing.B) {
 	var traces []*trace.Trace
-	mem := 0
 	for _, p := range tgen.Presets() {
 		p.Insns = tgen.DefaultInsns
-		tr := tgen.Generate(p)
-		mem += tr.MemInsns(tr.Len())
-		traces = append(traces, tr)
+		traces = append(traces, tgen.Generate(p))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range traces {
-			// A new Trace over the same instructions has no plan yet.
-			fresh := &trace.Trace{Name: tr.Name, Insns: tr.Insns}
-			fresh.MemDeps()
-		}
+	for _, runs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("runs=%d", runs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, tr := range traces {
+					fresh := &trace.Trace{Name: tr.Name, Insns: tr.Insns}
+					for range runs {
+						ooosim.Run(fresh, ooosim.DefaultConfig())
+					}
+				}
+			}
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(mem*b.N), "ns/meminsn")
 }
 
 func BenchmarkTraceGeneration(b *testing.B) {

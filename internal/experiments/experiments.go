@@ -4,8 +4,8 @@
 //
 // Each experiment has a driver returning a typed result with a Render
 // method producing the paper-style text table. The drivers are used by
-// cmd/ovbench, by the benchmark suite in the repository root, and by
-// EXPERIMENTS.md generation.
+// cmd/ovbench, by the benchmark suite in the repository root, and by the
+// reproduction tests there.
 //
 // Every driver fans its independent (benchmark × configuration) simulations
 // across a worker pool (package engine); Opts.Parallelism selects the worker

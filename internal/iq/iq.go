@@ -15,20 +15,23 @@
 // conflicts with it.
 //
 // Which earlier accesses a memory instruction conflicts with depends only
-// on the trace, so the check does not search for them in every run: a
-// trace's MemDeps plan lists them once, and a queue following it (Follow)
-// walks the list for each access. A queue without a plan (the OOOVA's
-// M queue in a trace's first run), and the plan's builder, find them
-// through a range index (package rangeidx).
+// on the trace, so the check does not search for them in every run. A
+// queue without a plan finds them through a range index (package rangeidx)
+// and, from its Reset, records them as the trace's MemDeps plan
+// (Recorded); a queue following a plan (Follow) walks its list for each
+// access.
 //
 // Both queue types keep state sized by the queue, not the trace. An A/S/V
 // queue books its issue port from its occupancy window, as hardware
 // arbitrates among resident entries only
 // (sched.RingWindow.AdmitFirstFree); each M-queue front stage is one
-// next-free cycle. The plan is trace-sized, and belongs to the trace.
+// next-free cycle. The plan is trace-sized: the queue records it once and
+// hands it over, and its caller keeps it with the trace.
 package iq
 
 import (
+	"slices"
+
 	"oovec/internal/rangeidx"
 	"oovec/internal/sched"
 )
@@ -130,6 +133,9 @@ type MemQueue struct {
 	// deps is the memory-dependence plan of the trace being run (Follow):
 	// entry n's Dependence check visits the entries deps lists for it.
 	deps *MemDeps //ovlint:config the running trace's plan, attached before the run starts
+	// rec is the plan a queue without one records from its Reset: the
+	// conflicts its range index found for each entry so far (Recorded).
+	rec *MemDeps //ovlint:derived the run's own record from its Reset; Restore drops it, so a resumed run records nothing
 
 	// ranges indexes the byte ranges of the last scanWin entries, entry i
 	// in slot i%scanWin and marked if it is a store, so a queue without a
@@ -140,7 +146,7 @@ type MemQueue struct {
 }
 
 // NewMemQueue returns a memory queue with the given capacity, without a
-// plan.
+// plan. It records none until its first Reset.
 func NewMemQueue(capacity int) *MemQueue {
 	if capacity <= 0 {
 		capacity = DefaultSlots
@@ -152,14 +158,30 @@ func NewMemQueue(capacity int) *MemQueue {
 // A queue without one records no pending stores.
 func (q *MemQueue) Attach(sb StoreBuffer) { q.sb = sb }
 
-// Follow makes d, the plan of the trace about to run, answer the queue's
-// Dependence checks; nil makes the queue find the conflicting entries
-// through its range index. The queue's entries must be that trace's
+// Follow makes d, a plan of the trace about to run, answer the queue's
+// Dependence checks if it covers the queue's window (the queue skips the
+// entries it lists from further back). Otherwise, and for nil, the queue
+// finds the conflicting entries through its range index, and records
+// them from its next Reset. The queue's entries must be that trace's
 // memory instructions, so call Follow before the run's Reset or Restore.
 func (q *MemQueue) Follow(d *MemDeps) {
-	if d != q.deps {
-		q.deps, q.ranges = d, nil
+	if d != nil && d.win < q.scanWin {
+		d = nil
 	}
+	q.deps = d
+}
+
+// Recorded returns the plan the queue recorded since its Reset, at
+// exact size, and stops recording. It covers the entries recorded so far,
+// so call it at the end of a run. It is nil for a queue that followed a
+// plan, was restored or never Reset, or whose accesses averaged more than
+// maxPlanConflicts conflicts each.
+func (q *MemQueue) Recorded() *MemDeps {
+	r := q.rec
+	if q.rec = nil; r != nil {
+		r = &MemDeps{first: slices.Clone(r.first), back: slices.Clone(r.back), win: r.win}
+	}
+	return r
 }
 
 // Advance pushes an instruction entering the queue at `enter` through the
@@ -182,8 +204,8 @@ func (q *MemQueue) Advance(enter int64) int64 {
 // of the two is a store; the younger access must then wait until the older
 // one has issued all its requests. Conflicting entries are visited oldest
 // first, so the store buffer places conflicting pending stores in age
-// order. A queue following a plan takes the access to be the trace's next
-// memory instruction and visits the entries the plan lists for it.
+// order. A queue following or recording a plan takes the access to be the
+// trace's next memory instruction.
 //
 //ovlint:hotpath the check runs once per memory instruction
 func (q *MemQueue) ConflictConstraint(start, end uint64, isStore bool) int64 {
@@ -192,11 +214,14 @@ func (q *MemQueue) ConflictConstraint(start, end uint64, isStore bool) int64 {
 		backs = q.deps.Conflicts(q.n)
 	} else {
 		backs = q.overlapping(q.found[:0], start, end, isStore)
+		if r := q.rec; r != nil && r.Len() == q.n {
+			r.add(backs)
+		}
 	}
 	var at int64
 	for _, b := range backs {
 		if int(b) >= q.scanWin {
-			continue // a plan lists the last maxScan entries
+			continue // a wider queue's plan
 		}
 		e := &q.entries[(q.n-1-int(b))%maxScan]
 		if e.pend >= 0 {
@@ -259,9 +284,19 @@ func (q *MemQueue) RecordPending(start, end uint64, pend int, leaveAt int64) int
 }
 
 // record appends an entry to the ring, and to the range index of a queue
-// without a plan.
+// without a plan. A queue recording a plan lists the entry's conflicts
+// first, if no Dependence check did (an eliminated load skips it), and
+// stops recording once its entries average more than maxPlanConflicts.
 func (q *MemQueue) record(start, end uint64, isStore bool, busEnd int64, pend int) {
 	if q.deps == nil {
+		if r := q.rec; r != nil {
+			if r.Len() == q.n { // no Dependence check listed the entry
+				r.add(q.overlapping(q.found[:0], start, end, isStore))
+			}
+			if len(r.back) > maxPlanConflicts*r.Len() {
+				q.rec = nil
+			}
+		}
 		q.index().Insert(q.n%q.scanWin, start, end, isStore) // replaces entry n-scanWin
 	}
 	q.entries[q.n%maxScan] = memEntry{start: start, end: end, isStore: isStore, busEnd: busEnd, pend: pend}
@@ -278,18 +313,14 @@ func (q *MemQueue) SetBusEnd(entry int, busEnd int64) {
 }
 
 // Elide neutralises the pending store with entry number entry, which the
-// store buffer dropped before it issued: a dead store orders nothing. A
-// plan still lists the entry, and a rebuilt range index can return its
-// empty range [1, 0] for a range from address 0; its bus end of 0 and no
-// pending store leave the check unchanged.
+// store buffer dropped before it issued: a dead store orders nothing. The
+// entry keeps its range, so the range index and a plan list it as a
+// linear scan does; its bus end of 0 and no pending store leave every
+// check that visits it unchanged.
 func (q *MemQueue) Elide(entry int) {
 	if entry >= q.n-maxScan {
 		e := &q.entries[entry%maxScan]
-		e.start, e.end = 1, 0
 		e.busEnd, e.pend = 0, -1
-	}
-	if q.ranges != nil && q.n-entry <= q.scanWin {
-		q.ranges.Remove(entry % q.scanWin)
 	}
 }
 
@@ -313,7 +344,8 @@ func (q *MemQueue) buildRanges() {
 	}
 }
 
-// Reset empties the queue and its front pipeline for reuse.
+// Reset empties the queue and its front pipeline for reuse. A queue
+// without a plan starts recording one.
 func (q *MemQueue) Reset() {
 	q.window.Reset()
 	q.free = [3]int64{}
@@ -321,4 +353,8 @@ func (q *MemQueue) Reset() {
 		q.ranges.Reset()
 	}
 	q.n = 0
+	q.rec = nil
+	if q.deps == nil {
+		q.rec = &MemDeps{first: []uint32{0}, win: q.scanWin}
+	}
 }

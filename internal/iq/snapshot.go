@@ -107,5 +107,6 @@ func (q *MemQueue) Restore(st MemQueueState) error {
 	}
 	q.n = st.N
 	q.ranges = nil // rebuilt from the entries at its first use
+	q.rec = nil    // a resumed run records no plan
 	return nil
 }

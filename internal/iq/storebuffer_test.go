@@ -124,8 +124,7 @@ func (l *linearQueue) SetBusEnd(entry int, busEnd int64) {
 }
 
 func (l *linearQueue) Elide(entry int) {
-	e := &l.entries[entry]
-	e.start, e.end, e.busEnd, e.pend = 1, 0, 0, -1
+	l.entries[entry].busEnd, l.entries[entry].pend = 0, -1
 }
 
 // memQueueSlots are the queue capacities the checks draw from: around the
@@ -143,9 +142,9 @@ type memOp struct {
 // decodeMemOps decodes ops, four bytes an operation, and returns them with
 // the accesses they record in order: the memory instructions of the trace
 // they model.
-func decodeMemOps(ops []byte) ([]memOp, []Access) {
+func decodeMemOps(ops []byte) ([]memOp, []access) {
 	var decoded []memOp
-	var accs []Access
+	var accs []access
 	var clock int64
 	for k := 0; k+4 <= len(ops); k += 4 {
 		op, a, b, c := ops[k]%10, ops[k+1], ops[k+2], ops[k+3]
@@ -163,7 +162,7 @@ func decodeMemOps(ops []byte) ([]memOp, []Access) {
 		m := memOp{op: op, a: a, start: start, end: end, isStore: op == 1 || op == 2 || op == 3,
 			ready: clock + int64(c/8), occ: 1 + int64(b%32)}
 		if op <= 3 || op == 5 {
-			accs = append(accs, Access{Start: start, End: end, Store: m.isStore})
+			accs = append(accs, access{start: start, end: end, store: m.isStore})
 		}
 		decoded = append(decoded, m)
 	}
@@ -177,45 +176,53 @@ func decodeMemOps(ops []byte) ([]memOp, []Access) {
 // placement of every pending store and snapshot/restore of the queue and
 // its buffer into fresh ones — and requires every constraint, the bus
 // bookings and the ring's live entries to match the linear reference
-// after each. It runs them twice: on a queue without a plan, with probes
-// of arbitrary accesses; then on that queue and on one following the plan
-// built from the recorded accesses, side by side, with each probe asking
-// about the next recorded access, the only one a plan answers for.
+// after each. It runs them three times: on a queue never Reset, which
+// finds its conflicts through its range index and records nothing, with
+// probes of arbitrary accesses; on a Reset queue, which records a plan
+// (and is never restored, as a restored queue records none); then on a
+// queue following that plan. A queue recording or following a plan takes
+// each probe to ask about the next recorded access, the only one a plan
+// answers for. The recorded plan must equal the linear scan at the
+// queue's window.
 func checkMemQueueAgainstReference(t *testing.T, slots int, ops []byte) {
 	t.Helper()
 	decoded, accs := decodeMemOps(ops)
-	runMemQueueCheck(t, slots, decoded, accs, nil)
-	runMemQueueCheck(t, slots, decoded, accs, buildMemDeps(len(accs), slices.Values(accs), 1<<30))
+	defer liftPlanBound()()
+	runMemQueueCheck(t, slots, decoded, accs, passIndexed, nil)
+	plan := runMemQueueCheck(t, slots, decoded, accs, passRecording, nil)
+	win := min(slots, maxScan)
+	checkPlan(t, plan, win, linearDeps(accs, win))
+	runMemQueueCheck(t, slots, decoded, accs, passFollowing, plan)
 }
 
-// runMemQueueCheck is one run of checkMemQueueAgainstReference: on a queue
-// without a plan if plan is nil, else on that queue and one following
-// plan.
-func runMemQueueCheck(t *testing.T, slots int, decoded []memOp, accs []Access, plan *MemDeps) {
+// The passes of checkMemQueueAgainstReference.
+const (
+	passIndexed = iota
+	passRecording
+	passFollowing
+)
+
+// runMemQueueCheck is one pass of checkMemQueueAgainstReference: on a
+// queue following plan in passFollowing. It returns the plan the queue
+// recorded.
+func runMemQueueCheck(t *testing.T, slots int, decoded []memOp, accs []access, pass int, plan *MemDeps) *MemDeps {
 	t.Helper()
-	plans := []*MemDeps{nil}
-	if plan != nil {
-		plans = append(plans, plan)
+	q := NewMemQueue(slots)
+	q.Follow(plan)
+	if pass == passRecording {
+		q.Reset()
 	}
-	qs := make([]*MemQueue, len(plans))
-	bufs := make([]*testBuffer, len(plans))
-	for j, d := range plans {
-		qs[j] = NewMemQueue(slots)
-		qs[j].Follow(d)
-		bufs[j] = &testBuffer{q: qs[j], bus: sched.NewGap()}
-		qs[j].Attach(bufs[j])
-	}
+	buf := &testBuffer{q: q, bus: sched.NewGap()}
+	q.Attach(buf)
 	ref := &linearQueue{scanWin: min(slots, maxScan)}
 	refBuf := &testBuffer{q: ref, bus: sched.NewGap()}
 	ref.sb = refBuf
 
-	// check runs one Dependence check on every queue and the reference.
+	// check runs one Dependence check on the queue and the reference.
 	check := func(k int, what string, start, end uint64, isStore bool) int64 {
 		want := ref.ConflictConstraint(start, end, isStore)
-		for j, q := range qs {
-			if got := q.ConflictConstraint(start, end, isStore); got != want {
-				t.Fatalf("op %d, queue %d of %d: %s = %d, reference %d", k, j, len(qs), what, got, want)
-			}
+		if got := q.ConflictConstraint(start, end, isStore); got != want {
+			t.Fatalf("pass %d, op %d: %s = %d, reference %d", pass, k, what, got, want)
 		}
 		return want
 	}
@@ -227,79 +234,69 @@ func runMemQueueCheck(t *testing.T, slots int, decoded []memOp, accs []Access, p
 		switch m.op {
 		case 0, 3: // a load, or a store under late commit
 			want := refBuf.placeNow(ready, m.occ)
-			for j, q := range qs {
-				if busStart := bufs[j].placeNow(ready, m.occ); busStart != want {
-					t.Fatalf("op %d, queue %d: bus start %d, reference %d", k, j, busStart, want)
-				}
-				q.Record(m.start, m.end, m.isStore, want, want+m.occ)
+			if busStart := buf.placeNow(ready, m.occ); busStart != want {
+				t.Fatalf("pass %d, op %d: bus start %d, reference %d", pass, k, busStart, want)
 			}
+			q.Record(m.start, m.end, m.isStore, want, want+m.occ)
 			ref.record(m.start, m.end, m.isStore, want+m.occ, -1)
 		case 1, 2: // a deferred store; 2 is an elidable spill
 			st := bufferedStore{ready: ready, occ: m.occ, elidable: m.op == 2}
-			for j, q := range qs {
-				st.entry = q.RecordPending(m.start, m.end, len(bufs[j].pend), ready)
-				bufs[j].pend = append(bufs[j].pend, st)
-			}
+			st.entry = q.RecordPending(m.start, m.end, len(buf.pend), ready)
+			buf.pend = append(buf.pend, st)
 			st.entry = ref.record(m.start, m.end, true, 0, len(refBuf.pend))
 			refBuf.pend = append(refBuf.pend, st)
 		case 4:
 			i := int(m.a) % (len(refBuf.pend) + 1)
-			for _, b := range bufs {
-				b.cancel(i)
-			}
+			buf.cancel(i)
 			refBuf.cancel(i)
 		case 5: // an eliminated load
-			for _, q := range qs {
-				q.Record(m.start, m.end, false, ready, ready)
-			}
+			q.Record(m.start, m.end, false, ready, ready)
 			ref.record(m.start, m.end, false, ready, -1)
 		case 6, 7:
 			start, end, isStore := m.start, m.end, m.op == 7
-			if plan != nil {
+			if pass != passIndexed {
 				if len(ref.entries) == len(accs) {
 					break // no access left to probe
 				}
 				next := accs[len(ref.entries)]
-				start, end, isStore = next.Start, next.End, next.Store
+				start, end, isStore = next.start, next.end, next.store
 			}
 			check(k, "conflict probe", start, end, isStore)
 		case 8: // rare, so stores stay pending past 256 entries first
 			if m.a < 8 {
-				for _, b := range bufs {
-					b.finish()
-				}
+				buf.finish()
 				refBuf.finish()
 			}
 		case 9:
-			for j, q := range qs {
-				st := q.Snapshot()
-				qs[j] = NewMemQueue(slots)
-				qs[j].Follow(plans[j])
-				moved := &testBuffer{q: qs[j], bus: sched.NewGap(), pend: slices.Clone(bufs[j].pend)}
-				if err := moved.bus.Restore(bufs[j].bus.Snapshot()); err != nil {
-					t.Fatal(err)
-				}
-				bufs[j] = moved
-				qs[j].Attach(moved)
-				if err := qs[j].Restore(st); err != nil {
-					t.Fatalf("op %d, queue %d: restore: %v", k, j, err)
-				}
+			if pass == passRecording {
+				break
+			}
+			st := q.Snapshot()
+			q = NewMemQueue(slots)
+			q.Follow(plan)
+			moved := &testBuffer{q: q, bus: sched.NewGap(), pend: slices.Clone(buf.pend)}
+			if err := moved.bus.Restore(buf.bus.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			buf = moved
+			q.Attach(moved)
+			if err := q.Restore(st); err != nil {
+				t.Fatalf("pass %d, op %d: restore: %v", pass, k, err)
 			}
 		}
-		for j, q := range qs {
-			if !slices.Equal(bufs[j].bus.Intervals(), refBuf.bus.Intervals()) {
-				t.Fatalf("op %d, queue %d: bus intervals diverge:\n got %v\nwant %v", k, j, bufs[j].bus.Intervals(), refBuf.bus.Intervals())
-			}
-			if q.n != len(ref.entries) {
-				t.Fatalf("op %d, queue %d: %d entries, reference %d", k, j, q.n, len(ref.entries))
-			}
-			for i := max(q.n-maxScan, 0); i < q.n; i++ {
-				if q.entries[i%maxScan] != ref.entries[i] {
-					t.Fatalf("op %d, queue %d: ring entry %d = %+v, reference %+v", k, j, i, q.entries[i%maxScan], ref.entries[i])
-				}
+		if !slices.Equal(buf.bus.Intervals(), refBuf.bus.Intervals()) {
+			t.Fatalf("pass %d, op %d: bus intervals diverge:\n got %v\nwant %v", pass, k, buf.bus.Intervals(), refBuf.bus.Intervals())
+		}
+		if q.n != len(ref.entries) {
+			t.Fatalf("pass %d, op %d: %d entries, reference %d", pass, k, q.n, len(ref.entries))
+		}
+		for i := max(q.n-maxScan, 0); i < q.n; i++ {
+			if q.entries[i%maxScan] != ref.entries[i] {
+				t.Fatalf("pass %d, op %d: ring entry %d = %+v, reference %+v", pass, k, i, q.entries[i%maxScan], ref.entries[i])
 			}
 		}
 	}
+	return q.Recorded()
 }
 
 // TestMemQueueStoreBufferMatchesLinearReference runs the fuzz check on
@@ -316,8 +313,9 @@ func TestMemQueueStoreBufferMatchesLinearReference(t *testing.T) {
 }
 
 // FuzzMemQueue checks the M queue's Dependence check with a store buffer
-// attached against the linear reference on fuzzed operation sequences,
-// without a plan and following the plan built from each sequence.
+// attached against the linear reference on fuzzed operation sequences:
+// through the range index, recording a plan, and following the plan
+// recorded from each sequence.
 func FuzzMemQueue(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 10, 5, 3, 0, 12, 5, 9, 2, 40, 7, 1, 4, 0, 0, 0, 6, 10, 5, 3, 7, 12, 1, 8})
 	f.Add(uint8(0), []byte{2, 1, 2, 3, 2, 1, 2, 9, 1, 3, 4, 200, 8, 0, 0, 0, 0, 1, 2, 3, 4, 1, 0, 0, 5, 9, 9, 9})

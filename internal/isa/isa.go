@@ -17,7 +17,10 @@
 // exactly as the Dixie-derived traces of the paper did.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MaxVL is the architectural maximum vector length: 128 elements of 64 bits,
 // matching the Convex C3400 vector registers described in the paper.
@@ -373,33 +376,27 @@ func (in *Instruction) MemRange() (start, end uint64) {
 	if !in.Op.IsMem() {
 		return 0, 0
 	}
+	// min(a, MaxUint64-b)+b and max(a, b)-b are a+b and a-b, saturated at
+	// the ends of the address space.
+	const top = math.MaxUint64
 	if in.Op == OpVGather || in.Op == OpVScatter {
 		// Conservative: indexed accesses may touch a wide region around the
 		// base. Use base +/- MaxVL*MaxVL bytes as the hardware's pessimistic
 		// assumption.
 		const slop = uint64(MaxVL * MaxVL)
-		s := in.Addr
-		if s > slop {
-			s -= slop
-		} else {
-			s = 0
-		}
-		return s, in.Addr + slop
+		return max(in.Addr, slop) - slop, min(in.Addr, top-slop) + slop
 	}
-	n := int64(in.EffVL())
 	stride := int64(in.VS)
 	if !in.Op.IsVector() || stride == 0 {
 		stride = ElemBytes
 	}
-	last := int64(in.Addr) + (n-1)*stride
-	first := int64(in.Addr)
-	if last < first {
-		first, last = last, first
+	// EffVL < 2^16 and |stride| <= 2^31: the span fits in 47 bits.
+	span := uint64(in.EffVL()-1) * uint64(max(stride, -stride))
+	start, end = in.Addr, min(in.Addr, top-span)+span
+	if stride < 0 {
+		start, end = max(in.Addr, span)-span, in.Addr
 	}
-	if first < 0 {
-		first = 0
-	}
-	return uint64(first), uint64(last) + ElemBytes - 1
+	return start, min(end, top-(ElemBytes-1)) + ElemBytes - 1
 }
 
 // Reads returns the registers read by the instruction (excluding NoReg).

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -188,6 +189,38 @@ func TestMemRangeGatherConservative(t *testing.T) {
 	s, e := in.MemRange()
 	if s >= in.Addr || e <= in.Addr {
 		t.Errorf("gather range [%#x,%#x] should bracket the base address", s, e)
+	}
+}
+
+// TestMemRangeSaturatesAtAddressSpaceEnds checks ranges that reach past
+// either end of the 64-bit address space: they saturate at 0 and at the
+// top address instead of wrapping or clamping an int64 result, so they
+// never overlap a range at the other end.
+func TestMemRangeSaturatesAtAddressSpaceEnds(t *testing.T) {
+	const top = math.MaxUint64
+	slop := uint64(MaxVL * MaxVL)
+	cases := []struct {
+		name       string
+		in         Instruction
+		start, end uint64
+	}{
+		{"scalar load at the top", Instruction{Op: OpSLoad, Dst: S(0), Addr: 0xfffffffffffffffd}, 0xfffffffffffffffd, top},
+		{"vector load at 2^63", Instruction{Op: OpVLoad, Dst: V(0), Addr: 0x8000000000000000, VL: 4, VS: 8},
+			0x8000000000000000, 0x800000000000001f},
+		{"scalar load just below 2^63", Instruction{Op: OpALoad, Dst: A(0), Addr: 0x7ffffffffffffffc}, 0x7ffffffffffffffc, 0x8000000000000003},
+		{"vector store running off the top", Instruction{Op: OpVStore, Src1: V(0), Addr: top - 100, VL: 64, VS: 8}, top - 100, top},
+		{"negative stride below 0", Instruction{Op: OpVLoad, Dst: V(0), Addr: 16, VL: 8, VS: -8}, 0, 23},
+		{"negative stride from the top", Instruction{Op: OpVLoad, Dst: V(0), Addr: top - 3, VL: 2, VS: -8}, top - 11, top},
+		{"gather wrapping the top", Instruction{Op: OpVGather, Dst: V(0), Src1: V(1), Addr: top - 5, VL: 8, VS: 8}, top - 5 - slop, top},
+		{"scatter below 0", Instruction{Op: OpVScatter, Src1: V(0), Src2: V(1), Addr: 100, VL: 8, VS: 8}, 0, 100 + slop},
+	}
+	for _, c := range cases {
+		if err := c.in.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if s, e := c.in.MemRange(); s != c.start || e != c.end {
+			t.Errorf("%s: range [%#x, %#x], want [%#x, %#x]", c.name, s, e, c.start, c.end)
+		}
 	}
 }
 

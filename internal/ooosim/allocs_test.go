@@ -28,9 +28,8 @@ func allocsTrace() *tgen.Preset {
 // roughly two allocations per instruction here.
 func TestRunAllocationBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
-	tr.MemDeps() // built once per trace, not per run
 	cfg := DefaultConfig()
-	Run(tr, cfg) // warm up any lazy runtime state
+	Run(tr, cfg) // record the trace's plan; warm up any lazy runtime state
 
 	const bound = 400 // ~0.05 allocs/insn; the seed needed ~2/insn
 	avg := testing.AllocsPerRun(5, func() {
@@ -62,10 +61,9 @@ func TestRefRunAllocationBound(t *testing.T) {
 // must allocate almost nothing beyond the interval bookkeeping.
 func TestMachineReuseAllocationBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
-	tr.MemDeps() // built once per trace, not per run
 	cfg := DefaultConfig()
 	mm := NewMachine(cfg)
-	mm.Run(tr)
+	mm.Run(tr) // records the trace's plan, once per trace, not per run
 
 	const bound = 300
 	avg := testing.AllocsPerRun(5, func() {
@@ -98,9 +96,8 @@ func bytesPerRun(runs int, fn func()) uint64 {
 // constant so a per-run rebuild inside Run cannot silently return.
 func TestMachineReuseBytesBound(t *testing.T) {
 	tr := tgen.Generate(*allocsTrace())
-	tr.MemDeps() // built once per trace, not per run
 	mm := NewMachine(DefaultConfig())
-	mm.Run(tr) // reach steady state: reserve + first-run growth
+	mm.Run(tr) // reach steady state: the trace's plan + first-run growth
 
 	const bound = 64 << 10 // 64 KiB; steady state measures ~1 KiB
 	per := bytesPerRun(5, func() { mm.Run(tr) })
@@ -131,9 +128,10 @@ func TestRefMachineReuseBytesBound(t *testing.T) {
 // the run allocates is the machine itself and the held bookings and stores,
 // which are sized by the work in flight; a structure that kept every
 // booking or store of the run would cost hundreds of kilobytes more at 80k.
-// Both traces' memory-dependence plans are built first: a plan is
-// trace-derived data, built once per trace and shared by every run on it,
-// like the trace itself (TestMemDepsBytes bounds it).
+// A first run records each trace's memory-dependence plan before the
+// measured ones: a plan is trace-derived data, recorded once per trace and
+// followed by every later run on it, like the trace itself
+// (TestMemDepsBytes bounds it).
 func TestFreshRunBytesIndependentOfTraceLength(t *testing.T) {
 	const slack = 8 << 10
 	for _, bench := range []string{"hydro2d", "swm256"} {
@@ -142,8 +140,8 @@ func TestFreshRunBytesIndependentOfTraceLength(t *testing.T) {
 		short := tgen.Generate(p)
 		p.Insns = 80_000
 		long := tgen.Generate(p)
-		short.MemDeps()
-		long.MemDeps()
+		Run(short, DefaultConfig())
+		Run(long, DefaultConfig())
 		runs := map[string]func(*trace.Trace){
 			"OOOVA": func(tr *trace.Trace) { NewMachine(DefaultConfig()).Run(tr) },
 			"REF":   func(tr *trace.Trace) { refsim.NewMachine(refsim.DefaultConfig()).Run(tr) },
@@ -167,8 +165,7 @@ func TestFreshRunBytesIndependentOfTraceLength(t *testing.T) {
 // 128-slot one ~42 KB and REF ~4.4 KB on these presets, so a structure
 // that grows the machine (a longer calendar horizon, a per-run table) has
 // to show here, where the 10k-versus-80k guard above would not see it.
-// The trace's plan is built first; a trace's first run goes without it
-// and also allocates its M queue's range index ("OOOVA first run").
+// Each warm-up run records the trace's plan at its window first.
 func TestFreshRunBytesBound(t *testing.T) {
 	slots128 := DefaultConfig()
 	slots128.QueueSlots = 128
@@ -178,7 +175,6 @@ func TestFreshRunBytesBound(t *testing.T) {
 		run   func(*trace.Trace)
 	}{
 		{"OOOVA", 40 << 10, func(tr *trace.Trace) { NewMachine(DefaultConfig()).Run(tr) }},
-		{"OOOVA first run", 40 << 10, func(tr *trace.Trace) { NewMachine(DefaultConfig()).Run(unplanned(tr)) }},
 		{"OOOVA-128", 64 << 10, func(tr *trace.Trace) { NewMachine(slots128).Run(tr) }},
 		{"REF", 8 << 10, func(tr *trace.Trace) { refsim.NewMachine(refsim.DefaultConfig()).Run(tr) }},
 	}
@@ -186,9 +182,8 @@ func TestFreshRunBytesBound(t *testing.T) {
 		p, _ := tgen.PresetByName(bench)
 		p.Insns = 10_000
 		tr := tgen.Generate(p)
-		tr.MemDeps()
 		for _, r := range runs {
-			r.run(tr) // warm up any lazy runtime state
+			r.run(tr) // record the trace's plan; warm up any lazy runtime state
 			per := bytesPerRun(3, func() { r.run(tr) })
 			t.Logf("%s/%s: %d B/run", bench, r.name, per)
 			if per > r.bound {
@@ -200,12 +195,11 @@ func TestFreshRunBytesBound(t *testing.T) {
 
 // TestMemDepsBytes bounds what a trace's memory-dependence plan holds, the
 // one trace-sized structure an OOOVA run reads besides the trace itself:
-// the heap bytes the plans of the ten presets keep, per memory
-// instruction. An exact-size plan keeps a 4-byte offset and under one
-// conflict byte per memory instruction (4.84 B measured); spare capacity
-// left by append growth, or wider offsets or conflict entries, would keep
-// more. Building also allocates a fixed ~50 KB window per trace, which it
-// drops (10.95 B per memory instruction allocated in all).
+// the heap bytes the plans that one default run records on each of the
+// ten presets keep, per memory instruction. An exact-size plan keeps a
+// 4-byte offset and under one conflict byte per memory instruction; spare
+// capacity left by append growth, or wider offsets or conflict entries,
+// would keep more.
 func TestMemDepsBytes(t *testing.T) {
 	const bound = 6 // bytes per memory instruction
 	var traces []*trace.Trace
@@ -213,21 +207,22 @@ func TestMemDepsBytes(t *testing.T) {
 	for _, p := range tgen.Presets() {
 		p.Insns = tgen.DefaultInsns
 		tr := tgen.Generate(p)
-		mem += int64(tr.MemInsns(tr.Len()))
+		mem += int64(memInsns(tr.Insns))
 		traces = append(traces, tr)
 	}
-	var before, built, after runtime.MemStats
+	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, tr := range traces {
-		tr.MemDeps()
+		Run(tr, DefaultConfig())
+		if recordedPlan(tr) == nil {
+			t.Fatalf("%s: the run recorded no plan", tr.Name)
+		}
 	}
-	runtime.ReadMemStats(&built)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	kept := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(mem)
-	t.Logf("plans of the ten presets: %.2f B kept and %.2f B allocated per memory instruction (%d of them)",
-		kept, float64(built.TotalAlloc-before.TotalAlloc)/float64(mem), mem)
+	t.Logf("plans of the ten presets: %.2f B kept per memory instruction (%d of them)", kept, mem)
 	if kept > bound {
 		t.Errorf("the presets' plans keep %.2f B per memory instruction, want <= %d", kept, bound)
 	}

@@ -238,9 +238,8 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 		{"position moved past M queue entries", func(ck *Checkpoint) { ck.NextInsn += 100 }, "memory instructions"},
 		{"M queue past the plan", func(ck *Checkpoint) { ck.MQ.N += 1 << 20 }, "memory instructions"},
 	}
-	// Resumes on tr follow its plan; those on a new trace over the same
-	// instructions go without one.
-	tr.MemDeps()
+	// The run above left its plan in tr's memo: resumes on tr follow it;
+	// those on a new trace over the same instructions go without one.
 	for _, to := range []*trace.Trace{tr, unplanned(tr)} {
 		for _, c := range cases {
 			ck := cloneCheckpoint(t, good)

@@ -56,20 +56,21 @@ func (mm *Machine) Run(t *trace.Trace) *Result {
 }
 
 // Begin implements sim.Model: it attaches the trace's memory-dependence
-// plan to the M queue (none at the trace's first run, nor at a resume
-// before the plan is built: trace.Trace.RunMemDeps) and restores the
-// power-on state (or resume, when set). A resumed M queue holds one entry
-// per memory instruction before the checkpoint's position; another count
-// would walk the wrong part of the plan.
+// plan to the M queue, if a run has recorded one for its window (see
+// Finish), and restores the power-on state (or resume, when set). A queue
+// without a plan records one from the power-on state. A resumed M queue
+// holds one entry per memory instruction before the checkpoint's position;
+// another count would walk the wrong part of the plan.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
-	m.mQ.Follow(t.RunMemDeps(resume != nil))
+	d, _ := t.Memo().(*iq.MemDeps)
+	m.mQ.Follow(d)
 	m.reset()
 	if resume == nil {
 		return nil
 	}
-	if mem := t.MemInsns(resume.NextInsn); resume.MQ.N != mem {
+	if mem := memInsns(t.Insns[:resume.NextInsn]); resume.MQ.N != mem {
 		return fmt.Errorf("ooosim: checkpoint M queue holds %d entries, the trace %d memory instructions before instruction %d",
 			resume.MQ.N, mem, resume.NextInsn)
 	}
@@ -587,6 +588,19 @@ func (m *machine) execVector(in *isa.Instruction, dec, vl int64, vleDefer bool, 
 	return issue, start, tm.Complete
 }
 
+// memInsns returns the number of memory instructions among insns: the
+// M-queue entries execMem records for them, one each (Record or
+// RecordPending), after a Dependence check unless it eliminates a load.
+func memInsns(insns []isa.Instruction) int {
+	mem := 0
+	for i := range insns {
+		if insns[i].Op.ExecUnit() == isa.UnitMem {
+			mem++
+		}
+	}
+	return mem
+}
+
 // execMem handles all memory instructions, including the §6 elimination.
 func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec *rename.Record) (issue, execStart, complete int64) {
 	cfg := &m.cfg
@@ -812,10 +826,21 @@ func (m *machine) noteBusWait(cycles int64) {
 	}
 }
 
-// Finish implements sim.Model: it assembles the run statistics.
+// Finish implements sim.Model: it assembles the run statistics, and keeps
+// the plan the M queue recorded in the trace's memo, unless the memo holds
+// one of a window at least as wide. Later runs whose window it covers follow
+// it, resumes included.
 //
 //ovlint:coldpath once per run, amortised over the whole trace
 func (m *machine) Finish(t *trace.Trace) *Result {
+	if d := m.mQ.Recorded(); d != nil {
+		t.UpdateMemo(func(old any) any {
+			if o, _ := old.(*iq.MemDeps); o != nil && o.Window() >= d.Window() {
+				return old
+			}
+			return d
+		})
+	}
 	m.note(m.msched.finishAll())
 	total := m.lastCycle + 1
 	m.states.Fold(m.fu2, m.fu1, m.msched.bus, total)

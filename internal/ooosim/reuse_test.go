@@ -49,11 +49,10 @@ func TestMachineReuseMatchesFreshRuns(t *testing.T) {
 }
 
 // TestConcurrentFirstRunsShareOnePlan starts runs of several
-// configurations on one fresh trace at the same moment, so they all ask
-// for its memory-dependence plan first: one goes without it and the
-// others share one plan. They must match runs on an identical trace
-// simulated one by one; one machine then runs both traces in turn and
-// must match too.
+// configurations on one fresh trace at the same moment, so each records
+// the M queue's plan and the trace's memo keeps one, the widest. They
+// must match runs on an identical trace simulated one by one; one machine
+// then runs both traces in turn and must match too.
 func TestConcurrentFirstRunsShareOnePlan(t *testing.T) {
 	late := DefaultConfig()
 	late.Commit = rob.PolicyLate
@@ -83,8 +82,8 @@ func TestConcurrentFirstRunsShareOnePlan(t *testing.T) {
 			t.Errorf("config %d: concurrent first run differs from a serial one\ngot:  %+v\nwant: %+v", i, got[i].Stats, want)
 		}
 	}
-	if shared.MemDeps() == nil || shared.MemDeps() != shared.MemDeps() {
-		t.Fatal("the trace's plan is missing or not memoized")
+	if d := recordedPlan(shared); d == nil || d.Window() != 128 {
+		t.Fatal("the trace's memo holds no plan of the widest window")
 	}
 
 	q, _ := tgen.PresetByName("swm256")
@@ -98,9 +97,8 @@ func TestConcurrentFirstRunsShareOnePlan(t *testing.T) {
 	}
 }
 
-// unplanned returns a new trace over tr's instructions: no run has asked
-// for its plan yet, so its next run finds the M queue's conflicts through
-// the range index.
+// unplanned returns a new trace over tr's instructions: its memo is
+// empty, so its next run from the start records the M queue's plan.
 func unplanned(tr *trace.Trace) *trace.Trace {
 	return &trace.Trace{Name: tr.Name, Suite: tr.Suite, Insns: tr.Insns}
 }
@@ -111,12 +109,13 @@ func followsPlan(mm *Machine) bool {
 	return !reflect.ValueOf(mm.m.mQ).Elem().FieldByName("deps").IsNil()
 }
 
-// TestPlanlessRunsMatchPlanned checks the M queue's two ways of finding
-// an access's conflicts against each other on whole OOOVA runs: a trace's
-// first run, which has no plan and queries the range index, and the runs
-// after it, which follow the trace's plan. On every preset and in several
-// configurations, a plan-less run, and resumes on each path from the
-// periodic checkpoints of the other, must match a planned run.
+// TestPlanlessRunsMatchPlanned checks the M queue's ways of finding an
+// access's conflicts against each other on whole OOOVA runs: a trace's
+// first run, which has no plan and records one from the range index, and
+// the runs after it, which follow that plan. On every preset and in
+// several configurations, a recording run must match a following run, and
+// so must resumes on each path from the periodic checkpoints of the other.
+// A resume without a plan queries the range index and records nothing.
 func TestPlanlessRunsMatchPlanned(t *testing.T) {
 	configs := checkpointConfigs()
 	slots128 := DefaultConfig()
@@ -124,15 +123,18 @@ func TestPlanlessRunsMatchPlanned(t *testing.T) {
 	configs["128 slots"] = slots128
 	for _, p := range tgen.Presets() {
 		p.Insns = 3000
-		planned := tgen.Generate(p)
-		if planned.MemDeps() == nil {
-			t.Fatalf("%s: no plan", p.Name)
-		}
+		tr := tgen.Generate(p)
 		for name, cfg := range configs {
-			want := Run(planned, cfg).Stats
+			planned := unplanned(tr)
+			Run(planned, cfg) // records the plan
 			mm := NewMachine(cfg)
-			if got := mm.Run(unplanned(planned)).Stats; !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: a run without the plan differs from one with it\ngot:  %+v\nwant: %+v", p.Name, name, got, want)
+			want := mm.Run(planned).Stats
+			if !followsPlan(mm) {
+				t.Fatalf("%s/%s: a run on a trace with a plan of its window did not follow it", p.Name, name)
+			}
+			mm = NewMachine(cfg)
+			if got := mm.Run(unplanned(tr)).Stats; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: a run recording the plan differs from one following it\ngot:  %+v\nwant: %+v", p.Name, name, got, want)
 			}
 			if followsPlan(mm) {
 				t.Fatalf("%s/%s: a trace's first run followed a plan", p.Name, name)
@@ -140,7 +142,7 @@ func TestPlanlessRunsMatchPlanned(t *testing.T) {
 			for _, fromPlanned := range []bool{true, false} {
 				from := planned
 				if !fromPlanned {
-					from = unplanned(planned)
+					from = unplanned(tr)
 				}
 				var cks []*Checkpoint
 				if _, _, err := NewMachine(cfg).RunCheckpointed(from, RunOpts{
@@ -152,7 +154,7 @@ func TestPlanlessRunsMatchPlanned(t *testing.T) {
 				for _, ck := range cks {
 					to := planned
 					if fromPlanned {
-						to = unplanned(planned)
+						to = unplanned(tr)
 					}
 					mm := NewMachine(cfg)
 					got, _, err := mm.RunCheckpointed(to, RunOpts{Resume: ck})
@@ -161,6 +163,12 @@ func TestPlanlessRunsMatchPlanned(t *testing.T) {
 					}
 					if followsPlan(mm) == fromPlanned {
 						t.Fatalf("%s/%s: a resume from a checkpoint of the other path took the same one", p.Name, name)
+					}
+					if !fromPlanned && to.Memo() != planned.Memo() {
+						t.Fatalf("%s/%s: a resume replaced the trace's plan", p.Name, name)
+					}
+					if fromPlanned && to.Memo() != nil {
+						t.Fatalf("%s/%s: a resume without a plan published one", p.Name, name)
 					}
 					if !reflect.DeepEqual(got.Stats, want) {
 						t.Errorf("%s/%s: resume from %d with the plan %v differs from a planned run",
@@ -173,8 +181,8 @@ func TestPlanlessRunsMatchPlanned(t *testing.T) {
 }
 
 // TestDenseTraceRunsWithoutPlan runs a trace whose memory instructions
-// all conflict, too dense to plan, so every run on it queries the range
-// index. One machine running it and a planned trace in turn, and resumes
+// all conflict, too dense to plan: every run on it stops recording and
+// queries the range index. One machine running it and a planned trace in turn, and resumes
 // of the dense trace, must match fresh runs.
 func TestDenseTraceRunsWithoutPlan(t *testing.T) {
 	b := trace.NewBuilder("dense")
@@ -184,16 +192,15 @@ func TestDenseTraceRunsWithoutPlan(t *testing.T) {
 		b.VStore(isa.V(4+i%4), 0x1000+uint64(i%3)*8)
 	}
 	dense := b.Build()
-	if dense.MemDeps() != nil {
+	cfg := DefaultConfig()
+	cfg.LoadElim = ElimSLEVLE
+	if Run(dense, cfg); dense.Memo() != nil {
 		t.Fatal("a trace whose every access conflicts got a plan")
 	}
 	p, _ := tgen.PresetByName("bdna")
 	p.Insns = 3000
 	planned := tgen.Generate(p)
-	planned.MemDeps()
-
-	cfg := DefaultConfig()
-	cfg.LoadElim = ElimSLEVLE
+	Run(planned, cfg)
 	mm := NewMachine(cfg)
 	for _, tr := range []*trace.Trace{dense, planned, dense, planned} {
 		if got, want := mm.Run(tr).Stats, Run(tr, cfg).Stats; !reflect.DeepEqual(got, want) {

@@ -2,11 +2,10 @@
 // scanning every live byte range.
 //
 // Two structures ask, for every memory instruction, which of a bounded set
-// of byte ranges may overlap a new one: the builder of a trace's
-// memory-dependence plan (iq.BuildMemDeps, the last 256 accesses, once per
-// trace; an M queue without a plan asks the same for its last QueueSlots
-// accesses, §2.2), and the §6.1 memory tags (one range per physical
-// register). Few ranges ever overlap, so a scan spends almost all its time
+// of byte ranges may overlap a new one: an M queue without a
+// memory-dependence plan (its last QueueSlots accesses, §2.2; a trace's
+// first OOOVA run records the plan from these answers), and the §6.1
+// memory tags (one range per physical register). Few ranges ever overlap, so a scan spends almost all its time
 // rejecting.
 //
 // An Index maps each item — a ring slot or a physical register, numbered

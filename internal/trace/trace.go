@@ -6,14 +6,17 @@
 // with the Dixie tool produced dynamic traces that were then fed to the
 // reference and OOOVA simulators. This package is the Go equivalent of that
 // trace format; package tgen plays the role of the instrumented benchmarks.
+//
+// A Trace also carries an opaque memo (Memo, UpdateMemo): data a simulator
+// derives from the instructions and reuses across its runs on the trace,
+// such as the OOOVA's M-queue memory-dependence plan. The package neither
+// reads nor builds it, and imports no machine package.
 package trace
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"oovec/internal/iq"
 	"oovec/internal/isa"
 )
 
@@ -26,69 +29,26 @@ type Trace struct {
 	// Insns is the dynamic instruction sequence in program order.
 	Insns []isa.Instruction
 
-	// deps memoizes MemDeps; asked is set by the first run from the
-	// start (RunMemDeps).
-	deps struct {
-		asked atomic.Bool
-		once  sync.Once
-		plan  atomic.Pointer[iq.MemDeps]
-	}
+	memoMu sync.Mutex // guards memo
+	memo   any        // see Memo
 }
 
-// MemDeps returns the M queue's memory-dependence plan of the trace
-// (iq.MemDeps; nil for a trace too dense to plan), building it at the
-// first call. Concurrent first calls build it once. Every OOOVA run on the
-// trace from then on shares it, so it describes Insns as they were at
-// that first call: a trace is not modified once it has been simulated.
-func (t *Trace) MemDeps() *iq.MemDeps {
-	t.deps.once.Do(func() { t.deps.plan.Store(iq.BuildMemDeps(t.MemInsns(t.Len()), t.memAccesses)) })
-	return t.deps.plan.Load()
+// Memo returns the trace's memo: data a simulator derived from Insns and
+// keeps for its later runs on the trace (the OOOVA's M-queue plan), or nil.
+// The trace never reads it. It describes Insns as they were when it was
+// derived: a trace is not modified once it has been simulated.
+func (t *Trace) Memo() any {
+	t.memoMu.Lock()
+	defer t.memoMu.Unlock()
+	return t.memo
 }
 
-// RunMemDeps returns the plan an OOOVA run about to start on the trace
-// follows. The trace's first run from the start goes without one: its M
-// queue finds its conflicts through a range index. The second builds the
-// plan (MemDeps), and every run after a plan is built follows it. On the
-// presets, building costs what the index costs two or three runs, so a
-// trace simulated once (one ovsim run, one /v1/sim on an uploaded trace)
-// never pays for a plan, and a trace simulated many times (each config of
-// a sweep) pays once. A resumed run continues one that started earlier: it follows a
-// plan already built and builds none.
-func (t *Trace) RunMemDeps(resumed bool) *iq.MemDeps {
-	if d := t.deps.plan.Load(); d != nil || resumed {
-		return d
-	}
-	if t.deps.asked.Load() || t.deps.asked.Swap(true) {
-		return t.MemDeps()
-	}
-	return nil
-}
-
-// MemInsns returns the number of memory instructions among the first n:
-// the M queue entries a run has recorded before instruction n.
-func (t *Trace) MemInsns(n int) int {
-	mem := 0
-	for i := range t.Insns[:n] {
-		if t.Insns[i].Op.ExecUnit() == isa.UnitMem {
-			mem++
-		}
-	}
-	return mem
-}
-
-// memAccesses yields the byte range and store flag of every memory
-// instruction, in program order: the M queue's entries.
-func (t *Trace) memAccesses(yield func(iq.Access) bool) {
-	for i := range t.Insns {
-		in := &t.Insns[i]
-		if in.Op.ExecUnit() != isa.UnitMem {
-			continue
-		}
-		start, end := in.MemRange()
-		if !yield(iq.Access{Start: start, End: end, Store: in.Op.IsStore()}) {
-			return
-		}
-	}
+// UpdateMemo replaces the memo with update(Memo()), atomically: concurrent
+// runs on the trace each decide from the memo the others left.
+func (t *Trace) UpdateMemo(update func(old any) any) {
+	t.memoMu.Lock()
+	defer t.memoMu.Unlock()
+	t.memo = update(t.memo)
 }
 
 // Len returns the number of dynamic instructions.

@@ -1,8 +1,9 @@
 package oovec
 
 // The reproduction regression test: asserts the paper's headline result
-// shapes (EXPERIMENTS.md) on mid-size traces, so refactoring the simulators
-// or the generator cannot silently break the reproduction. Skipped under
+// shapes (each test cites the paper's figure it bands; `ovbench` prints
+// the full tables) on mid-size traces, so refactoring the simulators or
+// the generator cannot silently break the reproduction. Skipped under
 // -short (it runs the full benchmark set through both machines).
 
 import (
