@@ -2,8 +2,8 @@ package oovec
 
 // The benchmark harness: one testing.B benchmark per table and figure of
 // the paper (Tables 1-3, Figures 3-9 and 11-13), each reporting its
-// headline quantity as a custom metric, plus a benchmark for the paper's
-// future-work spill-store elision and raw simulator-throughput benchmarks.
+// headline quantity as a custom metric, plus raw simulator-throughput
+// benchmarks.
 //
 // Benchmarks run on reduced traces (benchInsns instructions per program) so
 // `go test -bench=.` completes quickly; `cmd/ovbench` regenerates the
@@ -189,32 +189,6 @@ func BenchmarkFig13Traffic(b *testing.B) {
 			sum += 100 * (1 - 1/res.SLEVLE[name])
 		}
 		b.ReportMetric(sum/float64(len(res.Names)), "mean-traffic-cut-%")
-	}
-}
-
-// ---------------------------------------------------------------- extensions
-
-// spillTrace is the spill-heaviest benchmark (bdna: 69% spill traffic).
-func spillTrace() *Trace {
-	p, _ := tgen.PresetByName("bdna")
-	p.Insns = benchInsns
-	return tgen.Generate(p)
-}
-
-// BenchmarkExtensionSpillStoreElision measures the paper's §6 future-work
-// idea ("relaxing compatibility could lead to removing some spill stores"):
-// dead-spill-store elision on the spill-heaviest benchmark.
-func BenchmarkExtensionSpillStoreElision(b *testing.B) {
-	tr := spillTrace()
-	for i := 0; i < b.N; i++ {
-		base := ooosim.DefaultConfig()
-		base.PhysVRegs = 32
-		baseRun := ooosim.Run(tr, base).Stats
-		cfg := base
-		cfg.ElideDeadSpillStores = true
-		run := ooosim.Run(tr, cfg).Stats
-		b.ReportMetric(float64(run.ElidedStores), "elided-stores")
-		b.ReportMetric(float64(baseRun.MemRequests)/float64(run.MemRequests), "traffic-reduction")
 	}
 }
 

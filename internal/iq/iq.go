@@ -25,8 +25,9 @@
 // queue books its issue port from its occupancy window, as hardware
 // arbitrates among resident entries only
 // (sched.RingWindow.AdmitFirstFree); each M-queue front stage is one
-// next-free cycle. The plan is trace-sized: the queue records it once and
-// hands it over, and its caller keeps it with the trace.
+// next-free cycle. The plan is trace-sized: the queue records it once, its
+// offsets sized for the trace's memory instructions (Reserve), and hands
+// it over, and its caller keeps it with the trace.
 package iq
 
 import (
@@ -171,15 +172,31 @@ func (q *MemQueue) Follow(d *MemDeps) {
 	q.deps = d
 }
 
-// Recorded returns the plan the queue recorded since its Reset, at
-// exact size, and stops recording. It covers the entries recorded so far,
-// so call it at the end of a run. It is nil for a queue that followed a
-// plan, was restored or never Reset, or whose accesses averaged more than
+// Recording reports whether the queue is recording a plan: it was Reset
+// without one to follow, and has not stopped.
+func (q *MemQueue) Recording() bool { return q.rec != nil }
+
+// Reserve sizes the plan a recording queue keeps for n memory
+// instructions, the trace's count, so that its offsets are allocated once
+// instead of grown from empty. It does nothing for a queue that does not
+// record; call it after Reset.
+func (q *MemQueue) Reserve(n int) {
+	if r := q.rec; r != nil && n >= len(r.first) {
+		r.first = slices.Grow(r.first, n+1-len(r.first))
+	}
+}
+
+// Recorded returns the plan the queue recorded since its Reset, and stops
+// recording. It covers the entries recorded so far, so call it at the end
+// of a run. Its conflicts are copied at exact size once; its offsets are
+// kept as they are, at exact size when Reserve was given the count of
+// entries the run recorded. It is nil for a queue that followed a plan,
+// was restored or never Reset, or whose accesses averaged more than
 // maxPlanConflicts conflicts each.
 func (q *MemQueue) Recorded() *MemDeps {
 	r := q.rec
 	if q.rec = nil; r != nil {
-		r = &MemDeps{first: slices.Clone(r.first), back: slices.Clone(r.back), win: r.win}
+		r.back = slices.Clone(r.back)
 	}
 	return r
 }
@@ -274,7 +291,7 @@ func (q *MemQueue) Record(start, end uint64, isStore bool, busStart, busEnd int6
 
 // RecordPending registers a store whose bus occupancy the store buffer
 // places later, as its store number pend, books its queue slot until
-// leaveAt, and returns the store's entry number for SetBusEnd and Elide.
+// leaveAt, and returns the store's entry number for SetBusEnd.
 //
 //ovlint:hotpath called once per deferred store
 func (q *MemQueue) RecordPending(start, end uint64, pend int, leaveAt int64) int {
@@ -309,18 +326,6 @@ func (q *MemQueue) SetBusEnd(entry int, busEnd int64) {
 	if entry >= q.n-maxScan {
 		e := &q.entries[entry%maxScan]
 		e.busEnd, e.pend = busEnd, -1
-	}
-}
-
-// Elide neutralises the pending store with entry number entry, which the
-// store buffer dropped before it issued: a dead store orders nothing. The
-// entry keeps its range, so the range index and a plan list it as a
-// linear scan does; its bus end of 0 and no pending store leave every
-// check that visits it unchanged.
-func (q *MemQueue) Elide(entry int) {
-	if entry >= q.n-maxScan {
-		e := &q.entries[entry%maxScan]
-		e.busEnd, e.pend = 0, -1
 	}
 }
 

@@ -8,23 +8,22 @@ import (
 	"oovec/internal/sched"
 )
 
-// ring is what a store buffer reports placed and elided stores to: the
-// MemQueue under test or its linear reference.
+// ring is what a store buffer reports placed stores to: the MemQueue under
+// test or its linear reference.
 type ring interface {
 	SetBusEnd(entry int, busEnd int64)
-	Elide(entry int)
 }
 
 // bufferedStore is one store held by testBuffer.
 type bufferedStore struct {
-	ready, occ                 int64
-	entry                      int
-	placed, elidable, canceled bool
+	ready, occ int64
+	entry      int
+	placed     bool
 }
 
 // testBuffer is a store buffer with the OOOVA scheduler's placement rule,
 // written as a scan: flush places the oldest-ready pending store first,
-// ties by age, and leaves elidable stores for PlaceStore and cancel.
+// ties by age.
 type testBuffer struct {
 	q    ring
 	bus  *sched.Gap
@@ -43,7 +42,7 @@ func (b *testBuffer) flush(threshold int64) {
 	for {
 		best := -1
 		for i, p := range b.pend {
-			if p.placed || p.canceled || p.elidable || p.ready > threshold {
+			if p.placed || p.ready > threshold {
 				continue
 			}
 			if best < 0 || p.ready < b.pend[best].ready {
@@ -59,7 +58,7 @@ func (b *testBuffer) flush(threshold int64) {
 
 func (b *testBuffer) place(i int) {
 	p := &b.pend[i]
-	if p.placed || p.canceled {
+	if p.placed {
 		return
 	}
 	start := b.bus.Allocate(p.ready, p.occ)
@@ -74,22 +73,8 @@ func (b *testBuffer) placeNow(ready, occ int64) int64 {
 	return b.bus.Allocate(ready, occ)
 }
 
-// finish places every pending store, elidable ones too, as the end of a
-// run does.
-func (b *testBuffer) finish() {
-	b.flush(1 << 62)
-	for i := range b.pend {
-		b.place(i)
-	}
-}
-
-func (b *testBuffer) cancel(i int) {
-	if i >= len(b.pend) || b.pend[i].placed || b.pend[i].canceled {
-		return
-	}
-	b.pend[i].canceled = true
-	b.q.Elide(b.pend[i].entry)
-}
+// finish places every pending store, as the end of a run does.
+func (b *testBuffer) finish() { b.flush(1 << 62) }
 
 // linearQueue is the reference Dependence check: it keeps every entry ever
 // recorded and scans the last scanWin of them, oldest first.
@@ -123,10 +108,6 @@ func (l *linearQueue) SetBusEnd(entry int, busEnd int64) {
 	l.entries[entry].busEnd, l.entries[entry].pend = busEnd, -1
 }
 
-func (l *linearQueue) Elide(entry int) {
-	l.entries[entry].busEnd, l.entries[entry].pend = 0, -1
-}
-
 // memQueueSlots are the queue capacities the checks draw from: around the
 // default, the OOOVA-128 size and the scan bound.
 var memQueueSlots = []int{1, 2, 4, 16, 64, 128, 256, 300}
@@ -147,7 +128,7 @@ func decodeMemOps(ops []byte) ([]memOp, []access) {
 	var accs []access
 	var clock int64
 	for k := 0; k+4 <= len(ops); k += 4 {
-		op, a, b, c := ops[k]%10, ops[k+1], ops[k+2], ops[k+3]
+		op, a, b, c := ops[k]%9, ops[k+1], ops[k+2], ops[k+3]
 		clock += int64(c % 8)
 		// Ranges crowd four 4 KiB blocks; some straddle a block boundary,
 		// some span more than two blocks, and a few are inverted.
@@ -161,7 +142,7 @@ func decodeMemOps(ops []byte) ([]memOp, []access) {
 		}
 		m := memOp{op: op, a: a, start: start, end: end, isStore: op == 1 || op == 2 || op == 3,
 			ready: clock + int64(c/8), occ: 1 + int64(b%32)}
-		if op <= 3 || op == 5 {
+		if op <= 4 {
 			accs = append(accs, access{start: start, end: end, store: m.isStore})
 		}
 		decoded = append(decoded, m)
@@ -171,8 +152,8 @@ func decodeMemOps(ops []byte) ([]memOp, []access) {
 
 // checkMemQueueAgainstReference decodes ops into the calls the OOOVA makes
 // on its M queue and store buffer — loads, late stores and deferred
-// stores, each after its Dependence check, elidable stores,
-// cancellations, eliminated loads, conflict probes, the end-of-run
+// stores, each after its Dependence check, eliminated loads, conflict
+// probes, the end-of-run
 // placement of every pending store and snapshot/restore of the queue and
 // its buffer into fresh ones — and requires every constraint, the bus
 // bookings and the ring's live entries to match the linear reference
@@ -239,21 +220,17 @@ func runMemQueueCheck(t *testing.T, slots int, decoded []memOp, accs []access, p
 			}
 			q.Record(m.start, m.end, m.isStore, want, want+m.occ)
 			ref.record(m.start, m.end, m.isStore, want+m.occ, -1)
-		case 1, 2: // a deferred store; 2 is an elidable spill
-			st := bufferedStore{ready: ready, occ: m.occ, elidable: m.op == 2}
+		case 1, 2: // a deferred store
+			st := bufferedStore{ready: ready, occ: m.occ}
 			st.entry = q.RecordPending(m.start, m.end, len(buf.pend), ready)
 			buf.pend = append(buf.pend, st)
 			st.entry = ref.record(m.start, m.end, true, 0, len(refBuf.pend))
 			refBuf.pend = append(refBuf.pend, st)
-		case 4:
-			i := int(m.a) % (len(refBuf.pend) + 1)
-			buf.cancel(i)
-			refBuf.cancel(i)
-		case 5: // an eliminated load
+		case 4: // an eliminated load
 			q.Record(m.start, m.end, false, ready, ready)
 			ref.record(m.start, m.end, false, ready, -1)
-		case 6, 7:
-			start, end, isStore := m.start, m.end, m.op == 7
+		case 5, 6:
+			start, end, isStore := m.start, m.end, m.op == 6
 			if pass != passIndexed {
 				if len(ref.entries) == len(accs) {
 					break // no access left to probe
@@ -262,12 +239,12 @@ func runMemQueueCheck(t *testing.T, slots int, decoded []memOp, accs []access, p
 				start, end, isStore = next.start, next.end, next.store
 			}
 			check(k, "conflict probe", start, end, isStore)
-		case 8: // rare, so stores stay pending past 256 entries first
+		case 7: // rare, so stores stay pending past 256 entries first
 			if m.a < 8 {
 				buf.finish()
 				refBuf.finish()
 			}
-		case 9:
+		case 8:
 			if pass == passRecording {
 				break
 			}

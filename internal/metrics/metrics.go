@@ -297,10 +297,6 @@ type RunStats struct {
 	// EliminatedRequests counts the address-bus requests those loads would
 	// have issued.
 	EliminatedRequests int64
-	// ElidedStores counts dead spill stores removed by the
-	// ElideDeadSpillStores extension, and ElidedRequests their requests.
-	ElidedStores   int64
-	ElidedRequests int64
 	// DecodeStallRegs counts decode stalls waiting for a free physical
 	// register (OOOVA only).
 	DecodeStallRegs int64
@@ -325,7 +321,7 @@ type RunStats struct {
 // numLeaves is the number of int64 leaves in a RunStats; it sizes the
 // stack buffer leaves fills, so a stale count costs an allocation, not
 // correctness.
-const numLeaves = 1 + NumStates + 12 + 11 + 5*(1+OccBuckets)
+const numLeaves = 1 + NumStates + 10 + 11 + 5*(1+OccBuckets)
 
 // leaves appends a pointer to every int64 leaf of r, in encoding order, to
 // dst.
@@ -336,8 +332,8 @@ func (r *RunStats) leaves(dst []*int64) []*int64 {
 	}
 	dst = append(dst, &r.MemPortBusy, &r.MemRequests, &r.Instructions,
 		&r.VRegPortConflictCycles, &r.Mispredicts, &r.EliminatedLoads,
-		&r.EliminatedRequests, &r.ElidedStores, &r.ElidedRequests,
-		&r.DecodeStallRegs, &r.DecodeStallQueue, &r.DecodeStallROB)
+		&r.EliminatedRequests, &r.DecodeStallRegs, &r.DecodeStallQueue,
+		&r.DecodeStallROB)
 	s := &r.Stalls
 	dst = append(dst, &s.ROBFull, &s.IQFullA, &s.IQFullS, &s.IQFullV,
 		&s.IQFullM, &s.NoPhysA, &s.NoPhysS, &s.NoPhysV, &s.NoPhysM,

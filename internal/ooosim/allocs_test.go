@@ -228,3 +228,38 @@ func TestMemDepsBytes(t *testing.T) {
 	}
 	runtime.KeepAlive(traces)
 }
+
+// TestRecordingRunBytesBound bounds what recording a trace's plan costs on
+// top of a run that follows it: on each of the ten presets, a reused
+// machine's first run on a new trace, which records the plan, may allocate
+// at most twice the bytes of the exact-size plan more than the next run,
+// which follows it. The recording sizes the plan's offsets from the
+// trace's count of memory instructions and copies its conflicts at exact
+// size once; offsets and conflicts grown from empty and then copied cost
+// about five times the plan.
+func TestRecordingRunBytesBound(t *testing.T) {
+	const bound = 2 // times the plan's bytes
+	mm := NewMachine(DefaultConfig())
+	for _, p := range tgen.Presets() {
+		p.Insns = tgen.DefaultInsns
+		tr := tgen.Generate(p)
+		mm.Run(unplanned(tr)) // grow the machine to this trace's work in flight
+		fresh := unplanned(tr)
+		recording := bytesPerRun(1, func() { mm.Run(fresh) })
+		d := recordedPlan(fresh)
+		if d == nil {
+			t.Fatalf("%s: the run recorded no plan", p.Name)
+		}
+		following := bytesPerRun(1, func() { mm.Run(fresh) })
+		plan := 4 * uint64(d.Len()+1) // an offset per access, and one past the last
+		for k := range d.Len() {
+			plan += uint64(len(d.Conflicts(k)))
+		}
+		ratio := (float64(recording) - float64(following)) / float64(plan)
+		t.Logf("%s: recording run %d B, following run %d B, plan %d B: %.2f× the plan", p.Name, recording, following, plan, ratio)
+		if ratio > bound {
+			t.Errorf("%s: the recording run allocated %d B, a following run %d B: %.2f× the %d B plan more, want <= %d×",
+				p.Name, recording, following, ratio, plan, bound)
+		}
+	}
+}

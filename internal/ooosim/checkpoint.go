@@ -35,9 +35,9 @@ import (
 
 // PendStoreState is the exported form of one held (lazily placed) store.
 type PendStoreState struct {
-	Ready, Dep, Occ, Req       int64
-	Entry                      int
-	Placed, Elidable, Canceled bool
+	Ready, Dep, Occ, Req int64
+	Entry                int
+	Placed               bool
 }
 
 // MemSchedState is the serialisable state of the memory/bus scheduler, the
@@ -62,7 +62,7 @@ func (s *memScheduler) snapshot() MemSchedState {
 	for i := range st.Pend {
 		p := &s.pend[(s.base+i)&(len(s.pend)-1)]
 		st.Pend[i] = PendStoreState{Ready: p.ready, Dep: p.dep, Occ: p.occ, Req: p.req,
-			Entry: p.entry, Placed: p.placed, Elidable: p.elidable, Canceled: p.canceled}
+			Entry: p.entry, Placed: p.placed}
 	}
 	return st
 }
@@ -73,7 +73,7 @@ func (s *memScheduler) snapshot() MemSchedState {
 // relies on both), and out-of-range names between stores and entries are
 // errors.
 func (s *memScheduler) restore(st MemSchedState, mq *iq.MemQueueState) error {
-	if st.Base < 0 || len(st.Pend) > 0 && (st.Pend[0].Placed || st.Pend[0].Canceled) {
+	if st.Base < 0 || len(st.Pend) > 0 && st.Pend[0].Placed {
 		return fmt.Errorf("memory scheduler first held store %d is negative or no longer pending", st.Base)
 	}
 	for i, p := range st.Pend {
@@ -101,8 +101,8 @@ func (s *memScheduler) restore(st MemSchedState, mq *iq.MemQueueState) error {
 	for i, p := range st.Pend {
 		n := st.Base + i
 		s.pend[n&(len(s.pend)-1)] = pendStore{ready: p.Ready, dep: p.Dep, occ: p.Occ, req: p.Req,
-			entry: p.Entry, placed: p.Placed, elidable: p.Elidable, canceled: p.Canceled}
-		if !p.Placed && !p.Canceled && !p.Elidable {
+			entry: p.Entry, placed: p.Placed}
+		if !p.Placed {
 			s.pushReady(readyKey{p.Ready, n})
 		}
 	}
@@ -149,11 +149,8 @@ type Checkpoint struct {
 	PrevFetch, NextFetchMin, PrevDecode, LastVLReady, LastCycle int64
 
 	EliminatedLoads, EliminatedRequests int64
-	ElidedStores, ElidedRequests        int64
 	Stalls                              metrics.StallBreakdown
 	Occ                                 metrics.Occupancy
-
-	SpillPend map[[2]uint64]int
 }
 
 // Encode serialises the checkpoint with encoding/gob.
@@ -219,20 +216,12 @@ func (m *machine) Snapshot(nextInsn, traceLen int) *Checkpoint {
 
 		EliminatedLoads:    m.eliminatedLoads,
 		EliminatedRequests: m.eliminatedRequests,
-		ElidedStores:       m.elidedStores,
-		ElidedRequests:     m.elidedRequests,
 		Stalls:             m.stalls,
 		Occ:                m.occ,
 	}
 	for class, tb := range m.tables {
 		if tb != nil {
 			ck.Tables[class] = tb.Snapshot()
-		}
-	}
-	if m.spillPend != nil {
-		ck.SpillPend = make(map[[2]uint64]int, len(m.spillPend))
-		for k, v := range m.spillPend {
-			ck.SpillPend[k] = v
 		}
 	}
 	return ck
@@ -298,21 +287,8 @@ func (m *machine) restore(ck *Checkpoint) error {
 
 	m.eliminatedLoads = ck.EliminatedLoads
 	m.eliminatedRequests = ck.EliminatedRequests
-	m.elidedStores = ck.ElidedStores
-	m.elidedRequests = ck.ElidedRequests
 	m.stalls = ck.Stalls
 	m.occ = ck.Occ
-
-	if ck.SpillPend != nil {
-		if m.spillPend == nil {
-			m.spillPend = make(map[[2]uint64]int, len(ck.SpillPend))
-		} else {
-			clear(m.spillPend)
-		}
-		for k, v := range ck.SpillPend {
-			m.spillPend[k] = v
-		}
-	}
 	return nil
 }
 

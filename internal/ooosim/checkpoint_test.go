@@ -32,14 +32,10 @@ func checkpointConfigs() map[string]Config {
 	late.Commit = rob.PolicyLate
 	elim := DefaultConfig()
 	elim.LoadElim = ElimSLEVLE
-	elide := DefaultConfig()
-	elide.LoadElim = ElimSLEVLE
-	elide.ElideDeadSpillStores = true
 	return map[string]Config{
 		"default": DefaultConfig(),
 		"late":    late,
 		"elim":    elim,
-		"elide":   elide,
 	}
 }
 
@@ -311,20 +307,15 @@ func TestDecodeCheckpointRejectsOtherLayout(t *testing.T) {
 // store buffer's held stores vary with what is in flight at the cut. A free
 // list is padded to its register count; the other three are measured apart:
 // each holds at most maxHeld entries at both cuts, where a full booking
-// history holds thousands at 10,000 instructions. Dead-spill-store elision
-// is the one exception: a spill no later access reads or overwrites stays
-// held until the end of the run, and every store younger than it stays
-// held behind it, so its held lists and spill map grow with the trace
-// (12,186 held stores at 80k instructions of swm256 under SLE+VLE); only
-// the rest of its checkpoint is fixed.
+// history holds thousands at 10,000 instructions.
 func TestQueueStateIndependentOfTraceLength(t *testing.T) {
 	const maxHeld = 256
 	q128 := DefaultConfig()
 	q128.QueueSlots = 128
 	q128.LoadElim = ElimSLEVLE
-	elide := q128
-	elide.ElideDeadSpillStores = true
-	configs := map[string]Config{"default": DefaultConfig(), "q128+sle+vle": q128, "elide": elide}
+	elim := DefaultConfig()
+	elim.LoadElim = ElimSLEVLE
+	configs := map[string]Config{"default": DefaultConfig(), "q128+sle+vle": q128, "sle+vle": elim}
 	for _, bench := range []string{"hydro2d", "swm256"} {
 		tr := checkpointTestTrace(t, bench, 81_000)
 		for name, cfg := range configs {
@@ -341,7 +332,7 @@ func TestQueueStateIndependentOfTraceLength(t *testing.T) {
 				held := map[string]int{"FU1": len(ck.FU1.IV), "FU2": len(ck.FU2.IV),
 					"bus": len(ck.MSched.Bus.IV), "stores": len(ck.MSched.Pend)}
 				for list, n := range held {
-					if n > maxHeld && !cfg.ElideDeadSpillStores {
+					if n > maxHeld {
 						t.Errorf("%s/%s at %d: %d held %s entries, want at most %d", bench, name, ck.NextInsn, n, list, maxHeld)
 					}
 				}
@@ -350,9 +341,6 @@ func TestQueueStateIndependentOfTraceLength(t *testing.T) {
 				// to that, as the ring the table keeps it in is.
 				for c := range ck.Tables {
 					ck.Tables[c].Free = make([]rename.FreeEntry, len(ck.Tables[c].Refcnt))
-				}
-				if cfg.ElideDeadSpillStores {
-					ck.SpillPend = nil
 				}
 				widen(reflect.ValueOf(ck).Elem())
 				sizes[i] = gobSize(t, ck)

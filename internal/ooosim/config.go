@@ -84,15 +84,6 @@ type Config struct {
 	Commit rob.Policy
 	// LoadElim selects the §6 configuration.
 	LoadElim ElimMode
-	// ElideDeadSpillStores enables the paper's §6 future-work idea
-	// ("relaxing compatibility could lead to removing some spill stores"):
-	// a spill store held in the store buffer is elided when a later spill
-	// store overwrites exactly the same slot before any overlapping access
-	// consumed it. Relaxes strict binary compatibility (the memory image
-	// no longer reflects every spill); effective under early commit only —
-	// late commit executes stores at the ROB head, before the overwrite
-	// arrives.
-	ElideDeadSpillStores bool
 	// Sink, when non-nil, receives per-instruction pipeline lifecycle
 	// events and stall-cause notifications (package probe). Observation
 	// only: attaching a sink never changes the run's RunStats — everything

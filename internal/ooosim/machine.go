@@ -58,7 +58,8 @@ func (mm *Machine) Run(t *trace.Trace) *Result {
 // Begin implements sim.Model: it attaches the trace's memory-dependence
 // plan to the M queue, if a run has recorded one for its window (see
 // Finish), and restores the power-on state (or resume, when set). A queue
-// without a plan records one from the power-on state. A resumed M queue
+// without a plan records one from the power-on state, sized for the
+// trace's memory instructions. A resumed M queue
 // holds one entry per memory instruction before the checkpoint's position;
 // another count would walk the wrong part of the plan.
 //
@@ -68,6 +69,9 @@ func (m *machine) Begin(t *trace.Trace, resume *Checkpoint) error {
 	m.mQ.Follow(d)
 	m.reset()
 	if resume == nil {
+		if m.mQ.Recording() {
+			m.mQ.Reserve(memInsns(t.Insns))
+		}
 		return nil
 	}
 	if mem := memInsns(t.Insns[:resume.NextInsn]); resume.MQ.N != mem {
@@ -117,9 +121,6 @@ type machine struct {
 
 	eliminatedLoads    int64
 	eliminatedRequests int64
-	elidedStores       int64
-	elidedRequests     int64
-	spillPend          map[[2]uint64]int
 
 	// stalls and occ accumulate the per-cause stall attribution and the
 	// per-structure occupancy histograms. Always on (cheap, deterministic,
@@ -189,9 +190,6 @@ func newMachine(cfg Config) *machine {
 	m.tables[isa.RegS] = rename.MustNewTable(isa.RegS, PhysSRegs)
 	m.tables[isa.RegV] = rename.MustNewTable(isa.RegV, cfg.PhysVRegs)
 	m.tables[isa.RegM] = rename.MustNewTable(isa.RegM, PhysMRegs)
-	if cfg.ElideDeadSpillStores {
-		m.spillPend = make(map[[2]uint64]int)
-	}
 	return m
 }
 
@@ -235,12 +233,10 @@ func (m *machine) reset() {
 	m.prevFetch, m.prevDecode = -1, -1
 	m.nextFetchMin, m.lastVLReady, m.lastCycle = 0, 0, 0
 	m.eliminatedLoads, m.eliminatedRequests = 0, 0
-	m.elidedStores, m.elidedRequests = 0, 0
 	m.stalls = metrics.StallBreakdown{}
 	m.occ = metrics.Occupancy{}
 	m.suppressFrom = -1
 	m.records = nil
-	clear(m.spillPend)
 }
 
 // tableMap exposes the class-indexed tables in the public map form.
@@ -698,19 +694,6 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 			}
 		}
 	}
-	// Dead-spill-store elision (§6 future work) kills an exact-slot
-	// predecessor BEFORE disambiguation, so the dying store is not forced
-	// onto the bus by this store's own conflict scan.
-	elide := cfg.ElideDeadSpillStores && cfg.Commit != rob.PolicyLate &&
-		isStore && in.Spill && taggable
-	if elide {
-		if old, ok := m.spillPend[[2]uint64{rstart, rend}]; ok {
-			if req, elided := m.msched.tryCancel(old); elided {
-				m.elidedStores++
-				m.elidedRequests += req
-			}
-		}
-	}
 	// Dynamic memory disambiguation (Dependence stage outcome).
 	if c := m.mQ.ConflictConstraint(rstart, rend, isStore); c > ready {
 		ready = c
@@ -773,17 +756,11 @@ func (m *machine) execMem(in *isa.Instruction, dec, vl int64, vleDefer bool, rec
 		m.mQ.Record(rstart, rend, true, busStart, busStart+occ)
 		storeDone = ready
 	} else {
-		// The store leaves the queue for the store buffer at once. A spill
-		// is held there for elision: if a later spill overwrites exactly
-		// this slot first, the buffered store dies without ever issuing
-		// requests.
+		// The store leaves the queue for the store buffer at once.
 		busStart = ready
 		storeDone = ready + occ
 		entry := m.mQ.RecordPending(rstart, rend, m.msched.nextStore(), busStart)
-		i := m.msched.deferStore(ready, depT, occ, vl, entry, elide)
-		if elide {
-			m.spillPend[[2]uint64{rstart, rend}] = i
-		}
+		m.msched.deferStore(ready, depT, occ, vl, entry)
 	}
 	if elim != ElimNone {
 		// Tag the stored register (it mirrors the stored-to memory) and
@@ -855,8 +832,6 @@ func (m *machine) Finish(t *trace.Trace) *Result {
 		Mispredicts:            m.pred.Mispredictions(),
 		EliminatedLoads:        m.eliminatedLoads,
 		EliminatedRequests:     m.eliminatedRequests,
-		ElidedStores:           m.elidedStores,
-		ElidedRequests:         m.elidedRequests,
 		DecodeStallRegs:        m.stalls.NoPhysReg(),
 		DecodeStallQueue:       m.stalls.IQFull(),
 		DecodeStallROB:         m.stalls.ROBFull,

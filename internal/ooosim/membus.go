@@ -24,34 +24,31 @@ import (
 // the queue asks it to place that store.
 type memScheduler struct {
 	bus *sched.Gap
-	q   *iq.MemQueue //ovlint:config the machine's M queue, which the scheduler reports placed and elided stores to
+	q   *iq.MemQueue //ovlint:config the machine's M queue, which the scheduler reports placed stores to
 
 	// pend holds the deferred stores from the oldest unplaced one on, as a
-	// ring: store number n (the name the M queue, spillPend and byReady use)
+	// ring: store number n (the name the M queue and byReady use)
 	// is pend[n&(len(pend)-1)] for base <= n < base+held.
 	pend       []pendStore
 	base, held int
 
 	// byReady is a binary min-heap of the (ready time, store number) of the
-	// non-elidable deferred stores flush has not yet reached — the
-	// ready-order, ties-by-age placement order. Stores placed out of order
-	// (PlaceStore) or cancelled are dropped lazily when they reach the top,
-	// so flush costs O(log n) per placement instead of a scan over every
-	// held store.
+	// deferred stores flush has not yet reached — the ready-order,
+	// ties-by-age placement order. Stores placed out of order (PlaceStore)
+	// are dropped lazily when they reach the top, so flush costs O(log n)
+	// per placement instead of a scan over every held store.
 	byReady []readyKey //ovlint:derived a view of pend; restore rebuilds it
 
 	requests int64
 }
 
 type pendStore struct {
-	ready    int64
-	dep      int64 // Dependence-stage cycle: no later than ready, nor than any younger store's
-	occ      int64 // bus occupancy (startup + one slot per element)
-	req      int64 // element requests (counted at placement for elidables)
-	entry    int   // the store's entry number in the M queue
-	placed   bool
-	elidable bool // spill store awaiting possible dead-store elision
-	canceled bool // elided: never issues requests
+	ready  int64
+	dep    int64 // Dependence-stage cycle: no later than ready, nor than any younger store's
+	occ    int64 // bus occupancy (startup + one slot per element)
+	req    int64 // element requests (counted at placement)
+	entry  int   // the store's entry number in the M queue
+	placed bool
 }
 
 // readyKey orders a held store in byReady.
@@ -87,10 +84,10 @@ func (s *memScheduler) store(n int) *pendStore {
 // nextStore returns the number the next deferred store gets.
 func (s *memScheduler) nextStore() int { return s.base + s.held }
 
-// retire drops the placed and cancelled stores at the front of the ring.
+// retire drops the placed stores at the front of the ring.
 func (s *memScheduler) retire() {
 	for s.held > 0 {
-		if p := &s.pend[s.base&(len(s.pend)-1)]; !p.placed && !p.canceled {
+		if !s.pend[s.base&(len(s.pend)-1)].placed {
 			return
 		}
 		s.base++
@@ -121,9 +118,7 @@ func (s *memScheduler) floor(dec int64) int64 {
 }
 
 // flush places every pending store whose ready time is at or before
-// threshold, in ready order (ties by age). Elidable spill stores are NOT
-// flushed here: they wait in the store buffer for possible dead-store
-// elision and are placed only on overlap demand or at end of run.
+// threshold, in ready order (ties by age).
 func (s *memScheduler) flush(threshold int64) {
 	for len(s.byReady) > 0 {
 		k := s.byReady[0]
@@ -131,7 +126,7 @@ func (s *memScheduler) flush(threshold int64) {
 			return
 		}
 		s.popReady()
-		s.place(k.n) // no-op for a store placed out of order or cancelled
+		s.place(k.n) // no-op for a store placed out of order
 	}
 }
 
@@ -182,7 +177,7 @@ func (s *memScheduler) popReady() {
 // place books the bus for held store n.
 func (s *memScheduler) place(n int) {
 	p := s.store(n)
-	if p == nil || p.placed || p.canceled {
+	if p == nil || p.placed {
 		return
 	}
 	start := s.bus.Allocate(p.ready, p.occ)
@@ -194,9 +189,7 @@ func (s *memScheduler) place(n int) {
 
 // PlaceStore implements iq.StoreBuffer: an access conflicts with pending
 // store n, which must issue first. It places every store ready up to it,
-// then it, preserving ready order. (Elidable stores skip the flush, so it
-// places them directly — an overlapping access proves the spilled value is
-// live.)
+// then it, preserving ready order.
 //
 //ovlint:hotpath called by the M queue's Dependence check per conflicting pending store
 func (s *memScheduler) PlaceStore(n int) {
@@ -225,46 +218,23 @@ func (s *memScheduler) placeNow(ready, occ, req int64) (busStart int64) {
 // after leaving the Dependence stage at dep, whose bus occupancy will be
 // placed lazily. It is used under the early-commit policy, where nothing
 // needs the store's exact completion cycle immediately. Requests are
-// counted at placement. An elidable store is a spill held in the store
-// buffer for possible dead-store elision (the paper's §6 "relaxing
-// compatibility" future-work idea): flush skips it, and tryCancel may drop
-// it. It returns the store's number, the one the queue entry names.
-func (s *memScheduler) deferStore(ready, dep, occ, req int64, entry int, elidable bool) int {
+// counted at placement. The store gets number nextStore(), the one the
+// queue entry names.
+func (s *memScheduler) deferStore(ready, dep, occ, req int64, entry int) {
 	if s.held == len(s.pend) {
 		s.grow()
 	}
 	n := s.nextStore()
-	s.pend[n&(len(s.pend)-1)] = pendStore{ready: ready, dep: dep, occ: occ, req: req, entry: entry, elidable: elidable}
+	s.pend[n&(len(s.pend)-1)] = pendStore{ready: ready, dep: dep, occ: occ, req: req, entry: entry}
 	s.held++
-	if !elidable {
-		s.pushReady(readyKey{ready, n})
-	}
-	return n
+	s.pushReady(readyKey{ready, n})
 }
 
-// tryCancel elides pending spill store n if it has not yet issued any
-// requests. It returns the elided request count and whether the elision
-// succeeded.
-func (s *memScheduler) tryCancel(n int) (int64, bool) {
-	p := s.store(n)
-	if p == nil || p.placed || p.canceled {
-		return 0, false
-	}
-	p.canceled = true
-	s.q.Elide(p.entry)
-	s.retire() // leaves p's storage as it is
-	return p.req, true
-}
-
-// finishAll places any still-pending stores (including surviving elidable
-// ones — a spill never overwritten must still reach memory) and returns the
-// end of the bus's last held interval, or 0: a folded one ended by a decode
-// cycle, which the run's last cycle passes.
+// finishAll places every still-pending store and returns the end of the
+// bus's last held interval, or 0: a folded one ended by a decode cycle,
+// which the run's last cycle passes.
 func (s *memScheduler) finishAll() int64 {
 	s.flush(int64(1) << 62)
-	for s.held > 0 {
-		s.place(s.base)
-	}
 	if iv := s.bus.Intervals(); len(iv) > 0 {
 		return iv[len(iv)-1].End
 	}

@@ -52,7 +52,7 @@ func (s *linearMemScheduler) flush(threshold int64) {
 		best := -1
 		for i := range s.pend {
 			p := &s.pend[i]
-			if p.placed || p.canceled || p.elidable || p.ready > threshold {
+			if p.placed || p.ready > threshold {
 				continue
 			}
 			if best < 0 || p.ready < s.pend[best].ready {
@@ -68,7 +68,7 @@ func (s *linearMemScheduler) flush(threshold int64) {
 
 func (s *linearMemScheduler) place(i int) {
 	p := &s.pend[i]
-	if p.placed || p.canceled {
+	if p.placed {
 		return
 	}
 	start := s.bus.Allocate(p.ready, p.occ)
@@ -116,36 +116,12 @@ func (s *linearMemScheduler) placeNow(ready, occ, req int64, rstart, rend uint64
 	return busStart
 }
 
-func (s *linearMemScheduler) deferStore(ready, occ, req int64, rstart, rend uint64, elidable bool) int {
+func (s *linearMemScheduler) deferStore(ready, occ, req int64, rstart, rend uint64) {
 	entry := s.record(rstart, rend, true, 0, len(s.pend))
-	s.pend = append(s.pend, pendStore{ready: ready, occ: occ, req: req, entry: entry, elidable: elidable})
-	return len(s.pend) - 1
+	s.pend = append(s.pend, pendStore{ready: ready, occ: occ, req: req, entry: entry})
 }
 
-func (s *linearMemScheduler) tryCancel(pendIdx int) (int64, bool) {
-	if pendIdx < 0 || pendIdx >= len(s.pend) {
-		return 0, false
-	}
-	p := &s.pend[pendIdx]
-	if p.placed || p.canceled {
-		return 0, false
-	}
-	p.canceled = true
-	if p.entry >= s.n-linearRing {
-		e := &s.entries[p.entry%linearRing]
-		e.rstart, e.rend = 1, 0
-		e.busEnd = 0
-		e.pendIdx = -1
-	}
-	return p.req, true
-}
-
-func (s *linearMemScheduler) finishAll() {
-	s.flush(int64(1) << 62)
-	for i := range s.pend {
-		s.place(i)
-	}
-}
+func (s *linearMemScheduler) finishAll() { s.flush(int64(1) << 62) }
 
 // randAccessRange draws the byte range of one access. Most are small and
 // crowd a few 4 KiB blocks, so they overlap often; the rest are the cases
@@ -193,17 +169,17 @@ func (m memPair) placeNow(ready, occ, req int64, rstart, rend uint64, isStore bo
 
 // deferStore defers a store whose Dependence stage is cycle 0: the
 // Dependence cycles only feed the fold floor, which this pair never reads.
-func (m memPair) deferStore(ready, occ, req int64, rstart, rend uint64, elidable bool) int {
+func (m memPair) deferStore(ready, occ, req int64, rstart, rend uint64) {
 	entry := m.q.RecordPending(rstart, rend, m.s.nextStore(), ready)
-	return m.s.deferStore(ready, 0, occ, req, entry, elidable)
+	m.s.deferStore(ready, 0, occ, req, entry)
 }
 
 // TestMemSchedulerMatchesLinearReference drives the M queue with its
 // heap-ordered store buffer and the linear-scan reference with the same
 // random call sequences — loads, deferred stores (some with data so late
-// that they are placed after their M-queue entry has left the ring) and
-// elidable stores, immediate stores, overlapping conflict probes,
-// cancellations, eliminated loads and snapshot/restore of both into a fresh
+// that they are placed after their M-queue entry has left the ring),
+// immediate stores, overlapping conflict probes, eliminated loads and
+// snapshot/restore of both into a fresh
 // pair at random cut points — and requires identical bus bookings, counters
 // and return values after every call. The store buffer holds only the
 // stores from the oldest unplaced one on, in a ring that starts small: the
@@ -215,7 +191,6 @@ func TestMemSchedulerMatchesLinearReference(t *testing.T) {
 		slots := []int{4, 16, 128, 300}[r.Intn(4)]
 		heap := newMemPair(slots)
 		ref := newLinearMemScheduler(slots)
-		var handles []int
 		clock := int64(0)
 		steps := 200 + r.Intn(600)
 		for step := 0; step < steps; step++ {
@@ -235,44 +210,24 @@ func TestMemSchedulerMatchesLinearReference(t *testing.T) {
 				op = "load"
 				got = heap.placeNow(ready, occ, req, rstart, rend, false)
 				want = ref.placeNow(ready, occ, req, rstart, rend, false)
-			case k < 45:
+			case k < 55:
 				op = "deferStore"
 				if r.Intn(40) == 0 {
 					// Data this late keeps the store pending until its
 					// M-queue entry has left the ring.
 					ready += 1500
 				}
-				heap.deferStore(ready, occ, req, rstart, rend, false)
-				ref.deferStore(ready, occ, req, rstart, rend, false)
-			case k < 55:
-				op = "deferElidableStore"
-				h := heap.deferStore(ready, occ, req, rstart, rend, true)
-				hr := ref.deferStore(ready, occ, req, rstart, rend, true)
-				if h != hr {
-					t.Fatalf("seed %d step %d: elidable handle %d, reference %d", seed, step, h, hr)
-				}
-				handles = append(handles, h)
+				heap.deferStore(ready, occ, req, rstart, rend)
+				ref.deferStore(ready, occ, req, rstart, rend)
 			case k < 62:
 				op = "late store"
 				got = heap.placeNow(ready, occ, req, rstart, rend, true)
 				want = ref.placeNow(ready, occ, req, rstart, rend, true)
-			case k < 80:
+			case k < 88:
 				op = "ConflictConstraint"
 				isStore := r.Intn(2) == 0
 				got = heap.q.ConflictConstraint(rstart, rend, isStore)
 				want = ref.conflictConstraint(rstart, rend, isStore)
-			case k < 88:
-				op = "tryCancel"
-				idx := r.Intn(heap.s.nextStore() + 2)
-				if len(handles) > 0 && r.Intn(3) > 0 {
-					idx = handles[r.Intn(len(handles))]
-				}
-				gr, gok := heap.s.tryCancel(idx)
-				wr, wok := ref.tryCancel(idx)
-				if gr != wr || gok != wok {
-					t.Fatalf("seed %d step %d: tryCancel(%d) = %d,%v; reference %d,%v",
-						seed, step, idx, gr, gok, wr, wok)
-				}
 			case k < 91:
 				op = "eliminated load"
 				heap.q.Record(rstart, rend, false, ready, ready)
@@ -320,10 +275,10 @@ func compareMemSchedulers(t *testing.T, m memPair, ref *linearMemScheduler, seed
 			seed, step, op, s.requests, lastEnd, ref.requests, ref.lastEnd)
 	}
 	// The store buffer holds exactly the stores from the oldest one the
-	// reference has neither placed nor cancelled.
+	// reference has not placed.
 	base := len(ref.pend)
 	for i, p := range ref.pend {
-		if !p.placed && !p.canceled {
+		if !p.placed {
 			base = i
 			break
 		}

@@ -18,24 +18,23 @@ import (
 // planConfigs are the configurations whose runs record the M queue's
 // plan in the tests below: every way execMem records an entry (after a
 // Dependence check or, for an eliminated load, without one; at once or
-// as a pending store that may be elided) and the OOOVA-128 window.
+// as a pending store) and the OOOVA-128 window.
 func planConfigs() map[string]Config {
 	sle := DefaultConfig()
 	sle.LoadElim = ElimSLE
 	late := DefaultConfig()
 	late.Commit = rob.PolicyLate
 	late.LoadElim = ElimSLEVLE
-	elide := DefaultConfig()
-	elide.LoadElim = ElimSLEVLE
-	elide.ElideDeadSpillStores = true
+	elim := DefaultConfig()
+	elim.LoadElim = ElimSLEVLE
 	slots128 := DefaultConfig()
 	slots128.QueueSlots = 128
 	return map[string]Config{
-		"default":       DefaultConfig(),
-		"SLE":           sle,
-		"late+SLE+VLE":  late,
-		"SLE+VLE+elide": elide,
-		"128 slots":     slots128,
+		"default":      DefaultConfig(),
+		"SLE":          sle,
+		"late+SLE+VLE": late,
+		"SLE+VLE":      elim,
+		"128 slots":    slots128,
 	}
 }
 
@@ -118,7 +117,7 @@ func TestMemDepsMatchesLinearScanOnPresets(t *testing.T) {
 // randomMemTrace returns a random trace mixing every memory operation
 // with vector and scalar arithmetic and VL/VS changes: gathers and
 // scatters with their conservative slop, negative strides, spill stores
-// and refills to a few slots (so dead spills are elided), and addresses
+// and refills to a few slots, and addresses
 // at and near 0 and near the top of the address space, crowded into
 // 4 MiB so that ranges overlap, yet sparsely enough to plan.
 func randomMemTrace(seed int64) *trace.Trace {
@@ -178,7 +177,6 @@ func randomMemTrace(seed int64) *trace.Trace {
 // TestMemDepsMatchesLinearScanOnRandomTraces checks the plan runs record
 // on random traces, in every configuration of planConfigs.
 func TestMemDepsMatchesLinearScanOnRandomTraces(t *testing.T) {
-	elided := int64(0)
 	for seed := int64(1); seed <= 6; seed++ {
 		tr := randomMemTrace(seed)
 		for name, cfg := range planConfigs() {
@@ -186,10 +184,6 @@ func TestMemDepsMatchesLinearScanOnRandomTraces(t *testing.T) {
 				t.Fatalf("seed %d/%s: %d conflicts; the trace is too sparse to test the plan", seed, name, n)
 			}
 		}
-		elided += Run(tr, planConfigs()["SLE+VLE+elide"]).Stats.ElidedStores
-	}
-	if elided == 0 {
-		t.Error("no spill store was elided; the traces do not test elided entries")
 	}
 }
 

@@ -128,9 +128,6 @@ func randomConfig(r *rand.Rand) Config {
 		cfg.Commit = rob.PolicyLate
 	}
 	cfg.LoadElim = ElimMode(r.Intn(3))
-	if r.Intn(4) == 0 && cfg.Commit == rob.PolicyEarly {
-		cfg.ElideDeadSpillStores = true
-	}
 	return cfg
 }
 

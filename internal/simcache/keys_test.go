@@ -34,14 +34,14 @@ func TestKeySchemeIsStable(t *testing.T) {
 		{
 			"OOOVA default",
 			OOOConfigKey(ooosim.DefaultConfig()),
-			"ooo:{PhysVRegs:16 QueueSlots:16 ROBSize:64 CommitWidth:4 MemLatency:50 ScalarMemLatency:6 Commit:early LoadElim:none ElideDeadSpillStores:false Sink:<nil>}",
-			"72664964ac0ed655de48df25baca509a",
+			"ooo:{PhysVRegs:16 QueueSlots:16 ROBSize:64 CommitWidth:4 MemLatency:50 ScalarMemLatency:6 Commit:early LoadElim:none Sink:<nil>}",
+			"9bac495203864622bd8f16cbbcd97cf6",
 		},
 		{
 			"OOOVA late commit, SLE+VLE, 32 registers",
 			OOOConfigKey(ooosim.Config{PhysVRegs: 32, QueueSlots: 128, MemLatency: 1, Commit: rob.PolicyLate, LoadElim: ooosim.ElimSLEVLE}),
-			"ooo:{PhysVRegs:32 QueueSlots:128 ROBSize:64 CommitWidth:4 MemLatency:1 ScalarMemLatency:6 Commit:late LoadElim:SLE+VLE ElideDeadSpillStores:false Sink:<nil>}",
-			"3fc79c8926b95fd0fedda5f94d832133",
+			"ooo:{PhysVRegs:32 QueueSlots:128 ROBSize:64 CommitWidth:4 MemLatency:1 ScalarMemLatency:6 Commit:late LoadElim:SLE+VLE Sink:<nil>}",
+			"dbf1bb30a769223d3ad2f88cda6106b0",
 		},
 		{
 			"REF default",

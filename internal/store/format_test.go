@@ -15,8 +15,10 @@ import (
 // goldenGobEntryHex and goldenBlobHex are one entry file and one blob file
 // as the store wrote them at epoch 2, before entries and blobs shared one
 // write and read path: goldenStats() gob-encoded under the entry magic, and
-// goldenBlobPayload under the blob magic. goldenEntryHex is goldenStats()
-// in RunStats' binary encoding at entry epoch 3.
+// goldenBlobPayload under the blob magic. goldenEpoch3EntryHex is
+// goldenStats() in RunStats' binary encoding at entry epoch 3, which still
+// carried the two elided-store counters; goldenEntryHex is the same at
+// entry epoch 4.
 const (
 	goldenGobEntryHex = "" +
 		"4f565253000000020000030e783996e0fe01467f0301010852756e5374617473" +
@@ -44,11 +46,16 @@ const (
 		"00000001fe054c01fe071c01fe07d00206010407010a00010101ff8001090200" +
 		"0000000000000000010209000000000000000000000102090000000000000000" +
 		"000001020900000000000000000000010209000000000000000000000000"
-	goldenEntryHex = "" +
+	goldenEpoch3EntryHex = "" +
 		"4f565253000000030000006329450d8a054f4f4f56410474726664f2c0010016" +
 		"000000000000cc0a9c0ed00f0006040000000000000a00000000000000000000" +
 		"8001020000000000000000000000000000000000000000000000000000000000" +
 		"00000000000000000000000000000000000000"
+	goldenEntryHex = "" +
+		"4f56525300000004000000612ea5d73a054f4f4f56410474726664f2c0010016" +
+		"000000000000cc0a9c0ed00f000604000000000a000000000000000000008001" +
+		"0200000000000000000000000000000000000000000000000000000000000000" +
+		"0000000000000000000000000000000000"
 	goldenBlobHex = "4f564342000000020000000d7dc809d4636865636b706f696e740001ff"
 )
 
@@ -69,9 +76,10 @@ func goldenStats() *metrics.RunStats {
 // TestOnDiskFormatIsStable pins the on-disk bytes of both file kinds:
 // files written by the earlier code of the same epoch still load, and
 // saving the same values again writes the same bytes. A failure here is a
-// format change, which must bump the kind's epoch. An entry of the gob
-// epoch is a quarantined miss: entries moved to epoch 3 while blobs stayed
-// at 2, so checkpoints parked before the change still resume.
+// format change, which must bump the kind's epoch. Entries of the gob
+// epoch and of epoch 3 are quarantined misses: entries moved to epoch 3 and
+// then 4 while blobs stayed at 2, so checkpoints parked before the changes
+// still resume.
 func TestOnDiskFormatIsStable(t *testing.T) {
 	decode := func(h string) []byte {
 		b, err := hex.DecodeString(h)
@@ -80,7 +88,7 @@ func TestOnDiskFormatIsStable(t *testing.T) {
 		}
 		return b
 	}
-	gobEntry, entry, blob := decode(goldenGobEntryHex), decode(goldenEntryHex), decode(goldenBlobHex)
+	entry, blob := decode(goldenEntryHex), decode(goldenBlobHex)
 	s := mustOpen(t, t.TempDir(), 0)
 	ctx := context.Background()
 	place := func(path string, b []byte) {
@@ -93,17 +101,21 @@ func TestOnDiskFormatIsStable(t *testing.T) {
 		}
 	}
 
-	// The gob-era entry is a miss, quarantined once.
-	const stale = "feed00"
-	place(s.path(stale), gobEntry)
-	if got, ok := s.Load(ctx, stale); ok {
-		t.Errorf("gob-era entry loaded as %+v; want a miss", got)
-	}
-	if _, err := os.Stat(s.path(stale)); !os.IsNotExist(err) {
-		t.Error("gob-era entry was not quarantined")
-	}
-	if c := s.Stats().Corrupt; c != 1 {
-		t.Errorf("corrupt = %d after the gob-era entry, want 1", c)
+	// Entries of an earlier epoch are misses, each quarantined once.
+	for i, c := range []struct{ key, era, hex string }{
+		{"feed00", "gob-era", goldenGobEntryHex},
+		{"feed03", "epoch-3", goldenEpoch3EntryHex},
+	} {
+		place(s.path(c.key), decode(c.hex))
+		if got, ok := s.Load(ctx, c.key); ok {
+			t.Errorf("%s entry loaded as %+v; want a miss", c.era, got)
+		}
+		if _, err := os.Stat(s.path(c.key)); !os.IsNotExist(err) {
+			t.Errorf("%s entry was not quarantined", c.era)
+		}
+		if n := s.Stats().Corrupt; n != int64(i+1) {
+			t.Errorf("corrupt = %d after the %s entry, want %d", n, c.era, i+1)
+		}
 	}
 
 	// The current bytes load.

@@ -81,10 +81,11 @@ type fileKind struct {
 	span string
 }
 
-// Entry epoch 3 is RunStats' own binary encoding (epoch 2 was gob); blobs
-// have been at epoch 2 since the header gained its epoch field.
+// Entry epoch 4 is RunStats' own binary encoding without the two elided-store
+// counters (epoch 3 had them, epoch 2 was gob); blobs have been at epoch 2
+// since the header gained its epoch field.
 var (
-	entryKind = fileKind{suffix: entrySuffix, magic: "OVRS", epoch: 3}
+	entryKind = fileKind{suffix: entrySuffix, magic: "OVRS", epoch: 4}
 	blobKind  = fileKind{suffix: ".ovb", magic: "OVCB", epoch: 2, span: "blob"}
 )
 

@@ -182,19 +182,3 @@ func TestInvariantQueueDepthNeverHurtsMuch(t *testing.T) {
 		}
 	}
 }
-
-func TestInvariantElisionSubsetOfTraffic(t *testing.T) {
-	for _, name := range []string{"bdna", "trfd"} {
-		tr := invTrace(t, name, 6000)
-		base := DefaultOOOVAConfig()
-		base.PhysVRegs = 32
-		baseRun := RunOOOVA(tr, base).Stats
-		cfg := base
-		cfg.ElideDeadSpillStores = true
-		run := RunOOOVA(tr, cfg).Stats
-		if run.MemRequests+run.ElidedRequests != baseRun.MemRequests {
-			t.Errorf("%s: elision accounting broken: %d + %d != %d",
-				name, run.MemRequests, run.ElidedRequests, baseRun.MemRequests)
-		}
-	}
-}
