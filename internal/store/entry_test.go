@@ -84,6 +84,15 @@ func FuzzEntryDecode(f *testing.F) {
 	f.Add(golden)
 	f.Add(append(binary.AppendUvarint(nil, 1<<62), golden[1:]...))
 	f.Add(append(golden[:len(golden):len(golden)], 0))
+	// The epoch-3 payload, which still carried the two elided-store
+	// counters, whole and cut to the current payload's length.
+	b, err = hex.DecodeString(goldenEpoch3EntryHex)
+	if err != nil {
+		f.Fatal(err)
+	}
+	stale := b[headerSize:]
+	f.Add(stale)
+	f.Add(stale[:len(golden)])
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var st metrics.RunStats
 		err := st.UnmarshalBinary(p)
